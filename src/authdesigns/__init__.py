@@ -10,8 +10,7 @@ offline/online verification-oracle game values, all in rational arithmetic.
 from .analysis import (DeceptionReport, OracleReport, SecrecySystem,
                        analyze_oracle, analyze_spoofing, deception_bound,
                        deception_probability, offline_bound, online_bound,
-                       oracle_equivalence_check, perfect_secrecy_check,
-                       security_order, voracle_offline_value,
+                       perfect_secrecy_check, voracle_offline_value,
                        voracle_online_value)
 from .apa import PerpendicularArray, van_rees_array, verify_apa
 from .balancing import (BalanceReport, EncodingMatrix, SplitGraph, balance,
@@ -39,8 +38,8 @@ __all__ = [
     "deception_probability", "derived_design", "develop", "develop_matrix",
     "divisibility_check", "edge_color", "format_matrix_table", "lambda_s",
     "massey_schobi_bound", "netto_triples", "offline_bound", "online_bound",
-    "optimality_class", "oracle_equivalence_check", "perfect_secrecy_check",
-    "security_order", "split_points", "teirlinck_params", "van_rees_array",
+    "optimality_class", "perfect_secrecy_check", "split_points",
+    "teirlinck_params", "van_rees_array",
     "verify_apa", "verify_balanced", "verify_design", "verify_df",
     "voracle_offline_value", "voracle_online_value",
 ]

@@ -11,9 +11,9 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
   events exactly;
 * verification-oracle games — the opponent adaptively queries accept/reject
   (offline: all queries first, then one spoof; online: wins on first
-  acceptance).  Both games are solved exactly by memoized recursion over
-  (accepted, rejected) states, with consistent key sets carried as integer
-  bitmasks.
+  acceptance).  In both games only the all-reject path continues, so each
+  value has a closed form over the per-message key bitmasks: the best
+  single message offline, the best coverage by i+1 messages online.
 
 Everything returns `fractions.Fraction`; there is no floating point here.
 """
@@ -66,15 +66,6 @@ class SecrecySystem:
                 masks[m] |= bit
         return tuple(masks)
 
-    def message_distribution(self) -> tuple:
-        """Induced distribution on messages: P(m) = |{e : m ∈ M(e)}| / (b·k).
-
-        Derived helper; nothing downstream consumes it, but it makes the
-        model concrete and is cheap to test (sums to 1 exactly).
-        """
-        return tuple(Fraction(mask.bit_count(), self.b * self.k)
-                     for mask in self.message_masks)
-
 
 def perfect_secrecy_check(matrix: EncodingMatrix):
     """Equiprobable-key secrecy criterion: every message occurs with the same
@@ -83,14 +74,9 @@ def perfect_secrecy_check(matrix: EncodingMatrix):
     Returns (ok, witness); witness is the first (message, (column_a,
     column_b)) whose counts differ, None when ok.
     """
-    counts = [[0] * matrix.k for _ in range(matrix.v)]
-    for row in matrix.rows:
-        for col, m in enumerate(row):
-            counts[m][col] += 1
-    for m in range(matrix.v):
-        first = counts[m][0]
+    for m, counts in enumerate(matrix.column_counts()):
         for col in range(1, matrix.k):
-            if counts[m][col] != first:
+            if counts[col] != counts[0]:
                 return False, (m, (0, col))
     return True, None
 
@@ -132,30 +118,13 @@ def deception_probability(system: SecrecySystem, i: int,
     return Fraction(sum(best.values()), system.b * math.comb(system.k, i))
 
 
-def security_order(system: SecrecySystem, max_i: int,
-                   budget: Optional[int] = None) -> int:
-    """Largest t <= max_i with P_di = (k-i)/(v-i) for every i <= t; -1 when
-    already i = 0 misses the floor."""
-    if not isinstance(max_i, int) or not (0 <= max_i < system.k):
-        raise DomainError(
-            f"max_i must satisfy 0 <= max_i < k={system.k}, got {max_i!r}")
-    order = -1
-    for i in range(max_i + 1):
-        if deception_probability(system, i, budget) != deception_bound(
-                system.v, system.k, i):
-            break
-        order = i
-    return order
-
-
 # ---------------------------------------------------------------------------
 # verification-oracle games
 
-def _game_guard(system: SecrecySystem, i: int, budget, what):
+def _check_game_order(system: SecrecySystem, i: int):
     if not isinstance(i, int) or not (0 <= i <= system.v - 1):
         raise DomainError(
             f"oracle game order must satisfy 0 <= i <= v-1={system.v - 1}, got {i!r}")
-    charge(math.comb(system.v, i + 1) * system.b, budget, what=what)
 
 
 def voracle_offline_value(system: SecrecySystem, i: int,
@@ -163,50 +132,20 @@ def voracle_offline_value(system: SecrecySystem, i: int,
     """Exact value of the offline oracle game: up to i adaptive accept/reject
     probes, then a single spoof.
 
-    The phases are strictly separated: a probe the oracle *accepts* is
-    already a completed deception of the online kind, so the offline
-    experiment ends there without a spoofing phase — the success event is
-    "every probe rejected and the final spoof accepted".  The state is
-    therefore the rejected set (plus probes left); the posterior over keys
-    is the bitmask of rows avoiding every rejected message.  Interior nodes
-    maximize over withholding the remaining probes (equivalently, repeating
-    an already-rejected message — allowed, never useful, and tested to
-    change nothing) or probing any fresh message; the leaf plays the message
-    with maximal posterior validity.
+    An accepted probe is already a deception of the online kind and ends
+    the experiment, so the opponent wins only if every probe is rejected
+    and the final spoof m accepted.  Those keys lie inside mask_m, and
+    withholding all probes wins on all of mask_m; at every order
 
-    Consequence, asserted by the tests rather than assumed: the value equals
-    max_m |{e : m ∈ M(e)}| / b at every order — probing can only burn
-    success probability, so the value is independent of i.
+        value = max_m |{e : m ∈ M(e)}| / b.
+
+    Charge: b·k to build the masks plus v popcounts.
     """
-    _game_guard(system, i, budget, f"offline oracle game of order {i}")
-    masks = system.message_masks
-    v, b = system.v, system.b
-    memo = {}
-
-    def value(rejected, q, cons, n_cons):
-        if q == 0:
-            best = max((cons & masks[m]).bit_count() for m in range(v))
-            return Fraction(best, n_cons)
-        key = (rejected, q)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = value(rejected, q - 1, cons, n_cons)
-        for m in range(v):
-            if m in rejected:
-                continue
-            acc = cons & masks[m]
-            n_rej = n_cons - acc.bit_count()
-            if n_rej == 0:
-                continue   # certain acceptance: the branch is pure loss
-            branch = Fraction(n_rej, n_cons) * value(
-                rejected | {m}, q - 1, cons ^ acc, n_rej)
-            if branch > best:
-                best = branch
-        memo[key] = best
-        return best
-
-    return value(frozenset(), i, (1 << b) - 1, b)
+    _check_game_order(system, i)
+    charge(system.b * system.k + system.v, budget,
+           what=f"offline oracle game of order {i}")
+    best = max(mask.bit_count() for mask in system.message_masks)
+    return Fraction(best, system.b)
 
 
 def voracle_online_value(system: SecrecySystem, i: int,
@@ -214,43 +153,35 @@ def voracle_online_value(system: SecrecySystem, i: int,
     """Exact value of the online oracle game: i+1 submissions, the opponent
     wins on the first acceptance.
 
-    Every rejection reveals the submitted message to be invalid under the
-    true key, so the state is just the rejected set (plus submissions left).
+    Play goes on only after a rejection, so a strategy is the fixed
+    sequence it submits along the all-reject path.  It wins on the keys
+    whose row holds one of those messages, and a repeat adds no key:
+
+        value = max over (i+1)-sets S of |⋃_{m∈S} mask_m| / b.
+
+    Each set is its i smallest messages (the prefix) plus a larger one; the
+    union of a prefix is formed once and shared by all its extensions.
+    Charge, one step per OR or popcount: b·k for the masks; i ORs for each
+    of the C(v-1, i) prefixes that have an extension (largest message at
+    most v-2); one OR and one popcount per (i+1)-set.  In all
+    b·k + i·C(v-1, i) + 2·C(v, i+1).
     """
-    _game_guard(system, i, budget, f"online oracle game of order {i}")
+    _check_game_order(system, i)
+    v = system.v
+    charge(system.b * system.k + i * math.comb(v - 1, i)
+           + 2 * math.comb(v, i + 1), budget,
+           what=f"online oracle game of order {i}")
     masks = system.message_masks
-    v, b = system.v, system.b
-    memo = {}
-
-    def value(rejected, s, cons, n_cons):
-        if s == 0:
-            return Fraction(0)
-        key = (rejected, s)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = Fraction(0)
-        for m in range(v):
-            if m in rejected:
-                continue
-            acc = cons & masks[m]
-            n_acc = acc.bit_count()
-            if n_acc == 0:
-                # certain rejection, no information gained; the pool of
-                # fresh messages still shrinks
-                candidate = value(rejected | {m}, s - 1, cons, n_cons)
-            else:
-                candidate = Fraction(n_acc, n_cons)
-                n_rej = n_cons - n_acc
-                if n_rej and s > 1:
-                    candidate += Fraction(n_rej, n_cons) * value(
-                        rejected | {m}, s - 1, cons ^ acc, n_rej)
-            if candidate > best:
-                best = candidate
-        memo[key] = best
-        return best
-
-    return value(frozenset(), i + 1, (1 << b) - 1, b)
+    best = 0
+    for prefix in combinations(range(v - 1), i):
+        union = 0
+        for m in prefix:
+            union |= masks[m]
+        for mask in masks[prefix[-1] + 1 if prefix else 0:]:
+            covered = (union | mask).bit_count()
+            if covered > best:
+                best = covered
+    return Fraction(best, system.b)
 
 
 def offline_bound(v: int, k: int) -> Fraction:
@@ -259,18 +190,6 @@ def offline_bound(v: int, k: int) -> Fraction:
 
 def online_bound(v: int, k: int, i: int) -> Fraction:
     return 1 - Fraction(math.comb(v - k, i + 1), math.comb(v, i + 1))
-
-
-def oracle_equivalence_check(system: SecrecySystem, i: int,
-                             budget: Optional[int] = None) -> bool:
-    """True iff the offline value meets k/v exactly precisely when the online
-    value meets 1 - C(v-k,i+1)/C(v,i+1) exactly.  The two tightness flags are
-    claimed equivalent for every system; a False here is an alarm."""
-    off_tight = voracle_offline_value(system, i, budget) == offline_bound(
-        system.v, system.k)
-    on_tight = voracle_online_value(system, i, budget) == online_bound(
-        system.v, system.k, i)
-    return off_tight == on_tight
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +239,8 @@ class OracleOrderResult:
 
     @property
     def equivalent(self) -> bool:
+        """Both games tight or both loose at this order: a per-system flag,
+        not a theorem (a system can be offline- but not online-tight)."""
         return self.offline_tight == self.online_tight
 
 

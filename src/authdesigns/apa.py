@@ -20,7 +20,7 @@ from typing import Optional
 from .budget import charge
 from .designs import VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, StructuralError
-from .fileio import atomic_write_json, int_field, load_json, require
+from .fileio import atomic_write_json, int_field, int_rows, load_json
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,7 @@ def apa_from_json(doc) -> PerpendicularArray:
     k = int_field(doc, "k", minimum=1)
     v = int_field(doc, "v", minimum=1)
     lam = int_field(doc, "lambda", minimum=1)
-    require("rows" in doc and isinstance(doc["rows"], list), "missing 'rows' list")
-    return PerpendicularArray(t=t, k=k, v=v, lambda_=lam,
-                              rows=tuple(tuple(r) for r in doc["rows"]))
+    return PerpendicularArray(t=t, k=k, v=v, lambda_=lam, rows=int_rows(doc, "rows"))
 
 
 def save_apa(array: PerpendicularArray, path):

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .designs import BlockDesign
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, digest, int_field, load_json, require
+from .fileio import atomic_write_json, digest, int_field, int_rows, load_json
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,15 @@ class EncodingMatrix:
     @property
     def b(self) -> int:
         return len(self.rows)
+
+    def column_counts(self) -> tuple:
+        """counts[m][col] = rows holding message m in column col; the one
+        tally behind both the balance and the secrecy checks."""
+        counts = [[0] * self.k for _ in range(self.v)]
+        for row in self.rows:
+            for col, m in enumerate(row):
+                counts[m][col] += 1
+        return tuple(tuple(r) for r in counts)
 
 
 @dataclass(frozen=True)
@@ -251,29 +260,15 @@ class BalanceReport:
 
 def verify_balanced(matrix: EncodingMatrix) -> BalanceReport:
     """True iff every message appears exactly b/v times in every column."""
-    v, k, b = matrix.v, matrix.k, matrix.b
-    counts = [[0] * k for _ in range(v)]
-    for row in matrix.rows:
-        for col, m in enumerate(row):
-            counts[m][col] += 1
-    if b % v != 0:
-        expected = None
-    else:
-        expected = b // v
-    witness = None
-    if expected is not None:
-        for m in range(v):
-            for col in range(k):
-                if counts[m][col] != expected:
-                    witness = (m, col, counts[m][col])
-                    break
-            if witness:
-                break
-    valid = expected is not None and witness is None
-    if expected is None:
-        witness = (0, 0, counts[0][0])
-    return BalanceReport(valid=valid, expected=expected,
-                         counts=tuple(tuple(r) for r in counts), witness=witness)
+    counts = matrix.column_counts()
+    if matrix.b % matrix.v != 0:
+        return BalanceReport(valid=False, expected=None, counts=counts,
+                             witness=(0, 0, counts[0][0]))
+    expected = matrix.b // matrix.v
+    witness = next(((m, col, c) for m, row in enumerate(counts)
+                    for col, c in enumerate(row) if c != expected), None)
+    return BalanceReport(valid=witness is None, expected=expected,
+                         counts=counts, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +291,7 @@ def matrix_from_json(doc) -> EncodingMatrix:
     v = int_field(doc, "v", minimum=1)
     k = int_field(doc, "k", minimum=1)
     b = int_field(doc, "b", minimum=1)
-    require("rows" in doc and isinstance(doc["rows"], list), "missing 'rows' list")
-    matrix = EncodingMatrix(v=v, k=k, rows=tuple(tuple(r) for r in doc["rows"]))
+    matrix = EncodingMatrix(v=v, k=k, rows=int_rows(doc, "rows"))
     if matrix.b != b:
         raise StructuralError(f"declared b={b} but found {matrix.b} rows")
     return matrix

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .budget import charge
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, int_field, load_json, require
+from .fileio import atomic_write_json, int_field, int_rows, load_json
 
 # Witness lists in reports are capped; a wrong design can fail at almost
 # every t-subset and nobody reads a million witnesses.
@@ -343,9 +343,7 @@ def design_from_json(doc) -> tuple:
     """
     v = int_field(doc, "v", minimum=1)
     k = int_field(doc, "k", minimum=1)
-    require("blocks" in doc, "missing field 'blocks'")
-    require(isinstance(doc["blocks"], list), "'blocks' must be a list")
-    design = BlockDesign(v=v, blocks=tuple(tuple(B) for B in doc["blocks"]))
+    design = BlockDesign(v=v, blocks=int_rows(doc, "blocks"))
     if design.k != k:
         raise StructuralError(f"declared k={k} but blocks have size {design.k}")
     t = doc.get("t")

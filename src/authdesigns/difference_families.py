@@ -18,7 +18,7 @@ from typing import Optional
 from .balancing import EncodingMatrix
 from .designs import BlockDesign, VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, int_field, load_json, require
+from .fileio import atomic_write_json, int_field, int_rows, load_json
 
 
 @dataclass(frozen=True)
@@ -234,10 +234,7 @@ def df_to_json(df: DifferenceFamily) -> dict:
 def df_from_json(doc) -> DifferenceFamily:
     v = int_field(doc, "v", minimum=2)
     lam = int_field(doc, "lambda", minimum=1)
-    require("base_blocks" in doc and isinstance(doc["base_blocks"], list),
-            "missing 'base_blocks' list")
-    return DifferenceFamily(v=v, lambda_=lam,
-                            base_blocks=tuple(tuple(B) for B in doc["base_blocks"]))
+    return DifferenceFamily(v=v, lambda_=lam, base_blocks=int_rows(doc, "base_blocks"))
 
 
 def save_df(df: DifferenceFamily, path):

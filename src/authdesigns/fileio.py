@@ -43,12 +43,14 @@ def atomic_write_json(obj, path):
 
 
 def load_json(path):
-    """Parse a JSON document, mapping parse failures to StructuralError."""
+    """Parse a JSON document; unreadable or malformed input raises StructuralError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from exc
+    except (UnicodeDecodeError, IsADirectoryError) as exc:
+        raise StructuralError(f"{path}: cannot be read as JSON text ({exc})") from exc
 
 
 def fraction_to_json(value: Fraction) -> dict:
@@ -83,3 +85,13 @@ def int_field(doc, key, minimum=None):
     if minimum is not None:
         require(value >= minimum, f"field {key!r} must be >= {minimum}, got {value}")
     return value
+
+
+def int_rows(doc, key):
+    """Fetch a required list-of-lists field (rows, blocks) as a tuple of
+    tuples; the constructor that receives it checks the entries."""
+    require(isinstance(doc, dict) and isinstance(doc.get(key), list),
+            f"missing {key!r} list")
+    bad = [(idx, row) for idx, row in enumerate(doc[key]) if not isinstance(row, list)]
+    require(not bad, f"every entry of {key!r} must be a list", offenders=bad[:32])
+    return tuple(tuple(row) for row in doc[key])

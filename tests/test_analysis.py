@@ -15,6 +15,7 @@ import pytest
 
 from authdesigns import (
     BudgetError,
+    DifferenceFamily,
     DomainError,
     EncodingMatrix,
     SecrecySystem,
@@ -22,11 +23,10 @@ from authdesigns import (
     analyze_spoofing,
     deception_bound,
     deception_probability,
+    develop_matrix,
     offline_bound,
     online_bound,
-    oracle_equivalence_check,
     perfect_secrecy_check,
-    security_order,
     voracle_offline_value,
     voracle_online_value,
 )
@@ -112,6 +112,21 @@ def naive_online(matrix: EncodingMatrix, i: int) -> Fraction:
     return val(frozenset(), i + 1, list(range(len(rows))))
 
 
+def random_unbalanced_matrices(seed, count=12):
+    """Small matrices with random distinct row sets in random column order;
+    almost none of them is balanced."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v = rng.randint(3, 7)
+        k = rng.randint(1, v - 1)
+        row_sets = rng.sample(list(combinations(range(v), k)),
+                              rng.randint(1, min(6, comb(v, k))))
+        rows = tuple(tuple(rng.sample(row, k)) for row in row_sets)
+        out.append(EncodingMatrix(v, k, rows))
+    return out
+
+
 # ----------------------------------------------------------------- secrecy
 
 def test_perfect_secrecy_on_balanced_systems(z13_matrix, fano_matrix,
@@ -146,16 +161,6 @@ def test_perfect_secrecy_mutation_breaks(z13_matrix):
         col_counts = [sum(1 for row in mutated.rows if row[col] == msg)
                       for col in range(mutated.k)]
         assert col_counts[ca] != col_counts[cb]
-
-
-def test_message_distribution(fano_system, biplane_system):
-    for system in (fano_system, biplane_system):
-        dist = system.message_distribution()
-        assert sum(dist) == 1
-        for m, p in enumerate(dist):
-            hits = sum(1 for row in system.matrix.rows if m in row)
-            assert p == Fraction(hits, system.b * system.k)
-    assert fano_system.message_distribution() == (Fraction(1, 7),) * 7
 
 
 def test_message_masks_consistency(z13_system):
@@ -214,11 +219,11 @@ def test_deception_domain_errors(fano_system):
 
 
 def test_security_orders(z13_system, fano_system, complete53_system):
-    assert security_order(z13_system, 2) == 1
-    assert security_order(fano_system, 2) == 1
-    assert security_order(complete53_system, 2) == 2
+    assert analyze_spoofing(z13_system, range(3)).security_order == 1
+    assert analyze_spoofing(fano_system, range(3)).security_order == 1
+    assert analyze_spoofing(complete53_system, range(3)).security_order == 2
     with pytest.raises(DomainError):
-        security_order(fano_system, 3)
+        analyze_spoofing(fano_system, range(4))
 
 
 def test_analyze_spoofing_report(z13_system):
@@ -263,7 +268,8 @@ def test_offline_equals_best_single_message(fano_system, biplane_system):
 def test_offline_matches_naive(fano_system, complete53_system):
     rng = random.Random(19)
     mutated, _ = mutate_entry(rng, fano_system.matrix)
-    for matrix in (fano_system.matrix, complete53_system.matrix, mutated):
+    for matrix in (fano_system.matrix, complete53_system.matrix, mutated,
+                   *random_unbalanced_matrices(37)):
         system = SecrecySystem(matrix)
         for i in range(3):
             assert voracle_offline_value(system, i) == naive_offline(
@@ -284,7 +290,8 @@ def test_online_matches_naive(fano_system):
     rng = random.Random(23)
     mutated, _ = mutate_entry(rng, fano_system.matrix)
     small = EncodingMatrix(4, 2, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    for matrix in (fano_system.matrix, mutated, small):
+    for matrix in (fano_system.matrix, mutated, small,
+                   *random_unbalanced_matrices(41)):
         system = SecrecySystem(matrix)
         for i in range(3):
             assert voracle_online_value(system, i) == naive_online(matrix, i)
@@ -309,17 +316,29 @@ def test_online_never_below_bound(fano_system):
 
 def test_oracle_tightness_equivalence(fano_system, z13_system,
                                       complete53_system):
-    for system, imax in ((fano_system, 2), (z13_system, 2),
-                         (complete53_system, 3)):
-        for i in range(imax):
-            assert oracle_equivalence_check(system, i)
-    # mutated systems stay equivalent: both sides go non-tight together
+    # rows forming a t-design: both games tight at every order i < t
+    for system, t in ((fano_system, 2), (z13_system, 2),
+                      (complete53_system, 3)):
+        for res in analyze_oracle(system, range(t)).orders:
+            assert res.offline_tight and res.online_tight and res.equivalent
+    # this mutation leaves some message in more than b·k/v rows, so
+    # both games go loose together
     rng = random.Random(31)
     mutated = SecrecySystem(mutate_entry(rng, fano_system.matrix)[0])
     report = analyze_oracle(mutated, [0, 1])
     for res in report.orders:
         assert not res.offline_tight and not res.online_tight
         assert res.equivalent
+    # the developed 6-cycle is balanced, hence offline-tight, but its rows
+    # are no 2-design, so at i = 1 the online game beats its floor
+    cycle = SecrecySystem(develop_matrix(DifferenceFamily(6, 1, ((0, 1),))))
+    res = analyze_oracle(cycle, [1]).orders[0]
+    assert res.offline_value == Fraction(1, 3) == res.offline_bound
+    assert res.offline_tight
+    assert res.online_value == Fraction(2, 3)
+    assert res.online_bound == Fraction(3, 5)
+    assert not res.online_tight
+    assert res.equivalent is False
 
 
 def test_analyze_oracle_report(fano_system):

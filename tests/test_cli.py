@@ -250,6 +250,51 @@ def test_attack_rejects_malformed_matrix(capsys, tmp_path):
     assert code == 2
 
 
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["attack"], {"v": 7, "k": 3, "b": 1, "rows": [5]}),
+    (["build", "--kind", "cdf"], {"v": 7, "lambda": 1, "base_blocks": [5]}),
+    (["verify", "--kind", "design"], {"v": 7, "k": 3, "blocks": [5]}),
+    (["verify", "--kind", "apa"],
+     {"t": 2, "k": 3, "v": 11, "lambda": 1, "rows": [5]}),
+], ids=["attack", "build-cdf", "verify-design", "verify-apa"])
+def test_bare_number_in_place_of_a_row(capsys, tmp_path, argv, doc):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:],
+                       "--out", str(tmp_path / "out.json"))
+    assert_one_error_line(code, err)
+
+
+def test_attack_rejects_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, _, err = run(capsys, "attack", str(path))
+    assert_one_error_line(code, err)
+
+
+def test_attack_rejects_directory(capsys, tmp_path):
+    code, _, err = run(capsys, "attack", str(tmp_path))
+    assert_one_error_line(code, err)
+
+
+def test_oracle_online_v337_at_default_budget(capsys, tmp_path):
+    family, matrix = tmp_path / "cdf337.json", tmp_path / "cdf337-matrix.json"
+    assert run(capsys, "catalog", "export", "cdf-337-7-1",
+               "--out", str(family))[0] == 0
+    assert run(capsys, "build", str(family), "--kind", "cdf",
+               "--out", str(matrix))[0] == 0
+    code, out, _ = run(capsys, "attack", str(matrix), "--model",
+                       "oracle-online", "--orders", "0-1")
+    assert code == 0
+    assert "i=1 value=111/2696 bound=111/2696 tight=yes" in out
+
+
 # ------------------------------------------------------------------ params
 
 def test_params_admissible(capsys):
