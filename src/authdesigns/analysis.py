@@ -15,6 +15,13 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
   value has a closed form over the per-message key bitmasks: the best
   single message offline, the best coverage by i+1 messages online.
 
+Cyclic-orbit reduction: when x ↦ x+1 mod v maps every key set onto a key
+set (`SecrecySystem.translation_invariant`, true of every development of a
+cyclic difference family), spoofing and the online game at order i ≥ 1 run
+only through message 0.  Counting pairs (O, x ∈ O) twice gives
+Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
+unchanged, whatever the orbit lengths.  Other systems run the same loops.
+
 Everything returns `fractions.Fraction`; there is no floating point here.
 """
 
@@ -30,7 +37,7 @@ from typing import Optional
 from .balancing import EncodingMatrix
 from .budget import charge
 from .errors import DomainError
-from .fileio import fraction_from_json, fraction_to_json
+from .fileio import fraction_to_json
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,15 @@ class SecrecySystem:
     def key_sets(self) -> tuple:
         """Valid-message set M(e) per key, as frozensets."""
         return tuple(frozenset(row) for row in self.matrix.rows)
+
+    @cached_property
+    def translation_invariant(self) -> bool:
+        """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
+        permutes the keys, rows being distinct sets): at most b·k shifted
+        messages, stopping at the first miss."""
+        v, keys = self.v, set(self.key_sets)
+        return all(frozenset((m + 1) % v for m in key) in keys
+                   for key in self.key_sets)
 
     @cached_property
     def message_masks(self) -> tuple:
@@ -86,6 +102,16 @@ def deception_bound(v: int, k: int, i: int) -> Fraction:
     return Fraction(k - i, v - i)
 
 
+def _anchor(system: SecrecySystem, i: int, budget: Optional[int]) -> tuple:
+    """(0,) if the order-i loops may run only through message 0, else ();
+    at i ≥ 1 the translation check is charged b·k before it runs."""
+    if i < 1:
+        return ()
+    charge(system.b * system.k, budget,
+           what=f"translation check over {system.b} keys")
+    return (0,) if system.translation_invariant else ()
+
+
 def deception_probability(system: SecrecySystem, i: int,
                           budget: Optional[int] = None) -> Fraction:
     """Exact optimal success probability of a spoofing attack of order i.
@@ -96,26 +122,43 @@ def deception_probability(system: SecrecySystem, i: int,
     opponent's payoff at O is max over fresh m' of cnt_{i+1}(O∪{m'})/cnt_i(O),
     hence the cnt_i factors cancel:
 
-        P_di = Σ_O max_{m'∉O} cnt_{i+1}(O ∪ {m'})  /  (b·C(k,i)).
+        P_di = Σ_O best(O) / (b·C(k,i)),  best(O) = max_{m'∉O} cnt_{i+1}(O ∪ {m'}).
 
-    Only the (i+1)-subset tally is ever materialized.
+    Anchored (module docstring), best(O+1) = best(O): only the (i+1)-sets
+    through 0 are tallied, from the keys through 0, and best is read at
+    O ∋ 0 only, so P_di = v·Σ_{O∋0} best(O) / (i·b·C(k,i)).
+
+    Charge, one step per key read, tally increment, (subset, removal)
+    comparison and observation summed.  With a = |anchor|, s = i+1-a and n
+    keys tallied (b, or b·k/v anchored: every message lies in equally many
+    keys): b reads, n·C(k-a, s) subsets with s removals each, at most
+    n·C(k-a, s-1) observations, and the b·k check at i ≥ 1.  In all
+    [i ≥ 1]·b·k + b + n·((s+1)·C(k-a, s) + C(k-a, s-1)).
     """
     if not isinstance(i, int) or not (0 <= i < system.k):
         raise DomainError(
             f"attack order must satisfy 0 <= i < k={system.k}, got {i!r}")
-    charge(system.b * math.comb(system.k, i + 1) * (i + 2), budget,
-           what=f"order-{i} spoofing tally over {system.b} keys")
-    counts = {}
+    b, k, v = system.b, system.k, system.v
+    anchor = _anchor(system, i, budget)
+    a, s = len(anchor), i + 1 - len(anchor)
+    n = b * k // v if anchor else b
+    charge((b * k if i else 0) + b
+           + n * ((s + 1) * math.comb(k - a, s) + math.comb(k - a, s - 1)),
+           budget, what=f"order-{i} spoofing tally over {n} keys")
+    counts = {}   # keyed by the (i+1)-set less its anchor
     for keyset in system.key_sets:
-        for sub in combinations(sorted(keyset), i + 1):
+        if anchor and 0 not in keyset:
+            continue
+        for sub in combinations(sorted(keyset)[a:], s):
             counts[sub] = counts.get(sub, 0) + 1
     best = {}
     for sub, c in counts.items():
-        for j in range(i + 1):
+        for j in range(s):
             observed = sub[:j] + sub[j + 1:]
             if c > best.get(observed, 0):
                 best[observed] = c
-    return Fraction(sum(best.values()), system.b * math.comb(system.k, i))
+    weight = Fraction(v, i) if anchor else 1
+    return weight * Fraction(sum(best.values()), b * math.comb(k, i))
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +204,26 @@ def voracle_online_value(system: SecrecySystem, i: int,
 
     Each set is its i smallest messages (the prefix) plus a larger one; the
     union of a prefix is formed once and shared by all its extensions.
-    Charge, one step per OR or popcount: b·k for the masks; i ORs for each
-    of the C(v-1, i) prefixes that have an extension (largest message at
-    most v-2); one OR and one popcount per (i+1)-set.  In all
-    b·k + i·C(v-1, i) + 2·C(v, i+1).
+    Anchored, S+1 covers as many keys as S and every S has a translate
+    through 0, so only prefixes starting with 0 run: C(v-1, i) sets.
+
+    Charge, one step per OR or popcount, with a = |anchor|: b·k for the
+    masks and b·k for the check at i ≥ 1; i ORs for each of the
+    C(v-1-a, i-a) prefixes with an extension (largest message at most v-2);
+    an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
+    [i ≥ 1]·b·k + b·k + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
     """
     _check_game_order(system, i)
     v = system.v
-    charge(system.b * system.k + i * math.comb(v - 1, i)
-           + 2 * math.comb(v, i + 1), budget,
-           what=f"online oracle game of order {i}")
+    anchor = _anchor(system, i, budget)
+    a = len(anchor)
+    charge(system.b * system.k * (2 if i else 1)
+           + i * math.comb(v - 1 - a, i - a) + 2 * math.comb(v - a, i + 1 - a),
+           budget, what=f"online oracle game of order {i}")
     masks = system.message_masks
     best = 0
-    for prefix in combinations(range(v - 1), i):
+    for rest in combinations(range(a, v - 1), i - a):
+        prefix = anchor + rest
         union = 0
         for m in prefix:
             union |= masks[m]
@@ -286,16 +336,6 @@ def deception_report_to_json(report: DeceptionReport,
     return doc
 
 
-def deception_report_from_json(doc) -> DeceptionReport:
-    orders = tuple(
-        OrderResult(i=entry["i"],
-                    value=fraction_from_json(entry["value"]),
-                    bound=fraction_from_json(entry["bound"]),
-                    tight=bool(entry["tight"]))
-        for entry in doc["orders"])
-    return DeceptionReport(orders=orders, security_order=doc["security_order"])
-
-
 def oracle_report_to_json(report: OracleReport,
                           digest: Optional[str] = None) -> dict:
     doc = {
@@ -317,17 +357,3 @@ def oracle_report_to_json(report: OracleReport,
     if digest is not None:
         doc["input_digest"] = digest
     return doc
-
-
-def oracle_report_from_json(doc) -> OracleReport:
-    orders = tuple(
-        OracleOrderResult(
-            i=entry["i"],
-            offline_value=fraction_from_json(entry["offline_value"]),
-            offline_bound=fraction_from_json(entry["offline_bound"]),
-            offline_tight=bool(entry["offline_tight"]),
-            online_value=fraction_from_json(entry["online_value"]),
-            online_bound=fraction_from_json(entry["online_bound"]),
-            online_tight=bool(entry["online_tight"]))
-        for entry in doc["orders"])
-    return OracleReport(orders=orders)

@@ -36,10 +36,10 @@ class EncodingMatrix:
     rows: tuple
 
     def __post_init__(self):
-        if not isinstance(self.v, int) or self.v < 1:
-            raise StructuralError(f"v must be a positive integer, got {self.v!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise StructuralError(f"k must be a positive integer, got {self.k!r}")
+        for name, value in (("v", self.v), ("k", self.k)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise StructuralError(
+                    f"{name} must be a positive integer, got {value!r}")
         raw = list(self.rows)
         if not raw:
             raise StructuralError("matrix needs at least one row")

@@ -49,24 +49,12 @@ def load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from exc
-    except (UnicodeDecodeError, IsADirectoryError) as exc:
+    except (UnicodeDecodeError, IsADirectoryError, RecursionError) as exc:
         raise StructuralError(f"{path}: cannot be read as JSON text ({exc})") from exc
 
 
 def fraction_to_json(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def fraction_from_json(obj) -> Fraction:
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise StructuralError(f"expected a rational object, got {obj!r}")
-    try:
-        num, den = int(obj["num"]), int(obj["den"])
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"non-integer rational parts in {obj!r}") from exc
-    if den == 0:
-        raise StructuralError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 def require(condition, message, offenders=None):

@@ -45,6 +45,13 @@ def test_matrix_structural_rejections():
         EncodingMatrix(7, 3, ())
 
 
+@pytest.mark.parametrize("v, k", [(True, 1), (2, True)], ids=["v", "k"])
+def test_matrix_rejects_bool_sizes(v, k):
+    # bool is an int subclass; True would otherwise pass as 1
+    with pytest.raises(StructuralError):
+        EncodingMatrix(v=v, k=k, rows=((0,),))
+
+
 def test_unbalanced_matrices_are_representable():
     m = EncodingMatrix(4, 2, ((0, 1), (0, 2)))
     report = verify_balanced(m)

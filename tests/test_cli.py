@@ -283,6 +283,13 @@ def test_attack_rejects_directory(capsys, tmp_path):
     assert_one_error_line(code, err)
 
 
+def test_attack_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, "attack", str(path))
+    assert_one_error_line(code, err)
+
+
 def test_oracle_online_v337_at_default_budget(capsys, tmp_path):
     family, matrix = tmp_path / "cdf337.json", tmp_path / "cdf337-matrix.json"
     assert run(capsys, "catalog", "export", "cdf-337-7-1",
