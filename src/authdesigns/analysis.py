@@ -59,18 +59,13 @@ class SecrecySystem:
         return self.matrix.b
 
     @cached_property
-    def key_sets(self) -> tuple:
-        """Valid-message set M(e) per key, as frozensets."""
-        return tuple(frozenset(row) for row in self.matrix.rows)
-
-    @cached_property
     def translation_invariant(self) -> bool:
         """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
         permutes the keys, rows being distinct sets): at most b·k shifted
         messages, stopping at the first miss."""
-        v, keys = self.v, set(self.key_sets)
-        return all(frozenset((m + 1) % v for m in key) in keys
-                   for key in self.key_sets)
+        v, rows = self.v, self.matrix.rows
+        keys = {frozenset(row) for row in rows}
+        return all(frozenset((m + 1) % v for m in row) in keys for row in rows)
 
     @cached_property
     def message_masks(self) -> tuple:
@@ -146,10 +141,10 @@ def deception_probability(system: SecrecySystem, i: int,
            + n * ((s + 1) * math.comb(k - a, s) + math.comb(k - a, s - 1)),
            budget, what=f"order-{i} spoofing tally over {n} keys")
     counts = {}   # keyed by the (i+1)-set less its anchor
-    for keyset in system.key_sets:
-        if anchor and 0 not in keyset:
+    for row in system.matrix.rows:
+        if anchor and 0 not in row:
             continue
-        for sub in combinations(sorted(keyset)[a:], s):
+        for sub in combinations(sorted(row)[a:], s):
             counts[sub] = counts.get(sub, 0) + 1
     best = {}
     for sub, c in counts.items():

@@ -3,14 +3,15 @@
 A design with v | b can always have its blocks ordered into rows so that
 every point occupies every column position in exactly b/v rows: split each
 point into b/v copies of degree k, and k-edge-color the resulting k-regular
-bipartite copy/block incidence graph (colors = column positions; König
-guarantees the coloring exists).  That balanced ordering is exactly what
-makes the matrix a perfect-secrecy encoding matrix under equiprobable keys.
+bipartite copy/block incidence graph (colors = column positions).  The
+coloring follows König's constructive proof: each edge takes a color free
+at both ends, after at most one swap of two colors along an alternating
+path (`edge_color`).  That balanced ordering is exactly what makes the
+matrix a perfect-secrecy encoding matrix under equiprobable keys.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,77 +151,59 @@ def split_points(design: BlockDesign) -> SplitGraph:
 def edge_color(graph: SplitGraph, k: Optional[int] = None) -> tuple:
     """Proper k-edge-coloring of a k-regular bipartite graph.
 
-    Returns a color in [0, k) per edge, aligned with graph.edges.  Colors are
-    assigned by repeatedly extracting a perfect matching (breadth-first
-    augmenting-path search, lowest index first) from the not-yet-colored
-    edges; regularity keeps the residual graph regular, so a perfect matching
-    always exists.  Deterministic by construction.
+    Returns a color in [0, k) per edge, aligned with graph.edges.  König's
+    alternating-path coloring, edges taken in index order: for edge (a, z)
+    let α be the lowest color free at a and β the lowest free at z.  Use α
+    if it is free at z, else β if it is free at a.  Otherwise swap α↔β along
+    the α/β path that starts at z (its first edge is z's α-edge).  That path
+    arrives at left vertices only by α-edges and α is free at a, so it never
+    reaches a; after the swap α is free at both ends.  A path visits each
+    vertex at most once, so the worst case is O(E·V); regularity bounds the
+    degrees by k, so a free color always exists.  Deterministic by
+    construction.
     """
     left_deg, right_deg = graph.degrees()
     if k is None:
         k = left_deg[0] if left_deg else 0
     if k < 1 or any(d != k for d in left_deg) or any(d != k for d in right_deg):
         raise StructuralError(f"graph is not {k}-regular bipartite")
-    nl = len(graph.left_labels)
-    adj = [[] for _ in range(nl)]
-    for eid, (a, z) in enumerate(graph.edges):
-        adj[a].append(eid)
-    for lst in adj:
-        lst.sort(key=lambda e: (graph.edges[e][1], e))
-
-    colors = [-1] * len(graph.edges)
-    for color in range(k):
-        match_left = [-1] * nl                      # left -> eid
-        match_right = [-1] * len(graph.right_labels)  # right -> eid
-        # greedy seed (lowest index first), then augment the leftovers
-        for a in range(nl):
-            for eid in adj[a]:
-                if colors[eid] != -1:
-                    continue
-                z = graph.edges[eid][1]
-                if match_right[z] == -1:
-                    match_left[a] = eid
-                    match_right[z] = eid
-                    break
-        for start in range(nl):
-            if match_left[start] != -1:
-                continue
-            # BFS over alternating paths among uncolored edges
-            parent = {}
-            queue = deque([start])
-            found = None
-            while queue and found is None:
-                a = queue.popleft()
-                for eid in adj[a]:
-                    if colors[eid] != -1:
-                        continue
-                    z = graph.edges[eid][1]
-                    if z in parent:
-                        continue
-                    parent[z] = eid
-                    if match_right[z] == -1:
-                        found = z
+    edges = graph.edges
+    # slot lists: at[vertex * k + color] = edge id holding that color, or -1
+    left_at = [-1] * (len(graph.left_labels) * k)
+    right_at = [-1] * (len(graph.right_labels) * k)
+    colors = [-1] * len(edges)
+    for eid, (a, z) in enumerate(edges):
+        la, rz = a * k, z * k
+        try:
+            alpha = left_at.index(-1, la, la + k) - la
+            beta = right_at.index(-1, rz, rz + k) - rz
+        except ValueError:
+            raise ConstructionError(
+                f"no free color at an end of edge {eid}") from None
+        if right_at[rz + alpha] != -1:
+            if left_at[la + beta] == -1:
+                alpha = beta
+            else:
+                # swap the α and β slots at every vertex of the path
+                y = rz
+                while True:
+                    e = right_at[y + alpha]
+                    right_at[y + alpha] = right_at[y + beta]
+                    right_at[y + beta] = e
+                    if e == -1:
                         break
-                    queue.append(graph.edges[match_right[z]][0])
-            if found is None:
-                raise ConstructionError(
-                    "no augmenting path in a regular bipartite graph")
-            z = found
-            while True:
-                eid = parent[z]
-                a = graph.edges[eid][0]
-                previous = match_left[a]
-                match_left[a] = eid
-                match_right[z] = eid
-                if previous == -1:
-                    break
-                z = graph.edges[previous][1]
-        for eid in match_left:
-            if eid == -1:
-                raise ConstructionError("matching is not perfect")
-            colors[eid] = color
-    if any(c == -1 for c in colors):
-        raise ConstructionError("edge coloring left edges uncolored")
+                    colors[e] = beta
+                    x = edges[e][0] * k
+                    f = left_at[x + beta]
+                    left_at[x + beta] = left_at[x + alpha]
+                    left_at[x + alpha] = f
+                    if f == -1:
+                        break
+                    colors[f] = alpha
+                    y = edges[f][1] * k
+        left_at[la + alpha] = eid
+        right_at[rz + alpha] = eid
+        colors[eid] = alpha
     return tuple(colors)
 
 

@@ -36,9 +36,10 @@ class DifferenceFamily:
     base_blocks: tuple
 
     def __post_init__(self):
-        if not isinstance(self.v, int) or self.v < 2:
+        if not isinstance(self.v, int) or isinstance(self.v, bool) or self.v < 2:
             raise StructuralError(f"group order v must be an integer >= 2, got {self.v!r}")
-        if not isinstance(self.lambda_, int) or self.lambda_ < 1:
+        if (not isinstance(self.lambda_, int) or isinstance(self.lambda_, bool)
+                or self.lambda_ < 1):
             raise StructuralError(f"lambda must be a positive integer, got {self.lambda_!r}")
         raw = list(self.base_blocks)
         if not raw:

@@ -336,6 +336,53 @@ def test_oracle_tightness_equivalence(fano_system, z13_system,
     assert res.equivalent is False
 
 
+def tightness_cases(seed, count):
+    """Over v <= 7: random row sets (any number up to all k-sets), the
+    Z_v-orbits of random k-sets (every message in equally many rows), and
+    every complete design."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v = rng.randint(2, 7)
+        k = rng.randint(1, v - 1)
+        pool = list(combinations(range(v), k))
+        out.append(EncodingMatrix(v, k, tuple(
+            rng.sample(pool, rng.randint(1, len(pool))))))
+        out.append(EncodingMatrix(v, k, develop_rows(v, [rng.choice(pool)])))
+    out.extend(EncodingMatrix(v, k, tuple(combinations(range(v), k)))
+               for v in range(2, 8) for k in range(1, v))
+    return out
+
+
+def test_tightness_characterizations():
+    # offline-tight <=> every message lies in exactly b·k/v rows;
+    # online-tight at order i <=> every (i+1)-set of messages misses the
+    # same number of rows, i.e. the row complements form an (i+1)-design,
+    # trivially so when i+1 > v-k (every such set meets every row)
+    seen = set()
+    for matrix in tightness_cases(53, 150):
+        v, k, b = matrix.v, matrix.k, matrix.b
+        rows = [set(r) for r in matrix.rows]
+        offline = all(sum(m in r for r in rows) * v == b * k
+                      for m in range(v))
+        report = analyze_oracle(SecrecySystem(matrix), range(v))
+        for res in report.orders:
+            subsets = [set(S) for S in combinations(range(v), res.i + 1)]
+            # S misses a row iff S lies in the row's complement
+            missed = {sum(not (S & r) for r in rows) for S in subsets}
+            online = len(missed) == 1
+            if res.i + 1 > v - k:
+                assert missed == {0}
+            assert res.offline_tight == offline, (matrix, res.i)
+            assert res.online_tight == online, (matrix, res.i)
+            seen.add((offline, online, res.i + 1 > v - k))
+    # all four verdict pairs occur; a non-trivial (i+1)-design of
+    # complements is also a 1-design, so it forces offline tightness
+    assert {(o, n) for o, n, _ in seen} == {(True, True), (True, False),
+                                           (False, True), (False, False)}
+    assert (True, True, False) in seen and (False, True, False) not in seen
+
+
 def test_analyze_oracle_report(fano_system):
     report = analyze_oracle(fano_system, [1, 0])
     assert [r.i for r in report.orders] == [0, 1]

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from authdesigns import (
+    BlockDesign,
     DomainError,
     EncodingMatrix,
     StructuralError,
@@ -102,10 +103,18 @@ def test_edge_color_trivial_matching():
 
 
 def test_edge_color_handles_multigraph():
-    # parallel edges force distinct colors
-    g = SplitGraph((0, 1), (0, 1), ((0, 0), (0, 0), (1, 1), (1, 1)))
-    colors = edge_color(g, 2)
-    assert_proper_coloring(g, colors, 2)
+    # k parallel copies of one perfect matching: parallel edges force
+    # distinct colors, and every color class must be that matching
+    rng = random.Random(7)
+    for n, k in ((2, 2), (1, 4), (9, 3), (50, 7)):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        matching = sorted((a, perm[a]) for a in range(n))
+        g = SplitGraph(tuple(range(n)), tuple(range(n)), tuple(matching) * k)
+        colors = edge_color(g, k)
+        assert_proper_coloring(g, colors, k)
+        for c in range(k):
+            assert [e for e, col in zip(g.edges, colors) if col == c] == matching
 
 
 def test_edge_color_random_regular_graphs():
@@ -157,6 +166,28 @@ def test_balance_deterministic_bytes(complete53_design):
     a = canonical_dumps(matrix_to_json(balance(complete53_design)))
     b = canonical_dumps(matrix_to_json(balance(complete53_design)))
     assert a == b
+
+
+def test_balance_relabelled_netto_97():
+    # a development under a random point permutation: no longer
+    # translation-invariant, and its colorings need long alternating paths
+    from authdesigns.catalog import load_payload
+
+    family = load_payload("netto-97")
+    rng = random.Random(97)
+    perm = list(range(family.v))
+    rng.shuffle(perm)
+    design = BlockDesign(family.v, tuple(tuple(perm[x] for x in block)
+                                         for block in develop(family).blocks))
+    shifted = {tuple(sorted((x + 1) % design.v for x in block))
+               for block in design.blocks}
+    assert shifted != set(design.blocks)
+    graph = split_points(design)
+    assert_proper_coloring(graph, edge_color(graph, design.k), design.k)
+    m = balance(design)
+    assert verify_balanced(m).valid
+    assert [tuple(sorted(r)) for r in m.rows] == list(design.blocks)
+    assert balance(design) == m
 
 
 def test_verify_balanced_witness(fano_design):

@@ -6,7 +6,11 @@ Everything runs in-process through main(argv); exit codes are the contract:
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from authdesigns.difference_families import df_to_json, load_df, save_df
 from authdesigns.fileio import digest
 
 from conftest import Z13_GOLDEN_ROWS, mutate_entry
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -139,6 +145,24 @@ def test_build_design_roundtrip(capsys, tmp_path):
     assert code == 0
     matrix = load_matrix(out_path)
     assert (matrix.v, matrix.k, matrix.b) == (5, 3, 10)
+
+
+def test_build_design_bytes_independent_of_hash_seed(capsys, tmp_path):
+    # set and dict iteration order vary with PYTHONHASHSEED across processes
+    design_path = tmp_path / "c53.json"
+    assert run(capsys, "catalog", "export", "complete-5-3",
+               "--out", str(design_path))[0] == 0
+    outputs = []
+    for seed in ("1", "2"):
+        out_path = tmp_path / f"c53-matrix-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-m", "authdesigns.cli", "build", str(design_path),
+             "--kind", "design", "--out", str(out_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_build_refuses_indivisible_design(capsys, tmp_path):

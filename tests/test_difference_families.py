@@ -83,6 +83,8 @@ def test_structural_rejections():
         DifferenceFamily(13, 1, ((0, 1, 4), (0, 2)))  # uneven sizes
     with pytest.raises(StructuralError):
         DifferenceFamily(13, 0, ((0, 1, 4),))
+    with pytest.raises(StructuralError):
+        DifferenceFamily(7, True, ((1, 2, 4),))   # bool is an int subclass
 
 
 def test_coordinate_order_is_preserved():
