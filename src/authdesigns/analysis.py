@@ -8,7 +8,9 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
   occurs with identical frequency in every column;
 * classical spoofing — the opponent sees i valid messages and injects a new
   one; the optimal success probability is computed by enumerating observation
-  events exactly;
+  events exactly.  For i < k an observation in a single key is best extended
+  by another message of that key, so only the observations two keys share
+  need their extensions counted;
 * verification-oracle games — the opponent adaptively queries accept/reject
   (offline: all queries first, then one spoof; online: wins on first
   acceptance).  In both games only the all-reject path continues, so each
@@ -28,10 +30,11 @@ Everything returns `fractions.Fraction`; there is no floating point here.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Optional
 
 from .balancing import EncodingMatrix
@@ -119,41 +122,59 @@ def deception_probability(system: SecrecySystem, i: int,
 
         P_di = Σ_O best(O) / (b·C(k,i)),  best(O) = max_{m'∉O} cnt_{i+1}(O ∪ {m'}).
 
-    Anchored (module docstring), best(O+1) = best(O): only the (i+1)-sets
-    through 0 are tallied, from the keys through 0, and best is read at
-    O ∋ 0 only, so P_di = v·Σ_{O∋0} best(O) / (i·b·C(k,i)).
+    Shared observations: as i < k, an O in exactly one key e is best
+    extended by any other message of e, so best(O) = 1 and
 
-    Charge, one step per key read, tally increment, (subset, removal)
-    comparison and observation summed.  With a = |anchor|, s = i+1-a and n
-    keys tallied (b, or b·k/v anchored: every message lies in equally many
-    keys): b reads, n·C(k-a, s) subsets with s removals each, at most
-    n·C(k-a, s-1) observations, and the b·k check at i ≥ 1.  In all
-    [i ≥ 1]·b·k + b + n·((s+1)·C(k-a, s) + C(k-a, s-1)).
+        Σ_O best(O) = #{O : cnt_i(O) = 1} + Σ_{O : cnt_i(O) ≥ 2} best(O).
+
+    So only the i-sets are tallied, and the keys of the few shared O are
+    gathered in a second pass; best(O) is then the largest multiplicity,
+    in those keys, of a message outside O.  On a λ = 1 system at i ≥ 2
+    nothing is shared and the order is one count.
+
+    Anchored (module docstring), best(O+1) = best(O): the same loop runs on
+    the tails of the keys through 0 (0 removed) with j = i-1, so it sees
+    exactly the O ∋ 0, and P_di = v·Σ_{O∋0} best(O) / (i·b·C(k,i)).
+
+    Charge, one step per key read, tally increment, distinct observation
+    scanned, membership test, key gathered, message counted, message
+    deleted and count compared.  With a = |anchor|, j = i-a, n keys
+    tallied (b, or b·k/v anchored: every message lies in equally many
+    keys) and N = n·C(k-a, j) (key, observation) pairs: b reads, N
+    increments, at most N distinct observations, and, if any is shared,
+    N membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A
+    shared O counts cnt(O)·(k-a) messages, then deletes its j and
+    compares what is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in
+    all.  With the b·k check at i ≥ 1, the whole is at most
+    [i ≥ 1]·b·k + b + N·(2·(k-a) + 4).
     """
     if not isinstance(i, int) or not (0 <= i < system.k):
         raise DomainError(
             f"attack order must satisfy 0 <= i < k={system.k}, got {i!r}")
     b, k, v = system.b, system.k, system.v
     anchor = _anchor(system, i, budget)
-    a, s = len(anchor), i + 1 - len(anchor)
+    a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
-    charge((b * k if i else 0) + b
-           + n * ((s + 1) * math.comb(k - a, s) + math.comb(k - a, s - 1)),
+    pairs = n * math.comb(k - a, j)
+    charge((b * k if i else 0) + b + pairs * (2 * (k - a) + 4),
            budget, what=f"order-{i} spoofing tally over {n} keys")
-    counts = {}   # keyed by the (i+1)-set less its anchor
-    for row in system.matrix.rows:
-        if anchor and 0 not in row:
-            continue
-        for sub in combinations(sorted(row)[a:], s):
-            counts[sub] = counts.get(sub, 0) + 1
-    best = {}
-    for sub, c in counts.items():
-        for j in range(s):
-            observed = sub[:j] + sub[j + 1:]
-            if c > best.get(observed, 0):
-                best[observed] = c
+    tails = [sorted(row)[a:] for row in system.matrix.rows
+             if not anchor or 0 in row]
+    counts = Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
+    shared = {obs for obs, c in counts.items() if c > 1}
+    total = len(counts) - len(shared)
+    if shared:
+        keys = defaultdict(list)
+        for tail in tails:
+            for obs in filter(shared.__contains__, combinations(tail, j)):
+                keys[obs].append(tail)
+        for obs, group in keys.items():
+            extensions = Counter(chain.from_iterable(group))
+            for m in obs:
+                del extensions[m]
+            total += max(extensions.values())
     weight = Fraction(v, i) if anchor else 1
-    return weight * Fraction(sum(best.values()), b * math.comb(k, i))
+    return weight * Fraction(total, b * math.comb(k, i))
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +303,6 @@ class OracleOrderResult:
     online_bound: Fraction
     online_tight: bool
 
-    @property
-    def equivalent(self) -> bool:
-        """Both games tight or both loose at this order: a per-system flag,
-        not a theorem (a system can be offline- but not online-tight)."""
-        return self.offline_tight == self.online_tight
-
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -322,29 +337,6 @@ def deception_report_to_json(report: DeceptionReport,
                 "value": fraction_to_json(res.value),
                 "bound": fraction_to_json(res.bound),
                 "tight": res.tight,
-            }
-            for res in report.orders
-        ],
-    }
-    if digest is not None:
-        doc["input_digest"] = digest
-    return doc
-
-
-def oracle_report_to_json(report: OracleReport,
-                          digest: Optional[str] = None) -> dict:
-    doc = {
-        "model": "oracle",
-        "orders": [
-            {
-                "i": res.i,
-                "offline_value": fraction_to_json(res.offline_value),
-                "offline_bound": fraction_to_json(res.offline_bound),
-                "offline_tight": res.offline_tight,
-                "online_value": fraction_to_json(res.online_value),
-                "online_bound": fraction_to_json(res.online_bound),
-                "online_tight": res.online_tight,
-                "equivalent": res.equivalent,
             }
             for res in report.orders
         ],

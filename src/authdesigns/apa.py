@@ -20,7 +20,7 @@ from typing import Optional
 from .budget import charge
 from .designs import VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, StructuralError
-from .fileio import atomic_write_json, int_field, int_rows, load_json
+from .fileio import atomic_write_json, int_field, int_rows
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,3 @@ def apa_from_json(doc) -> PerpendicularArray:
 
 def save_apa(array: PerpendicularArray, path):
     atomic_write_json(apa_to_json(array), path)
-
-
-def load_apa(path) -> PerpendicularArray:
-    return apa_from_json(load_json(path))

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .designs import BlockDesign
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, digest, int_field, int_rows, load_json
+from .fileio import atomic_write_json, digest, int_field, int_rows
 
 
 @dataclass(frozen=True)
@@ -288,10 +288,6 @@ def save_matrix(matrix: EncodingMatrix, path, source: str = "design",
     if input_doc is not None:
         provenance["input_digest"] = digest(input_doc)
     atomic_write_json(matrix_to_json(matrix, provenance), path)
-
-
-def load_matrix(path) -> EncodingMatrix:
-    return matrix_from_json(load_json(path))
 
 
 def format_matrix_table(matrix: EncodingMatrix) -> str:

@@ -143,17 +143,19 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 # attack
 
-def _parse_orders(text: str):
+def _parse_orders(text: str, top: int, rule: str):
+    """Orders from a comma list of numbers and lo-hi ranges; a part above
+    `top` is refused before its range is expanded."""
     orders = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            orders.update(range(int(lo), int(hi) + 1))
-        else:
-            orders.add(int(part))
+        lo, dash, hi = part.partition("-")
+        lo, hi = int(lo), int(hi) if dash else int(lo)
+        if hi > top:
+            raise DomainError(f"{rule}, got {hi}")
+        orders.update(range(lo, hi + 1))
     if not orders:
         raise DomainError(f"no attack orders in {text!r}")
     return sorted(orders)
@@ -163,8 +165,14 @@ def cmd_attack(args) -> int:
     doc = load_json(args.path)
     matrix = balancing.matrix_from_json(doc)
     system = analysis.SecrecySystem(matrix)
+    if args.model == "classic":
+        top = system.k - 1
+        rule = f"attack order must satisfy 0 <= i < k={system.k}"
+    else:
+        top = system.v - 1
+        rule = f"oracle game order must satisfy 0 <= i <= v-1={top}"
     try:
-        orders = _parse_orders(args.orders)
+        orders = _parse_orders(args.orders, top, rule)
     except ValueError as exc:
         raise StructuralError(f"cannot parse --orders {args.orders!r}") from exc
     matrix_digest = digest(doc)

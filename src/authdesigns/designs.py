@@ -10,14 +10,15 @@ anywhere in verification.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Optional
 
 from .budget import charge
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, int_field, int_rows, load_json
+from .fileio import atomic_write_json, int_field, int_rows
 
 # Witness lists in reports are capped; a wrong design can fail at almost
 # every t-subset and nobody reads a million witnesses.
@@ -245,8 +246,14 @@ def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
 
     Valid iff all counts agree (and equal `lambda_` when declared).  When
     lambda_ is absent the count of the lexicographically first t-subset is
-    the candidate all others are compared against.  Refuses instances where
-    C(v,t) (plus the tally work b*C(k,t)) exceeds the work budget.
+    the candidate all others are compared against.  The witness scan over
+    all C(v,t) subsets runs only when the tally is not already uniform over
+    every t-subset at the expected count.
+
+    Charge, one step per tally increment, count read and subset scanned:
+    b·C(k,t) increments; the C(v,t) counts read for uniformity, only when
+    every t-subset is hit; the scan, at most C(v,t) subsets, so at most
+    2·C(v,t) + b·C(k,t) in all.
     """
     _check_int("t", t, 1)
     if t > design.k:
@@ -254,31 +261,25 @@ def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
     if lambda_ is not None:
         _check_int("lambda", lambda_, 1)
     n_subsets = math.comb(design.v, t)
-    charge(n_subsets + design.b * math.comb(design.k, t), budget,
+    charge(2 * n_subsets + design.b * math.comb(design.k, t), budget,
            what=f"verifying strength t={t} over C({design.v},{t}) point subsets")
 
-    counts = {}
-    for block in design.blocks:
-        for sub in combinations(block, t):
-            counts[sub] = counts.get(sub, 0) + 1
-
-    observed = counts.values()
-    common = None
-    if len(counts) == n_subsets:
-        first = next(iter(observed))
-        if all(c == first for c in observed):
-            common = first
+    counts = Counter(chain.from_iterable(
+        map(combinations, design.blocks, repeat(t))))
     # subsets never hit have count 0, so a full-coverage uniform tally is
     # the only way a common count exists
+    values = set(counts.values()) if len(counts) == n_subsets else ()
+    common = next(iter(values)) if len(values) == 1 else None
     expected = lambda_ if lambda_ is not None else (
         common if common is not None else counts.get(tuple(range(t)), 0))
     failures = []
-    for sub in combinations(range(design.v), t):
-        got = counts.get(sub, 0)
-        if got != expected:
-            failures.append((sub, got))
-            if len(failures) >= MAX_FAILURES:
-                break
+    if common != expected:
+        for sub in combinations(range(design.v), t):
+            got = counts.get(sub, 0)
+            if got != expected:
+                failures.append((sub, got))
+                if len(failures) >= MAX_FAILURES:
+                    break
     return VerificationReport(valid=not failures, inferred_lambda=common,
                               failures=tuple(failures))
 
@@ -358,7 +359,3 @@ def design_from_json(doc) -> tuple:
 def save_design(design: BlockDesign, path, t: Optional[int] = None,
                 lambda_: Optional[int] = None):
     atomic_write_json(design_to_json(design, t, lambda_), path)
-
-
-def load_design(path):
-    return design_from_json(load_json(path))

@@ -18,7 +18,7 @@ from typing import Optional
 from .balancing import EncodingMatrix
 from .designs import BlockDesign, VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, int_field, int_rows, load_json
+from .fileio import atomic_write_json, int_field, int_rows
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,3 @@ def df_from_json(doc) -> DifferenceFamily:
 
 def save_df(df: DifferenceFamily, path):
     atomic_write_json(df_to_json(df), path)
-
-
-def load_df(path) -> DifferenceFamily:
-    return df_from_json(load_json(path))

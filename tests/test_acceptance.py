@@ -40,9 +40,10 @@ from authdesigns import (
     voracle_online_value,
 )
 from authdesigns import catalog
-from authdesigns.balancing import load_matrix
+from authdesigns.balancing import matrix_from_json
 from authdesigns.cli import main as cli_main
 from authdesigns.difference_families import save_df
+from authdesigns.fileio import load_json
 
 from conftest import Z13_GOLDEN_ROWS, make_regular_bipartite, assert_proper_coloring
 
@@ -90,7 +91,7 @@ def test_criterion_01_published_table_reproduction(tmp_path, z13_df,
         elapsed = time.perf_counter() - start
         capsys.readouterr()
         assert code == 0
-        matrix = load_matrix(out)
+        matrix = matrix_from_json(load_json(out))
         assert (matrix.b, matrix.k) == (26, 3)
         assert matrix.rows[:13] == Z13_GOLDEN_ROWS[:13]    # first orbit
         assert matrix.rows[13:] == Z13_GOLDEN_ROWS[13:]    # second orbit

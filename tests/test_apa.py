@@ -16,9 +16,9 @@ from authdesigns.apa import (
     VAN_REES_BASE_ROWS,
     apa_from_json,
     apa_to_json,
-    load_apa,
     save_apa,
 )
+from authdesigns.fileio import load_json
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ def test_verify_respects_budget(van_rees):
 def test_apa_json_roundtrip(tmp_path, van_rees):
     path = tmp_path / "apa.json"
     save_apa(van_rees, path)
-    assert load_apa(path) == van_rees
+    assert apa_from_json(load_json(path)) == van_rees
     assert apa_from_json(apa_to_json(van_rees)) == van_rees
 
 
@@ -135,4 +135,4 @@ def test_apa_json_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"t": 2, "k": 3')
     with pytest.raises(StructuralError):
-        load_apa(path)
+        apa_from_json(load_json(path))

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 from authdesigns import van_rees_array
-from authdesigns.apa import load_apa
-from authdesigns.balancing import load_matrix, save_matrix
+from authdesigns.apa import apa_from_json
+from authdesigns.balancing import matrix_from_json, save_matrix
 from authdesigns.cli import main
-from authdesigns.difference_families import df_to_json, load_df, save_df
-from authdesigns.fileio import digest
+from authdesigns.difference_families import df_from_json, df_to_json, save_df
+from authdesigns.fileio import digest, load_json
 
 from conftest import Z13_GOLDEN_ROWS, mutate_entry
 
@@ -114,7 +114,7 @@ def test_verify_apa_file(capsys, tmp_path):
 
 def test_build_reproduces_published_table(capsys, z13_matrix_file,
                                           z13_df):
-    matrix = load_matrix(z13_matrix_file)
+    matrix = matrix_from_json(load_json(z13_matrix_file))
     assert matrix.rows == Z13_GOLDEN_ROWS
     doc = json.loads(z13_matrix_file.read_text())
     assert doc["provenance"]["source"] == "cdf"
@@ -143,7 +143,7 @@ def test_build_design_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "build", str(design_path), "--kind", "design",
                        "--out", str(out_path))
     assert code == 0
-    matrix = load_matrix(out_path)
+    matrix = matrix_from_json(load_json(out_path))
     assert (matrix.v, matrix.k, matrix.b) == (5, 3, 10)
 
 
@@ -264,6 +264,24 @@ def test_attack_rejects_garbage_orders(capsys, z13_matrix_file):
     code, _, _ = run(capsys, "attack", str(z13_matrix_file),
                      "--orders", "abc")
     assert code == 2
+
+
+def test_attack_rejects_out_of_range_orders_before_expanding(
+        capsys, z13_matrix_file):
+    # a range reaching 10^10 would be a set of 10^10 ints if expanded;
+    # each part is bounded first: i < k = 3 classic, i <= v-1 = 12 oracle
+    for model, orders in (("classic", "0-10000000000"), ("classic", "0-3"),
+                          ("oracle-offline", "13"),
+                          ("oracle-online", "0-10000000000")):
+        code, out, err = run(capsys, "attack", str(z13_matrix_file),
+                             "--model", model, "--orders", orders)
+        assert code == 1, (model, orders)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must satisfy" in err
+    code, _, _ = run(capsys, "attack", str(z13_matrix_file),
+                     "--model", "oracle-online", "--orders", "12")
+    assert code == 0
 
 
 def test_attack_rejects_malformed_matrix(capsys, tmp_path):
@@ -404,7 +422,7 @@ def test_catalog_export_cdf_equals_library(capsys, tmp_path, z13_df):
     code, _, _ = run(capsys, "catalog", "export", "cdf-13-3-1",
                      "--out", str(out))
     assert code == 0
-    assert load_df(out) == z13_df
+    assert df_from_json(load_json(out)) == z13_df
 
 
 def test_catalog_export_default_path(capsys, tmp_path, monkeypatch):
@@ -432,4 +450,4 @@ def test_apa_command(capsys, tmp_path):
     code, text, _ = run(capsys, "apa", "--out", str(out))
     assert code == 0
     assert "55 rows, valid: true" in text
-    assert load_apa(out) == van_rees_array()
+    assert apa_from_json(load_json(out)) == van_rees_array()

@@ -24,9 +24,9 @@ from authdesigns import (
 from authdesigns.designs import (
     design_from_json,
     design_to_json,
-    load_design,
     save_design,
 )
+from authdesigns.fileio import load_json
 
 
 def _random_admissible(rng: random.Random):
@@ -269,7 +269,7 @@ def test_teirlinck_rejects_bad_congruence():
 def test_design_json_roundtrip(tmp_path, fano_design):
     path = tmp_path / "fano.json"
     save_design(fano_design, path, t=2, lambda_=1)
-    loaded, t, lam = load_design(path)
+    loaded, t, lam = design_from_json(load_json(path))
     assert loaded == fano_design
     assert (t, lam) == (2, 1)
 
@@ -280,14 +280,14 @@ def test_design_json_rejects_mismatched_k(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(__import__("json").dumps(doc))
     with pytest.raises(StructuralError):
-        load_design(path)
+        design_from_json(load_json(path))
 
 
 def test_design_json_rejects_malformed(tmp_path):
     path = tmp_path / "trunc.json"
     path.write_text('{"v": 7, "k": 3, ')
     with pytest.raises(StructuralError):
-        load_design(path)
+        design_from_json(load_json(path))
 
 
 def test_design_from_json_is_inverse():

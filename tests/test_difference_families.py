@@ -22,10 +22,10 @@ from authdesigns.difference_families import (
     df_from_json,
     df_to_json,
     is_prime,
-    load_df,
     save_df,
     smallest_primitive_root,
 )
+from authdesigns.fileio import load_json
 
 from conftest import Z13_GOLDEN_ROWS
 
@@ -223,7 +223,7 @@ def test_is_prime_against_sieve():
 def test_df_json_roundtrip(tmp_path, biplane_df):
     path = tmp_path / "biplane.json"
     save_df(biplane_df, path)
-    assert load_df(path) == biplane_df
+    assert df_from_json(load_json(path)) == biplane_df
     doc = json.loads(path.read_text())
     assert doc["v"] == 11 and doc["lambda"] == 2
 
@@ -232,10 +232,10 @@ def test_df_json_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"v": 13, "lambda": 1')
     with pytest.raises(StructuralError):
-        load_df(path)
+        df_from_json(load_json(path))
     path.write_text('{"v": 13, "base_blocks": [[0, 1, 4]]}')
     with pytest.raises(StructuralError):
-        load_df(path)
+        df_from_json(load_json(path))
 
 
 def test_df_from_json_is_inverse(z13_df):
