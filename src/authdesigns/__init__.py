@@ -5,41 +5,46 @@ blocks into a balanced encoding matrix (every message in every column
 equally often — perfect secrecy under equiprobable keys), then measure its
 resistance to spoofing exactly: classical deception probabilities, and the
 offline/online verification-oracle game values, all in rational arithmetic.
+
+Public names resolve lazily (PEP 562): importing the package imports no
+submodule; the first use of a name imports the one that defines it.
 """
 
-from .analysis import (DeceptionReport, OracleReport, SecrecySystem,
-                       analyze_oracle, analyze_spoofing, deception_bound,
-                       deception_probability, offline_bound, online_bound,
-                       perfect_secrecy_check, voracle_offline_value,
-                       voracle_online_value)
-from .apa import PerpendicularArray, van_rees_array, verify_apa
-from .balancing import (BalanceReport, EncodingMatrix, SplitGraph, balance,
-                        edge_color, format_matrix_table, split_points,
-                        verify_balanced)
-from .budget import DEFAULT_BUDGET
-from .designs import (BlockDesign, DesignParameters, VerificationReport,
-                      complete_design, derived_design, divisibility_check,
-                      lambda_s, massey_schobi_bound, optimality_class,
-                      teirlinck_params, verify_design)
-from .difference_families import (DifferenceFamily, develop, develop_matrix,
-                                  netto_triples, verify_df)
-from .errors import (AuthDesignsError, BudgetError, ConstructionError,
-                     DomainError, StructuralError)
+import importlib
+
+_SUBMODULE = {name: module for module, names in {
+    "analysis": ("DeceptionReport", "OracleReport", "SecrecySystem",
+                 "analyze_oracle", "analyze_spoofing", "deception_bound",
+                 "deception_probability", "offline_bound", "online_bound",
+                 "perfect_secrecy_check", "voracle_offline_value",
+                 "voracle_online_value"),
+    "apa": ("PerpendicularArray", "van_rees_array", "verify_apa"),
+    "balancing": ("BalanceReport", "EncodingMatrix", "SplitGraph", "balance",
+                  "edge_color", "format_matrix_table", "split_points",
+                  "verify_balanced"),
+    "budget": ("DEFAULT_BUDGET",),
+    "designs": ("BlockDesign", "DesignParameters", "VerificationReport",
+                "complete_design", "derived_design", "divisibility_check",
+                "lambda_s", "massey_schobi_bound", "optimality_class",
+                "teirlinck_params", "verify_design"),
+    "difference_families": ("DifferenceFamily", "develop", "develop_matrix",
+                            "netto_triples", "verify_df"),
+    "errors": ("AuthDesignsError", "BudgetError", "ConstructionError",
+               "DomainError", "StructuralError"),
+}.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthDesignsError", "BalanceReport", "BlockDesign", "BudgetError",
-    "ConstructionError", "DEFAULT_BUDGET", "DeceptionReport",
-    "DesignParameters", "DifferenceFamily", "DomainError", "EncodingMatrix",
-    "OracleReport", "PerpendicularArray", "SecrecySystem", "SplitGraph",
-    "StructuralError", "VerificationReport", "analyze_oracle",
-    "analyze_spoofing", "balance", "complete_design", "deception_bound",
-    "deception_probability", "derived_design", "develop", "develop_matrix",
-    "divisibility_check", "edge_color", "format_matrix_table", "lambda_s",
-    "massey_schobi_bound", "netto_triples", "offline_bound", "online_bound",
-    "optimality_class", "perfect_secrecy_check", "split_points",
-    "teirlinck_params", "van_rees_array",
-    "verify_apa", "verify_balanced", "verify_design", "verify_df",
-    "voracle_offline_value", "voracle_online_value",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SUBMODULE[name]}")
+    globals()[name] = value = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

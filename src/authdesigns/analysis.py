@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -41,9 +40,10 @@ from .balancing import EncodingMatrix
 from .budget import charge
 from .errors import DomainError
 from .fileio import fraction_to_json
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class SecrecySystem:
     """An encoding matrix under the fixed equiprobable model."""
 
@@ -261,7 +261,7 @@ def online_bound(v: int, k: int, i: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
+@record
 class OrderResult:
     i: int
     value: Fraction
@@ -269,7 +269,7 @@ class OrderResult:
     tight: bool
 
 
-@dataclass(frozen=True)
+@record
 class DeceptionReport:
     """Per-order classical spoofing values plus the resulting security order
     (largest t with orders 0..t all present and tight, -1 if none)."""
@@ -293,7 +293,7 @@ def analyze_spoofing(system: SecrecySystem, orders,
     return DeceptionReport(orders=tuple(results), security_order=order)
 
 
-@dataclass(frozen=True)
+@record
 class OracleOrderResult:
     i: int
     offline_value: Fraction
@@ -304,7 +304,7 @@ class OracleOrderResult:
     online_tight: bool
 
 
-@dataclass(frozen=True)
+@record
 class OracleReport:
     orders: tuple
 

@@ -13,7 +13,6 @@ what the k=3 example's by-hand count confirms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -21,9 +20,10 @@ from .budget import charge
 from .designs import VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, StructuralError
 from .fileio import atomic_write_json, int_field, int_rows
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class PerpendicularArray:
     """A declared APA_lambda(t, k, v) candidate.
 

@@ -12,15 +12,14 @@ matrix a perfect-secrecy encoding matrix under equiprobable keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .designs import BlockDesign
 from .errors import ConstructionError, DomainError, StructuralError
 from .fileio import atomic_write_json, digest, int_field, int_rows
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class EncodingMatrix:
     """b x k matrix: rows are keys, columns are source states, entries are
     messages in [0, v).
@@ -83,7 +82,7 @@ class EncodingMatrix:
         return tuple(tuple(r) for r in counts)
 
 
-@dataclass(frozen=True)
+@record
 class SplitGraph:
     """Bipartite incidence graph after point-splitting.
 
@@ -223,7 +222,7 @@ def balance(design: BlockDesign) -> EncodingMatrix:
     return EncodingMatrix(v=design.v, k=design.k, rows=tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
+@record
 class BalanceReport:
     """Per-(message, column) occupancy counts against the target b/v."""
 

@@ -10,20 +10,19 @@ beyond desk scale and are not bundled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib.resources import files as resource_files
 from typing import Callable, Optional
 
-from .apa import PerpendicularArray, van_rees_array, verify_apa
 from .designs import (BlockDesign, DesignParameters, complete_design,
                       verify_design)
 from .difference_families import (DifferenceFamily, df_from_json,
                                   netto_triples, verify_df)
 from .errors import ConstructionError
 from .fileio import load_json
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     """One named corpus item.
 
@@ -59,13 +58,9 @@ def _gated_design(design: BlockDesign, t: int, lam: int, name: str):
     return design, t, lam
 
 
-def _gated_apa(array: PerpendicularArray, name: str) -> PerpendicularArray:
-    report = verify_apa(array)
-    if not report.valid:
-        raise ConstructionError(
-            f"catalog entry {name!r} failed APA verification: "
-            f"{report.failures[:3]}")
-    return array
+def _van_rees():
+    from .apa import van_rees_array   # verifies the array before returning
+    return van_rees_array()
 
 
 def _data_df(filename: str, name: str) -> DifferenceFamily:
@@ -205,7 +200,7 @@ def _build_registry():
         name="van-rees-apa", kind="apa",
         summary="APA_1(2,3,11): 55 rows, five base rows developed mod 11",
         note="van Rees's perpendicular array on 11 symbols",
-        loader=lambda: _gated_apa(van_rees_array(), "van-rees-apa")))
+        loader=_van_rees))
 
     for t, v, k, lam, b in _STEINER_ROWS:
         add(CatalogEntry(

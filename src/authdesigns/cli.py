@@ -3,7 +3,8 @@
 Thin wrappers over the library: identical inputs through the CLI and the
 library produce identical artifacts.  Exit codes are a stable contract:
 0 success/valid, 1 domain failure (including failed verification), 2
-malformed input, 3 work budget exceeded.
+malformed input, 3 work budget exceeded.  Each command imports only the
+library modules it runs; `--help` and argument errors load none.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
-from . import analysis, apa as apa_mod, balancing, catalog, designs
-from . import difference_families as dfs
 from .budget import ENV_VAR
 from .errors import (AuthDesignsError, BudgetError, ConstructionError,
                      DomainError, StructuralError)
@@ -41,18 +39,13 @@ def _emit(args, lines, doc):
             print(line)
 
 
-def _write_report(args, doc, default_path):
-    path = args.out or default_path
-    atomic_write_json(doc, path)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # verify
 
 def cmd_verify(args) -> int:
     doc = load_json(args.path)
     if args.kind == "design":
+        from . import designs
         design, t_file, lam_file = designs.design_from_json(doc)
         t = args.t if args.t is not None else t_file
         lam = args.lambda_ if args.lambda_ is not None else lam_file
@@ -62,10 +55,12 @@ def cmd_verify(args) -> int:
         report = designs.verify_design(design, t, lam, budget=args.budget)
         detail = {"kind": "design", "t": t, "lambda": lam}
     elif args.kind == "cdf":
+        from . import difference_families as dfs
         df = dfs.df_from_json(doc)
         report = dfs.verify_df(df)
         detail = {"kind": "cdf", "lambda": df.lambda_}
     else:
+        from . import apa as apa_mod
         array = apa_mod.apa_from_json(doc)
         report = apa_mod.verify_apa(array, budget=args.budget)
         detail = {"kind": "apa",
@@ -74,7 +69,8 @@ def cmd_verify(args) -> int:
     out_doc.update(report.to_json())
     out_doc["path"] = os.path.basename(args.path)
     out_doc["input_digest"] = digest(doc)
-    report_path = _write_report(args, out_doc, args.path + ".report.json")
+    report_path = args.out or args.path + ".report.json"
+    atomic_write_json(out_doc, report_path)
     lines = [f"valid: {str(report.valid).lower()}"]
     if report.inferred_lambda is not None:
         lines.append(f"inferred lambda: {report.inferred_lambda}")
@@ -88,14 +84,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # build
 
-def _default_out(path, suffix):
-    stem, _ = os.path.splitext(path)
-    return stem + suffix
-
-
 def cmd_build(args) -> int:
+    from . import balancing, designs
     doc = load_json(args.path)
     if args.kind == "cdf":
+        from . import difference_families as dfs
         df = dfs.df_from_json(doc)
         report = dfs.verify_df(df)
         if not report.valid:
@@ -122,7 +115,7 @@ def cmd_build(args) -> int:
     balanced = balancing.verify_balanced(matrix)
     if not balanced.valid:
         raise ConstructionError(f"built matrix is unbalanced: {balanced.witness}")
-    out_path = args.out or _default_out(args.path, "-matrix.json")
+    out_path = args.out or os.path.splitext(args.path)[0] + "-matrix.json"
     balancing.save_matrix(matrix, out_path, source=source, input_doc=input_doc)
     info = {
         "v": matrix.v, "k": matrix.k, "b": matrix.b,
@@ -162,6 +155,7 @@ def _parse_orders(text: str, top: int, rule: str):
 
 
 def cmd_attack(args) -> int:
+    from . import analysis, balancing
     doc = load_json(args.path)
     matrix = balancing.matrix_from_json(doc)
     system = analysis.SecrecySystem(matrix)
@@ -215,6 +209,7 @@ def cmd_attack(args) -> int:
 # params
 
 def cmd_params(args) -> int:
+    from . import designs
     if args.teirlinck:
         if args.t is None or args.v is None:
             raise DomainError("--teirlinck needs --t and --v")
@@ -254,7 +249,7 @@ def cmd_params(args) -> int:
         return EXIT_DOMAIN
     b = params.b
     bound = designs.massey_schobi_bound(params.v, params.k, params.t)
-    ratio = Fraction(b, 1) / bound
+    ratio = b / bound
     ok, (b_val, rem) = designs.divisibility_check(params)
     doc.update({
         "b": str(b),
@@ -287,6 +282,7 @@ def _entry_doc(entry):
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog, designs
     if args.action == "list":
         rows = catalog.entries()
         width = max(len(e.name) for e in rows)
@@ -328,8 +324,10 @@ def cmd_catalog(args) -> int:
         design, t, lam = payload
         designs.save_design(design, out_path, t=t, lambda_=lam)
     elif entry.kind == "cdf":
+        from . import difference_families as dfs
         dfs.save_df(payload, out_path)
     else:
+        from . import apa as apa_mod
         apa_mod.save_apa(payload, out_path)
     _emit(args, [f"wrote {out_path}"], {"name": entry.name, "out": out_path})
     return EXIT_OK
@@ -339,6 +337,7 @@ def cmd_catalog(args) -> int:
 # apa
 
 def cmd_apa(args) -> int:
+    from . import apa as apa_mod
     array = apa_mod.van_rees_array()
     report = apa_mod.verify_apa(array, budget=args.budget)
     doc = {"t": array.t, "k": array.k, "v": array.v, "lambda": array.lambda_,

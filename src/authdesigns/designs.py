@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from typing import Optional
@@ -19,6 +18,7 @@ from typing import Optional
 from .budget import charge
 from .errors import ConstructionError, DomainError, StructuralError
 from .fileio import atomic_write_json, int_field, int_rows
+from .record import record
 
 # Witness lists in reports are capped; a wrong design can fail at almost
 # every t-subset and nobody reads a million witnesses.
@@ -33,7 +33,7 @@ def _check_int(name, value, minimum=None):
     return value
 
 
-@dataclass(frozen=True)
+@record
 class DesignParameters:
     """Parameter tuple of a t-design with index lambda.
 
@@ -156,7 +156,7 @@ def teirlinck_params(t: int, v: int):
     return params, b_closed
 
 
-@dataclass(frozen=True)
+@record
 class BlockDesign:
     """A set of equal-size blocks over points 0..v-1, canonically ordered.
 
@@ -212,7 +212,7 @@ class BlockDesign:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Outcome of a combinatorial verification.
 

@@ -11,17 +11,17 @@ each orbit runs through a full residue cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from collections import Counter
+from itertools import permutations
 from typing import Optional
 
-from .balancing import EncodingMatrix
 from .designs import BlockDesign, VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, DomainError, StructuralError
 from .fileio import atomic_write_json, int_field, int_rows
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class DifferenceFamily:
     """Base blocks over Z_v with a declared index lambda.
 
@@ -80,20 +80,22 @@ class DifferenceFamily:
 def verify_df(df: DifferenceFamily) -> VerificationReport:
     """Tally all l*k*(k-1) signed differences; valid iff every nonzero
     residue shows up exactly lambda times.  Failures list (residue, observed)
-    with wrong multiplicity, ascending."""
-    counts = [0] * df.v
-    for block in df.base_blocks:
-        for x, y in combinations(block, 2):
-            counts[(x - y) % df.v] += 1
-            counts[(y - x) % df.v] += 1
+    with wrong multiplicity, ascending.  Nothing is v long: the residue
+    scan runs only when the tally is not uniform at lambda, and a residue
+    that passes holds lambda >= 1 tallied differences, so the scan, which
+    stops at MAX_FAILURES failures, visits at most l*k*(k-1) + MAX_FAILURES."""
+    counts = Counter((x - y) % df.v for block in df.base_blocks
+                     for x, y in permutations(block, 2))
+    # the counts over residues 1..v-1: those tallied, and 0 if one is missed
+    values = set(counts.values()) | ({0} if len(counts) < df.v - 1 else set())
+    common = values.pop() if len(values) == 1 else None
     failures = []
-    for residue in range(1, df.v):
-        if counts[residue] != df.lambda_:
-            failures.append((residue, counts[residue]))
-            if len(failures) >= MAX_FAILURES:
-                break
-    nonzero = [c for c in counts[1:]]
-    common = nonzero[0] if nonzero and all(c == nonzero[0] for c in nonzero) else None
+    if common != df.lambda_:
+        for residue in range(1, df.v):
+            if counts[residue] != df.lambda_:
+                failures.append((residue, counts[residue]))
+                if len(failures) >= MAX_FAILURES:
+                    break
     return VerificationReport(valid=not failures,
                               inferred_lambda=common,
                               failures=tuple(failures))
@@ -140,6 +142,7 @@ def develop_matrix(df: DifferenceFamily) -> EncodingMatrix:
     g = 0..v-1, base-block-major.  Coordinate order is preserved, and each
     column of each orbit is a full residue cycle, so every message appears
     exactly l times per column — already balanced, no coloring needed."""
+    from .balancing import EncodingMatrix
     _reject_short_orbits(df)
     rows = [tuple((x + g) % df.v for x in block)
             for block in df.base_blocks for g in range(df.v)]

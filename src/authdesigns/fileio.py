@@ -7,11 +7,9 @@ rationals travel as ``{"num": "...", "den": "..."}`` with decimal *strings*
 to survive JSON readers that silently truncate big integers.
 """
 
-import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 
 from .errors import StructuralError
 
@@ -22,6 +20,7 @@ def canonical_dumps(obj) -> str:
 
 def digest(obj) -> str:
     """Hex SHA-256 of the canonical serialization of ``obj``."""
+    import hashlib   # 5 ms to load, which --help, catalog and params skip
     return hashlib.sha256(canonical_dumps(obj).encode("ascii")).hexdigest()
 
 
@@ -53,7 +52,7 @@ def load_json(path):
         raise StructuralError(f"{path}: cannot be read as JSON text ({exc})") from exc
 
 
-def fraction_to_json(value: Fraction) -> dict:
+def fraction_to_json(value: "Fraction") -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 

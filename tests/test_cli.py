@@ -185,6 +185,72 @@ def test_build_rejects_invalid_input(capsys, tmp_path, z13_df):
     assert code == 1 and "not a valid difference family" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_cdf_with_an_index_sized_v_fails_cleanly(capsys, tmp_path, command):
+    # the difference tally and the residue scan are bounded by the input,
+    # not by v
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"v": 10**30, "lambda": 1,
+                                "base_blocks": [[0, 1, 4], [0, 2, 7]]}))
+    code, out, err = run(capsys, command, str(path), "--kind", "cdf",
+                         "--out", str(tmp_path / "out.json"))
+    assert code == 1
+    if command == "verify":
+        assert "valid: false" in out and err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------------------ import footprint
+
+FOOTPRINT = """
+import json, sys
+before = set(sys.modules)
+from authdesigns.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    loaded.append(sorted(set(sys.modules) - before))
+print(json.dumps({"dataclasses_before": "dataclasses" in before,
+                  "loaded": loaded}))
+"""
+
+
+def test_commands_import_only_what_they_run(capsys, tmp_path,
+                                            z13_file, z13_matrix_file):
+    commands = [
+        ["--help"],
+        ["attack", str(z13_matrix_file), "--orders", "0-1"],
+        ["attack", str(z13_matrix_file), "--model", "oracle-online"],
+        ["catalog", "export", "complete-5-3", "--out", "c53.json"],
+        ["build", "c53.json", "--kind", "design", "--out", "m.json"],
+        ["build", str(z13_file), "--kind", "cdf", "--out", "m.json"],
+        ["verify", str(z13_file), "--kind", "cdf", "--out", "r.json"],
+        ["apa", "--out", "apa.json"],
+        ["verify", "apa.json", "--kind", "apa", "--out", "r.json"],
+        ["params", "--t", "2", "--v", "7", "--k", "3", "--lambda", "1"],
+        ["catalog", "show", "cdf-13-3-1"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, json.dumps(commands)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    help_loaded, attack_loaded = result["loaded"][:2]
+    assert {m for m in help_loaded if m.startswith("authdesigns.")} <= {
+        "authdesigns.cli", "authdesigns.errors", "authdesigns.budget",
+        "authdesigns.fileio"}
+    assert not {"authdesigns.catalog", "authdesigns.apa",
+                "authdesigns.difference_families",
+                "authdesigns.designs"} & set(attack_loaded)
+    if not result["dataclasses_before"]:
+        assert "dataclasses" not in result["loaded"][-1]
+
+
 # ------------------------------------------------------------------ attack
 
 def test_attack_classic_json(capsys, z13_matrix_file):
