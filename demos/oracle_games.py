@@ -16,7 +16,7 @@ from authdesigns import (
     DifferenceFamily,
     EncodingMatrix,
     SecrecySystem,
-    analyze_oracle,
+    analyze,
     develop_matrix,
     offline_bound,
     online_bound,
@@ -48,12 +48,11 @@ print()
 # balanced, so offline-tight, but its rows are no 2-design, and the online
 # game beats its floor at i = 1
 cycle = SecrecySystem(develop_matrix(DifferenceFamily(6, 1, ((0, 1),))))
-res = analyze_oracle(cycle, [1]).orders[0]
 print("6-cycle rows {g, g+1} mod 6, i = 1:")
-print(f"  offline: {fmt(res.offline_value)} vs floor {fmt(res.offline_bound)}"
-      f"   {'tight' if res.offline_tight else 'loose'}")
-print(f"  online:  {fmt(res.online_value)} vs floor {fmt(res.online_bound)}"
-      f"   {'tight' if res.online_tight else 'loose'}")
+for game in ("offline", "online"):
+    res = analyze(cycle, f"oracle-{game}", [1]).orders[0]
+    print(f"  {game + ':':<8} {fmt(res.value)} vs floor {fmt(res.bound)}"
+          f"   {'tight' if res.tight else 'loose'}")
 print()
 
 # a corrupted matrix: both notions go loose together

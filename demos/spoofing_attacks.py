@@ -10,7 +10,7 @@ from fractions import Fraction
 from authdesigns import (
     DifferenceFamily,
     SecrecySystem,
-    analyze_spoofing,
+    analyze,
     balance,
     complete_design,
     develop_matrix,
@@ -35,7 +35,7 @@ def fmt(x: Fraction) -> str:
 
 for label, system in systems:
     orders = range(min(3, system.k))
-    report = analyze_spoofing(system, orders)
+    report = analyze(system, "classic", orders)
     print(label)
     for res in report.orders:
         mark = "tight" if res.tight else "above bound"

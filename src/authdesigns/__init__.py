@@ -13,11 +13,10 @@ submodule; the first use of a name imports the one that defines it.
 import importlib
 
 _SUBMODULE = {name: module for module, names in {
-    "analysis": ("DeceptionReport", "OracleReport", "SecrecySystem",
-                 "analyze_oracle", "analyze_spoofing", "deception_bound",
-                 "deception_probability", "offline_bound", "online_bound",
-                 "perfect_secrecy_check", "voracle_offline_value",
-                 "voracle_online_value"),
+    "analysis": ("AttackReport", "SecrecySystem", "analyze",
+                 "deception_bound", "deception_probability", "offline_bound",
+                 "online_bound", "perfect_secrecy_check",
+                 "voracle_offline_value", "voracle_online_value"),
     "apa": ("PerpendicularArray", "van_rees_array", "verify_apa"),
     "balancing": ("BalanceReport", "EncodingMatrix", "SplitGraph", "balance",
                   "edge_color", "format_matrix_table", "split_points",

@@ -24,6 +24,11 @@ only through message 0.  Counting pairs (O, x ∈ O) twice gives
 Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
 unchanged, whatever the orbit lengths.  Other systems run the same loops.
 
+`analyze(system, model, orders)` is the one per-order loop over the three
+attack models ("classic", "oracle-offline", "oracle-online"): at each order
+it records the value, its floor and whether they are equal, and
+`report_to_json` writes that report.
+
 Everything returns `fractions.Fraction`; there is no floating point here.
 """
 
@@ -270,67 +275,46 @@ class OrderResult:
 
 
 @record
-class DeceptionReport:
-    """Per-order classical spoofing values plus the resulting security order
-    (largest t with orders 0..t all present and tight, -1 if none)."""
+class AttackReport:
+    """Per-order values of one attack model plus the security order: the
+    largest t with orders 0..t all present and tight, -1 if none."""
 
+    model: str
     orders: tuple
     security_order: int
 
 
-def analyze_spoofing(system: SecrecySystem, orders,
-                     budget: Optional[int] = None) -> DeceptionReport:
+def analyze(system: SecrecySystem, model: str, orders,
+            budget: Optional[int] = None) -> AttackReport:
+    """Value, floor and tightness at each distinct order under `model`:
+    "classic" spoofing, or the "oracle-offline" / "oracle-online" game."""
+    v, k = system.v, system.k
+    if model == "classic":
+        value_of, bound_of = deception_probability, lambda i: deception_bound(v, k, i)
+    elif model == "oracle-offline":
+        value_of, bound_of = voracle_offline_value, lambda i: offline_bound(v, k)
+    elif model == "oracle-online":
+        value_of, bound_of = voracle_online_value, lambda i: online_bound(v, k, i)
+    else:
+        raise DomainError(f"unknown attack model {model!r}: expected "
+                          "classic, oracle-offline or oracle-online")
     results = []
     for i in sorted(set(orders)):
-        value = deception_probability(system, i, budget)
-        bound = deception_bound(system.v, system.k, i)
+        value, bound = value_of(system, i, budget), bound_of(i)
         results.append(OrderResult(i=i, value=value, bound=bound,
                                    tight=value == bound))
     order = -1
-    present = {res.i: res for res in results}
-    while (order + 1) in present and present[order + 1].tight:
+    for res in results:     # ascending, so orders 0..t are a prefix
+        if res.i != order + 1 or not res.tight:
+            break
         order += 1
-    return DeceptionReport(orders=tuple(results), security_order=order)
+    return AttackReport(model=model, orders=tuple(results),
+                        security_order=order)
 
 
-@record
-class OracleOrderResult:
-    i: int
-    offline_value: Fraction
-    offline_bound: Fraction
-    offline_tight: bool
-    online_value: Fraction
-    online_bound: Fraction
-    online_tight: bool
-
-
-@record
-class OracleReport:
-    orders: tuple
-
-
-def analyze_oracle(system: SecrecySystem, orders,
-                   budget: Optional[int] = None) -> OracleReport:
-    results = []
-    for i in sorted(set(orders)):
-        off = voracle_offline_value(system, i, budget)
-        off_bound = offline_bound(system.v, system.k)
-        on = voracle_online_value(system, i, budget)
-        on_bound = online_bound(system.v, system.k, i)
-        results.append(OracleOrderResult(
-            i=i,
-            offline_value=off, offline_bound=off_bound,
-            offline_tight=off == off_bound,
-            online_value=on, online_bound=on_bound,
-            online_tight=on == on_bound))
-    return OracleReport(orders=tuple(results))
-
-
-def deception_report_to_json(report: DeceptionReport,
-                             digest: Optional[str] = None) -> dict:
+def report_to_json(report: AttackReport, digest: Optional[str] = None) -> dict:
     doc = {
-        "model": "classic",
-        "security_order": report.security_order,
+        "model": report.model,
         "orders": [
             {
                 "i": res.i,
@@ -341,6 +325,8 @@ def deception_report_to_json(report: DeceptionReport,
             for res in report.orders
         ],
     }
+    if report.model == "classic":
+        doc["security_order"] = report.security_order
     if digest is not None:
         doc["input_digest"] = digest
     return doc

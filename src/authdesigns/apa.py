@@ -19,7 +19,7 @@ from typing import Optional
 from .budget import charge
 from .designs import VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, StructuralError
-from .fileio import atomic_write_json, int_field, int_rows
+from .fileio import int_field, int_rows
 from .record import record
 
 
@@ -176,7 +176,3 @@ def apa_from_json(doc) -> PerpendicularArray:
     v = int_field(doc, "v", minimum=1)
     lam = int_field(doc, "lambda", minimum=1)
     return PerpendicularArray(t=t, k=k, v=v, lambda_=lam, rows=int_rows(doc, "rows"))
-
-
-def save_apa(array: PerpendicularArray, path):
-    atomic_write_json(apa_to_json(array), path)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, digest, int_field, int_rows
+from .fileio import int_field, int_rows
 from .record import record
 
 
@@ -231,14 +231,6 @@ class BalanceReport:
     counts: tuple                    # v rows of k counts
     witness: Optional[tuple]         # first (message, column, count) off target
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "expected": self.expected,
-            "counts": [list(r) for r in self.counts],
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 def verify_balanced(matrix: EncodingMatrix) -> BalanceReport:
     """True iff every message appears exactly b/v times in every column."""
@@ -277,16 +269,6 @@ def matrix_from_json(doc) -> EncodingMatrix:
     if matrix.b != b:
         raise StructuralError(f"declared b={b} but found {matrix.b} rows")
     return matrix
-
-
-def save_matrix(matrix: EncodingMatrix, path, source: str = "design",
-                input_doc=None):
-    """Write a matrix file; provenance digest is the canonical-JSON hash of
-    the input document the matrix was built from."""
-    provenance = {"source": source}
-    if input_doc is not None:
-        provenance["input_digest"] = digest(input_doc)
-    atomic_write_json(matrix_to_json(matrix, provenance), path)
 
 
 def format_matrix_table(matrix: EncodingMatrix) -> str:

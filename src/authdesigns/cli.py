@@ -25,10 +25,20 @@ EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 
 
+def _decimal(n: int) -> str:
+    """str(n), refused past the interpreter's int-to-text digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DomainError(f"a result of {n.bit_length()} bits has more than "
+                          f"{sys.get_int_max_str_digits()} digits, too many "
+                          "to print") from None
+
+
 def _fmt_fraction(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def _emit(args, lines, doc):
@@ -116,13 +126,15 @@ def cmd_build(args) -> int:
     if not balanced.valid:
         raise ConstructionError(f"built matrix is unbalanced: {balanced.witness}")
     out_path = args.out or os.path.splitext(args.path)[0] + "-matrix.json"
-    balancing.save_matrix(matrix, out_path, source=source, input_doc=input_doc)
+    input_digest = digest(input_doc)
+    atomic_write_json(balancing.matrix_to_json(
+        matrix, {"source": source, "input_digest": input_digest}), out_path)
     info = {
         "v": matrix.v, "k": matrix.k, "b": matrix.b,
         "rows_per_message": matrix.b // matrix.v,
         "optimality_class": designs.optimality_class(params),
         "out": out_path,
-        "input_digest": digest(input_doc),
+        "input_digest": input_digest,
     }
     lines = [f"v={matrix.v} k={matrix.k} b={matrix.b} "
              f"b/v={matrix.b // matrix.v} class={info['optimality_class']}",
@@ -169,35 +181,13 @@ def cmd_attack(args) -> int:
         orders = _parse_orders(args.orders, top, rule)
     except ValueError as exc:
         raise StructuralError(f"cannot parse --orders {args.orders!r}") from exc
-    matrix_digest = digest(doc)
-    lines = []
+    report = analysis.analyze(system, args.model, orders, budget=args.budget)
+    out_doc = analysis.report_to_json(report, digest=digest(doc))
+    lines = [f"i={res.i} value={_fmt_fraction(res.value)} "
+             f"bound={_fmt_fraction(res.bound)} "
+             f"tight={'yes' if res.tight else 'no'}" for res in report.orders]
     if args.model == "classic":
-        report = analysis.analyze_spoofing(system, orders, budget=args.budget)
-        out_doc = analysis.deception_report_to_json(report, digest=matrix_digest)
-        for res in report.orders:
-            lines.append(
-                f"i={res.i} value={_fmt_fraction(res.value)} "
-                f"bound={_fmt_fraction(res.bound)} "
-                f"tight={'yes' if res.tight else 'no'}")
         lines.append(f"security order: {report.security_order}")
-    else:
-        offline = args.model == "oracle-offline"
-        entries = []
-        for i in orders:
-            if offline:
-                value = analysis.voracle_offline_value(system, i, budget=args.budget)
-                bound = analysis.offline_bound(system.v, system.k)
-            else:
-                value = analysis.voracle_online_value(system, i, budget=args.budget)
-                bound = analysis.online_bound(system.v, system.k, i)
-            tight = value == bound
-            entries.append({"i": i, "value": fraction_to_json(value),
-                            "bound": fraction_to_json(bound), "tight": tight})
-            lines.append(f"i={i} value={_fmt_fraction(value)} "
-                         f"bound={_fmt_fraction(bound)} "
-                         f"tight={'yes' if tight else 'no'}")
-        out_doc = {"model": args.model, "orders": entries,
-                   "input_digest": matrix_digest}
     if args.out:
         atomic_write_json(out_doc, args.out)
         lines.append(f"report: {args.out}")
@@ -214,17 +204,17 @@ def cmd_params(args) -> int:
         if args.t is None or args.v is None:
             raise DomainError("--teirlinck needs --t and --v")
         params, b = designs.teirlinck_params(args.t, args.v)
-        modulus = params.lambda_
+        modulus, b = _decimal(params.lambda_), _decimal(b)
         doc = {
             "mode": "teirlinck",
             "t": params.t, "v": params.v, "k": params.k,
-            "lambda": str(params.lambda_),
-            "modulus": str(modulus),
-            "b": str(b),
+            "lambda": modulus,
+            "modulus": modulus,
+            "b": b,
         }
         lines = [
             f"congruence: v ≡ t (mod {modulus})",
-            f"params: {params.t}-({params.v},{params.k},{params.lambda_})",
+            f"params: {params.t}-({params.v},{params.k},{modulus})",
             f"b = {b}",
         ]
         _emit(args, lines, doc)
@@ -235,7 +225,8 @@ def cmd_params(args) -> int:
     params = designs.DesignParameters(t=args.t, v=args.v, k=args.k,
                                       lambda_=args.lambda_)
     table = [(s, designs.lambda_s(params, s)) for s in range(params.t + 1)]
-    bad = [(s, val) for s, val in table if val.denominator != 1]
+    bad = params.non_integral_lambdas()
+    # the lines come first: _fmt_fraction refuses a number too long to print
     lines = [f"lambda_{s} = {_fmt_fraction(val)}" for s, val in table]
     doc = {
         "t": params.t, "v": params.v, "k": params.k, "lambda": params.lambda_,
@@ -321,14 +312,14 @@ def cmd_catalog(args) -> int:
         raise DomainError(f"{entry.name} is a parameter-only row; no payload to export")
     out_path = args.out or f"{entry.name}.json"
     if entry.kind == "design":
-        design, t, lam = payload
-        designs.save_design(design, out_path, t=t, lambda_=lam)
+        out_doc = designs.design_to_json(*payload)
     elif entry.kind == "cdf":
         from . import difference_families as dfs
-        dfs.save_df(payload, out_path)
+        out_doc = dfs.df_to_json(payload)
     else:
         from . import apa as apa_mod
-        apa_mod.save_apa(payload, out_path)
+        out_doc = apa_mod.apa_to_json(payload)
+    atomic_write_json(out_doc, out_path)
     _emit(args, [f"wrote {out_path}"], {"name": entry.name, "out": out_path})
     return EXIT_OK
 
@@ -345,7 +336,7 @@ def cmd_apa(args) -> int:
     lines = [f"APA_{array.lambda_}({array.t},{array.k},{array.v}): "
              f"{len(array.rows)} rows, valid: {str(report.valid).lower()}"]
     if args.out:
-        apa_mod.save_apa(array, args.out)
+        atomic_write_json(apa_mod.apa_to_json(array), args.out)
         doc["out"] = args.out
         lines.append(f"wrote {args.out}")
     _emit(args, lines, doc)
@@ -438,7 +429,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FileNotFoundError as exc:
+    except OSError as exc:      # unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except AuthDesignsError as exc:

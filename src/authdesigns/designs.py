@@ -17,7 +17,7 @@ from typing import Optional
 
 from .budget import charge
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, int_field, int_rows
+from .fileio import int_field, int_rows
 from .record import record
 
 # Witness lists in reports are capped; a wrong design can fail at almost
@@ -143,10 +143,12 @@ def teirlinck_params(t: int, v: int):
     """
     _check_int("t", t, 1)
     _check_int("v", v)
-    modulus = math.factorial(t + 1) ** (2 * t + 1)
-    if v < t + 1 or (v - t) % modulus != 0:
-        raise DomainError(
-            f"v must satisfy v ≡ t (mod {modulus}) with v > t, got v={v}")
+    # an admissible v exceeds the modulus, which is at least 2^(t(2t+1)):
+    # a v of at most t(2t+1) bits is refused before the modulus is built
+    if v.bit_length() <= t * (2 * t + 1) or (
+            (v - t) % (modulus := math.factorial(t + 1) ** (2 * t + 1))):
+        raise DomainError(f"v must satisfy v ≡ t (mod {t + 1}!^{2 * t + 1}) "
+                          f"with v > t, got v={v}")
     params = DesignParameters(t=t, v=v, k=t + 1, lambda_=modulus)
     b_closed = math.factorial(t + 1) ** (2 * t) * math.factorial(t) * math.comb(v, t)
     b_counted = lambda_s(params, 0)
@@ -230,14 +232,8 @@ class VerificationReport:
         return {
             "valid": self.valid,
             "inferred_lambda": self.inferred_lambda,
-            "failures": [[_jsonify(w), obs] for (w, obs) in self.failures],
+            "failures": self.failures,
         }
-
-
-def _jsonify(value):
-    if isinstance(value, tuple):
-        return [_jsonify(x) for x in value]
-    return value
 
 
 def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
@@ -354,8 +350,3 @@ def design_from_json(doc) -> tuple:
     if lam is not None:
         lam = int_field(doc, "lambda", minimum=1)
     return design, t, lam
-
-
-def save_design(design: BlockDesign, path, t: Optional[int] = None,
-                lambda_: Optional[int] = None):
-    atomic_write_json(design_to_json(design, t, lambda_), path)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .designs import BlockDesign, VerificationReport, MAX_FAILURES
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import atomic_write_json, int_field, int_rows
+from .fileio import int_field, int_rows
 from .record import record
 
 
@@ -239,7 +239,3 @@ def df_from_json(doc) -> DifferenceFamily:
     v = int_field(doc, "v", minimum=2)
     lam = int_field(doc, "lambda", minimum=1)
     return DifferenceFamily(v=v, lambda_=lam, base_blocks=int_rows(doc, "base_blocks"))
-
-
-def save_df(df: DifferenceFamily, path):
-    atomic_write_json(df_to_json(df), path)

@@ -13,11 +13,15 @@ import pytest
 from authdesigns import (
     BlockDesign,
     DifferenceFamily,
+    DomainError,
     EncodingMatrix,
     SecrecySystem,
+    balance,
+    catalog,
     complete_design,
     develop,
     develop_matrix,
+    divisibility_check,
 )
 from authdesigns.balancing import SplitGraph
 
@@ -86,14 +90,33 @@ def complete53_design():
 
 @pytest.fixture(scope="session")
 def complete53_system(complete53_design):
-    from authdesigns import balance
-
     return SecrecySystem(balance(complete53_design))
 
 
 @pytest.fixture(scope="session")
 def fano_design(fano_df):
     return develop(fano_df)
+
+
+def built_systems():
+    """(name, t, matrix) for every catalog entry a system can be built from;
+    entries whose parameters fail the divisibility gate are refused by
+    construction and asserted as such."""
+    out = []
+    for name in catalog.buildable_names():
+        entry = catalog.get(name)
+        payload = catalog.load_payload(name)
+        if entry.kind == "cdf":
+            out.append((name, 2, develop_matrix(payload)))
+        else:
+            design, t, _ = payload
+            if not divisibility_check(entry.params)[0]:
+                with pytest.raises(DomainError):
+                    balance(design)
+                continue
+            out.append((name, t, balance(design)))
+    assert len(out) >= 20
+    return out
 
 
 def make_regular_bipartite(rng: random.Random, n: int, k: int) -> SplitGraph:

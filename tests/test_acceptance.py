@@ -14,19 +14,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-
 from authdesigns import (
     DesignParameters,
-    DomainError,
     EncodingMatrix,
     SecrecySystem,
     StructuralError,
-    analyze_oracle,
-    balance,
+    analyze,
     deception_probability,
     develop,
-    develop_matrix,
     divisibility_check,
     edge_color,
     lambda_s,
@@ -42,10 +37,11 @@ from authdesigns import (
 from authdesigns import catalog
 from authdesigns.balancing import matrix_from_json
 from authdesigns.cli import main as cli_main
-from authdesigns.difference_families import save_df
-from authdesigns.fileio import load_json
+from authdesigns.difference_families import df_to_json
+from authdesigns.fileio import atomic_write_json, load_json
 
-from conftest import Z13_GOLDEN_ROWS, make_regular_bipartite, assert_proper_coloring
+from conftest import (Z13_GOLDEN_ROWS, assert_proper_coloring, built_systems,
+                      make_regular_bipartite)
 
 
 @contextmanager
@@ -58,32 +54,11 @@ def criterion(n: int, description: str):
     print(f"ACCEPTANCE {n}: PASS — {description}")
 
 
-def _built_systems():
-    """(name, t, matrix) for every catalog entry a system can be built from;
-    entries whose parameters fail the divisibility gate are refused by
-    construction and asserted as such."""
-    out = []
-    for name in catalog.buildable_names():
-        entry = catalog.get(name)
-        payload = catalog.load_payload(name)
-        if entry.kind == "cdf":
-            out.append((name, 2, develop_matrix(payload)))
-        else:
-            design, t, _ = payload
-            if not divisibility_check(entry.params)[0]:
-                with pytest.raises(DomainError):
-                    balance(design)
-                continue
-            out.append((name, t, balance(design)))
-    assert len(out) >= 20
-    return out
-
-
 def test_criterion_01_published_table_reproduction(tmp_path, z13_df,
                                                    capsys):
     with criterion(1, "build reproduces the published 26x3 matrix"):
         src = tmp_path / "z13.json"
-        save_df(z13_df, src)
+        atomic_write_json(df_to_json(z13_df), src)
         out = tmp_path / "matrix.json"
         start = time.perf_counter()
         code = cli_main(["build", str(src), "--kind", "cdf",
@@ -101,7 +76,7 @@ def test_criterion_01_published_table_reproduction(tmp_path, z13_df,
 def test_criterion_02_perfect_secrecy_and_mutations():
     with criterion(2, "all built systems balanced; mutations detected"):
         rng = random.Random(20250801)
-        for name, _, matrix in _built_systems():
+        for name, _, matrix in built_systems():
             start = time.perf_counter()
             report = verify_balanced(matrix)
             assert report.valid, name
@@ -154,9 +129,11 @@ def test_criterion_04_oracle_games(fano_system):
         assert online == 1 - Fraction(math.comb(4, 2), math.comb(7, 2))
         assert online == Fraction(5, 7)
         # rows forming a t-design form an (i+1)-design for every i < t
-        for name, t, matrix in _built_systems():
-            for res in analyze_oracle(SecrecySystem(matrix), range(t)).orders:
-                assert res.offline_tight and res.online_tight, (name, res.i)
+        for name, t, matrix in built_systems():
+            system = SecrecySystem(matrix)
+            for model in ("oracle-offline", "oracle-online"):
+                for res in analyze(system, model, range(t)).orders:
+                    assert res.tight, (name, model, res.i)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"{elapsed:.2f}s"
 

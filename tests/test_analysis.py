@@ -19,8 +19,7 @@ from authdesigns import (
     DomainError,
     EncodingMatrix,
     SecrecySystem,
-    analyze_oracle,
-    analyze_spoofing,
+    analyze,
     catalog,
     deception_bound,
     deception_probability,
@@ -31,9 +30,9 @@ from authdesigns import (
     voracle_offline_value,
     voracle_online_value,
 )
-from authdesigns.analysis import deception_report_to_json
+from authdesigns.analysis import report_to_json
 
-from conftest import mutate_entry
+from conftest import built_systems, mutate_entry
 
 
 def naive_deception(matrix: EncodingMatrix, i: int) -> Fraction:
@@ -235,22 +234,64 @@ def test_deception_domain_errors(fano_system):
 
 
 def test_security_orders(z13_system, fano_system, complete53_system):
-    assert analyze_spoofing(z13_system, range(3)).security_order == 1
-    assert analyze_spoofing(fano_system, range(3)).security_order == 1
-    assert analyze_spoofing(complete53_system, range(3)).security_order == 2
+    assert analyze(z13_system, "classic", range(3)).security_order == 1
+    assert analyze(fano_system, "classic", range(3)).security_order == 1
+    assert analyze(complete53_system, "classic", range(3)).security_order == 2
     with pytest.raises(DomainError):
-        analyze_spoofing(fano_system, range(4))
+        analyze(fano_system, "classic", range(4))
+    # orders 0..t must all be present: order 1 missing stops the count at 0
+    assert analyze(complete53_system, "classic", [0, 2]).security_order == 0
+    # a loose order 0 gives -1, whatever follows
+    rng = random.Random(31)
+    mutated = SecrecySystem(mutate_entry(rng, fano_system.matrix)[0])
+    report = analyze(mutated, "classic", [0, 1])
+    assert not report.orders[0].tight
+    assert report.security_order == -1
 
 
-def test_analyze_spoofing_report(z13_system):
-    report = analyze_spoofing(z13_system, [2, 0, 1])
+def test_analyze_classic_report(z13_system):
+    report = analyze(z13_system, "classic", [2, 0, 1])
+    assert report.model == "classic"
     assert [r.i for r in report.orders] == [0, 1, 2]
     assert report.security_order == 1
     assert report.orders[0].tight and report.orders[1].tight
     assert not report.orders[2].tight
     assert report.orders[2].value > report.orders[2].bound
-    doc = deception_report_to_json(report, digest="ab" * 32)
+    doc = report_to_json(report, digest="ab" * 32)
     assert doc["input_digest"] == "ab" * 32
+    assert doc["model"] == "classic" and doc["security_order"] == 1
+    assert [entry["i"] for entry in doc["orders"]] == [0, 1, 2]
+    assert "input_digest" not in report_to_json(report)
+
+
+def test_analyze_matches_direct_calls():
+    models = {
+        "classic": (deception_probability,
+                    lambda s, i: deception_bound(s.v, s.k, i)),
+        "oracle-offline": (voracle_offline_value,
+                           lambda s, i: offline_bound(s.v, s.k)),
+        "oracle-online": (voracle_online_value,
+                          lambda s, i: online_bound(s.v, s.k, i)),
+    }
+    systems = built_systems()
+    assert len(systems) == 21
+    for name, _, matrix in systems:
+        system = SecrecySystem(matrix)
+        for model, (value, bound) in models.items():
+            orders = range(min(3, system.k)) if model == "classic" else range(3)
+            report = analyze(system, model, orders)
+            assert report.model == model
+            assert [res.i for res in report.orders] == list(orders)
+            for res in report.orders:
+                expected = value(system, res.i), bound(system, res.i)
+                assert (res.value, res.bound) == expected, (name, model, res.i)
+                assert res.tight == (res.value == res.bound)
+
+
+def test_analyze_unknown_model(fano_system):
+    for model in ("oracle", "Classic", "", None):
+        with pytest.raises(DomainError):
+            analyze(fano_system, model, [0])
 
 
 def test_shared_observation_cases():
@@ -348,25 +389,26 @@ def test_oracle_tightness_equivalence(fano_system, z13_system,
     # rows forming a t-design: both games tight at every order i < t
     for system, t in ((fano_system, 2), (z13_system, 2),
                       (complete53_system, 3)):
-        for res in analyze_oracle(system, range(t)).orders:
-            assert res.offline_tight and res.online_tight
+        for model in ("oracle-offline", "oracle-online"):
+            for res in analyze(system, model, range(t)).orders:
+                assert res.tight, (model, res.i)
     # this mutation leaves some message in more than b·k/v rows, so
     # both games go loose together
     rng = random.Random(31)
     mutated = SecrecySystem(mutate_entry(rng, fano_system.matrix)[0])
-    report = analyze_oracle(mutated, [0, 1])
-    for res in report.orders:
-        assert not res.offline_tight and not res.online_tight
+    for model in ("oracle-offline", "oracle-online"):
+        for res in analyze(mutated, model, [0, 1]).orders:
+            assert not res.tight, (model, res.i)
     # the developed 6-cycle is balanced, hence offline-tight, but its rows
     # are no 2-design, so at i = 1 the online game beats its floor
     cycle = SecrecySystem(develop_matrix(DifferenceFamily(6, 1, ((0, 1),))))
-    res = analyze_oracle(cycle, [1]).orders[0]
-    assert res.offline_value == Fraction(1, 3) == res.offline_bound
-    assert res.offline_tight
-    assert res.online_value == Fraction(2, 3)
-    assert res.online_bound == Fraction(3, 5)
-    assert not res.online_tight
-    assert res.offline_tight != res.online_tight
+    off = analyze(cycle, "oracle-offline", [1]).orders[0]
+    on = analyze(cycle, "oracle-online", [1]).orders[0]
+    assert off.value == Fraction(1, 3) == off.bound
+    assert off.tight
+    assert on.value == Fraction(2, 3)
+    assert on.bound == Fraction(3, 5)
+    assert not on.tight
 
 
 def tightness_cases(seed, count):
@@ -398,17 +440,19 @@ def test_tightness_characterizations():
         rows = [set(r) for r in matrix.rows]
         offline = all(sum(m in r for r in rows) * v == b * k
                       for m in range(v))
-        report = analyze_oracle(SecrecySystem(matrix), range(v))
-        for res in report.orders:
-            subsets = [set(S) for S in combinations(range(v), res.i + 1)]
+        system = SecrecySystem(matrix)
+        for off, on in zip(analyze(system, "oracle-offline", range(v)).orders,
+                           analyze(system, "oracle-online", range(v)).orders):
+            i = on.i
+            subsets = [set(S) for S in combinations(range(v), i + 1)]
             # S misses a row iff S lies in the row's complement
             missed = {sum(not (S & r) for r in rows) for S in subsets}
             online = len(missed) == 1
-            if res.i + 1 > v - k:
+            if i + 1 > v - k:
                 assert missed == {0}
-            assert res.offline_tight == offline, (matrix, res.i)
-            assert res.online_tight == online, (matrix, res.i)
-            seen.add((offline, online, res.i + 1 > v - k))
+            assert off.tight == offline, (matrix, i)
+            assert on.tight == online, (matrix, i)
+            seen.add((offline, online, i + 1 > v - k))
     # all four verdict pairs occur; a non-trivial (i+1)-design of
     # complements is also a 1-design, so it forces offline tightness
     assert {(o, n) for o, n, _ in seen} == {(True, True), (True, False),
@@ -416,14 +460,29 @@ def test_tightness_characterizations():
     assert (True, True, False) in seen and (False, True, False) not in seen
 
 
-def test_analyze_oracle_report(fano_system):
-    report = analyze_oracle(fano_system, [1, 0])
-    assert [r.i for r in report.orders] == [0, 1]
-    res = report.orders[1]
-    assert res.online_value == Fraction(5, 7) == res.online_bound
-    assert res.offline_value == Fraction(3, 7) == res.offline_bound
-    assert res.online_tight and res.offline_tight
-    assert [r.online_tight for r in report.orders] == [True, True]
+def test_analyze_both_oracle_reports(fano_system):
+    offline = analyze(fano_system, "oracle-offline", [1, 0])
+    online = analyze(fano_system, "oracle-online", [1, 0])
+    assert [r.i for r in online.orders] == [0, 1]
+    assert [r.i for r in offline.orders] == [0, 1]
+    res = online.orders[1]
+    assert res.value == Fraction(5, 7) == res.bound and res.tight
+    res = offline.orders[1]
+    assert res.value == Fraction(3, 7) == res.bound and res.tight
+    assert [r.tight for r in online.orders] == [True, True]
+    # the oracle JSON carries no security order; the classic JSON does
+    for report in (offline, online):
+        doc = report_to_json(report, digest="cd" * 32)
+        assert doc["model"] == report.model
+        assert "security_order" not in doc
+        assert doc["orders"][1] == {
+            "i": 1, "tight": True,
+            "value": {"num": str(report.orders[1].value.numerator),
+                      "den": "7"},
+            "bound": {"num": str(report.orders[1].bound.numerator),
+                      "den": "7"}}
+    assert "security_order" in report_to_json(
+        analyze(fano_system, "classic", [0]))
 
 
 def test_oracle_game_domain_errors(fano_system):

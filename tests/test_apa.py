@@ -16,9 +16,8 @@ from authdesigns.apa import (
     VAN_REES_BASE_ROWS,
     apa_from_json,
     apa_to_json,
-    save_apa,
 )
-from authdesigns.fileio import load_json
+from authdesigns.fileio import atomic_write_json, load_json
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +125,7 @@ def test_verify_respects_budget(van_rees):
 
 def test_apa_json_roundtrip(tmp_path, van_rees):
     path = tmp_path / "apa.json"
-    save_apa(van_rees, path)
+    atomic_write_json(apa_to_json(van_rees), path)
     assert apa_from_json(load_json(path)) == van_rees
     assert apa_from_json(apa_to_json(van_rees)) == van_rees
 

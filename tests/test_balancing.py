@@ -23,9 +23,9 @@ from authdesigns.balancing import (
     SplitGraph,
     matrix_from_json,
     matrix_to_json,
-    save_matrix,
 )
-from authdesigns.fileio import canonical_dumps, digest, load_json
+from authdesigns.fileio import (atomic_write_json, canonical_dumps, digest,
+                               load_json)
 
 from conftest import assert_proper_coloring, make_regular_bipartite
 
@@ -213,7 +213,8 @@ def test_verify_balanced_indivisible_expected_none():
 def test_matrix_json_roundtrip(tmp_path, fano_design):
     m = balance(fano_design)
     path = tmp_path / "m.json"
-    save_matrix(m, path, source="design", input_doc={"v": 7})
+    atomic_write_json(matrix_to_json(
+        m, {"source": "design", "input_digest": digest({"v": 7})}), path)
     assert matrix_from_json(load_json(path)) == m
     doc = json.loads(path.read_text())
     assert doc["provenance"]["source"] == "design"

@@ -16,10 +16,10 @@ import pytest
 
 from authdesigns import van_rees_array
 from authdesigns.apa import apa_from_json
-from authdesigns.balancing import matrix_from_json, save_matrix
+from authdesigns.balancing import matrix_from_json, matrix_to_json
 from authdesigns.cli import main
-from authdesigns.difference_families import df_from_json, df_to_json, save_df
-from authdesigns.fileio import digest, load_json
+from authdesigns.difference_families import df_from_json, df_to_json
+from authdesigns.fileio import atomic_write_json, digest, load_json
 
 from conftest import Z13_GOLDEN_ROWS, mutate_entry
 
@@ -35,7 +35,7 @@ def run(capsys, *argv):
 @pytest.fixture()
 def z13_file(tmp_path, z13_df):
     path = tmp_path / "z13.json"
-    save_df(z13_df, path)
+    atomic_write_json(df_to_json(z13_df), path)
     return path
 
 
@@ -279,7 +279,7 @@ def test_attack_order_ranges(capsys, z13_matrix_file):
 
 def test_attack_oracle_models(capsys, tmp_path, fano_df):
     path = tmp_path / "fano.json"
-    save_df(fano_df, path)
+    atomic_write_json(df_to_json(fano_df), path)
     mpath = tmp_path / "fano-matrix.json"
     assert run(capsys, "build", str(path), "--kind", "cdf",
                "--out", str(mpath))[0] == 0
@@ -303,7 +303,7 @@ def test_attack_on_mutated_matrix(capsys, tmp_path, fano_matrix):
     rng = random.Random(3)
     mutated, _ = mutate_entry(rng, fano_matrix)
     path = tmp_path / "mutated.json"
-    save_matrix(mutated, path, source="cdf")
+    atomic_write_json(matrix_to_json(mutated, {"source": "cdf"}), path)
     code, out, _ = run(capsys, "attack", str(path), "--orders", "0",
                        "--format", "json")
     assert code == 0                    # analysis of a leaky system is fine
@@ -398,6 +398,24 @@ def test_attack_rejects_deeply_nested_json(capsys, tmp_path):
     assert_one_error_line(code, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "export", "fano-cdf"],
+    ["verify", "{source}", "--kind", "cdf"],
+    ["build", "{source}", "--kind", "cdf"],
+    ["attack", "{matrix}"],
+    ["apa"],
+], ids=["export", "verify", "build", "attack", "apa"])
+def test_out_naming_a_directory(capsys, tmp_path, z13_file, z13_matrix_file,
+                                argv):
+    target = tmp_path / "dir"
+    target.mkdir()
+    argv = [a.format(source=z13_file, matrix=z13_matrix_file) for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert_one_error_line(code, err)
+    assert out == ""
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_oracle_online_v337_at_default_budget(capsys, tmp_path):
     family, matrix = tmp_path / "cdf337.json", tmp_path / "cdf337-matrix.json"
     assert run(capsys, "catalog", "export", "cdf-337-7-1",
@@ -458,6 +476,22 @@ def test_params_teirlinck(capsys):
     code, _, err = run(capsys, "params", "--teirlinck", "--t", "2",
                        "--v", "7777")
     assert code == 1 and "mod" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    # the modulus 51!^101 has about 6,700 digits
+    ["--teirlinck", "--t", "50", "--v", "1"],
+    # refused from the bit length of v, without building the modulus
+    ["--teirlinck", "--t", "10000", "--v", "1"],
+    # valid, but b = 2592·C(v,2) has about 4,400 digits
+    ["--teirlinck", "--t", "2", "--v", str(2 + 7776 * 10 ** 2200)],
+    ["--t", "2", "--v", str(10 ** 2200), "--k", "2", "--lambda", "1"],
+], ids=["modulus", "t-10000", "teirlinck-b", "b"])
+def test_params_too_long_to_print(capsys, argv, fmt):
+    code, out, err = run(capsys, "params", *argv, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------- catalog

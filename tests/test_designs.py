@@ -24,9 +24,8 @@ from authdesigns import (
 from authdesigns.designs import (
     design_from_json,
     design_to_json,
-    save_design,
 )
-from authdesigns.fileio import load_json
+from authdesigns.fileio import atomic_write_json, load_json
 
 
 def _random_admissible(rng: random.Random):
@@ -268,7 +267,7 @@ def test_teirlinck_rejects_bad_congruence():
 
 def test_design_json_roundtrip(tmp_path, fano_design):
     path = tmp_path / "fano.json"
-    save_design(fano_design, path, t=2, lambda_=1)
+    atomic_write_json(design_to_json(fano_design, t=2, lambda_=1), path)
     loaded, t, lam = design_from_json(load_json(path))
     assert loaded == fano_design
     assert (t, lam) == (2, 1)

@@ -22,10 +22,9 @@ from authdesigns.difference_families import (
     df_from_json,
     df_to_json,
     is_prime,
-    save_df,
     smallest_primitive_root,
 )
-from authdesigns.fileio import load_json
+from authdesigns.fileio import atomic_write_json, load_json
 
 from conftest import Z13_GOLDEN_ROWS
 
@@ -222,7 +221,7 @@ def test_is_prime_against_sieve():
 
 def test_df_json_roundtrip(tmp_path, biplane_df):
     path = tmp_path / "biplane.json"
-    save_df(biplane_df, path)
+    atomic_write_json(df_to_json(biplane_df), path)
     assert df_from_json(load_json(path)) == biplane_df
     doc = json.loads(path.read_text())
     assert doc["v"] == 11 and doc["lambda"] == 2
