@@ -44,7 +44,7 @@ from typing import Optional
 from .balancing import EncodingMatrix
 from .budget import charge
 from .errors import DomainError
-from .fileio import fraction_to_json
+from .fileio import check_int, fraction_to_json
 from .record import record
 
 
@@ -153,7 +153,8 @@ def deception_probability(system: SecrecySystem, i: int,
     all.  With the b·k check at i ≥ 1, the whole is at most
     [i ≥ 1]·b·k + b + N·(2·(k-a) + 4).
     """
-    if not isinstance(i, int) or not (0 <= i < system.k):
+    check_int("attack order", i, error=DomainError)
+    if not (0 <= i < system.k):
         raise DomainError(
             f"attack order must satisfy 0 <= i < k={system.k}, got {i!r}")
     b, k, v = system.b, system.k, system.v
@@ -186,7 +187,8 @@ def deception_probability(system: SecrecySystem, i: int,
 # verification-oracle games
 
 def _check_game_order(system: SecrecySystem, i: int):
-    if not isinstance(i, int) or not (0 <= i <= system.v - 1):
+    check_int("oracle game order", i, error=DomainError)
+    if not (0 <= i <= system.v - 1):
         raise DomainError(
             f"oracle game order must satisfy 0 <= i <= v-1={system.v - 1}, got {i!r}")
 

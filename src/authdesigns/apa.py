@@ -17,9 +17,9 @@ from itertools import combinations
 from typing import Optional
 
 from .budget import charge
-from .designs import VerificationReport, MAX_FAILURES
+from .designs import VerificationReport
 from .errors import ConstructionError, StructuralError
-from .fileio import int_field, int_rows
+from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
 from .record import record
 
 
@@ -40,33 +40,17 @@ class PerpendicularArray:
 
     def __post_init__(self):
         for name in ("t", "k", "v", "lambda_"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise StructuralError(f"{name} must be a positive integer, got {value!r}")
+            check_int(name, getattr(self, name), 1)
         if not (self.t <= self.k <= self.v):
             raise StructuralError(
                 f"need t <= k <= v, got t={self.t}, k={self.k}, v={self.v}")
+        rows = check_rows(self.rows, self.v, "row", size=self.k, distinct=False)
         expected_rows = self.lambda_ * math.comb(self.v, self.t)
-        raw = list(self.rows)
-        if len(raw) != expected_rows:
+        if len(rows) != expected_rows:
             raise StructuralError(
                 f"an APA_{self.lambda_}({self.t},{self.k},{self.v}) needs "
-                f"{expected_rows} rows, got {len(raw)}")
-        canon = []
-        bad = []
-        for idx, row in enumerate(raw):
-            entries = tuple(row)
-            ok = (len(entries) == self.k
-                  and all(isinstance(x, int) and not isinstance(x, bool)
-                          and 0 <= x < self.v for x in entries))
-            if ok:
-                canon.append(entries)
-            else:
-                bad.append((idx, entries))
-        if bad:
-            raise StructuralError("rows must hold k symbols in [0, v)",
-                                  offenders=bad[:MAX_FAILURES])
-        object.__setattr__(self, "rows", tuple(canon))
+                f"{expected_rows} rows, got {len(rows)}")
+        object.__setattr__(self, "rows", rows)
 
 
 def verify_apa(array: PerpendicularArray,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import int_field, int_rows
+from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
 from .record import record
 
 
@@ -36,37 +36,18 @@ class EncodingMatrix:
     rows: tuple
 
     def __post_init__(self):
-        for name, value in (("v", self.v), ("k", self.k)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise StructuralError(
-                    f"{name} must be a positive integer, got {value!r}")
-        raw = list(self.rows)
-        if not raw:
-            raise StructuralError("matrix needs at least one row")
-        canon = []
-        bad = []
-        for idx, row in enumerate(raw):
-            entries = tuple(row)
-            ok = (len(entries) == self.k
-                  and all(isinstance(x, int) and not isinstance(x, bool)
-                          and 0 <= x < self.v for x in entries)
-                  and len(set(entries)) == self.k)
-            if ok:
-                canon.append(entries)
-            else:
-                bad.append((idx, entries))
-        if bad:
-            raise StructuralError(
-                "rows must hold k distinct messages in [0, v)", offenders=bad[:32])
+        check_int("v", self.v, 1)
+        check_int("k", self.k, 1)
+        rows = check_rows(self.rows, self.v, "row", size=self.k)
         seen = {}
-        for idx, row in enumerate(canon):
+        for idx, row in enumerate(rows):
             key = frozenset(row)
             if key in seen:
                 raise StructuralError(
                     "two rows carry the same message set",
                     offenders=[(seen[key], idx, tuple(sorted(key)))])
             seen[key] = idx
-        object.__setattr__(self, "rows", tuple(canon))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def b(self) -> int:
@@ -135,7 +116,7 @@ def split_points(design: BlockDesign) -> SplitGraph:
     if bad:
         raise StructuralError(
             f"point replication must be uniform r = k*b/v = {k * copies}",
-            offenders=bad[:32])
+            offenders=bad[:MAX_FAILURES])
     left_labels = tuple((x, c) for x in range(v) for c in range(copies))
     edges = []
     for x in range(v):
@@ -147,8 +128,9 @@ def split_points(design: BlockDesign) -> SplitGraph:
                       edges=tuple(edges))
 
 
-def edge_color(graph: SplitGraph, k: Optional[int] = None) -> tuple:
-    """Proper k-edge-coloring of a k-regular bipartite graph.
+def edge_color(graph: SplitGraph) -> tuple:
+    """Proper k-edge-coloring of a k-regular bipartite graph, k its common
+    degree.
 
     Returns a color in [0, k) per edge, aligned with graph.edges.  König's
     alternating-path coloring, edges taken in index order: for edge (a, z)
@@ -162,8 +144,7 @@ def edge_color(graph: SplitGraph, k: Optional[int] = None) -> tuple:
     construction.
     """
     left_deg, right_deg = graph.degrees()
-    if k is None:
-        k = left_deg[0] if left_deg else 0
+    k = left_deg[0] if left_deg else 0
     if k < 1 or any(d != k for d in left_deg) or any(d != k for d in right_deg):
         raise StructuralError(f"graph is not {k}-regular bipartite")
     edges = graph.edges
@@ -211,7 +192,7 @@ def balance(design: BlockDesign) -> EncodingMatrix:
     exactly b/v times: the column of x in block B is the color of the edge
     joining x's copy to B."""
     graph = split_points(design)
-    colors = edge_color(graph, design.k)
+    colors = edge_color(graph)
     rows = [[None] * design.k for _ in range(design.b)]
     for eid, (a, z) in enumerate(graph.edges):
         point = graph.left_labels[a][0]

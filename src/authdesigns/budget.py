@@ -9,6 +9,7 @@ environment variable, then :data:`DEFAULT_BUDGET`.
 import os
 
 from .errors import BudgetError, DomainError
+from .fileio import check_int
 
 DEFAULT_BUDGET = 10**8
 
@@ -26,9 +27,7 @@ def resolve_budget(budget=None):
                 raise DomainError(f"{ENV_VAR} must be an integer, got {raw!r}")
         else:
             budget = DEFAULT_BUDGET
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget <= 0:
-        raise DomainError(f"budget must be a positive integer, got {budget!r}")
-    return budget
+    return check_int("budget", budget, 1, DomainError)
 
 
 def charge(required, budget=None, what="computation"):

@@ -17,20 +17,8 @@ from typing import Optional
 
 from .budget import charge
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import int_field, int_rows
+from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
 from .record import record
-
-# Witness lists in reports are capped; a wrong design can fail at almost
-# every t-subset and nobody reads a million witnesses.
-MAX_FAILURES = 32
-
-
-def _check_int(name, value, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 @record
@@ -49,10 +37,10 @@ class DesignParameters:
     lambda_: int
 
     def __post_init__(self):
-        _check_int("t", self.t, 1)
-        _check_int("v", self.v, 1)
-        _check_int("k", self.k, 1)
-        _check_int("lambda", self.lambda_, 1)
+        check_int("t", self.t, 1, DomainError)
+        check_int("v", self.v, 1, DomainError)
+        check_int("k", self.k, 1, DomainError)
+        check_int("lambda", self.lambda_, 1, DomainError)
         if not (self.t <= self.k <= self.v):
             raise DomainError(
                 f"need t <= k <= v, got t={self.t}, k={self.k}, v={self.v}")
@@ -91,7 +79,7 @@ def lambda_s(params: DesignParameters, s: int) -> Fraction:
     """Number of blocks containing a fixed s-subset of points, as an exact
     rational: lambda * C(v-s, t-s) / C(k-s, t-s).  Integer iff admissible
     at level s.  lambda_0 = b, lambda_1 = r, lambda_t = lambda."""
-    _check_int("s", s)
+    check_int("s", s, error=DomainError)
     if not (0 <= s <= params.t):
         raise DomainError(f"s must satisfy 0 <= s <= t={params.t}, got {s}")
     return Fraction(
@@ -103,9 +91,9 @@ def lambda_s(params: DesignParameters, s: int) -> Fraction:
 def massey_schobi_bound(v: int, k: int, t: int) -> Fraction:
     """Information-theoretic lower bound C(v,t)/C(k,t) on the number of keys
     of any system that is (t-1)-fold secure against spoofing."""
-    _check_int("v", v, 1)
-    _check_int("k", k, 1)
-    _check_int("t", t, 1)
+    check_int("v", v, 1, DomainError)
+    check_int("k", k, 1, DomainError)
+    check_int("t", t, 1, DomainError)
     if not (t <= k <= v):
         raise DomainError(f"need t <= k <= v, got t={t}, k={k}, v={v}")
     return Fraction(math.comb(v, t), math.comb(k, t))
@@ -141,14 +129,15 @@ def teirlinck_params(t: int, v: int):
     form (t+1)!^(2t) * t! * C(v,t) and the counting formula
     lambda*C(v,t)/C(k,t) — compared exactly before returning.
     """
-    _check_int("t", t, 1)
-    _check_int("v", v)
+    check_int("t", t, 1, DomainError)
+    check_int("v", v, error=DomainError)
     # an admissible v exceeds the modulus, which is at least 2^(t(2t+1)):
     # a v of at most t(2t+1) bits is refused before the modulus is built
     if v.bit_length() <= t * (2 * t + 1) or (
             (v - t) % (modulus := math.factorial(t + 1) ** (2 * t + 1))):
+        # the size, not v: an int past the digit limit cannot be printed
         raise DomainError(f"v must satisfy v ≡ t (mod {t + 1}!^{2 * t + 1}) "
-                          f"with v > t, got v={v}")
+                          f"with v > t, got a v of {v.bit_length()} bits")
     params = DesignParameters(t=t, v=v, k=t + 1, lambda_=modulus)
     b_closed = math.factorial(t + 1) ** (2 * t) * math.factorial(t) * math.comb(v, t)
     b_counted = lambda_s(params, 0)
@@ -172,33 +161,9 @@ class BlockDesign:
     blocks: tuple
 
     def __post_init__(self):
-        if not isinstance(self.v, int) or isinstance(self.v, bool) or self.v < 1:
-            raise StructuralError(f"v must be a positive integer, got {self.v!r}")
-        raw = list(self.blocks)
-        if not raw:
-            raise StructuralError("a design needs at least one block")
-        canon = []
-        bad = []
-        for idx, block in enumerate(raw):
-            entries = list(block)
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
-                bad.append((idx, tuple(entries)))
-                continue
-            if any(not (0 <= x < self.v) for x in entries):
-                bad.append((idx, tuple(entries)))
-                continue
-            if len(set(entries)) != len(entries):
-                bad.append((idx, tuple(entries)))
-                continue
-            canon.append(tuple(sorted(entries)))
-        if bad:
-            raise StructuralError(
-                "blocks with out-of-range or repeated points", offenders=bad[:MAX_FAILURES])
-        k = len(canon[0])
-        uneven = [(i, B) for i, B in enumerate(canon) if len(B) != k]
-        if uneven:
-            raise StructuralError("block sizes are not uniform", offenders=uneven[:MAX_FAILURES])
-        canon.sort()
+        check_int("v", self.v, 1)
+        canon = sorted(tuple(sorted(block))
+                       for block in check_rows(self.blocks, self.v, "block"))
         dupes = [canon[i] for i in range(1, len(canon)) if canon[i] == canon[i - 1]]
         if dupes:
             raise StructuralError("repeated blocks are not allowed",
@@ -251,11 +216,11 @@ def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
     every t-subset is hit; the scan, at most C(v,t) subsets, so at most
     2·C(v,t) + b·C(k,t) in all.
     """
-    _check_int("t", t, 1)
+    check_int("t", t, 1, DomainError)
     if t > design.k:
         raise DomainError(f"t={t} exceeds block size k={design.k}")
     if lambda_ is not None:
-        _check_int("lambda", lambda_, 1)
+        check_int("lambda", lambda_, 1, DomainError)
     n_subsets = math.comb(design.v, t)
     charge(2 * n_subsets + design.b * math.comb(design.k, t), budget,
            what=f"verifying strength t={t} over C({design.v},{t}) point subsets")
@@ -288,8 +253,8 @@ def derived_design(design: BlockDesign, x: int, t: int = 2) -> BlockDesign:
     BlockDesign) and must be at least 2 for the derived structure to retain
     any strength.
     """
-    _check_int("x", x)
-    _check_int("t", t)
+    check_int("x", x, error=DomainError)
+    check_int("t", t, error=DomainError)
     if t < 2:
         raise DomainError(f"derived design needs parent strength t >= 2, got {t}")
     if not (0 <= x < design.v):
@@ -310,8 +275,8 @@ def derived_design(design: BlockDesign, x: int, t: int = 2) -> BlockDesign:
 def complete_design(v: int, k: int, budget: Optional[int] = None) -> BlockDesign:
     """All C(v,k) k-subsets of 0..v-1: a k-(v,k,1) design, and a
     t-(v,k,C(v-t,k-t)) design for every t < k.  Test-instance generator."""
-    _check_int("v", v, 1)
-    _check_int("k", k, 1)
+    check_int("v", v, 1, DomainError)
+    check_int("k", k, 1, DomainError)
     if k > v:
         raise DomainError(f"need k <= v, got k={k}, v={v}")
     charge(math.comb(v, k), budget, what=f"enumerating C({v},{k}) blocks")

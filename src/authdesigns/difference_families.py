@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from typing import Optional
 
-from .designs import BlockDesign, VerificationReport, MAX_FAILURES
+from .designs import BlockDesign, VerificationReport
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import int_field, int_rows
+from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
 from .record import record
 
 
@@ -36,36 +35,13 @@ class DifferenceFamily:
     base_blocks: tuple
 
     def __post_init__(self):
-        if not isinstance(self.v, int) or isinstance(self.v, bool) or self.v < 2:
-            raise StructuralError(f"group order v must be an integer >= 2, got {self.v!r}")
-        if (not isinstance(self.lambda_, int) or isinstance(self.lambda_, bool)
-                or self.lambda_ < 1):
-            raise StructuralError(f"lambda must be a positive integer, got {self.lambda_!r}")
-        raw = list(self.base_blocks)
-        if not raw:
-            raise StructuralError("a difference family needs at least one base block")
-        canon = []
-        bad = []
-        for idx, block in enumerate(raw):
-            entries = tuple(block)
-            ok = (len(entries) >= 2
-                  and all(isinstance(x, int) and not isinstance(x, bool)
-                          and 0 <= x < self.v for x in entries)
-                  and len(set(entries)) == len(entries))
-            if ok:
-                canon.append(entries)
-            else:
-                bad.append((idx, entries))
-        if bad:
-            raise StructuralError(
-                "base blocks need >= 2 distinct residues in [0, v)",
-                offenders=bad[:MAX_FAILURES])
-        k = len(canon[0])
-        uneven = [(i, B) for i, B in enumerate(canon) if len(B) != k]
-        if uneven:
-            raise StructuralError("base-block sizes are not uniform",
-                                  offenders=uneven[:MAX_FAILURES])
-        object.__setattr__(self, "base_blocks", tuple(canon))
+        check_int("v", self.v, 2)
+        check_int("lambda", self.lambda_, 1)
+        blocks = check_rows(self.base_blocks, self.v, "base block")
+        if len(blocks[0]) < 2:
+            raise StructuralError("base blocks need at least 2 residues",
+                                  offenders=[(0, blocks[0])])
+        object.__setattr__(self, "base_blocks", blocks)
 
     @property
     def k(self) -> int:
@@ -206,7 +182,7 @@ def netto_triples(q: int) -> DifferenceFamily:
     """CDF(q, 3, 1) for a prime q ≡ 1 (mod 6): with w the smallest primitive
     root and d = (q-1)/6, base blocks {w^i, w^(i+2d), w^(i+4d)} for
     i = 0..d-1.  The output is gated through verify_df before returning."""
-    if not isinstance(q, int) or not is_prime(q):
+    if not is_prime(check_int("q", q, error=DomainError)):
         raise DomainError(f"q must be prime, got {q!r}")
     if q % 6 != 1:
         raise DomainError(f"q must satisfy q ≡ 1 (mod 6), got {q}")

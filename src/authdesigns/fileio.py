@@ -5,6 +5,9 @@ separators, no trailing whitespace games) so that the provenance digest of a
 document is stable across platforms and cosmetic re-serialization.  Exact
 rationals travel as ``{"num": "...", "den": "..."}`` with decimal *strings*
 to survive JSON readers that silently truncate big integers.
+
+It also holds the one integer check (`check_int`) and the one row check
+(`check_rows`) that every record and every parsed JSON field goes through.
 """
 
 import json
@@ -48,12 +51,18 @@ def load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from exc
-    except (UnicodeDecodeError, IsADirectoryError, RecursionError) as exc:
+    # ValueError: undecodable bytes, or an integer past the digit limit
+    except (ValueError, IsADirectoryError, RecursionError) as exc:
         raise StructuralError(f"{path}: cannot be read as JSON text ({exc})") from exc
 
 
 def fraction_to_json(value: "Fraction") -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+# Witness and offender lists are capped; a wrong object can fail almost
+# everywhere and nobody reads a million witnesses.
+MAX_FAILURES = 32
 
 
 def require(condition, message, offenders=None):
@@ -62,23 +71,50 @@ def require(condition, message, offenders=None):
         raise StructuralError(message, offenders=offenders)
 
 
+def check_int(name, value, minimum=None, error=StructuralError):
+    """`value` if it is an int, not a bool, and at least `minimum`; else
+    raise `error`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_rows(rows, v, what, size=None, distinct=True):
+    """`rows` as a non-empty tuple of int tuples, each of `size` entries
+    (the first row's size when None) in [0, v), pairwise distinct within a
+    row unless `distinct` is false; `what` names one row in the messages.
+    The offending (index, row) pairs, at most MAX_FAILURES, go with the
+    StructuralError."""
+    rows = tuple(map(tuple, rows))
+    require(rows, f"need at least one {what}")
+    if size is None:
+        size = len(rows[0])
+    bad = [(idx, row) for idx, row in enumerate(rows)
+           if len(row) != size
+           or not all(isinstance(x, int) and not isinstance(x, bool)
+                      and 0 <= x < v for x in row)
+           or distinct and len(set(row)) != size]
+    entries = "distinct integers" if distinct else "integers"
+    require(not bad, f"each {what} must hold {size} {entries} in [0, v)",
+            offenders=bad[:MAX_FAILURES])
+    return rows
+
+
 def int_field(doc, key, minimum=None):
     """Fetch a required integer field from a parsed JSON object."""
     require(isinstance(doc, dict), f"expected a JSON object, got {type(doc).__name__}")
     require(key in doc, f"missing field {key!r}")
-    value = doc[key]
-    require(isinstance(value, int) and not isinstance(value, bool),
-            f"field {key!r} must be an integer, got {value!r}")
-    if minimum is not None:
-        require(value >= minimum, f"field {key!r} must be >= {minimum}, got {value}")
-    return value
+    return check_int(f"field {key!r}", doc[key], minimum)
 
 
 def int_rows(doc, key):
-    """Fetch a required list-of-lists field (rows, blocks) as a tuple of
-    tuples; the constructor that receives it checks the entries."""
+    """Fetch a required list-of-lists field (rows, blocks); the constructor
+    that receives it checks the entries with `check_rows`."""
     require(isinstance(doc, dict) and isinstance(doc.get(key), list),
             f"missing {key!r} list")
     bad = [(idx, row) for idx, row in enumerate(doc[key]) if not isinstance(row, list)]
-    require(not bad, f"every entry of {key!r} must be a list", offenders=bad[:32])
-    return tuple(tuple(row) for row in doc[key])
+    require(not bad, f"every entry of {key!r} must be a list",
+            offenders=bad[:MAX_FAILURES])
+    return doc[key]

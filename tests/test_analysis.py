@@ -294,6 +294,13 @@ def test_analyze_unknown_model(fano_system):
             analyze(fano_system, model, [0])
 
 
+@pytest.mark.parametrize("model", ["classic", "oracle-offline", "oracle-online"])
+def test_analyze_rejects_a_bool_order(fano_system, model):
+    # bool is an int subclass: True would otherwise run as order 1
+    with pytest.raises(DomainError):
+        analyze(fano_system, model, [0, True])
+
+
 def test_shared_observation_cases():
     # O = {0} lies in both keys but no other message does: best({0}) = 1
     apart = EncodingMatrix(5, 3, ((0, 1, 2), (0, 3, 4)))

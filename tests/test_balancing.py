@@ -89,7 +89,7 @@ def test_split_refuses_indivisible():
 
 def test_edge_color_fano(fano_design):
     g = split_points(fano_design)
-    colors = edge_color(g, 3)
+    colors = edge_color(g)
     assert_proper_coloring(g, colors, 3)
     # each class is a perfect matching
     sizes = Counter(colors)
@@ -98,7 +98,7 @@ def test_edge_color_fano(fano_design):
 
 def test_edge_color_trivial_matching():
     g = SplitGraph((0, 1), (0, 1), ((0, 1), (1, 0)))
-    assert edge_color(g, 1) == (0, 0)
+    assert edge_color(g) == (0, 0)
 
 
 def test_edge_color_handles_multigraph():
@@ -110,7 +110,7 @@ def test_edge_color_handles_multigraph():
         rng.shuffle(perm)
         matching = sorted((a, perm[a]) for a in range(n))
         g = SplitGraph(tuple(range(n)), tuple(range(n)), tuple(matching) * k)
-        colors = edge_color(g, k)
+        colors = edge_color(g)
         assert_proper_coloring(g, colors, k)
         for c in range(k):
             assert [e for e, col in zip(g.edges, colors) if col == c] == matching
@@ -122,13 +122,11 @@ def test_edge_color_random_regular_graphs():
         n = rng.randint(2, 120)
         k = rng.randint(1, 8)
         g = make_regular_bipartite(rng, n, k)
-        assert_proper_coloring(g, edge_color(g, k), k)
+        assert_proper_coloring(g, edge_color(g), k)
 
 
 def test_edge_color_rejects_irregular():
     g = SplitGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1)))
-    with pytest.raises(StructuralError):
-        edge_color(g, 2)
     with pytest.raises(StructuralError):
         edge_color(g)
 
@@ -136,7 +134,7 @@ def test_edge_color_rejects_irregular():
 def test_edge_color_is_deterministic():
     rng = random.Random(5)
     g = make_regular_bipartite(rng, 40, 5)
-    assert edge_color(g, 5) == edge_color(g, 5)
+    assert edge_color(g) == edge_color(g)
 
 
 # ----------------------------------------------------------------- balance
@@ -182,7 +180,7 @@ def test_balance_relabelled_netto_97():
                for block in design.blocks}
     assert shifted != set(design.blocks)
     graph = split_points(design)
-    assert_proper_coloring(graph, edge_color(graph, design.k), design.k)
+    assert_proper_coloring(graph, edge_color(graph), design.k)
     m = balance(design)
     assert verify_balanced(m).valid
     assert [tuple(sorted(r)) for r in m.rows] == list(design.blocks)

@@ -398,6 +398,13 @@ def test_attack_rejects_deeply_nested_json(capsys, tmp_path):
     assert_one_error_line(code, err)
 
 
+def test_attack_rejects_integer_past_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"v": 1' + "0" * 5000 + ', "k": 3, "b": 1, "rows": [[0, 1, 2]]}')
+    code, _, err = run(capsys, "attack", str(path))
+    assert_one_error_line(code, err)
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "export", "fano-cdf"],
     ["verify", "{source}", "--kind", "cdf"],

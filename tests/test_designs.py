@@ -263,6 +263,14 @@ def test_teirlinck_rejects_bad_congruence():
     assert "mod" in str(exc.value)
 
 
+def test_teirlinck_refuses_a_v_too_long_to_print():
+    # past the interpreter's int-to-text digit limit the refusal states the
+    # size of v, so it stays a DomainError
+    with pytest.raises(DomainError) as exc:
+        teirlinck_params(2, 10**5000 + 1)
+    assert "mod" in str(exc.value) and "16610 bits" in str(exc.value)
+
+
 # --------------------------------------------------------------------- json
 
 def test_design_json_roundtrip(tmp_path, fano_design):
