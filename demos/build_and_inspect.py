@@ -28,10 +28,11 @@ print(f"developed encoding matrix: b={matrix.b} keys, k={matrix.k} source "
 print(format_matrix_table(matrix))
 print()
 
+# every verifier answers with the same VerificationReport fields
 balanced = verify_balanced(matrix)
 secret, _ = perfect_secrecy_check(matrix)
-print(f"every message appears {balanced.expected}x in every column: "
-      f"{balanced.valid}")
+print(f"every message appears {balanced.inferred_lambda}x in every column: "
+      f"valid: {balanced.valid}, failures: {balanced.failures}")
 print(f"perfect secrecy under equiprobable keys: {secret}")
 print()
 
@@ -43,4 +44,5 @@ ok, witness = perfect_secrecy_check(mutated)
 bal = verify_balanced(mutated)
 print(f"after changing e_1 to {rows[0]}:")
 print(f"  perfect secrecy: {ok}, witness (message, columns): {witness}")
-print(f"  balance witness (message, column, count): {bal.witness}")
+print(f"  balance valid: {bal.valid}, inferred lambda: {bal.inferred_lambda}")
+print(f"  first failures ((message, column), count): {bal.failures[:3]}")

@@ -18,9 +18,8 @@ _SUBMODULE = {name: module for module, names in {
                  "online_bound", "perfect_secrecy_check",
                  "voracle_offline_value", "voracle_online_value"),
     "apa": ("PerpendicularArray", "van_rees_array", "verify_apa"),
-    "balancing": ("BalanceReport", "EncodingMatrix", "SplitGraph", "balance",
-                  "edge_color", "format_matrix_table", "split_points",
-                  "verify_balanced"),
+    "balancing": ("EncodingMatrix", "SplitGraph", "balance", "edge_color",
+                  "format_matrix_table", "split_points", "verify_balanced"),
     "budget": ("DEFAULT_BUDGET",),
     "designs": ("BlockDesign", "DesignParameters", "VerificationReport",
                 "complete_design", "derived_design", "divisibility_check",

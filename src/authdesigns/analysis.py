@@ -44,7 +44,7 @@ from typing import Optional
 from .balancing import EncodingMatrix
 from .budget import charge
 from .errors import DomainError
-from .fileio import check_int, fraction_to_json
+from .fileio import check_int, fraction_to_json, show_int
 from .record import record
 
 
@@ -156,7 +156,7 @@ def deception_probability(system: SecrecySystem, i: int,
     check_int("attack order", i, error=DomainError)
     if not (0 <= i < system.k):
         raise DomainError(
-            f"attack order must satisfy 0 <= i < k={system.k}, got {i!r}")
+            f"attack order must satisfy 0 <= i < k={system.k}, got {show_int(i)}")
     b, k, v = system.b, system.k, system.v
     anchor = _anchor(system, i, budget)
     a, j = len(anchor), i - len(anchor)
@@ -189,8 +189,8 @@ def deception_probability(system: SecrecySystem, i: int,
 def _check_game_order(system: SecrecySystem, i: int):
     check_int("oracle game order", i, error=DomainError)
     if not (0 <= i <= system.v - 1):
-        raise DomainError(
-            f"oracle game order must satisfy 0 <= i <= v-1={system.v - 1}, got {i!r}")
+        raise DomainError("oracle game order must satisfy 0 <= i <= "
+                          f"v-1={show_int(system.v - 1)}, got {show_int(i)}")
 
 
 def voracle_offline_value(system: SecrecySystem, i: int,

@@ -13,13 +13,15 @@ what the k=3 example's by-hand count confirms.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from typing import Optional
 
 from .budget import charge
-from .designs import VerificationReport
+from .designs import VerificationReport, tally_report
 from .errors import ConstructionError, StructuralError
-from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
+from .fileio import (MAX_FAILURES, check_int, check_rows, int_field, int_rows,
+                     show_int)
 from .record import record
 
 
@@ -42,14 +44,14 @@ class PerpendicularArray:
         for name in ("t", "k", "v", "lambda_"):
             check_int(name, getattr(self, name), 1)
         if not (self.t <= self.k <= self.v):
-            raise StructuralError(
-                f"need t <= k <= v, got t={self.t}, k={self.k}, v={self.v}")
+            raise StructuralError(f"need t <= k <= v, got t={show_int(self.t)}, "
+                                  f"k={show_int(self.k)}, v={show_int(self.v)}")
         rows = check_rows(self.rows, self.v, "row", size=self.k, distinct=False)
         expected_rows = self.lambda_ * math.comb(self.v, self.t)
         if len(rows) != expected_rows:
             raise StructuralError(
-                f"an APA_{self.lambda_}({self.t},{self.k},{self.v}) needs "
-                f"{expected_rows} rows, got {len(rows)}")
+                f"an APA_{show_int(self.lambda_)}({self.t},{self.k},{show_int(self.v)})"
+                f" needs {show_int(expected_rows)} rows, got {len(rows)}")
         object.__setattr__(self, "rows", rows)
 
 
@@ -59,7 +61,8 @@ def verify_apa(array: PerpendicularArray,
     per clause, tagged ('i'|'ii'|'iii', ...details)."""
     t, k, v, lam = array.t, array.k, array.v, array.lambda_
     n = len(array.rows)
-    cost = (math.comb(k, t) * (n + math.comb(v, t)) + n * k
+    # (ii): C(k,t)·n tally steps, C(k,t)·C(v,t) count reads and as many scanned
+    cost = (math.comb(k, t) * (n + 2 * math.comb(v, t)) + n * k
             + sum((s + 1) * math.comb(v, s + 1) * (math.comb(k, s) + n)
                   for s in range(1, t)))
     charge(cost, budget, what=f"APA verification over {n} rows")
@@ -71,22 +74,16 @@ def verify_apa(array: PerpendicularArray,
             failures.append((("i", idx, row), len(set(row))))
             break
 
-    # (ii) each t-subset of symbols in each t-subset of columns: lambda rows
-    done = False
-    for cols in combinations(range(k), t):
-        tally = {}
-        for row in array.rows:
-            key = frozenset(row[c] for c in cols)
-            if len(key) == t:
-                tally[key] = tally.get(key, 0) + 1
-        for symbols in combinations(range(v), t):
-            got = tally.get(frozenset(symbols), 0)
-            if got != lam:
-                failures.append((("ii", cols, symbols), got))
-                done = True
-                break
-        if done:
-            break
+    # (ii) each t-subset of symbols in each t-subset of columns: lambda rows,
+    # one tally over (columns, symbols) keys
+    column_sets = tuple(combinations(range(k), t))
+    tally = Counter((cols, symbols) for cols in column_sets for row in array.rows
+                    if len(symbols := tuple(sorted({row[c] for c in cols}))) == t)
+    report = tally_report(tally, product(column_sets, combinations(range(v), t)),
+                          len(column_sets) * math.comb(v, t), lam)
+    if not report.valid:
+        (cols, symbols), got = report.failures[0]
+        failures.append((("ii", cols, symbols), got))
 
     # (iii) for s < t: rows containing s+1 fixed symbols place any s of them
     # uniformly over the C(k,s) column subsets
@@ -133,10 +130,8 @@ def van_rees_array() -> PerpendicularArray:
     rows = tuple(tuple((x + g) % 11 for x in base)
                  for base in VAN_REES_BASE_ROWS for g in range(11))
     array = PerpendicularArray(t=2, k=3, v=11, lambda_=1, rows=rows)
-    report = verify_apa(array)
-    if not report.valid:
-        raise ConstructionError(
-            f"developed base rows failed APA verification: {report.failures[:3]}")
+    verify_apa(array).require(ConstructionError,
+                              "developed base rows failed APA verification")
     return array
 
 

@@ -12,6 +12,8 @@ matrix a perfect-secrecy encoding matrix under equiprobable keys.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain, product
 from typing import Optional
 
 from .errors import ConstructionError, DomainError, StructuralError
@@ -203,27 +205,30 @@ def balance(design: BlockDesign) -> EncodingMatrix:
     return EncodingMatrix(v=design.v, k=design.k, rows=tuple(tuple(r) for r in rows))
 
 
-@record
-class BalanceReport:
-    """Per-(message, column) occupancy counts against the target b/v."""
+class _CellCounts:
+    """`column_counts` as the (message, column) -> count map, uncopied."""
 
-    valid: bool
-    expected: Optional[int]          # b/v, None when v does not divide b
-    counts: tuple                    # v rows of k counts
-    witness: Optional[tuple]         # first (message, column, count) off target
+    def __init__(self, counts, k):
+        self.counts, self.size = counts, len(counts) * k
+
+    def __len__(self):
+        return self.size
+
+    def values(self):
+        return chain.from_iterable(self.counts)
+
+    def get(self, key, default=0):
+        return self.counts[key[0]][key[1]]
 
 
-def verify_balanced(matrix: EncodingMatrix) -> BalanceReport:
-    """True iff every message appears exactly b/v times in every column."""
-    counts = matrix.column_counts()
-    if matrix.b % matrix.v != 0:
-        return BalanceReport(valid=False, expected=None, counts=counts,
-                             witness=(0, 0, counts[0][0]))
-    expected = matrix.b // matrix.v
-    witness = next(((m, col, c) for m, row in enumerate(counts)
-                    for col, c in enumerate(row) if c != expected), None)
-    return BalanceReport(valid=witness is None, expected=expected,
-                         counts=counts, witness=witness)
+def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
+    """Valid iff every message appears exactly b/v times in every column;
+    failures are ((message, column), count), message-major.  When v does
+    not divide b, every cell misses the target b/v and the report is invalid."""
+    from .designs import tally_report   # not at import: `attack` skips designs
+    v, k = matrix.v, matrix.k
+    return tally_report(_CellCounts(matrix.column_counts(), k),
+                        product(range(v), range(k)), v * k, Fraction(matrix.b, v))
 
 
 # ---------------------------------------------------------------------------

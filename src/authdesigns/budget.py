@@ -9,7 +9,7 @@ environment variable, then :data:`DEFAULT_BUDGET`.
 import os
 
 from .errors import BudgetError, DomainError
-from .fileio import check_int
+from .fileio import check_int, show_int
 
 DEFAULT_BUDGET = 10**8
 
@@ -37,9 +37,7 @@ def charge(required, budget=None, what="computation"):
     """
     limit = resolve_budget(budget)
     if required > limit:
-        raise BudgetError(
-            f"{what} needs {required} elementary steps, budget is {limit}",
-            required=required,
-            budget=limit,
-        )
+        raise BudgetError(f"{what} needs {show_int(required)} elementary steps, "
+                          f"budget is {show_int(limit)}",
+                          required=required, budget=limit)
     return limit

@@ -41,20 +41,14 @@ class CatalogEntry:
 
 
 def _gated_df(df: DifferenceFamily, name: str) -> DifferenceFamily:
-    report = verify_df(df)
-    if not report.valid:
-        raise ConstructionError(
-            f"catalog entry {name!r} failed difference verification: "
-            f"{report.failures[:3]}")
+    verify_df(df).require(
+        ConstructionError, f"catalog entry {name!r} failed difference verification")
     return df
 
 
 def _gated_design(design: BlockDesign, t: int, lam: int, name: str):
-    report = verify_design(design, t, lam)
-    if not report.valid:
-        raise ConstructionError(
-            f"catalog entry {name!r} failed design verification: "
-            f"{report.failures[:3]}")
+    verify_design(design, t, lam).require(
+        ConstructionError, f"catalog entry {name!r} failed design verification")
     return design, t, lam
 
 
@@ -121,9 +115,7 @@ _T8_ROWS = (
 
 def _build_registry():
     entries = []
-
-    def add(entry):
-        entries.append(entry)
+    add = entries.append
 
     add(CatalogEntry(
         name="cdf-13-3-1", kind="cdf",

@@ -100,10 +100,8 @@ def cmd_build(args) -> int:
     if args.kind == "cdf":
         from . import difference_families as dfs
         df = dfs.df_from_json(doc)
-        report = dfs.verify_df(df)
-        if not report.valid:
-            raise DomainError(
-                f"input is not a valid difference family: {report.failures[:3]}")
+        dfs.verify_df(df).require(DomainError,
+                                  "input is not a valid difference family")
         matrix = dfs.develop_matrix(df)
         t, lam, source = 2, df.lambda_, "cdf"
         input_doc = dfs.df_to_json(df)
@@ -114,17 +112,14 @@ def cmd_build(args) -> int:
             raise DomainError("building from a design needs a strength: "
                               "pass --t or store \"t\" in the file")
         report = designs.verify_design(design, t, lam_file, budget=args.budget)
-        if not report.valid:
-            raise DomainError(
-                f"input is not a valid {t}-design: {report.failures[:3]}")
+        report.require(DomainError, f"input is not a valid {t}-design")
         lam = report.inferred_lambda
         matrix = balancing.balance(design)   # raises if v does not divide b
         source = "design"
         input_doc = designs.design_to_json(design, t, lam)
     params = designs.DesignParameters(t=t, v=matrix.v, k=matrix.k, lambda_=lam)
-    balanced = balancing.verify_balanced(matrix)
-    if not balanced.valid:
-        raise ConstructionError(f"built matrix is unbalanced: {balanced.witness}")
+    balancing.verify_balanced(matrix).require(ConstructionError,
+                                              "built matrix is unbalanced")
     out_path = args.out or os.path.splitext(args.path)[0] + "-matrix.json"
     input_digest = digest(input_doc)
     atomic_write_json(balancing.matrix_to_json(
@@ -423,16 +418,13 @@ def main(argv=None) -> int:
         detail = f" offenders={exc.offenders[:3]}" if exc.offenders else ""
         print(f"error: {exc}{detail}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (DomainError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:      # unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except AuthDesignsError as exc:
+    except AuthDesignsError as exc:   # DomainError, ConstructionError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -17,7 +17,8 @@ from typing import Optional
 
 from .budget import charge
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
+from .fileio import (MAX_FAILURES, check_int, check_rows, int_field, int_rows,
+                     show_int)
 from .record import record
 
 
@@ -42,24 +43,21 @@ class DesignParameters:
         check_int("k", self.k, 1, DomainError)
         check_int("lambda", self.lambda_, 1, DomainError)
         if not (self.t <= self.k <= self.v):
-            raise DomainError(
-                f"need t <= k <= v, got t={self.t}, k={self.k}, v={self.v}")
+            raise DomainError(f"need t <= k <= v, got t={show_int(self.t)}, "
+                              f"k={show_int(self.k)}, v={show_int(self.v)}")
 
-    @property
-    def b(self) -> int:
-        """Number of blocks, lambda * C(v,t)/C(k,t).  Must be integral."""
-        value = lambda_s(self, 0)
+    def _integral(self, s: int, name: str) -> int:
+        value = lambda_s(self, s)
         if value.denominator != 1:
-            raise DomainError(f"b = {value} is not an integer; parameters inadmissible")
+            raise DomainError(f"{name} = {show_int(value.numerator)}/"
+                              f"{show_int(value.denominator)} is not an integer; "
+                              "parameters inadmissible")
         return value.numerator
 
-    @property
-    def r(self) -> int:
-        """Replication number (blocks through a point).  Must be integral."""
-        value = lambda_s(self, 1)
-        if value.denominator != 1:
-            raise DomainError(f"r = {value} is not an integer; parameters inadmissible")
-        return value.numerator
+    b = property(lambda self: self._integral(0, "b"),
+                 doc="Number of blocks, lambda * C(v,t)/C(k,t).  Must be integral.")
+    r = property(lambda self: self._integral(1, "r"),
+                 doc="Replication number (blocks through a point).  Must be integral.")
 
     @property
     def is_admissible(self) -> bool:
@@ -67,12 +65,8 @@ class DesignParameters:
 
     def non_integral_lambdas(self):
         """All (s, lambda_s) with a non-integral value, ascending s."""
-        out = []
-        for s in range(self.t + 1):
-            value = lambda_s(self, s)
-            if value.denominator != 1:
-                out.append((s, value))
-        return out
+        return [(s, value) for s in range(self.t + 1)
+                if (value := lambda_s(self, s)).denominator != 1]
 
 
 def lambda_s(params: DesignParameters, s: int) -> Fraction:
@@ -81,7 +75,8 @@ def lambda_s(params: DesignParameters, s: int) -> Fraction:
     at level s.  lambda_0 = b, lambda_1 = r, lambda_t = lambda."""
     check_int("s", s, error=DomainError)
     if not (0 <= s <= params.t):
-        raise DomainError(f"s must satisfy 0 <= s <= t={params.t}, got {s}")
+        raise DomainError(f"s must satisfy 0 <= s <= t={show_int(params.t)}, "
+                          f"got {show_int(s)}")
     return Fraction(
         params.lambda_ * math.comb(params.v - s, params.t - s),
         math.comb(params.k - s, params.t - s),
@@ -90,13 +85,9 @@ def lambda_s(params: DesignParameters, s: int) -> Fraction:
 
 def massey_schobi_bound(v: int, k: int, t: int) -> Fraction:
     """Information-theoretic lower bound C(v,t)/C(k,t) on the number of keys
-    of any system that is (t-1)-fold secure against spoofing."""
-    check_int("v", v, 1, DomainError)
-    check_int("k", k, 1, DomainError)
-    check_int("t", t, 1, DomainError)
-    if not (t <= k <= v):
-        raise DomainError(f"need t <= k <= v, got t={t}, k={k}, v={v}")
-    return Fraction(math.comb(v, t), math.comb(k, t))
+    of any system that is (t-1)-fold secure against spoofing: b of a
+    t-(v,k,1) design."""
+    return lambda_s(DesignParameters(t, v, k, 1), 0)
 
 
 def optimality_class(params: DesignParameters) -> str:
@@ -194,22 +185,50 @@ class VerificationReport:
     failures: tuple
 
     def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "inferred_lambda": self.inferred_lambda,
-            "failures": self.failures,
-        }
+        return {"valid": self.valid, "inferred_lambda": self.inferred_lambda,
+                "failures": self.failures}
+
+    def require(self, error, what: str):
+        """Raise `error`, naming `what` and the first three failures, unless
+        the report is valid."""
+        if not self.valid:
+            raise error(f"{what}: {self.failures[:3]}")
+
+
+def tally_report(counts, domain, size: int, expected=None) -> VerificationReport:
+    """The one verdict of every counting verifier: valid iff the mapping
+    `counts` (read by `len`, `values` and `get`) gives each of the `size`
+    keys of `domain`, which holds every tallied key, the count `expected`.
+
+    An untallied key counts 0, so inferred_lambda, the common count, exists
+    only when the tally covers all `size` keys.  `expected` defaults to it,
+    else to the domain's first count.  A tally not uniform at `expected` is
+    scanned, up to MAX_FAILURES (key, count) failures: at most `size` count
+    reads and `size` keys scanned."""
+    values = set(counts.values()) if len(counts) == size else ()
+    common = next(iter(values)) if len(values) == 1 else None
+    keys = iter(domain)
+    if expected is None:
+        # the first key, taken as the target, cannot fail: the scan skips it
+        expected = common if common is not None else counts.get(next(keys), 0)
+    failures = []
+    if common != expected:
+        for key in keys:
+            got = counts.get(key, 0)
+            if got != expected:
+                failures.append((key, got))
+                if len(failures) >= MAX_FAILURES:
+                    break
+    return VerificationReport(valid=not failures, inferred_lambda=common,
+                              failures=tuple(failures))
 
 
 def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
                   budget: Optional[int] = None) -> VerificationReport:
     """Count, for every t-subset of points, the blocks containing it.
 
-    Valid iff all counts agree (and equal `lambda_` when declared).  When
-    lambda_ is absent the count of the lexicographically first t-subset is
-    the candidate all others are compared against.  The witness scan over
-    all C(v,t) subsets runs only when the tally is not already uniform over
-    every t-subset at the expected count.
+    Valid iff all counts agree, at `lambda_` when declared: `tally_report`
+    over the C(v,t) subsets in lexicographic order.
 
     Charge, one step per tally increment, count read and subset scanned:
     b·C(k,t) increments; the C(v,t) counts read for uniformity, only when
@@ -218,7 +237,7 @@ def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
     """
     check_int("t", t, 1, DomainError)
     if t > design.k:
-        raise DomainError(f"t={t} exceeds block size k={design.k}")
+        raise DomainError(f"t={show_int(t)} exceeds block size k={design.k}")
     if lambda_ is not None:
         check_int("lambda", lambda_, 1, DomainError)
     n_subsets = math.comb(design.v, t)
@@ -227,22 +246,8 @@ def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
 
     counts = Counter(chain.from_iterable(
         map(combinations, design.blocks, repeat(t))))
-    # subsets never hit have count 0, so a full-coverage uniform tally is
-    # the only way a common count exists
-    values = set(counts.values()) if len(counts) == n_subsets else ()
-    common = next(iter(values)) if len(values) == 1 else None
-    expected = lambda_ if lambda_ is not None else (
-        common if common is not None else counts.get(tuple(range(t)), 0))
-    failures = []
-    if common != expected:
-        for sub in combinations(range(design.v), t):
-            got = counts.get(sub, 0)
-            if got != expected:
-                failures.append((sub, got))
-                if len(failures) >= MAX_FAILURES:
-                    break
-    return VerificationReport(valid=not failures, inferred_lambda=common,
-                              failures=tuple(failures))
+    return tally_report(counts, combinations(range(design.v), t), n_subsets,
+                        lambda_)
 
 
 def derived_design(design: BlockDesign, x: int, t: int = 2) -> BlockDesign:
@@ -256,9 +261,11 @@ def derived_design(design: BlockDesign, x: int, t: int = 2) -> BlockDesign:
     check_int("x", x, error=DomainError)
     check_int("t", t, error=DomainError)
     if t < 2:
-        raise DomainError(f"derived design needs parent strength t >= 2, got {t}")
+        raise DomainError(
+            f"derived design needs parent strength t >= 2, got {show_int(t)}")
     if not (0 <= x < design.v):
-        raise DomainError(f"point x={x} out of range [0, {design.v})")
+        raise DomainError(
+            f"point x={show_int(x)} out of range [0, {show_int(design.v)})")
     if design.k < 2:
         raise DomainError("blocks of size 1 leave nothing after removing x")
 
@@ -268,7 +275,7 @@ def derived_design(design: BlockDesign, x: int, t: int = 2) -> BlockDesign:
     blocks = [tuple(relabel(y) for y in B if y != x)
               for B in design.blocks if x in B]
     if not blocks:
-        raise DomainError(f"no blocks contain x={x}")
+        raise DomainError(f"no blocks contain x={show_int(x)}")
     return BlockDesign(v=design.v - 1, blocks=tuple(blocks))
 
 
@@ -278,7 +285,7 @@ def complete_design(v: int, k: int, budget: Optional[int] = None) -> BlockDesign
     check_int("v", v, 1, DomainError)
     check_int("k", k, 1, DomainError)
     if k > v:
-        raise DomainError(f"need k <= v, got k={k}, v={v}")
+        raise DomainError(f"need k <= v, got k={show_int(k)}, v={show_int(v)}")
     charge(math.comb(v, k), budget, what=f"enumerating C({v},{k}) blocks")
     return BlockDesign(v=v, blocks=tuple(combinations(range(v), k)))
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations
 
-from .designs import BlockDesign, VerificationReport
+from .designs import BlockDesign, VerificationReport, tally_report
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
+from .fileio import check_int, check_rows, int_field, int_rows, show_int
 from .record import record
 
 
@@ -54,27 +54,13 @@ class DifferenceFamily:
 
 
 def verify_df(df: DifferenceFamily) -> VerificationReport:
-    """Tally all l*k*(k-1) signed differences; valid iff every nonzero
-    residue shows up exactly lambda times.  Failures list (residue, observed)
-    with wrong multiplicity, ascending.  Nothing is v long: the residue
-    scan runs only when the tally is not uniform at lambda, and a residue
-    that passes holds lambda >= 1 tallied differences, so the scan, which
-    stops at MAX_FAILURES failures, visits at most l*k*(k-1) + MAX_FAILURES."""
+    """Tally all l*k*(k-1) signed differences; valid iff `tally_report` finds
+    every nonzero residue exactly lambda times.  Nothing is v long: a residue
+    the scan passes holds lambda >= 1 differences, so it visits at most
+    l*k*(k-1) + MAX_FAILURES residues."""
     counts = Counter((x - y) % df.v for block in df.base_blocks
                      for x, y in permutations(block, 2))
-    # the counts over residues 1..v-1: those tallied, and 0 if one is missed
-    values = set(counts.values()) | ({0} if len(counts) < df.v - 1 else set())
-    common = values.pop() if len(values) == 1 else None
-    failures = []
-    if common != df.lambda_:
-        for residue in range(1, df.v):
-            if counts[residue] != df.lambda_:
-                failures.append((residue, counts[residue]))
-                if len(failures) >= MAX_FAILURES:
-                    break
-    return VerificationReport(valid=not failures,
-                              inferred_lambda=common,
-                              failures=tuple(failures))
+    return tally_report(counts, range(1, df.v), df.v - 1, df.lambda_)
 
 
 def _reject_short_orbits(df: DifferenceFamily):
@@ -183,20 +169,17 @@ def netto_triples(q: int) -> DifferenceFamily:
     root and d = (q-1)/6, base blocks {w^i, w^(i+2d), w^(i+4d)} for
     i = 0..d-1.  The output is gated through verify_df before returning."""
     if not is_prime(check_int("q", q, error=DomainError)):
-        raise DomainError(f"q must be prime, got {q!r}")
+        raise DomainError(f"q must be prime, got {show_int(q)}")
     if q % 6 != 1:
-        raise DomainError(f"q must satisfy q ≡ 1 (mod 6), got {q}")
+        raise DomainError(f"q must satisfy q ≡ 1 (mod 6), got {show_int(q)}")
     w = smallest_primitive_root(q)
     d = (q - 1) // 6
     blocks = tuple(
         (pow(w, i, q), pow(w, i + 2 * d, q), pow(w, i + 4 * d, q))
         for i in range(d))
     family = DifferenceFamily(v=q, lambda_=1, base_blocks=blocks)
-    report = verify_df(family)
-    if not report.valid:
-        raise ConstructionError(
-            f"netto_triples({q}) failed its own difference tally: "
-            f"{report.failures[:3]}")
+    verify_df(family).require(
+        ConstructionError, f"netto_triples({q}) failed its own difference tally")
     return family
 
 

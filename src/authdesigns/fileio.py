@@ -71,13 +71,22 @@ def require(condition, message, offenders=None):
         raise StructuralError(message, offenders=offenders)
 
 
+def show_int(value) -> str:
+    """`repr(value)`, or the bit length of an int past the interpreter's
+    digit limit, so that a refusal can always name what it refuses."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def check_int(name, value, minimum=None, error=StructuralError):
     """`value` if it is an int, not a bool, and at least `minimum`; else
     raise `error`."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value}")
+        raise error(f"{name} must be >= {minimum}, got {show_int(value)}")
     return value
 
 

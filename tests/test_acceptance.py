@@ -80,7 +80,7 @@ def test_criterion_02_perfect_secrecy_and_mutations():
             start = time.perf_counter()
             report = verify_balanced(matrix)
             assert report.valid, name
-            assert report.expected == matrix.b // matrix.v
+            assert report.inferred_lambda == matrix.b // matrix.v
             ok, witness = perfect_secrecy_check(matrix)
             assert ok, (name, witness)
             for _ in range(3):

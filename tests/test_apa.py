@@ -90,6 +90,18 @@ def test_swapping_two_symbols_in_one_row_invalidates(van_rees):
     assert report.failures[0][0][0] in ("ii", "iii")
 
 
+def first_clause_ii_failure(array):
+    """Clause (ii) by brute force: the first (columns, symbols), both in
+    lexicographic order, whose rows do not number lambda."""
+    for cols in combinations(range(array.k), array.t):
+        for symbols in combinations(range(array.v), array.t):
+            got = sum(sorted(row[c] for c in cols) == list(symbols)
+                      for row in array.rows)
+            if got != array.lambda_:
+                return ("ii", cols, symbols), got
+    return None
+
+
 def test_random_single_cell_mutations_invalidate(van_rees):
     rng = random.Random(41)
     for _ in range(40):
@@ -103,6 +115,21 @@ def test_random_single_cell_mutations_invalidate(van_rees):
         report = verify_apa(mutated)
         assert not report.valid
         assert report.failures[0][0][0] in ("i", "ii", "iii")
+        # a changed cell always unbalances some column pair: clause (ii)
+        # reports its first failure, found independently here
+        assert first_clause_ii_failure(mutated) in report.failures
+    # seeded swaps of two cells of one column keep every column's symbols
+    rng = random.Random(43)
+    for _ in range(20):
+        rows = [list(r) for r in van_rees.rows]
+        i, i2 = rng.sample(range(55), 2)
+        j = rng.randrange(3)
+        rows[i][j], rows[i2][j] = rows[i2][j], rows[i][j]
+        mutated = PerpendicularArray(t=2, k=3, v=11, lambda_=1,
+                                     rows=tuple(tuple(r) for r in rows))
+        witness = first_clause_ii_failure(mutated)
+        ii = [f for f in verify_apa(mutated).failures if f[0][0] == "ii"]
+        assert ii == ([witness] if witness else [])
 
 
 def test_structural_rejections():

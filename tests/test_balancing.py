@@ -142,20 +142,20 @@ def test_edge_color_is_deterministic():
 def test_balance_fano(fano_design):
     m = balance(fano_design)
     report = verify_balanced(m)
-    assert report.valid and report.expected == 1
+    assert report.valid and report.inferred_lambda == 1
     assert {tuple(sorted(r)) for r in m.rows} == set(fano_design.blocks)
 
 
 def test_balance_developed_family(z13_df):
     m = balance(develop(z13_df))
     report = verify_balanced(m)
-    assert report.valid and report.expected == 2
+    assert report.valid and report.inferred_lambda == 2
 
 
 def test_balance_complete_design(complete53_design):
     m = balance(complete53_design)
     report = verify_balanced(m)
-    assert report.valid and report.expected == 2
+    assert report.valid and report.inferred_lambda == 2
     assert {tuple(sorted(r)) for r in m.rows} == set(complete53_design.blocks)
 
 
@@ -195,15 +195,17 @@ def test_verify_balanced_witness(fano_design):
     broken = EncodingMatrix(m.v, m.k, (swapped,) + m.rows[1:])
     report = verify_balanced(broken)
     assert not report.valid
-    msg, col, count = report.witness
-    assert count != report.expected
+    (msg, col), count = report.failures[0]
+    assert count != broken.b // broken.v
     assert sum(1 for row in broken.rows if row[col] == msg) == count
 
 
 def test_verify_balanced_indivisible_expected_none():
     m = EncodingMatrix(4, 2, ((0, 1), (1, 2), (2, 3)))
     report = verify_balanced(m)
-    assert not report.valid and report.expected is None
+    assert not report.valid and report.inferred_lambda is None
+    # b/v = 3/4 is no count: every cell fails, message-major from (0, 0)
+    assert report.failures[:3] == (((0, 0), 1), ((0, 1), 0), ((1, 0), 1))
 
 
 # -------------------------------------------------------------------- json

@@ -79,6 +79,17 @@ def test_verify_invalid_cdf(capsys, tmp_path, z13_df):
     assert "valid: false" in out and "witness" in out
 
 
+def test_refused_work_bound_too_long_to_print(capsys, tmp_path):
+    # a v of 4,000 digits loads, but C(v, 2) has about 8,000: the budget
+    # refusal names its bit length and the command exits 3
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"v": 10**4000, "k": 3, "t": 2,
+                                "blocks": [[0, 1, 2]]}))
+    code, out, err = run(capsys, "verify", str(path), "--kind", "design")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bits" in err
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     path = tmp_path / "trunc.json"
     path.write_text('{"v": 13, "lambda"')

@@ -22,10 +22,12 @@ from authdesigns import (
     verify_design,
 )
 from authdesigns.designs import (
+    VerificationReport,
     design_from_json,
     design_to_json,
+    tally_report,
 )
-from authdesigns.fileio import atomic_write_json, load_json
+from authdesigns.fileio import MAX_FAILURES, atomic_write_json, load_json
 
 
 def _random_admissible(rng: random.Random):
@@ -164,6 +166,39 @@ def test_verify_respects_budget():
     with pytest.raises(BudgetError) as exc:
         verify_design(complete_design(12, 4), 4, budget=10)
     assert exc.value.required > exc.value.budget == 10
+
+
+# ------------------------------------------------------------ tally_report
+
+def test_tally_report_partial_coverage_has_no_common_count():
+    # (1,) is never tallied, so it counts 0 and no count is common
+    report = tally_report({(0,): 1, (2,): 1}, [(0,), (1,), (2,)], 3)
+    assert report == VerificationReport(False, None, (((1,), 0),))
+    # a uniform tally over every key is its own target
+    assert tally_report({"a": 2, "b": 2}, "ab", 2) == VerificationReport(True, 2, ())
+
+
+def test_tally_report_targets_the_first_key_without_expected():
+    counts = {"a": 2, "b": 1, "c": 2, "d": 3}
+    assert tally_report(counts, "abcd", 4).failures == (("b", 1), ("d", 3))
+    assert tally_report(counts, "bacd", 4).failures == (("a", 2), ("c", 2), ("d", 3))
+    # a declared target overrides the common count, which is still reported
+    report = tally_report({"a": 2, "b": 2}, "ab", 2, expected=3)
+    assert report == VerificationReport(False, 2, (("a", 2), ("b", 2)))
+
+
+def test_tally_report_caps_failures():
+    report = tally_report({x: 1 for x in range(100)}, range(100), 100, expected=2)
+    assert not report.valid and report.inferred_lambda == 1
+    assert report.failures == tuple((x, 1) for x in range(MAX_FAILURES))
+
+
+def test_require_raises_the_given_class_with_three_failures():
+    report = tally_report({x: 1 for x in range(5)}, range(5), 5, expected=0)
+    with pytest.raises(StructuralError) as exc:
+        report.require(StructuralError, "five ones")
+    assert str(exc.value) == "five ones: ((0, 1), (1, 1), (2, 1))"
+    assert tally_report({0: 1}, range(1), 1).require(DomainError, "fine") is None
 
 
 def test_derived_design_of_complete_is_complete():

@@ -165,7 +165,7 @@ def test_develop_matrix_is_balanced(z13_df, fano_df, biplane_df):
     for df in (z13_df, fano_df, biplane_df, netto_triples(31)):
         report = verify_balanced(develop_matrix(df))
         assert report.valid
-        assert report.expected == df.l
+        assert report.inferred_lambda == df.l
 
 
 # ------------------------------------------------------------------- netto

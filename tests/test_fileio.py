@@ -3,9 +3,9 @@
 
 import pytest
 
-from authdesigns import (BlockDesign, DesignParameters, DifferenceFamily,
-                         DomainError, EncodingMatrix, PerpendicularArray,
-                         StructuralError)
+from authdesigns import (BlockDesign, BudgetError, DesignParameters,
+                         DifferenceFamily, DomainError, EncodingMatrix,
+                         PerpendicularArray, StructuralError)
 from authdesigns.fileio import MAX_FAILURES, check_rows, int_field
 
 # name: (constructor, valid fields, integer fields, row field, error class of
@@ -70,3 +70,61 @@ def test_check_rows_returns_tuples_and_caps_offenders():
     assert exc.value.offenders[0] == (0, (0, 5))
     # an APA row may repeat a symbol; its verifier reports it
     assert check_rows([[1, 1]], 2, "row", distinct=False) == ((1, 1),)
+
+
+# ------------------------------------------------ ints too long to print
+
+BIG = 10**5000      # past the interpreter's int-to-text digit limit
+
+
+def _big_int_refusals():
+    from authdesigns import (SecrecySystem, complete_design,
+                             deception_probability, derived_design, develop,
+                             develop_matrix, lambda_s, netto_triples,
+                             verify_design, voracle_offline_value)
+    from authdesigns.budget import charge
+    from authdesigns.catalog import load_payload
+    from authdesigns.fileio import check_int
+
+    fano = develop(load_payload("fano-cdf"))
+    system = SecrecySystem(develop_matrix(load_payload("fano-cdf")))
+    params = DesignParameters(2, 7, 3, 1)
+    return {
+        "charge": (lambda: charge(BIG, 10), BudgetError),
+        "check_int": (lambda: check_int("v", -BIG, 1), StructuralError),
+        "netto_triples": (lambda: netto_triples(BIG), DomainError),
+        "DesignParameters": (lambda: DesignParameters(2, BIG, BIG + 1, 1),
+                             DomainError),
+        "DesignParameters.b": (lambda: DesignParameters(2, BIG + 1, 3, 1).b,
+                               DomainError),
+        "lambda_s": (lambda: lambda_s(params, BIG), DomainError),
+        "derived_design-x": (lambda: derived_design(fano, BIG), DomainError),
+        "derived_design-t": (lambda: derived_design(fano, 0, -BIG), DomainError),
+        "verify_design": (lambda: verify_design(fano, BIG), DomainError),
+        "complete_design": (lambda: complete_design(3, BIG), DomainError),
+        "deception_probability": (lambda: deception_probability(system, BIG),
+                                  DomainError),
+        "game order": (lambda: voracle_offline_value(system, BIG), DomainError),
+        "PerpendicularArray-rows": (
+            lambda: PerpendicularArray(t=1, k=2, v=BIG, lambda_=1, rows=((0, 1),)),
+            StructuralError),
+        "PerpendicularArray-shape": (
+            lambda: PerpendicularArray(t=3, k=2, v=BIG, lambda_=1, rows=((0, 1),)),
+            StructuralError),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_big_int_refusals()))
+def test_refusals_name_an_int_too_long_to_print(site):
+    # the refusal states the int's bit length instead of raising the
+    # interpreter's ValueError from inside its own message
+    call, error = _big_int_refusals()[site]
+    with pytest.raises(error) as exc:
+        call()
+    assert "bits" in str(exc.value)
+
+
+def test_show_int_prints_ints_in_decimal():
+    from authdesigns.fileio import show_int
+    assert show_int(-12) == "-12" and show_int(3.5) == "3.5"
+    assert show_int(BIG) == f"an int of {BIG.bit_length()} bits"
