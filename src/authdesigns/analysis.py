@@ -14,8 +14,9 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
 * verification-oracle games — the opponent adaptively queries accept/reject
   (offline: all queries first, then one spoof; online: wins on first
   acceptance).  In both games only the all-reject path continues, so each
-  value has a closed form over the per-message key bitmasks: the best
-  single message offline, the best coverage by i+1 messages online.
+  value has a closed form: offline, max_m r_m / b at every order, r_m the
+  keys holding message m, which is also order 0 of the other two models;
+  online, the best coverage of keys by i+1 messages.
 
 Cyclic-orbit reduction: when x ↦ x+1 mod v maps every key set onto a key
 set (`SecrecySystem.translation_invariant`, true of every development of a
@@ -69,11 +70,17 @@ class SecrecySystem:
     @cached_property
     def translation_invariant(self) -> bool:
         """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
-        permutes the keys, rows being distinct sets): at most b·k shifted
-        messages, stopping at the first miss."""
-        v, rows = self.v, self.matrix.rows
-        keys = {frozenset(row) for row in rows}
-        return all(frozenset((m + 1) % v for m in row) in keys for row in rows)
+        permutes the keys, rows being distinct sets).  A key is the v-bit
+        int that sums its messages' bits, and x ↦ x+1 rotates it by one."""
+        v, full = self.v, (1 << self.v) - 1
+        bits = list(map((1).__lshift__, range(v)))
+        keys = set(map(sum, map(map, repeat(bits.__getitem__), self.matrix.rows)))
+        return all((x << 1) & full | x >> (v - 1) in keys for x in keys)
+
+    @cached_property
+    def replication(self) -> int:
+        """max_m r_m, the most keys that hold one message."""
+        return max(Counter(chain.from_iterable(self.matrix.rows)).values())
 
     @cached_property
     def message_masks(self) -> tuple:
@@ -107,12 +114,23 @@ def deception_bound(v: int, k: int, i: int) -> Fraction:
 
 def _anchor(system: SecrecySystem, i: int, budget: Optional[int]) -> tuple:
     """(0,) if the order-i loops may run only through message 0, else ();
-    at i ≥ 1 the translation check is charged b·k before it runs."""
+    at i ≥ 1 the translation check is charged v + b·(k+2) before it runs:
+    v bits, then a step per message added, key stored and key rotated."""
     if i < 1:
         return ()
-    charge(system.b * system.k, budget,
+    charge(system.v + system.b * (system.k + 2), budget,
            what=f"translation check over {system.b} keys")
     return (0,) if system.translation_invariant else ()
+
+
+def _order_zero(system: SecrecySystem, budget: Optional[int],
+                what: str) -> Fraction:
+    """max_m r_m / b, r_m the keys holding message m: order 0 of all three
+    models and the offline game at every order.  Charge, one step per
+    message counted and per distinct message compared: b·k + min(v, b·k)."""
+    bk = system.b * system.k
+    charge(bk + min(system.v, bk), budget, what=what)
+    return Fraction(system.replication, system.b)
 
 
 def deception_probability(system: SecrecySystem, i: int,
@@ -135,7 +153,8 @@ def deception_probability(system: SecrecySystem, i: int,
     So only the i-sets are tallied, and the keys of the few shared O are
     gathered in a second pass; best(O) is then the largest multiplicity,
     in those keys, of a message outside O.  On a λ = 1 system at i ≥ 2
-    nothing is shared and the order is one count.
+    nothing is shared and the order is one count.  At i = 0 the one O is
+    ∅ and best(∅) = max_m r_m, from `_order_zero`.
 
     Anchored (module docstring), best(O+1) = best(O): the same loop runs on
     the tails of the keys through 0 (0 removed) with j = i-1, so it sees
@@ -150,19 +169,21 @@ def deception_probability(system: SecrecySystem, i: int,
     N membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A
     shared O counts cnt(O)·(k-a) messages, then deletes its j and
     compares what is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in
-    all.  With the b·k check at i ≥ 1, the whole is at most
-    [i ≥ 1]·b·k + b + N·(2·(k-a) + 4).
+    all.  With the v + b·(k+2) check, the whole is at most
+    v + b·(k+3) + N·(2·(k-a) + 4) at i ≥ 1.
     """
     check_int("attack order", i, error=DomainError)
     if not (0 <= i < system.k):
         raise DomainError(
             f"attack order must satisfy 0 <= i < k={system.k}, got {show_int(i)}")
     b, k, v = system.b, system.k, system.v
+    if i == 0:
+        return _order_zero(system, budget, f"order-0 spoofing tally over {b} keys")
     anchor = _anchor(system, i, budget)
     a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
     pairs = n * math.comb(k - a, j)
-    charge((b * k if i else 0) + b + pairs * (2 * (k - a) + 4),
+    charge(v + b * (k + 3) + pairs * (2 * (k - a) + 4),
            budget, what=f"order-{i} spoofing tally over {n} keys")
     tails = [sorted(row)[a:] for row in system.matrix.rows
              if not anchor or 0 in row]
@@ -200,18 +221,15 @@ def voracle_offline_value(system: SecrecySystem, i: int,
 
     An accepted probe is already a deception of the online kind and ends
     the experiment, so the opponent wins only if every probe is rejected
-    and the final spoof m accepted.  Those keys lie inside mask_m, and
-    withholding all probes wins on all of mask_m; at every order
+    and the final spoof m accepted.  Those keys all hold m, and withholding
+    all probes wins on every key that holds m; at every order
 
-        value = max_m |{e : m ∈ M(e)}| / b.
+        value = max_m r_m / b,  r_m = |{e : m ∈ M(e)}|,
 
-    Charge: b·k to build the masks plus v popcounts.
+    the order-0 value of the other two models (`_order_zero`).
     """
     _check_game_order(system, i)
-    charge(system.b * system.k + system.v, budget,
-           what=f"offline oracle game of order {i}")
-    best = max(mask.bit_count() for mask in system.message_masks)
-    return Fraction(best, system.b)
+    return _order_zero(system, budget, f"offline oracle game of order {i}")
 
 
 def voracle_online_value(system: SecrecySystem, i: int,
@@ -225,22 +243,25 @@ def voracle_online_value(system: SecrecySystem, i: int,
 
         value = max over (i+1)-sets S of |⋃_{m∈S} mask_m| / b.
 
-    Each set is its i smallest messages (the prefix) plus a larger one; the
+    At i = 0 that is max_m r_m / b (`_order_zero`).  Otherwise
+    each set is its i smallest messages (the prefix) plus a larger one; the
     union of a prefix is formed once and shared by all its extensions.
     Anchored, S+1 covers as many keys as S and every S has a translate
     through 0, so only prefixes starting with 0 run: C(v-1, i) sets.
 
-    Charge, one step per OR or popcount, with a = |anchor|: b·k for the
-    masks and b·k for the check at i ≥ 1; i ORs for each of the
+    Charge at i ≥ 1, one step per OR or popcount, with a = |anchor|: b·k
+    for the masks and v + b·(k+2) for the check; i ORs for each of the
     C(v-1-a, i-a) prefixes with an extension (largest message at most v-2);
     an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
-    [i ≥ 1]·b·k + b·k + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
+    v + 2·b·(k+1) + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
     """
     _check_game_order(system, i)
+    if i == 0:
+        return _order_zero(system, budget, "online oracle game of order 0")
     v = system.v
     anchor = _anchor(system, i, budget)
     a = len(anchor)
-    charge(system.b * system.k * (2 if i else 1)
+    charge(v + 2 * system.b * (system.k + 1)
            + i * math.comb(v - 1 - a, i - a) + 2 * math.comb(v - a, i + 1 - a),
            budget, what=f"online oracle game of order {i}")
     masks = system.message_masks
@@ -250,7 +271,7 @@ def voracle_online_value(system: SecrecySystem, i: int,
         union = 0
         for m in prefix:
             union |= masks[m]
-        for mask in masks[prefix[-1] + 1 if prefix else 0:]:
+        for mask in masks[prefix[-1] + 1:]:
             covered = (union | mask).bit_count()
             if covered > best:
                 best = covered

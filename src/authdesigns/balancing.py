@@ -12,12 +12,13 @@ matrix a perfect-secrecy encoding matrix under equiprobable keys.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Optional
 
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import MAX_FAILURES, check_int, check_rows, int_field, int_rows
+from .fileio import check_int, check_rows, int_field, int_rows
 from .record import record
 
 
@@ -41,14 +42,14 @@ class EncodingMatrix:
         check_int("v", self.v, 1)
         check_int("k", self.k, 1)
         rows = check_rows(self.rows, self.v, "row", size=self.k)
-        seen = {}
-        for idx, row in enumerate(rows):
-            key = frozenset(row)
-            if key in seen:
-                raise StructuralError(
-                    "two rows carry the same message set",
-                    offenders=[(seen[key], idx, tuple(sorted(key)))])
-            seen[key] = idx
+        if len(set(map(frozenset, rows))) != len(rows):
+            seen = {}   # name the first repeated set
+            for idx, key in enumerate(map(frozenset, rows)):
+                if key in seen:
+                    raise StructuralError(
+                        "two rows carry the same message set",
+                        offenders=[(seen[key], idx, tuple(sorted(key)))])
+                seen[key] = idx
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -58,11 +59,9 @@ class EncodingMatrix:
     def column_counts(self) -> tuple:
         """counts[m][col] = rows holding message m in column col; the one
         tally behind both the balance and the secrecy checks."""
-        counts = [[0] * self.k for _ in range(self.v)]
-        for row in self.rows:
-            for col, m in enumerate(row):
-                counts[m][col] += 1
-        return tuple(tuple(r) for r in counts)
+        columns = map(Counter, zip(*self.rows))
+        return tuple(zip(*(map(c.get, range(self.v), repeat(0))
+                           for c in columns)))
 
 
 @record
@@ -113,12 +112,13 @@ def split_points(design: BlockDesign) -> SplitGraph:
     for j, block in enumerate(design.blocks):
         for x in block:
             incidences[x].append(j)
-    bad = [(x, len(incidences[x])) for x in range(v)
-           if len(incidences[x]) != k * copies]
-    if bad:
+    from .designs import tally_report
+    report = tally_report(dict(enumerate(map(len, incidences))), range(v), v,
+                          k * copies)
+    if not report.valid:
         raise StructuralError(
             f"point replication must be uniform r = k*b/v = {k * copies}",
-            offenders=bad[:MAX_FAILURES])
+            offenders=report.failures)
     left_labels = tuple((x, c) for x in range(v) for c in range(copies))
     edges = []
     for x in range(v):
@@ -205,30 +205,15 @@ def balance(design: BlockDesign) -> EncodingMatrix:
     return EncodingMatrix(v=design.v, k=design.k, rows=tuple(tuple(r) for r in rows))
 
 
-class _CellCounts:
-    """`column_counts` as the (message, column) -> count map, uncopied."""
-
-    def __init__(self, counts, k):
-        self.counts, self.size = counts, len(counts) * k
-
-    def __len__(self):
-        return self.size
-
-    def values(self):
-        return chain.from_iterable(self.counts)
-
-    def get(self, key, default=0):
-        return self.counts[key[0]][key[1]]
-
-
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
     """Valid iff every message appears exactly b/v times in every column;
     failures are ((message, column), count), message-major.  When v does
     not divide b, every cell misses the target b/v and the report is invalid."""
     from .designs import tally_report   # not at import: `attack` skips designs
     v, k = matrix.v, matrix.k
-    return tally_report(_CellCounts(matrix.column_counts(), k),
-                        product(range(v), range(k)), v * k, Fraction(matrix.b, v))
+    cells = dict(zip(product(range(v), range(k)),
+                     chain.from_iterable(matrix.column_counts())))
+    return tally_report(cells, cells, v * k, Fraction(matrix.b, v))
 
 
 # ---------------------------------------------------------------------------

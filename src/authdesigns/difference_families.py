@@ -12,7 +12,7 @@ each orbit runs through a full residue cycle.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import chain, permutations
 
 from .designs import BlockDesign, VerificationReport, tally_report
 from .errors import ConstructionError, DomainError, StructuralError
@@ -63,6 +63,12 @@ def verify_df(df: DifferenceFamily) -> VerificationReport:
     return tally_report(counts, range(1, df.v), df.v - 1, df.lambda_)
 
 
+def _orbit_canon(block, v: int) -> tuple:
+    """The least sorted translate of `block` over Z_v: it starts with 0, so
+    it is B - y for some y in B, and k translates are tried, not v."""
+    return min(tuple(sorted((x - y) % v for x in block)) for y in block)
+
+
 def _reject_short_orbits(df: DifferenceFamily):
     """A base block whose translate by some g != 0 is itself has an orbit
     shorter than v; development would produce repeated blocks and b < l*v.
@@ -81,8 +87,7 @@ def _reject_short_orbits(df: DifferenceFamily):
     # distinct base blocks sharing one orbit also collapse the development
     seen = {}
     for idx, block in enumerate(df.base_blocks):
-        canon = min(tuple(sorted((x + g) % df.v for x in block))
-                    for g in range(df.v))
+        canon = _orbit_canon(block, df.v)
         if canon in seen:
             raise DomainError(
                 f"base blocks {df.base_blocks[seen[canon]]} and {block} "
@@ -90,25 +95,27 @@ def _reject_short_orbits(df: DifferenceFamily):
         seen[canon] = idx
 
 
+def _translates(df: DifferenceFamily) -> tuple:
+    """Rows (d_1+g, ..., d_k+g) mod v, g = 0..v-1, base-block-major."""
+    _reject_short_orbits(df)
+    return tuple(chain.from_iterable(   # one residue cycle per column
+        zip(*(chain(range(d, df.v), range(d)) for d in block))
+        for block in df.base_blocks))
+
+
 def develop(df: DifferenceFamily) -> BlockDesign:
     """All l*v translates D_i + g as a canonical BlockDesign (a 2-(v,k,lambda)
     design whenever verify_df passes)."""
-    _reject_short_orbits(df)
-    blocks = [tuple(sorted((x + g) % df.v for x in block))
-              for block in df.base_blocks for g in range(df.v)]
-    return BlockDesign(v=df.v, blocks=tuple(blocks))
+    return BlockDesign(v=df.v, blocks=_translates(df))
 
 
 def develop_matrix(df: DifferenceFamily) -> EncodingMatrix:
-    """The fast path: rows (d_1+g, ..., d_k+g) for each base block and each
-    g = 0..v-1, base-block-major.  Coordinate order is preserved, and each
-    column of each orbit is a full residue cycle, so every message appears
-    exactly l times per column — already balanced, no coloring needed."""
+    """The fast path: the translates in coordinate order, base-block-major.
+    Each column of each orbit is a full residue cycle, so every message
+    appears exactly l times per column — already balanced, no coloring
+    needed."""
     from .balancing import EncodingMatrix
-    _reject_short_orbits(df)
-    rows = [tuple((x + g) % df.v for x in block)
-            for block in df.base_blocks for g in range(df.v)]
-    return EncodingMatrix(v=df.v, k=df.k, rows=tuple(rows))
+    return EncodingMatrix(v=df.v, k=df.k, rows=_translates(df))
 
 
 # ---------------------------------------------------------------------------

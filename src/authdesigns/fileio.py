@@ -13,6 +13,7 @@ It also holds the one integer check (`check_int`) and the one row check
 import json
 import os
 import tempfile
+from itertools import chain
 
 from .errors import StructuralError
 
@@ -100,6 +101,12 @@ def check_rows(rows, v, what, size=None, distinct=True):
     require(rows, f"need at least one {what}")
     if size is None:
         size = len(rows[0])
+    # builtins decide; the row scan names offenders or passes int subclasses
+    flat = chain.from_iterable
+    if (set(map(len, rows)) == {size} and set(map(type, flat(rows))) <= {int}
+            and min(flat(rows), default=0) >= 0 and max(flat(rows), default=-1) < v
+            and (not distinct or set(map(len, map(set, rows))) == {size})):
+        return rows
     bad = [(idx, row) for idx, row in enumerate(rows)
            if len(row) != size
            or not all(isinstance(x, int) and not isinstance(x, bool)

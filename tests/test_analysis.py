@@ -8,8 +8,9 @@ systems.
 
 import random
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -571,6 +572,58 @@ def test_translation_check_counterexamples(fano_system):
             assert voracle_online_value(system, i) == naive_online(matrix, i)
 
 
+def frozenset_translation_check(matrix):
+    """x ↦ x+1 mod v on key sets, the oracle of the bitmask check."""
+    keys = {frozenset(row) for row in matrix.rows}
+    return all(frozenset((m + 1) % matrix.v for m in key) in keys
+               for key in keys)
+
+
+def affine_images(matrix, seed):
+    """The matrix under seeded maps x ↦ u·x + s mod v, gcd(u, v) = 1; a
+    translation-invariant matrix stays so."""
+    rng = random.Random(seed)
+    v = matrix.v
+    units = [u for u in range(1, v) if gcd(u, v) == 1] or [1]
+    for _ in range(3):
+        u, shift = rng.choice(units), rng.randrange(v)
+        yield EncodingMatrix(v, matrix.k, tuple(
+            tuple((u * m + shift) % v for m in row) for row in matrix.rows))
+
+
+def test_translation_check_matches_frozenset_oracle():
+    cases = [EncodingMatrix(1, 1, ((0,),)), EncodingMatrix(2, 1, ((0,), (1,))),
+             EncodingMatrix(2, 1, ((1,),)), EncodingMatrix(2, 2, ((1, 0),)),
+             *SHORT_ORBITS, *random_small_systems(61, 40)]
+    for seed, (_, matrix) in enumerate(catalog_developments()):
+        for image in affine_images(matrix, seed):
+            cases += [image, relabelled(image, seed),
+                      EncodingMatrix(image.v, image.k, image.rows[1:])]
+    verdicts = Counter()
+    for matrix in cases:
+        verdict = SecrecySystem(matrix).translation_invariant
+        assert verdict == frozenset_translation_check(matrix), matrix
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
+
+
+def test_order_zero_agrees_across_models():
+    # max_m r_m / b: spoofing, the online game at order 0 and the offline
+    # game at every order, on unbalanced and mutated matrices
+    rng = random.Random(67)
+    cases = [*random_unbalanced_matrices(71), *random_small_systems(73, 10)]
+    for name, matrix in catalog_developments():
+        if matrix.b <= 100:
+            cases.append(mutate_entry(rng, matrix)[0])
+    for matrix in cases:
+        system = SecrecySystem(matrix)
+        value = deception_probability(system, 0)
+        assert value == naive_deception(matrix, 0) == voracle_online_value(
+            system, 0), matrix
+        for i in range(min(3, matrix.v)):
+            assert voracle_offline_value(system, i) == value
+
+
 def test_cyclic_reduction_matches_naive():
     small = [m for _, m in catalog_developments() if m.b * m.v <= 1100]
     assert len(small) >= 6
@@ -612,22 +665,32 @@ def test_budget_errors(z13_system):
         assert exc.value.required > 5
 
 
+def order_zero_charge(b, k, v):
+    """The documented charge of order 0 in every model, and of the offline
+    game at every order: one count of the b·k entries."""
+    return b * k + min(v, b * k)
+
+
 def deception_charge(b, k, v, i, anchored):
     """The documented charge of `deception_probability`."""
+    if i == 0:
+        return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
     n, j = (b * k // v if anchored else b), i - a
-    return (b * k if i else 0) + b + n * comb(k - a, j) * (2 * (k - a) + 4)
+    return v + b * (k + 3) + n * comb(k - a, j) * (2 * (k - a) + 4)
 
 
 def online_charge(b, k, v, i, anchored):
     """The documented charge of `voracle_online_value`."""
+    if i == 0:
+        return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
-    return (b * k * (2 if i else 1) + i * comb(v - 1 - a, i - a)
+    return (v + 2 * b * (k + 1) + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
 
 
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check is charged b·k before it runs; past it, the
+    # the translation check is charged v + b·(k+2) before it runs; past it, the
     # whole call is charged for the path the check selects
     b, k, v = z13_system.b, z13_system.k, z13_system.v
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
@@ -637,13 +700,18 @@ def test_budget_charges_on_both_paths(z13_system):
             for i in (1, 2):
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=5)
-                assert exc.value.required == b * k
+                assert exc.value.required == v + b * (k + 2)
                 with pytest.raises(BudgetError) as exc:
-                    fn(system, i, budget=b * k)
+                    fn(system, i, budget=v + b * (k + 2))
                 assert exc.value.required == documented(b, k, v, i, anchored)
         with pytest.raises(BudgetError) as exc:
             fn(z13_system, 0, budget=5)
         assert exc.value.required == documented(b, k, v, 0, False)
+    for i in (0, 1, 2):
+        with pytest.raises(BudgetError) as exc:
+            voracle_offline_value(z13_system, i, budget=5)
+        assert exc.value.required == order_zero_charge(b, k, v)
     # anchored, the order-1 tally reads 6 keys through 0 instead of 26
-    assert deception_charge(b, k, v, 1, True) == 152
-    assert deception_charge(b, k, v, 1, False) == 884
+    assert deception_charge(b, k, v, 1, True) == 217
+    assert deception_charge(b, k, v, 1, False) == 949
+    assert order_zero_charge(b, k, v) == 91

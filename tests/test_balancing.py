@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -58,6 +59,21 @@ def test_unbalanced_matrices_are_representable():
     assert not report.valid
 
 
+def test_column_counts_match_a_cell_by_cell_count():
+    rng = random.Random(83)
+    for _ in range(40):
+        v = rng.randint(1, 9)
+        k = rng.randint(1, v)
+        pool = list(combinations(range(v), k))
+        rows = tuple(tuple(rng.sample(row, k))
+                     for row in rng.sample(pool, rng.randint(1, min(9, len(pool)))))
+        counts = [[0] * k for _ in range(v)]
+        for row in rows:
+            for col, m in enumerate(row):
+                counts[m][col] += 1
+        assert EncodingMatrix(v, k, rows).column_counts() == tuple(map(tuple, counts))
+
+
 # ------------------------------------------------------------- splitting
 
 def test_split_fano(fano_design):
@@ -83,6 +99,19 @@ def test_split_refuses_indivisible():
     with pytest.raises(DomainError) as exc:
         split_points(affine)
     assert "v | b" in str(exc.value) or "divid" in str(exc.value)
+
+
+def test_split_refuses_uneven_replication():
+    # v | b, yet the points lie in 3, 2, 2 and 1 blocks against r = 2
+    with pytest.raises(StructuralError) as exc:
+        split_points(BlockDesign(4, ((0, 1), (0, 2), (0, 3), (1, 2))))
+    assert str(exc.value) == "point replication must be uniform r = k*b/v = 2"
+    assert exc.value.offenders == [(0, 3), (3, 1)]
+    # 0 lies in 39 blocks and 1, 2 in r = 2; the rest fail, capped
+    star = BlockDesign(40, tuple((0, x) for x in range(1, 40)) + ((1, 2),))
+    with pytest.raises(StructuralError) as exc:
+        split_points(star)
+    assert exc.value.offenders == [(0, 39)] + [(x, 1) for x in range(3, 34)]
 
 
 # ---------------------------------------------------------------- coloring

@@ -9,6 +9,7 @@ import pytest
 
 from authdesigns import (
     DifferenceFamily,
+    catalog,
     DomainError,
     StructuralError,
     develop,
@@ -19,6 +20,7 @@ from authdesigns import (
     verify_df,
 )
 from authdesigns.difference_families import (
+    _orbit_canon,
     df_from_json,
     df_to_json,
     is_prime,
@@ -146,7 +148,73 @@ def test_develop_rejects_same_orbit_duplicates():
     assert "orbit" in str(exc.value)
 
 
+def v_translate_canon(block, v):
+    """The least sorted translate over all v shifts: the oracle of
+    `_orbit_canon`, which tries only the k translates through 0."""
+    return min(tuple(sorted((x + g) % v for x in block)) for g in range(v))
+
+
+def test_orbit_canon_matches_all_translates():
+    # the Z_6 / Z_8 short orbits (lengths 3; 2, 4 and 8), then random blocks
+    cases = [((0, 3), 6), ((0, 1), 6), ((0, 2, 4, 6), 8), ((0, 1, 4, 5), 8),
+             ((0, 1, 2, 3), 8), ((3,), 5), ((4, 0, 2, 3, 1), 5)]
+    rng = random.Random(29)
+    for _ in range(2000):
+        v = rng.randint(2, 24)
+        cases.append((tuple(rng.sample(range(v), rng.randint(1, v))), v))
+    for block, v in cases:
+        assert _orbit_canon(block, v) == v_translate_canon(block, v), (block, v)
+
+
+def test_same_orbit_refusals_match_all_translates():
+    # random blocks mixed with shuffled translates of earlier ones: the
+    # development is refused at the first pair the v-translate canon joins
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(500):
+        v, blocks = rng.randint(3, 16), []
+        k = rng.randint(2, v - 1)
+        for _ in range(rng.randint(1, 4)):
+            if blocks and rng.random() < 0.4:
+                g = rng.randrange(v)
+                block = [(x + g) % v for x in rng.choice(blocks)]
+                rng.shuffle(block)
+            else:
+                block = rng.sample(range(v), k)
+            blocks.append(tuple(block))
+        if any(len({frozenset((x + g) % v for x in B) for g in range(v)}) < v
+               for B in blocks):
+            continue            # a short orbit is refused before this check
+        seen, pair = {}, None
+        for block in blocks:
+            canon = v_translate_canon(block, v)
+            if canon in seen:
+                pair = (seen[canon], block)
+                break
+            seen[canon] = block
+        df = DifferenceFamily(v, 1, tuple(blocks))
+        if pair is None:
+            assert develop_matrix(df).b == len(blocks) * v
+        else:
+            with pytest.raises(DomainError) as exc:
+                develop_matrix(df)
+            assert str(exc.value) == (f"base blocks {pair[0]} and {pair[1]} "
+                                      "lie in the same translation orbit")
+        outcomes[pair is None] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
 # ------------------------------------------------------------ matrix path
+
+def test_develop_matrix_rows_are_the_translates():
+    for name in catalog.buildable_names():
+        if catalog.get(name).kind != "cdf":
+            continue
+        df = catalog.load_payload(name)
+        translates = tuple(tuple((x + g) % df.v for x in block)
+                           for block in df.base_blocks for g in range(df.v))
+        assert develop_matrix(df).rows == translates, name
+        assert develop(df).blocks == tuple(sorted(map(tuple, map(sorted, translates))))
 
 def test_develop_matrix_reproduces_published_table(z13_df):
     matrix = develop_matrix(z13_df)

@@ -1,6 +1,10 @@
 """The one integer check and the one row check (`fileio.check_int`,
 `fileio.check_rows`) behind every record and every JSON field."""
 
+import random
+from enum import IntEnum
+from itertools import combinations
+
 import pytest
 
 from authdesigns import (BlockDesign, BudgetError, DesignParameters,
@@ -70,6 +74,120 @@ def test_check_rows_returns_tuples_and_caps_offenders():
     assert exc.value.offenders[0] == (0, (0, 5))
     # an APA row may repeat a symbol; its verifier reports it
     assert check_rows([[1, 1]], 2, "row", distinct=False) == ((1, 1),)
+
+
+# ----------------------------------- the builtin verdict vs the row scan
+
+def scan_rows(rows, v, size=None, distinct=True):
+    """The per-row scan, as the oracle of `check_rows`: every offending
+    (index, row) pair, uncapped."""
+    rows = [tuple(row) for row in rows]
+    size = len(rows[0]) if size is None else size
+    return [(idx, row) for idx, row in enumerate(rows)
+            if len(row) != size
+            or not all(type(x) is not bool and isinstance(x, int) and 0 <= x < v
+                       for x in row)
+            or distinct and len(set(row)) != size]
+
+
+def first_repeated_set(rows):
+    seen = {}
+    for idx, row in enumerate(rows):
+        if frozenset(row) in seen:
+            return [(seen[frozenset(row)], idx, tuple(sorted(row)))]
+        seen[frozenset(row)] = idx
+    return None
+
+
+def _mutate(rng, rows, v, kind):
+    rows = [list(row) for row in rows]
+    filled = [row for row in rows if row]
+    if not filled:
+        return rows
+    row = rng.choice(filled)
+    c = rng.randrange(len(row))
+    if kind == "bool":
+        row[c] = rng.choice((True, False))
+    elif kind == "IntEnum":
+        row[c] = IntEnum("Message", [(f"m{x}", x) for x in range(v)])(
+            rng.randrange(v))
+    elif kind == "negative":
+        row[c] = -rng.randint(1, 3)
+    elif kind == "too large":
+        row[c] = v + rng.randrange(3)
+    elif kind == "float":
+        row[c] = float(row[c])
+    elif kind == "wrong length":
+        row.append(row[0]) if rng.random() < 0.5 else row.pop()
+    elif kind == "repeated entry" and len(row) > 1:
+        row[c] = row[c - 1]
+    elif kind == "duplicate row set":
+        rows.insert(rng.randrange(len(rows) + 1), rng.sample(row, len(row)))
+    return rows
+
+
+MUTANTS = ("bool", "IntEnum", "negative", "too large", "float", "wrong length",
+           "repeated entry", "duplicate row set")
+
+
+def seeded_mutants(seed, count):
+    """(v, k, rows) of random matrices with up to three seeded mutations,
+    plus the empty input."""
+    rng = random.Random(seed)
+    out = [(3, 2, [])]
+    for _ in range(count):
+        v = rng.randint(1, 9)
+        k = rng.randint(1, v)
+        pool = list(combinations(range(v), k))
+        rows = [rng.sample(row, k)
+                for row in rng.sample(pool, rng.randint(1, min(8, len(pool))))]
+        for kind in rng.sample(MUTANTS, rng.randint(0, 3)):
+            rows = _mutate(rng, rows, v, kind)
+        out.append((v, k, rows))
+    return out
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except StructuralError as exc:
+        return str(exc), exc.offenders
+
+
+def test_check_rows_verdicts_match_the_row_scan():
+    for v, k, rows in seeded_mutants(53, 600):
+        for size, distinct in ((None, True), (k, True), (k, False)):
+            entries = "distinct integers" if distinct else "integers"
+            if not rows:
+                expected = ("need at least one row", [])
+            elif bad := scan_rows(rows, v, size, distinct):
+                expected = (f"each row must hold {size or len(rows[0])} "
+                            f"{entries} in [0, v)", bad[:MAX_FAILURES])
+            else:
+                expected = ("ok", tuple(map(tuple, rows)))
+            got = _outcome(lambda: check_rows(rows, v, "row", size, distinct))
+            assert got == expected, (v, k, rows, size, distinct)
+
+
+def test_encoding_matrix_verdicts_match_the_row_scan():
+    kinds = {"ok": 0, "rows": 0, "sets": 0, "IntEnum": 0}
+    for v, k, rows in seeded_mutants(59, 600):
+        got = _outcome(lambda: EncodingMatrix(v, k, rows))
+        if rows and scan_rows(rows, v, k):
+            assert got == (f"each row must hold {k} distinct integers in [0, v)",
+                           scan_rows(rows, v, k)[:MAX_FAILURES])
+            kinds["rows"] += 1
+        elif rows and first_repeated_set(rows):
+            assert got == ("two rows carry the same message set",
+                           first_repeated_set(rows))
+            kinds["sets"] += 1
+        elif rows:
+            assert got[0] == "ok" and got[1].rows == tuple(map(tuple, rows))
+            kinds["ok"] += 1
+            # an IntEnum message is an int and stays accepted
+            kinds["IntEnum"] += any(isinstance(x, IntEnum) for row in rows
+                                    for x in row)
+    assert min(kinds.values()) >= 20, kinds
 
 
 # ------------------------------------------------ ints too long to print
