@@ -7,8 +7,8 @@ systems.
 """
 
 import random
-from fractions import Fraction
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
@@ -612,7 +612,7 @@ def test_order_zero_agrees_across_models():
     # game at every order, on unbalanced and mutated matrices
     rng = random.Random(67)
     cases = [*random_unbalanced_matrices(71), *random_small_systems(73, 10)]
-    for name, matrix in catalog_developments():
+    for _, matrix in catalog_developments():
         if matrix.b <= 100:
             cases.append(mutate_entry(rng, matrix)[0])
     for matrix in cases:

@@ -117,8 +117,10 @@ def _mutate(rng, rows, v, kind):
         row[c] = v + rng.randrange(3)
     elif kind == "float":
         row[c] = float(row[c])
+    elif kind == "wrong length" and rng.random() < 0.5:
+        row.append(row[0])
     elif kind == "wrong length":
-        row.append(row[0]) if rng.random() < 0.5 else row.pop()
+        row.pop()
     elif kind == "repeated entry" and len(row) > 1:
         row[c] = row[c - 1]
     elif kind == "duplicate row set":
@@ -173,15 +175,17 @@ def test_encoding_matrix_verdicts_match_the_row_scan():
     kinds = {"ok": 0, "rows": 0, "sets": 0, "IntEnum": 0}
     for v, k, rows in seeded_mutants(59, 600):
         got = _outcome(lambda: EncodingMatrix(v, k, rows))
-        if rows and scan_rows(rows, v, k):
+        if not rows:
+            assert got == ("need at least one row", [])
+        elif scan_rows(rows, v, k):
             assert got == (f"each row must hold {k} distinct integers in [0, v)",
                            scan_rows(rows, v, k)[:MAX_FAILURES])
             kinds["rows"] += 1
-        elif rows and first_repeated_set(rows):
+        elif first_repeated_set(rows):
             assert got == ("two rows carry the same message set",
                            first_repeated_set(rows))
             kinds["sets"] += 1
-        elif rows:
+        else:
             assert got[0] == "ok" and got[1].rows == tuple(map(tuple, rows))
             kinds["ok"] += 1
             # an IntEnum message is an int and stays accepted
