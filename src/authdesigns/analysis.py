@@ -70,12 +70,13 @@ class SecrecySystem:
     @cached_property
     def translation_invariant(self) -> bool:
         """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
-        permutes the keys, rows being distinct sets).  A key is the v-bit
-        int that sums its messages' bits, and x ↦ x+1 rotates it by one."""
-        v, full = self.v, (1 << self.v) - 1
-        bits = list(map((1).__lshift__, range(v)))
-        keys = set(map(sum, map(map, repeat(bits.__getitem__), self.matrix.rows)))
-        return all((x << 1) & full | x >> (v - 1) in keys for x in keys)
+        permutes the keys, rows being distinct sets), stopping at the first
+        miss.  Keys are frozensets and their messages step through a table
+        of x+1 mod v, so time and memory grow as v + b·k."""
+        rows, step = self.matrix.rows, [*range(1, self.v), 0]
+        keys = set(map(frozenset, rows))
+        return all(map(keys.__contains__, map(frozenset, map(
+            map, repeat(step.__getitem__), rows))))
 
     @cached_property
     def replication(self) -> int:
@@ -113,12 +114,11 @@ def deception_bound(v: int, k: int, i: int) -> Fraction:
 
 
 def _anchor(system: SecrecySystem, i: int, budget: Optional[int]) -> tuple:
-    """(0,) if the order-i loops may run only through message 0, else ();
-    at i ≥ 1 the translation check is charged v + b·(k+2) before it runs:
-    v bits, then a step per message added, key stored and key rotated."""
-    if i < 1:
-        return ()
-    charge(system.v + system.b * (system.k + 2), budget,
+    """(0,) if the order-i loops, i ≥ 1, may run only through message 0,
+    else ().  The translation check is charged v + 2·b·(k+1) before it
+    runs: v table entries, then for each key k messages set and the key
+    stored, and k messages stepped and set and the image looked up."""
+    charge(system.v + 2 * system.b * (system.k + 1), budget,
            what=f"translation check over {system.b} keys")
     return (0,) if system.translation_invariant else ()
 
@@ -169,8 +169,8 @@ def deception_probability(system: SecrecySystem, i: int,
     N membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A
     shared O counts cnt(O)·(k-a) messages, then deletes its j and
     compares what is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in
-    all.  With the v + b·(k+2) check, the whole is at most
-    v + b·(k+3) + N·(2·(k-a) + 4) at i ≥ 1.
+    all.  With the v + 2·b·(k+1) check, the whole is at most
+    v + b·(2k+3) + N·(2·(k-a) + 4) at i ≥ 1.
     """
     check_int("attack order", i, error=DomainError)
     if not (0 <= i < system.k):
@@ -183,7 +183,7 @@ def deception_probability(system: SecrecySystem, i: int,
     a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
     pairs = n * math.comb(k - a, j)
-    charge(v + b * (k + 3) + pairs * (2 * (k - a) + 4),
+    charge(v + b * (2 * k + 3) + pairs * (2 * (k - a) + 4),
            budget, what=f"order-{i} spoofing tally over {n} keys")
     tails = [sorted(row)[a:] for row in system.matrix.rows
              if not anchor or 0 in row]
@@ -250,10 +250,10 @@ def voracle_online_value(system: SecrecySystem, i: int,
     through 0, so only prefixes starting with 0 run: C(v-1, i) sets.
 
     Charge at i ≥ 1, one step per OR or popcount, with a = |anchor|: b·k
-    for the masks and v + b·(k+2) for the check; i ORs for each of the
+    for the masks and v + 2·b·(k+1) for the check; i ORs for each of the
     C(v-1-a, i-a) prefixes with an extension (largest message at most v-2);
     an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
-    v + 2·b·(k+1) + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
+    v + b·(3k+2) + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
     """
     _check_game_order(system, i)
     if i == 0:
@@ -261,7 +261,7 @@ def voracle_online_value(system: SecrecySystem, i: int,
     v = system.v
     anchor = _anchor(system, i, budget)
     a = len(anchor)
-    charge(v + 2 * system.b * (system.k + 1)
+    charge(v + system.b * (3 * system.k + 2)
            + i * math.comb(v - 1 - a, i - a) + 2 * math.comb(v - a, i + 1 - a),
            budget, what=f"online oracle game of order {i}")
     masks = system.message_masks

@@ -7,6 +7,7 @@ systems.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -573,7 +574,7 @@ def test_translation_check_counterexamples(fano_system):
 
 
 def frozenset_translation_check(matrix):
-    """x ↦ x+1 mod v on key sets, the oracle of the bitmask check."""
+    """x ↦ x+1 mod v on key sets, the oracle of the table-stepped check."""
     keys = {frozenset(row) for row in matrix.rows}
     return all(frozenset((m + 1) % matrix.v for m in key) in keys
                for key in keys)
@@ -605,6 +606,24 @@ def test_translation_check_matches_frozenset_oracle():
         assert verdict == frozenset_translation_check(matrix), matrix
         verdicts[verdict] += 1
     assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
+
+
+def test_translation_check_memory_follows_entries_not_v():
+    # the v keys (g, g+1) mod v at v = 20,000: a key held as a v-bit int
+    # would take b·v/8 = 50 MB, frozensets take a few hundred bytes a key
+    v = 20_000
+    matrix = EncodingMatrix(v, 2, tuple((g, (g + 1) % v) for g in range(v)))
+    system = SecrecySystem(matrix)
+    tracemalloc.start()
+    try:
+        assert system.translation_invariant
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * matrix.b * matrix.k, peak
+    # order 1 runs within the default budget: each message lies in two keys
+    # and every extension of it in one
+    assert deception_probability(system, 1) == Fraction(1, 2)
 
 
 def test_order_zero_agrees_across_models():
@@ -677,7 +696,7 @@ def deception_charge(b, k, v, i, anchored):
         return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
     n, j = (b * k // v if anchored else b), i - a
-    return v + b * (k + 3) + n * comb(k - a, j) * (2 * (k - a) + 4)
+    return v + b * (2 * k + 3) + n * comb(k - a, j) * (2 * (k - a) + 4)
 
 
 def online_charge(b, k, v, i, anchored):
@@ -685,12 +704,12 @@ def online_charge(b, k, v, i, anchored):
     if i == 0:
         return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
-    return (v + 2 * b * (k + 1) + i * comb(v - 1 - a, i - a)
+    return (v + b * (3 * k + 2) + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
 
 
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check is charged v + b·(k+2) before it runs; past it, the
+    # the translation check is charged v + 2·b·(k+1) before it runs; past it, the
     # whole call is charged for the path the check selects
     b, k, v = z13_system.b, z13_system.k, z13_system.v
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
@@ -700,9 +719,9 @@ def test_budget_charges_on_both_paths(z13_system):
             for i in (1, 2):
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=5)
-                assert exc.value.required == v + b * (k + 2)
+                assert exc.value.required == v + 2 * b * (k + 1)
                 with pytest.raises(BudgetError) as exc:
-                    fn(system, i, budget=v + b * (k + 2))
+                    fn(system, i, budget=v + 2 * b * (k + 1))
                 assert exc.value.required == documented(b, k, v, i, anchored)
         with pytest.raises(BudgetError) as exc:
             fn(z13_system, 0, budget=5)
@@ -712,6 +731,6 @@ def test_budget_charges_on_both_paths(z13_system):
             voracle_offline_value(z13_system, i, budget=5)
         assert exc.value.required == order_zero_charge(b, k, v)
     # anchored, the order-1 tally reads 6 keys through 0 instead of 26
-    assert deception_charge(b, k, v, 1, True) == 217
-    assert deception_charge(b, k, v, 1, False) == 949
+    assert deception_charge(b, k, v, 1, True) == 295
+    assert deception_charge(b, k, v, 1, False) == 1027
     assert order_zero_charge(b, k, v) == 91
