@@ -12,9 +12,9 @@ what the k=3 example's by-hand count confirms.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 from typing import Optional
 
 from .budget import charge
@@ -47,7 +47,7 @@ class PerpendicularArray:
             raise StructuralError(f"need t <= k <= v, got t={show_int(self.t)}, "
                                   f"k={show_int(self.k)}, v={show_int(self.v)}")
         rows = check_rows(self.rows, self.v, "row", size=self.k, distinct=False)
-        expected_rows = self.lambda_ * math.comb(self.v, self.t)
+        expected_rows = self.lambda_ * comb(self.v, self.t)
         if len(rows) != expected_rows:
             raise StructuralError(
                 f"an APA_{show_int(self.lambda_)}({self.t},{self.k},{show_int(self.v)})"
@@ -58,13 +58,25 @@ class PerpendicularArray:
 def verify_apa(array: PerpendicularArray,
                budget: Optional[int] = None) -> VerificationReport:
     """Check clauses (i)-(iii); the report carries the first violation found
-    per clause, tagged ('i'|'ii'|'iii', ...details)."""
+    per clause, tagged ('i'|'ii'|'iii', ...details).
+
+    The charge bounds the steps taken: n·k for (i); C(k,t)·n tally steps,
+    C(k,t)·C(v,t) count reads and as many scanned for (ii); for (iii), at
+    each s < t, n·k + (s+1)·(N·(k+2) + min(N, C(v,s+1))·(2·C(k,s)+1)) with
+    N = n·C(k,s+1).  Proof for (iii): a row costs k for its symbol set, of
+    at most k symbols, so it yields at most (s+1)·C(k,s+1) keys (subset, x,
+    columns), each k column reads, a tally step and a step to collect its
+    pair (subset, x).  A pair's subset is held by a row and is one of
+    C(v,s+1): at most (s+1)·min(N, C(v,s+1)) pairs, each C(k,s) count
+    reads, as many scanned and a step in `min`.
+    """
     t, k, v, lam = array.t, array.k, array.v, array.lambda_
     n = len(array.rows)
-    # (ii): C(k,t)·n tally steps, C(k,t)·C(v,t) count reads and as many scanned
-    cost = (math.comb(k, t) * (n + 2 * math.comb(v, t)) + n * k
-            + sum((s + 1) * math.comb(v, s + 1) * (math.comb(k, s) + n)
-                  for s in range(1, t)))
+    cost = comb(k, t) * (n + 2 * comb(v, t)) + n * k
+    for s in range(1, t):
+        keys = n * comb(k, s + 1)
+        cost += n * k + (s + 1) * (keys * (k + 2) + min(keys, comb(v, s + 1))
+                                   * (2 * comb(k, s) + 1))
     charge(cost, budget, what=f"APA verification over {n} rows")
     failures = []
 
@@ -80,39 +92,26 @@ def verify_apa(array: PerpendicularArray,
     tally = Counter((cols, symbols) for cols in column_sets for row in array.rows
                     if len(symbols := tuple(sorted({row[c] for c in cols}))) == t)
     report = tally_report(tally, product(column_sets, combinations(range(v), t)),
-                          len(column_sets) * math.comb(v, t), lam)
+                          len(column_sets) * comb(v, t), lam)
     if not report.valid:
         (cols, symbols), got = report.failures[0]
         failures.append((("ii", cols, symbols), got))
 
     # (iii) for s < t: rows containing s+1 fixed symbols place any s of them
-    # uniformly over the C(k,s) column subsets
-    rows_with = [set() for _ in range(v)]
-    for idx, row in enumerate(array.rows):
-        for x in row:
-            rows_with[x].add(idx)
-    done = False
+    # uniformly over the C(k,s) column subsets; one tally per s over
+    # (subset, x, the columns holding subset - {x}) keys
     for s in range(1, t):
-        for subset in combinations(range(v), s + 1):
-            containing = set.intersection(*(rows_with[x] for x in subset))
-            if not containing:
-                continue
-            for x in subset:
-                rest = tuple(y for y in subset if y != x)
-                tally = {}
-                for idx in containing:
-                    row = array.rows[idx]
-                    cols = frozenset(c for c in range(k) if row[c] in rest)
-                    tally[cols] = tally.get(cols, 0) + 1
-                counts = [tally.get(frozenset(cs), 0)
-                          for cs in combinations(range(k), s)]
-                if len(set(counts)) != 1:
-                    failures.append((("iii", s, subset, x), tuple(counts)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
+        tally = Counter((subset, x, tuple(c for c, y in enumerate(row)
+                                          if y != x and y in subset))
+                        for row in array.rows
+                        for subset in combinations(sorted(set(row)), s + 1)
+                        for x in subset)
+        column_sets = tuple(combinations(range(k), s))
+        failing = [(("iii", s) + pair, got) for pair in {key[:2] for key in tally}
+                   if len(set(got := tuple(tally[pair + (cols,)]
+                                           for cols in column_sets))) != 1]
+        if failing:
+            failures.append(min(failing))
             break
 
     return VerificationReport(valid=not failures,

@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Optional
 
-from .errors import ConstructionError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 from .fileio import check_int, check_rows, int_field, int_rows
 from .record import record
 
@@ -66,34 +67,23 @@ class EncodingMatrix:
 
 @record
 class SplitGraph:
-    """Bipartite incidence graph after point-splitting.
-
-    Left vertices are (point, copy) pairs, right vertices are block indices,
-    and each edge records one incidence x ∈ B assigned to a copy of x.
-    Edges are (left_index, right_index) pairs into the label tuples.
+    """k-regular bipartite multigraph after point-splitting: n vertices a
+    side, an edge (a, z) per incidence.  Splitting gives v·(b/v) = b point
+    copies, copy a of point a // (b/v), against the b blocks.  Construction
+    refuses a graph not k-regular on n + n vertices, k = len(edges) // n >= 1,
+    so `edge_color` needs no check of its own.
     """
 
-    left_labels: tuple   # (point, copy) pairs
-    right_labels: tuple  # block indices
-    edges: tuple         # (left_index, right_index)
+    n: int
+    edges: tuple   # (left vertex, right vertex)
 
     def __post_init__(self):
-        nl, nr = len(self.left_labels), len(self.right_labels)
-        for (a, z) in self.edges:
-            if not (0 <= a < nl and 0 <= z < nr):
-                raise StructuralError(f"edge ({a},{z}) out of range")
-
-    def degrees(self):
-        left = [0] * len(self.left_labels)
-        right = [0] * len(self.right_labels)
-        for a, z in self.edges:
-            left[a] += 1
-            right[z] += 1
-        return left, right
-
-    def is_regular(self, k: int) -> bool:
-        left, right = self.degrees()
-        return all(d == k for d in left) and all(d == k for d in right)
+        k = len(self.edges) // check_int("n", self.n, 1)
+        # equal to a Counter per side: so k >= 1 and every end lies in [0, n)
+        regular = dict.fromkeys(range(self.n), k)
+        if any(Counter(map(itemgetter(side), self.edges)) != regular
+               for side in (0, 1)):
+            raise StructuralError(f"graph is not {k}-regular bipartite")
 
 
 def split_points(design: BlockDesign) -> SplitGraph:
@@ -119,15 +109,9 @@ def split_points(design: BlockDesign) -> SplitGraph:
         raise StructuralError(
             f"point replication must be uniform r = k*b/v = {k * copies}",
             offenders=report.failures)
-    left_labels = tuple((x, c) for x in range(v) for c in range(copies))
-    edges = []
-    for x in range(v):
-        for c in range(copies):
-            for j in incidences[x][c * k:(c + 1) * k]:
-                edges.append((x * copies + c, j))
-    return SplitGraph(left_labels=left_labels,
-                      right_labels=tuple(range(b)),
-                      edges=tuple(edges))
+    # point-major, the i-th incidence falls on copy i // k
+    copy_of = chain.from_iterable(map(repeat, range(b), repeat(k)))
+    return SplitGraph(b, tuple(zip(copy_of, chain.from_iterable(incidences))))
 
 
 def edge_color(graph: SplitGraph) -> tuple:
@@ -145,23 +129,15 @@ def edge_color(graph: SplitGraph) -> tuple:
     degrees by k, so a free color always exists.  Deterministic by
     construction.
     """
-    left_deg, right_deg = graph.degrees()
-    k = left_deg[0] if left_deg else 0
-    if k < 1 or any(d != k for d in left_deg) or any(d != k for d in right_deg):
-        raise StructuralError(f"graph is not {k}-regular bipartite")
     edges = graph.edges
-    # slot lists: at[vertex * k + color] = edge id holding that color, or -1
-    left_at = [-1] * (len(graph.left_labels) * k)
-    right_at = [-1] * (len(graph.right_labels) * k)
+    k = len(edges) // graph.n
+    # n·k slots a side: at[vertex * k + color] = edge id holding that color, or -1
+    left_at, right_at = [-1] * len(edges), [-1] * len(edges)
     colors = [-1] * len(edges)
     for eid, (a, z) in enumerate(edges):
         la, rz = a * k, z * k
-        try:
-            alpha = left_at.index(-1, la, la + k) - la
-            beta = right_at.index(-1, rz, rz + k) - rz
-        except ValueError:
-            raise ConstructionError(
-                f"no free color at an end of edge {eid}") from None
+        alpha = left_at.index(-1, la, la + k) - la
+        beta = right_at.index(-1, rz, rz + k) - rz
         if right_at[rz + alpha] != -1:
             if left_at[la + beta] == -1:
                 alpha = beta
@@ -194,15 +170,12 @@ def balance(design: BlockDesign) -> EncodingMatrix:
     exactly b/v times: the column of x in block B is the color of the edge
     joining x's copy to B."""
     graph = split_points(design)
-    colors = edge_color(graph)
+    # copy a belongs to point a // (b/v); the entries share one int per point
+    point_of = [x for x in range(design.v) for _ in range(design.b // design.v)]
     rows = [[None] * design.k for _ in range(design.b)]
-    for eid, (a, z) in enumerate(graph.edges):
-        point = graph.left_labels[a][0]
-        rows[z][colors[eid]] = point
-    for j, row in enumerate(rows):
-        if any(x is None for x in row):
-            raise ConstructionError(f"row {j} not fully assigned")
-    return EncodingMatrix(v=design.v, k=design.k, rows=tuple(tuple(r) for r in rows))
+    for (a, z), color in zip(graph.edges, edge_color(graph)):
+        rows[z][color] = point_of[a]
+    return EncodingMatrix(v=design.v, k=design.k, rows=rows)
 
 
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:

@@ -63,36 +63,34 @@ def verify_df(df: DifferenceFamily) -> VerificationReport:
     return tally_report(counts, range(1, df.v), df.v - 1, df.lambda_)
 
 
-def _orbit_canon(block, v: int) -> tuple:
-    """The least sorted translate of `block` over Z_v: it starts with 0, so
-    it is B - y for some y in B, and k translates are tried, not v."""
-    return min(tuple(sorted((x - y) % v for x in block)) for y in block)
+def _zero_translates(block, v: int) -> list:
+    """The sorted translates B - y over Z_v, y in B in block order: the k
+    translates of B that hold 0.  B - y = B - y' iff y - y' stabilizes B,
+    and the least of them is the least translate of all v, B's orbit canon."""
+    return [tuple(sorted((x - y) % v for x in block)) for y in block]
 
 
 def _reject_short_orbits(df: DifferenceFamily):
     """A base block whose translate by some g != 0 is itself has an orbit
     shorter than v; development would produce repeated blocks and b < l*v.
-    Only g in D - d_0 can stabilize D, so the check is cheap."""
-    for idx, block in enumerate(df.base_blocks):
-        as_set = frozenset(block)
-        d0 = block[0]
-        for d in block:
-            g = (d - d0) % df.v
-            if g == 0:
-                continue
-            if frozenset((x + g) % df.v for x in block) == as_set:
-                raise DomainError(
-                    f"base block {block} has a short orbit (stabilized by g={g}); "
-                    "only full-orbit families are supported")
-    # distinct base blocks sharing one orbit also collapse the development
-    seen = {}
-    for idx, block in enumerate(df.base_blocks):
-        canon = _orbit_canon(block, df.v)
-        if canon in seen:
+    Only g = y - d_0, y in D, can stabilize D, when D - y = D - d_0; the
+    first such y names g.  Distinct base blocks sharing one orbit canon
+    collapse the development too, and are refused after every short orbit."""
+    canons = []
+    for block in df.base_blocks:
+        shifts = _zero_translates(block, df.v)
+        if shifts[0] in shifts[1:]:
+            g = (block[shifts.index(shifts[0], 1)] - block[0]) % df.v
             raise DomainError(
-                f"base blocks {df.base_blocks[seen[canon]]} and {block} "
-                "lie in the same translation orbit")
-        seen[canon] = idx
+                f"base block {block} has a short orbit (stabilized by g={g}); "
+                "only full-orbit families are supported")
+        canons.append(min(shifts))
+    seen = {}
+    for block, canon in zip(df.base_blocks, canons):
+        if canon in seen:
+            raise DomainError(f"base blocks {seen[canon]} and {block} "
+                              "lie in the same translation orbit")
+        seen[canon] = block
 
 
 def _translates(df: DifferenceFamily) -> tuple:

@@ -127,7 +127,7 @@ def make_regular_bipartite(rng: random.Random, n: int, k: int) -> SplitGraph:
         perm = list(range(n))
         rng.shuffle(perm)
         edges.extend((i, perm[i]) for i in range(n))
-    return SplitGraph(tuple(range(n)), tuple(range(n)), tuple(edges))
+    return SplitGraph(n, tuple(edges))
 
 
 def assert_proper_coloring(graph: SplitGraph, colors, k: int) -> None:

@@ -1,7 +1,9 @@
 """Authentication perpendicular arrays."""
 
 import random
-from itertools import combinations
+from math import comb
+from collections import Counter
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -17,6 +19,7 @@ from authdesigns.apa import (
     apa_from_json,
     apa_to_json,
 )
+from authdesigns.designs import VerificationReport
 from authdesigns.fileio import atomic_write_json, load_json
 
 
@@ -100,6 +103,124 @@ def first_clause_ii_failure(array):
             if got != array.lambda_:
                 return ("ii", cols, symbols), got
     return None
+
+
+def first_clause_iii_failure(array):
+    """Clause (iii) by the definition: for s < t, each (s+1)-subset of
+    symbols in lexicographic order, the rows holding all of it anywhere,
+    then each x in it: the first whose other s symbols do not occupy every
+    s-subset of columns equally often, with its counts."""
+    k = array.k
+    rows_with = [set() for _ in range(array.v)]
+    for idx, row in enumerate(array.rows):
+        for x in row:
+            rows_with[x].add(idx)
+    for s in range(1, array.t):
+        for subset in combinations(range(array.v), s + 1):
+            containing = set.intersection(*(rows_with[x] for x in subset))
+            if not containing:
+                continue
+            for x in subset:
+                rest = tuple(y for y in subset if y != x)
+                tally = Counter(frozenset(c for c in range(k)
+                                          if array.rows[idx][c] in rest)
+                                for idx in containing)
+                counts = tuple(tally[frozenset(cs)]
+                               for cs in combinations(range(k), s))
+                if len(set(counts)) != 1:
+                    return ("iii", s, subset, x), counts
+    return None
+
+
+def oracle_report(array):
+    """`verify_apa`'s report rebuilt from the three first-failure oracles."""
+    failures = [(("i", idx, row), len(set(row)))
+                for idx, row in enumerate(array.rows) if len(set(row)) != array.k]
+    failures = failures[:1] + [f for f in (first_clause_ii_failure(array),
+                                           first_clause_iii_failure(array)) if f]
+    return VerificationReport(valid=not failures,
+                              inferred_lambda=None if failures else array.lambda_,
+                              failures=tuple(failures))
+
+
+def all_arrangements(t, k, v):
+    """Every arrangement of k of the v symbols: an APA of index
+    t!·(v-t)!/(v-k)!, uniform in clause (iii) by symmetry."""
+    rows = tuple(permutations(range(v), k))
+    return PerpendicularArray(t=t, k=k, v=v, lambda_=len(rows) // comb(v, t),
+                              rows=rows)
+
+
+def mutate(rng, rows, v):
+    """One of: swap two cells of a row, swap two rows' cells of one column,
+    or overwrite a cell (which may repeat a symbol within its row)."""
+    rows = [list(r) for r in rows]
+    i, i2 = rng.randrange(len(rows)), rng.randrange(len(rows))
+    j, j2 = rng.randrange(len(rows[0])), rng.randrange(len(rows[0]))
+    move = rng.randrange(3)
+    if move == 0:
+        rows[i][j], rows[i][j2] = rows[i][j2], rows[i][j]
+    elif move == 1:
+        rows[i][j], rows[i2][j] = rows[i2][j], rows[i][j]
+    else:
+        rows[i][j] = rng.randrange(v)
+    return tuple(map(tuple, rows))
+
+
+def random_arrays(rng, count):
+    """Seeded arrays of random rows, about one in ten repeating a symbol."""
+    for _ in range(count):
+        v = rng.randint(2, 6)
+        k = rng.randint(1, v)
+        t = rng.randint(1, min(k, 3))
+        rows = []
+        for _ in range(rng.randint(1, 2) * comb(v, t)):
+            row = rng.sample(range(v), k)
+            if rng.random() < 0.1:
+                row[rng.randrange(k)] = rng.randrange(v)
+            rows.append(tuple(row))
+        yield PerpendicularArray(t=t, k=k, v=v, lambda_=len(rows) // comb(v, t),
+                                 rows=tuple(rows))
+
+
+def mutants(rng, bases, count):
+    """Up to two `mutate` steps on seeded choices among `bases`."""
+    for _ in range(count):
+        base = rng.choice(bases)
+        rows = base.rows
+        for _ in range(rng.randrange(3)):
+            rows = mutate(rng, rows, base.v)
+        yield PerpendicularArray(t=base.t, k=base.k, v=base.v,
+                                 lambda_=base.lambda_, rows=rows)
+
+
+def test_verify_apa_matches_the_clause_oracles(van_rees):
+    # the full report equals the one the oracles rebuild
+    rng = random.Random(61)
+    arrangements = [all_arrangements(*tkv) for tkv in
+                    ((2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 4), (2, 4, 4), (3, 4, 4))]
+    outcomes = Counter()
+    for array in chain(random_arrays(rng, 2000), mutants(rng, arrangements, 800),
+                       mutants(rng, [van_rees], 100)):
+        report = verify_apa(array)
+        assert report == oracle_report(array), array
+        iii = first_clause_iii_failure(array)
+        outcomes["valid" if report.valid else "iii" if iii else "no iii"] += 1
+        if iii and iii[0][1:3] != (1, (0, 1)):
+            outcomes["iii past the first subset"] += 1
+        if report.failures and report.failures[0][0][0] == "i":
+            outcomes["repeated symbol"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_verify_apa_charge_is_pinned(van_rees):
+    # van Rees: 3·165 for (ii), 165 for (i), 165 + 2·(825 + 55·7) for (iii);
+    # all 6 arrangements of 3 symbols (k = v = 3, lambda 2):
+    # 3·12 + 18 + 18 + 2·(90 + 3·7)
+    for array, cost in ((van_rees, 3245), (all_arrangements(2, 3, 3), 294)):
+        with pytest.raises(BudgetError):
+            verify_apa(array, budget=cost - 1)
+        assert verify_apa(array, budget=cost).valid
 
 
 def test_random_single_cell_mutations_invalidate(van_rees):

@@ -78,17 +78,20 @@ def test_column_counts_match_a_cell_by_cell_count():
 
 def test_split_fano(fano_design):
     g = split_points(fano_design)
-    assert len(g.left_labels) == 7        # b/v = 1 copy per point
-    assert len(g.right_labels) == 7
-    assert len(g.edges) == 21
-    assert g.is_regular(3)
+    assert g.n == 7                       # b/v = 1 copy per point
+    assert len(g.edges) == 21             # construction checked 3-regularity
+    # copy a of point a // (b/v) takes that point's incidences in block order
+    assert g.edges[:3] == tuple((0, j) for j, block in enumerate(fano_design.blocks)
+                                if 0 in block)
 
 
 def test_split_with_multiple_copies(z13_df, complete53_design):
     g = split_points(develop(z13_df))
-    assert len(g.left_labels) == 26 and g.is_regular(3)
+    assert g.n == 26 and len(g.edges) == 26 * 3
     g53 = split_points(complete53_design)
-    assert len(g53.left_labels) == 10 and g53.is_regular(3)
+    assert g53.n == 10 and len(g53.edges) == 10 * 3
+    # complete 3-(5,3,1): point 0 lies in blocks 0-5, copies 0 and 1 take 3 each
+    assert g53.edges[:6] == ((0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (1, 5))
 
 
 def test_split_refuses_indivisible():
@@ -126,7 +129,7 @@ def test_edge_color_fano(fano_design):
 
 
 def test_edge_color_trivial_matching():
-    g = SplitGraph((0, 1), (0, 1), ((0, 1), (1, 0)))
+    g = SplitGraph(2, ((0, 1), (1, 0)))
     assert edge_color(g) == (0, 0)
 
 
@@ -138,7 +141,7 @@ def test_edge_color_handles_multigraph():
         perm = list(range(n))
         rng.shuffle(perm)
         matching = sorted((a, perm[a]) for a in range(n))
-        g = SplitGraph(tuple(range(n)), tuple(range(n)), tuple(matching) * k)
+        g = SplitGraph(n, tuple(matching) * k)
         colors = edge_color(g)
         assert_proper_coloring(g, colors, k)
         for c in range(k):
@@ -155,9 +158,21 @@ def test_edge_color_random_regular_graphs():
 
 
 def test_edge_color_rejects_irregular():
-    g = SplitGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1)))
+    # construction is the one regularity check, so edge_color never sees one
+    with pytest.raises(StructuralError) as exc:
+        SplitGraph(2, ((0, 0), (0, 1), (1, 1)))
+    assert str(exc.value) == "graph is not 1-regular bipartite"
+    for n, edges in ((2, ()),                          # k = 0
+                     (2, ((0, 0), (1, 1), (0, 1))),    # 3 edges on 2 + 2
+                     (2, ((0, 0), (1, 1), (0, 1), (1, 1))),   # right degrees 1, 3
+                     (2, ((0, 0), (2, 1))),            # left end out of range
+                     (2, ((0, 0), (1, -1))),           # right end out of range
+                     (1, ((0, 0), (0, 0), (1, 0)))):   # n too small
+        with pytest.raises(StructuralError, match="-regular bipartite"):
+            SplitGraph(n, edges)
     with pytest.raises(StructuralError):
-        edge_color(g)
+        SplitGraph(0, ())
+    assert SplitGraph(2, ((0, 0), (1, 1), (0, 1), (1, 0))).n == 2
 
 
 def test_edge_color_is_deterministic():
@@ -194,17 +209,22 @@ def test_balance_deterministic_bytes(complete53_design):
     assert a == b
 
 
-def test_balance_relabelled_netto_97():
-    # a development under a random point permutation: no longer
-    # translation-invariant, and its colorings need long alternating paths
+def relabelled_netto_97():
+    """netto-97 developed, then put through a seeded point permutation: no
+    longer translation-invariant, and its colorings need long alternating
+    paths."""
     from authdesigns.catalog import load_payload
 
     family = load_payload("netto-97")
     rng = random.Random(97)
     perm = list(range(family.v))
     rng.shuffle(perm)
-    design = BlockDesign(family.v, tuple(tuple(perm[x] for x in block)
-                                         for block in develop(family).blocks))
+    return BlockDesign(family.v, tuple(tuple(perm[x] for x in block)
+                                       for block in develop(family).blocks))
+
+
+def test_balance_relabelled_netto_97():
+    design = relabelled_netto_97()
     shifted = {tuple(sorted((x + 1) % design.v for x in block))
                for block in design.blocks}
     assert shifted != set(design.blocks)
@@ -214,6 +234,23 @@ def test_balance_relabelled_netto_97():
     assert verify_balanced(m).valid
     assert [tuple(sorted(r)) for r in m.rows] == list(design.blocks)
     assert balance(design) == m
+
+
+# digest(matrix_to_json(balance(design))): the rows' order and every column
+# the coloring chose are frozen
+BALANCED_DIGESTS = {
+    "fano": "d08ceb66a450a403b0b0a380048d6acb7f9efd7613595b4617733aff3463c528",
+    "complete-5-3": "86ac0e450b073f580ec81f3cfdbebafddb94be288fc9d713a9de2a874ca55126",
+    "relabelled-netto-97":
+        "439352f87f0367471040d8643168fd72ac6f70d67eae3aba4300c797d67f4a4d",
+}
+
+
+def test_balanced_design_artifacts_are_golden(fano_design, complete53_design):
+    designs = {"fano": fano_design, "complete-5-3": complete53_design,
+               "relabelled-netto-97": relabelled_netto_97()}
+    assert {name: digest(matrix_to_json(balance(design)))
+            for name, design in designs.items()} == BALANCED_DIGESTS
 
 
 def test_verify_balanced_witness(fano_design):

@@ -20,7 +20,7 @@ from authdesigns import (
     verify_df,
 )
 from authdesigns.difference_families import (
-    _orbit_canon,
+    _zero_translates,
     df_from_json,
     df_to_json,
     is_prime,
@@ -150,7 +150,7 @@ def test_develop_rejects_same_orbit_duplicates():
 
 def v_translate_canon(block, v):
     """The least sorted translate over all v shifts: the oracle of
-    `_orbit_canon`, which tries only the k translates through 0."""
+    `_zero_translates`, whose least entry is the canon."""
     return min(tuple(sorted((x + g) % v for x in block)) for g in range(v))
 
 
@@ -163,7 +163,53 @@ def test_orbit_canon_matches_all_translates():
         v = rng.randint(2, 24)
         cases.append((tuple(rng.sample(range(v), rng.randint(1, v))), v))
     for block, v in cases:
-        assert _orbit_canon(block, v) == v_translate_canon(block, v), (block, v)
+        shifts = _zero_translates(block, v)
+        assert [s[0] for s in shifts] == [0] * len(block)
+        assert min(shifts) == v_translate_canon(block, v), (block, v)
+
+
+def test_short_orbit_refusals_name_the_first_stabilizer():
+    # unions of c cosets of the subgroup step·Z_v, shuffled, among random
+    # k-sets and translates of earlier blocks: the first short orbit is
+    # refused, before any same-orbit pair, with the first g = y - d_0 (y in
+    # block order) that fixes its block as a set
+    rng = random.Random(37)
+    refused = 0
+    for _ in range(400):
+        v = rng.choice((4, 6, 8, 9, 10, 12, 15))
+        step = rng.choice([d for d in range(1, v) if v % d == 0])
+        c = rng.randrange(1, step) if step > 1 else 1
+        k = c * (v // step)
+        if k == v:
+            continue
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                block = [(r + m) % v for r in rng.sample(range(step), c)
+                         for m in range(0, v, step)]
+            elif blocks and rng.random() < 0.3:
+                g = rng.randrange(v)
+                block = [(x + g) % v for x in rng.choice(blocks)]
+            else:
+                block = rng.sample(range(v), k)
+            rng.shuffle(block)
+            blocks.append(tuple(block))
+        expected = None
+        for block in blocks:
+            stabilizers = [(d - block[0]) % v for d in block[1:]
+                           if {(x + d - block[0]) % v for x in block} == set(block)]
+            if stabilizers:
+                expected = (f"base block {block} has a short orbit (stabilized "
+                            f"by g={stabilizers[0]}); only full-orbit families "
+                            "are supported")
+                break
+        if expected is None:
+            continue
+        with pytest.raises(DomainError) as exc:
+            develop_matrix(DifferenceFamily(v, 1, tuple(blocks)))
+        assert str(exc.value) == expected
+        refused += 1
+    assert refused > 100, refused
 
 
 def test_same_orbit_refusals_match_all_translates():
