@@ -113,6 +113,19 @@ def deception_bound(v: int, k: int, i: int) -> Fraction:
     return Fraction(k - i, v - i)
 
 
+def check_order(system: SecrecySystem, model: str, i):
+    """Refuse an order `model` is not defined at: spoofing ("classic")
+    needs 0 <= i < k, the oracle games 0 <= i <= v-1."""
+    if model == "classic":
+        what, top, rule = "attack order", system.k - 1, f"0 <= i < k={system.k}"
+    else:
+        what, top = "oracle game order", system.v - 1
+        rule = f"0 <= i <= v-1={top}"
+    check_int(what, i, error=DomainError)
+    if not 0 <= i <= top:
+        raise DomainError(f"{what} must satisfy {rule}, got {show_int(i)}")
+
+
 def _anchor(system: SecrecySystem, i: int, budget: Optional[int]) -> tuple:
     """(0,) if the order-i loops, i ≥ 1, may run only through message 0,
     else ().  The translation check is charged v + 2·b·(k+1) before it
@@ -172,10 +185,7 @@ def deception_probability(system: SecrecySystem, i: int,
     all.  With the v + 2·b·(k+1) check, the whole is at most
     v + b·(2k+3) + N·(2·(k-a) + 4) at i ≥ 1.
     """
-    check_int("attack order", i, error=DomainError)
-    if not (0 <= i < system.k):
-        raise DomainError(
-            f"attack order must satisfy 0 <= i < k={system.k}, got {show_int(i)}")
+    check_order(system, "classic", i)
     b, k, v = system.b, system.k, system.v
     if i == 0:
         return _order_zero(system, budget, f"order-0 spoofing tally over {b} keys")
@@ -207,13 +217,6 @@ def deception_probability(system: SecrecySystem, i: int,
 # ---------------------------------------------------------------------------
 # verification-oracle games
 
-def _check_game_order(system: SecrecySystem, i: int):
-    check_int("oracle game order", i, error=DomainError)
-    if not (0 <= i <= system.v - 1):
-        raise DomainError("oracle game order must satisfy 0 <= i <= "
-                          f"v-1={show_int(system.v - 1)}, got {show_int(i)}")
-
-
 def voracle_offline_value(system: SecrecySystem, i: int,
                           budget: Optional[int] = None) -> Fraction:
     """Exact value of the offline oracle game: up to i adaptive accept/reject
@@ -228,7 +231,7 @@ def voracle_offline_value(system: SecrecySystem, i: int,
 
     the order-0 value of the other two models (`_order_zero`).
     """
-    _check_game_order(system, i)
+    check_order(system, "oracle-offline", i)
     return _order_zero(system, budget, f"offline oracle game of order {i}")
 
 
@@ -255,7 +258,7 @@ def voracle_online_value(system: SecrecySystem, i: int,
     an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
     v + b·(3k+2) + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
     """
-    _check_game_order(system, i)
+    check_order(system, "oracle-online", i)
     if i == 0:
         return _order_zero(system, budget, "online oracle game of order 0")
     v = system.v

@@ -1,24 +1,21 @@
 """Bundled corpus: small verified constructions plus parameter-only rows for
 the larger published designs.
 
-Every payload-bearing entry is gated through its verifier when loaded, so a
-corrupted data file or a broken generator surfaces as an error instead of a
-silently wrong golden object.  Parameter-only entries carry the published
-key-count bound b_opt for arithmetic cross-checks; their designs are far
-beyond desk scale and are not bundled.
+Every payload is built here, from a table row or a generator, and gated
+through its verifier when loaded, so a mistyped row or a broken generator
+surfaces as an error instead of a silently wrong golden object; no data file
+is shipped.  Parameter-only entries carry the published key-count bound b_opt
+for arithmetic cross-checks; their designs are beyond desk scale.
 """
 
 from __future__ import annotations
 
-from importlib.resources import files as resource_files
 from typing import Callable, Optional
 
 from .designs import (BlockDesign, DesignParameters, complete_design,
                       verify_design)
-from .difference_families import (DifferenceFamily, df_from_json,
-                                  netto_triples, verify_df)
+from .difference_families import DifferenceFamily, netto_triples, verify_df
 from .errors import ConstructionError
-from .fileio import load_json
 from .record import record
 
 
@@ -40,7 +37,8 @@ class CatalogEntry:
     loader: Optional[Callable] = None
 
 
-def _gated_df(df: DifferenceFamily, name: str) -> DifferenceFamily:
+def _gated_df(name: str, v: int, lam: int, blocks: tuple) -> DifferenceFamily:
+    df = DifferenceFamily(v=v, lambda_=lam, base_blocks=blocks)
     verify_df(df).require(
         ConstructionError, f"catalog entry {name!r} failed difference verification")
     return df
@@ -57,10 +55,41 @@ def _van_rees():
     return van_rees_array()
 
 
-def _data_df(filename: str, name: str) -> DifferenceFamily:
-    doc = load_json(resource_files("authdesigns") / "data" / filename)
-    return _gated_df(df_from_json(doc), name)
+_BUNDLED = " from bundled data"
 
+# (name, v, lambda, base blocks, summary tail, note) of each non-Netto CDF
+_CDFS = (
+    ("cdf-13-3-1", 13, 1, ((0, 1, 4), (0, 2, 7)),
+     ": base blocks {0,1,4}, {0,2,7}",
+     "classical two-block difference family over Z_13; develops into "
+     "the optimal 26-key system on 13 messages"),
+    ("fano-cdf", 7, 1, ((1, 2, 4),), ": base block {1,2,4}",
+     "quadratic residues mod 7; develops into the Fano plane"),
+    ("biplane-cdf-11-5-2", 11, 2, ((1, 3, 4, 5, 9),),
+     ": base block {1,3,4,5,9}",
+     "quadratic residues mod 11; develops into the 2-(11,5,2) "
+     "biplane, a near-optimal system"),
+    ("cdf-13-4-1", 13, 1, ((0, 1, 3, 9),), _BUNDLED,
+     "planar difference set {0,1,3,9} (projective plane of order 3)"),
+    ("cdf-41-5-1", 41, 1, ((1, 10, 16, 18, 37), (2, 20, 32, 33, 36)), _BUNDLED,
+     "radical two-block family over GF(41): cosets of the 5th roots of unity"),
+    ("cdf-31-6-1", 31, 1, ((0, 1, 3, 8, 12, 18),), _BUNDLED,
+     "planar difference set (projective plane of order 5), found by "
+     "exhaustive difference-tally search"),
+    ("cdf-337-7-1", 337, 1,
+     ((1, 8, 52, 64, 79, 175, 295), (62, 66, 92, 159, 180, 191, 261),
+      (6, 39, 47, 48, 85, 137, 312), (35, 59, 69, 135, 215, 218, 280),
+      (36, 148, 173, 187, 234, 282, 288), (17, 77, 136, 210, 279, 297, 332),
+      (7, 27, 43, 56, 111, 214, 216), (97, 102, 125, 142, 249, 307, 326)),
+     _BUNDLED,
+     "radical eight-block family over GF(337): multiplicative cosets of "
+     "the 7th roots of unity"),
+    ("cdf-57-8-1", 57, 1, ((0, 1, 3, 13, 32, 36, 43, 52),), _BUNDLED,
+     "planar difference set (projective plane of order 7), found by "
+     "exhaustive difference-tally search"),
+    ("cdf-73-9-1", 73, 1, ((1, 2, 4, 8, 16, 32, 37, 55, 64),), _BUNDLED,
+     "the 9th roots of unity in GF(73) form a planar difference set"),
+)
 
 _AG23_BLOCKS = (
     (0, 1, 2), (3, 4, 5), (6, 7, 8),
@@ -117,54 +146,12 @@ def _build_registry():
     entries = []
     add = entries.append
 
-    add(CatalogEntry(
-        name="cdf-13-3-1", kind="cdf",
-        summary="CDF(13,3,1): base blocks {0,1,4}, {0,2,7}",
-        note="classical two-block difference family over Z_13; develops into "
-             "the optimal 26-key system on 13 messages",
-        params=DesignParameters(2, 13, 3, 1),
-        loader=lambda: _gated_df(DifferenceFamily(
-            v=13, lambda_=1, base_blocks=((0, 1, 4), (0, 2, 7))), "cdf-13-3-1")))
-    add(CatalogEntry(
-        name="fano-cdf", kind="cdf",
-        summary="CDF(7,3,1): base block {1,2,4}",
-        note="quadratic residues mod 7; develops into the Fano plane",
-        params=DesignParameters(2, 7, 3, 1),
-        loader=lambda: _gated_df(DifferenceFamily(
-            v=7, lambda_=1, base_blocks=((1, 2, 4),)), "fano-cdf")))
-    add(CatalogEntry(
-        name="biplane-cdf-11-5-2", kind="cdf",
-        summary="CDF(11,5,2): base block {1,3,4,5,9}",
-        note="quadratic residues mod 11; develops into the 2-(11,5,2) "
-             "biplane, a near-optimal system",
-        params=DesignParameters(2, 11, 5, 2),
-        loader=lambda: _gated_df(DifferenceFamily(
-            v=11, lambda_=2, base_blocks=((1, 3, 4, 5, 9),)), "biplane-cdf-11-5-2")))
-
-    bundled = (
-        ("cdf-13-4-1", "cdf-13-4-1.json", 13, 4,
-         "planar difference set {0,1,3,9} (projective plane of order 3)"),
-        ("cdf-41-5-1", "cdf-41-5-1.json", 41, 5,
-         "radical two-block family over GF(41): cosets of the 5th roots of unity"),
-        ("cdf-31-6-1", "cdf-31-6-1.json", 31, 6,
-         "planar difference set (projective plane of order 5), found by "
-         "exhaustive difference-tally search"),
-        ("cdf-337-7-1", "cdf-337-7-1.json", 337, 7,
-         "radical eight-block family over GF(337): multiplicative cosets of "
-         "the 7th roots of unity"),
-        ("cdf-57-8-1", "cdf-57-8-1.json", 57, 8,
-         "planar difference set (projective plane of order 7), found by "
-         "exhaustive difference-tally search"),
-        ("cdf-73-9-1", "cdf-73-9-1.json", 73, 9,
-         "the 9th roots of unity in GF(73) form a planar difference set"),
-    )
-    for name, filename, v, k, note in bundled:
+    for name, v, lam, blocks, summary, note in _CDFS:
+        params = DesignParameters(2, v, len(blocks[0]), lam)
         add(CatalogEntry(
-            name=name, kind="cdf",
-            summary=f"CDF({v},{k},1) from bundled data",
-            note=note,
-            params=DesignParameters(2, v, k, 1),
-            loader=(lambda fn=filename, nm=name: _data_df(fn, nm))))
+            name=name, kind="cdf", note=note, params=params,
+            summary=f"CDF({v},{params.k},{lam}){summary}",
+            loader=lambda row=(name, v, lam, blocks): _gated_df(*row)))
 
     for q in _NETTO_PRIMES:
         add(CatalogEntry(
@@ -239,10 +226,8 @@ def load_payload(name: str):
     Returns (design, t, lambda) / DifferenceFamily / PerpendicularArray
     depending on kind; None for params-only rows.
     """
-    entry = get(name)
-    if entry.loader is None:
-        return None
-    return entry.loader()
+    loader = get(name).loader
+    return None if loader is None else loader()
 
 
 def buildable_names():

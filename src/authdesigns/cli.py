@@ -67,7 +67,7 @@ def cmd_verify(args) -> int:
     elif args.kind == "cdf":
         from . import difference_families as dfs
         df = dfs.df_from_json(doc)
-        report = dfs.verify_df(df)
+        report = dfs.verify_df(df, budget=args.budget)
         detail = {"kind": "cdf", "lambda": df.lambda_}
     else:
         from . import apa as apa_mod
@@ -100,8 +100,8 @@ def cmd_build(args) -> int:
     if args.kind == "cdf":
         from . import difference_families as dfs
         df = dfs.df_from_json(doc)
-        dfs.verify_df(df).require(DomainError,
-                                  "input is not a valid difference family")
+        dfs.verify_df(df, budget=args.budget).require(
+            DomainError, "input is not a valid difference family")
         matrix = dfs.develop_matrix(df)
         t, lam, source = 2, df.lambda_, "cdf"
         input_doc = dfs.df_to_json(df)
@@ -143,9 +143,9 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 # attack
 
-def _parse_orders(text: str, top: int, rule: str):
-    """Orders from a comma list of numbers and lo-hi ranges; a part above
-    `top` is refused before its range is expanded."""
+def _parse_orders(text: str, check):
+    """Orders from a comma list of numbers and lo-hi ranges; each part's
+    upper end passes `check` before its range is expanded."""
     orders = set()
     for part in text.split(","):
         part = part.strip()
@@ -153,8 +153,7 @@ def _parse_orders(text: str, top: int, rule: str):
             continue
         lo, dash, hi = part.partition("-")
         lo, hi = int(lo), int(hi) if dash else int(lo)
-        if hi > top:
-            raise DomainError(f"{rule}, got {hi}")
+        check(hi)
         orders.update(range(lo, hi + 1))
     if not orders:
         raise DomainError(f"no attack orders in {text!r}")
@@ -166,14 +165,9 @@ def cmd_attack(args) -> int:
     doc = load_json(args.path)
     matrix = balancing.matrix_from_json(doc)
     system = analysis.SecrecySystem(matrix)
-    if args.model == "classic":
-        top = system.k - 1
-        rule = f"attack order must satisfy 0 <= i < k={system.k}"
-    else:
-        top = system.v - 1
-        rule = f"oracle game order must satisfy 0 <= i <= v-1={top}"
     try:
-        orders = _parse_orders(args.orders, top, rule)
+        orders = _parse_orders(args.orders, lambda i: analysis.check_order(
+            system, args.model, i))
     except ValueError as exc:
         raise StructuralError(f"cannot parse --orders {args.orders!r}") from exc
     report = analysis.analyze(system, args.model, orders, budget=args.budget)

@@ -14,9 +14,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, permutations
 
+from .budget import charge
 from .designs import BlockDesign, VerificationReport, tally_report
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import check_int, check_rows, int_field, int_rows, show_int
+from .fileio import (MAX_FAILURES, check_int, check_rows, int_field, int_rows,
+                     show_int)
 from .record import record
 
 
@@ -53,11 +55,16 @@ class DifferenceFamily:
         return len(self.base_blocks)
 
 
-def verify_df(df: DifferenceFamily) -> VerificationReport:
-    """Tally all l*k*(k-1) signed differences; valid iff `tally_report` finds
-    every nonzero residue exactly lambda times.  Nothing is v long: a residue
-    the scan passes holds lambda >= 1 differences, so it visits at most
-    l*k*(k-1) + MAX_FAILURES residues."""
+def verify_df(df: DifferenceFamily,
+              budget: int | None = None) -> VerificationReport:
+    """Tally all n = l*k*(k-1) signed differences; valid iff `tally_report`
+    finds every nonzero residue exactly lambda times.  Charge, one step per
+    increment, count read and residue scanned: n, then at most min(v-1, n)
+    reads, then a scan that passes only residues holding lambda >= 1 of the
+    n and stops at MAX_FAILURES failures: min(v-1, n + MAX_FAILURES)."""
+    n = df.l * df.k * (df.k - 1)
+    charge(n + 2 * min(df.v - 1, n + MAX_FAILURES), budget,
+           what=f"difference tally over {df.l} base blocks")
     counts = Counter((x - y) % df.v for block in df.base_blocks
                      for x, y in permutations(block, 2))
     return tally_report(counts, range(1, df.v), df.v - 1, df.lambda_)
@@ -120,12 +127,17 @@ def develop_matrix(df: DifferenceFamily) -> EncodingMatrix:
 # Netto triple systems: CDF(q, 3, 1) for primes q ≡ 1 (mod 6)
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-and-beyond inputs."""
+    """Miller-Rabin to the prime bases 2..37, deterministic below their
+    least common strong pseudoprime 318665857834031151167461 (Jiang and
+    Deng, 2014), which is past 2^78.  A larger n is refused with
+    DomainError unless one of the bases divides it."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n >= (limit := 318665857834031151167461):
+        raise DomainError(f"is_prime decides only n < {limit}, got {show_int(n)}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -160,10 +172,8 @@ def smallest_primitive_root(q: int) -> int:
     """Smallest generator of the multiplicative group mod prime q."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
-    if q == 2:
-        return 1
     factors = _prime_factors(q - 1)
-    for w in range(2, q):
+    for w in range(1, q):   # 1 generates only mod 2, where q-1 has no factor
         if all(pow(w, (q - 1) // p, q) != 1 for p in factors):
             return w
     raise ConstructionError(f"no primitive root found mod {q}")
@@ -172,11 +182,18 @@ def smallest_primitive_root(q: int) -> int:
 def netto_triples(q: int) -> DifferenceFamily:
     """CDF(q, 3, 1) for a prime q ≡ 1 (mod 6): with w the smallest primitive
     root and d = (q-1)/6, base blocks {w^i, w^(i+2d), w^(i+4d)} for
-    i = 0..d-1.  The output is gated through verify_df before returning."""
+    i = 0..d-1, gated through verify_df before returning.  Charge, one step
+    per trial division, modular power or squaring, entry checked and
+    verify_df step, L the bit length of q: sqrt(q) + L divisions factor q-1;
+    the root search re-tests primality (12·L) and tries at most q-1
+    candidates against at most L-1 prime factors; the blocks take (q-1)/2
+    powers and checks; verify_df charges 3(q-1), as n = 6d.  In all at most
+    q·L + 3q + sqrt(q) + 12·L < (q + 13)·(L + 4)."""
     if not is_prime(check_int("q", q, error=DomainError)):
         raise DomainError(f"q must be prime, got {show_int(q)}")
     if q % 6 != 1:
         raise DomainError(f"q must satisfy q ≡ 1 (mod 6), got {show_int(q)}")
+    charge((q + 13) * (q.bit_length() + 4), what=f"netto_triples({q})")
     w = smallest_primitive_root(q)
     d = (q - 1) // 6
     blocks = tuple(

@@ -32,7 +32,7 @@ from authdesigns import (
     voracle_offline_value,
     voracle_online_value,
 )
-from authdesigns.analysis import report_to_json
+from authdesigns.analysis import check_order, report_to_json
 
 from conftest import built_systems, mutate_entry
 
@@ -734,3 +734,21 @@ def test_budget_charges_on_both_paths(z13_system):
     assert deception_charge(b, k, v, 1, True) == 295
     assert deception_charge(b, k, v, 1, False) == 1027
     assert order_zero_charge(b, k, v) == 91
+
+
+def test_check_order_is_the_one_order_rule(fano_system):
+    # v = 7, k = 3; the value functions refuse with check_order's message
+    value_of = {"classic": deception_probability,
+                "oracle-offline": voracle_offline_value,
+                "oracle-online": voracle_online_value}
+    for model, good, bad, message in (
+            ("classic", 2, 3, "attack order must satisfy 0 <= i < k=3, got 3"),
+            ("oracle-offline", 6, 7, "oracle game order must satisfy "
+                                     "0 <= i <= v-1=6, got 7"),
+            ("oracle-online", 0, -1, "oracle game order must satisfy "
+                                     "0 <= i <= v-1=6, got -1")):
+        assert check_order(fano_system, model, good) is None
+        for call in (check_order, lambda s, m, i: value_of[m](s, i)):
+            with pytest.raises(DomainError) as exc:
+                call(fano_system, model, bad)
+            assert str(exc.value) == message

@@ -1,5 +1,11 @@
 """Bundled constructions and published parameter rows."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from authdesigns import (
@@ -20,6 +26,12 @@ from authdesigns import (
     verify_df,
 )
 from authdesigns import catalog
+from authdesigns.apa import apa_to_json
+from authdesigns.designs import design_to_json
+from authdesigns.difference_families import df_to_json
+from authdesigns.fileio import digest, load_json
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "authdesigns"
 
 
 def test_registry_shape():
@@ -104,3 +116,42 @@ def test_z13_entry_is_the_published_system():
 def test_entries_have_documentation():
     for entry in catalog.entries():
         assert entry.summary and isinstance(entry.summary, str)
+
+
+def _export_doc(entry, payload):
+    if entry.kind == "design":
+        return design_to_json(*payload)
+    return df_to_json(payload) if entry.kind == "cdf" else apa_to_json(payload)
+
+
+def test_corpus_is_pinned():
+    # every payload's export document, in name order: any change to a
+    # family, design or array shows here
+    docs = [[e.name, _export_doc(e, catalog.load_payload(e.name))]
+            for e in catalog.entries() if e.loader is not None]
+    assert len(docs) == 23
+    assert digest(docs) == ("6898892a50e66431b5dc1e4e0d32c945"
+                            "ec0d5e00c7fc842737e4e3daa6fcabdf")
+    # and every entry's text and parameters, as `catalog list` shows them
+    rows = [[e.name, e.kind, e.summary, e.note, e.b_opt, e.params and [
+        e.params.t, e.params.v, e.params.k, e.params.lambda_]]
+        for e in catalog.entries()]
+    assert len(rows) == 50
+    assert digest(rows) == ("2dbfe83f98c2ec299e025c4d7a4a3c2b"
+                            "8a19ef0096963c68bbd888eb3bc090ab")
+
+
+def test_modules_alone_export_the_corpus(tmp_path):
+    # the package ships no data files: its .py files are the whole corpus
+    (tmp_path / "lib" / "authdesigns").mkdir(parents=True)
+    for path in PACKAGE.glob("*.py"):
+        shutil.copy(path, tmp_path / "lib" / "authdesigns")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from authdesigns.cli import main; sys.exit(main())",
+         "catalog", "export", "cdf-337-7-1", "--out", "f.json"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "lib")))
+    assert done.returncode == 0, done.stderr
+    assert load_json(tmp_path / "f.json") == df_to_json(
+        catalog.load_payload("cdf-337-7-1"))

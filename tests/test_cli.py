@@ -212,6 +212,18 @@ def test_cdf_with_an_index_sized_v_fails_cleanly(capsys, tmp_path, command):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_cdf_tally_is_charged_before_it_runs(capsys, tmp_path, command):
+    # one base block of 3,000 residues has 8,997,000 differences
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"v": 18 * 10**6, "lambda": 1,
+                                "base_blocks": [list(range(3000))]}))
+    code, out, err = run(capsys, command, str(path), "--kind", "cdf",
+                         "--budget", "1000", "--out", str(tmp_path / "o.json"))
+    assert code == 3 and out == ""
+    assert err.startswith("error: difference tally") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------ import footprint
 
 FOOTPRINT = """
@@ -359,6 +371,16 @@ def test_attack_rejects_out_of_range_orders_before_expanding(
     code, _, _ = run(capsys, "attack", str(z13_matrix_file),
                      "--model", "oracle-online", "--orders", "12")
     assert code == 0
+
+
+def test_attack_order_refusals_are_the_librarys(capsys, z13_matrix_file):
+    for model, orders, message in (
+            ("classic", "0,3", "attack order must satisfy 0 <= i < k=3, got 3"),
+            ("oracle-online", "1-13", "oracle game order must satisfy "
+                                      "0 <= i <= v-1=12, got 13")):
+        code, _, err = run(capsys, "attack", str(z13_matrix_file),
+                           "--model", model, "--orders", orders)
+        assert (code, err) == (1, f"error: {message}\n")
 
 
 def test_attack_rejects_malformed_matrix(capsys, tmp_path):

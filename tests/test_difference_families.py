@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from authdesigns import (
+    BudgetError,
     DifferenceFamily,
     catalog,
     DomainError,
@@ -62,6 +63,17 @@ def test_verify_reports_residue_witnesses(z13_df):
     tally = _difference_tally(broken)
     for residue, observed in report.failures:
         assert tally[residue] == observed != 1
+
+
+def test_verify_df_charge_is_pinned(z13_df):
+    # n = 2·3·2 = 12 differences; reads and scan are each bounded by
+    # min(v-1, n + 32): 12 + 2·12 = 36, and 12 + 2·44 = 100 at a v
+    # far past the differences
+    for df, cost in ((catalog.load_payload("cdf-13-3-1"), 36),
+                     (DifferenceFamily(10**30, 1, z13_df.base_blocks), 100)):
+        with pytest.raises(BudgetError):
+            verify_df(df, budget=cost - 1)
+        assert verify_df(df, budget=cost).valid == (df == z13_df)
 
 
 def test_verify_uses_declared_lambda(fano_df):
@@ -313,6 +325,7 @@ def test_primitive_roots():
     assert smallest_primitive_root(7) == 3
     assert smallest_primitive_root(13) == 2
     assert smallest_primitive_root(41) == 6
+    assert smallest_primitive_root(2) == 1
     with pytest.raises(DomainError):
         smallest_primitive_root(15)
 
@@ -329,6 +342,32 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == sieve[n], n
     assert is_prime(2 ** 61 - 1)            # Mersenne prime
     assert not is_prime(2 ** 61 + 1)
+
+
+def test_is_prime_refuses_past_its_deterministic_range():
+    # the least strong pseudoprime to all twelve bases 2..37; it is
+    # ≡ 1 (mod 6), so netto_triples would take it for an admissible prime
+    psi = 318665857834031151167461
+    assert psi == 399165290221 * 798330580441 and psi % 6 == 1
+    for call in (is_prime, netto_triples, smallest_primitive_root):
+        with pytest.raises(DomainError, match="only n < "):
+            call(psi)
+    assert not is_prime(2 * psi)            # a base still divides it
+    assert is_prime(psi - 20)               # the largest prime in range
+
+
+def test_netto_charges_its_work_before_doing_it(monkeypatch):
+    # q = 4,000,039, L = 22: 104,001,352 steps, past the default 10^8, so
+    # the 666,673 blocks are refused before any is built
+    monkeypatch.delenv("AUTHDESIGNS_BUDGET", raising=False)
+    with pytest.raises(BudgetError, match="netto_triples"):
+        netto_triples(4000039)
+    # q = 97, L = 7: (97 + 13)·(7 + 4) = 1,210
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "1209")
+    with pytest.raises(BudgetError):
+        netto_triples(97)
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "1210")
+    assert netto_triples(97).l == 16
 
 
 # -------------------------------------------------------------------- json
