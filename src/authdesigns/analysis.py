@@ -18,12 +18,22 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
   keys holding message m, which is also order 0 of the other two models;
   online, the best coverage of keys by i+1 messages.
 
+Order 1 of spoofing and of the online game, and order 2 of spoofing, read
+one pair tally, `SecrecySystem.pairs`: c(x,y), the keys holding both x and
+y, for every pair through the anchor (below; every pair when there is
+none) that some key holds.
+Spoofing at order 1 sums max_y c(x,y) over the messages x; the online game
+at order 1 is the best r_x + r_y - c(x,y), and (2r - min c)/b when every
+message lies in r keys.  So only online orders ≥ 2 build per-message key
+masks.
+
 Cyclic-orbit reduction: when x ↦ x+1 mod v maps every key set onto a key
 set (`SecrecySystem.translation_invariant`, true of every development of a
 cyclic difference family), spoofing and the online game at order i ≥ 1 run
-only through message 0.  Counting pairs (O, x ∈ O) twice gives
+only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
 Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
-unchanged, whatever the orbit lengths.  Other systems run the same loops.
+unchanged, whatever the orbit lengths.  Other systems have no anchor and
+run the same loops over all messages.
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -39,7 +49,8 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
+from operator import sub
 from typing import Optional
 
 from .balancing import EncodingMatrix
@@ -79,9 +90,26 @@ class SecrecySystem:
             map, repeat(step.__getitem__), rows))))
 
     @cached_property
+    def entry_counts(self) -> Counter:
+        """r_m per message m: the keys whose row contains m (a message in no
+        key is absent)."""
+        return Counter(chain.from_iterable(self.matrix.rows))
+
+    @cached_property
     def replication(self) -> int:
         """max_m r_m, the most keys that hold one message."""
-        return max(Counter(chain.from_iterable(self.matrix.rows)).values())
+        return max(self.entry_counts.values())
+
+    @cached_property
+    def pairs(self) -> Counter:
+        """c(P), the keys holding P, for every pair P through the anchor
+        (module docstring) that some key holds: the Counter of the
+        (2-a)-subsets of `_tails`, a = |anchor|, so {0, y} is keyed (y,)
+        and, with no anchor, {x, y} is keyed (x, y), x < y.  Read only after
+        `_anchor` has charged the translation check; building it reads the
+        b keys and makes n·C(k-a, 2-a) increments, n the keys tallied."""
+        anchor = (0,) if self.translation_invariant else ()
+        return _tally(_tails(self, anchor), 2 - len(anchor))
 
     @cached_property
     def message_masks(self) -> tuple:
@@ -146,6 +174,19 @@ def _order_zero(system: SecrecySystem, budget: Optional[int],
     return Fraction(system.replication, system.b)
 
 
+def _tails(system: SecrecySystem, anchor: tuple) -> list:
+    """The sorted rows, or anchored the rows through 0 with 0 removed: one
+    read of each of the b keys."""
+    a = len(anchor)
+    return [sorted(row)[a:] for row in system.matrix.rows
+            if not anchor or 0 in row]
+
+
+def _tally(tails: list, j: int) -> Counter:
+    """The Counter of the j-subsets of the tails, one increment each."""
+    return Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
+
+
 def deception_probability(system: SecrecySystem, i: int,
                           budget: Optional[int] = None) -> Fraction:
     """Exact optimal success probability of a spoofing attack of order i.
@@ -173,17 +214,33 @@ def deception_probability(system: SecrecySystem, i: int,
     the tails of the keys through 0 (0 removed) with j = i-1, so it sees
     exactly the O ∋ 0, and P_di = v·Σ_{O∋0} best(O) / (i·b·C(k,i)).
 
+    Orders 1 and 2 read the pair tally `SecrecySystem.pairs`.  At i = 2 it
+    is the j-tally itself.  At i = 1, best({x}) = max_y c(x,y), which is at
+    least 1 for every message x that occurs, as k ≥ 2.  Anchored the sum
+    is the one term max_y c(0,y), the largest count in the tally.
+    Otherwise it is the number of messages that occur, plus, for each
+    message on a shared pair (c ≥ 2), its largest such c less 1.
+
     Charge, one step per key read, tally increment, distinct observation
     scanned, membership test, key gathered, message counted, message
-    deleted and count compared.  With a = |anchor|, j = i-a, n keys
-    tallied (b, or b·k/v anchored: every message lies in equally many
-    keys) and N = n·C(k-a, j) (key, observation) pairs: b reads, N
-    increments, at most N distinct observations, and, if any is shared,
-    N membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A
-    shared O counts cnt(O)·(k-a) messages, then deletes its j and
-    compares what is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in
-    all.  With the v + 2·b·(k+1) check, the whole is at most
-    v + b·(2k+3) + N·(2·(k-a) + 4) at i ≥ 1.
+    deleted, count compared or stored and value summed.  With a =
+    |anchor|, n keys tallied (b, or b·k/v anchored: every message lies in
+    equally many keys), P = n·C(k-a, 2-a) (key, pair) incidences and the
+    v + 2·b·(k+1) translation check:
+
+    * i = 1 anchored: b reads and P increments build the tally, at most P
+      counts are compared: v + b·(2k+3) + 2·P;
+    * i = 1 otherwise: b·k messages counted for r, b + P for the tally, at
+      most P counts scanned, at most P/2 shared pairs (each holds two of
+      the P incidences) with two counts compared and two stored, and at
+      most v bests summed: 2·v + b·(3k+3) + 4·P;
+    * i ≥ 2: N = n·C(k-a, i-a) (key, observation) pairs, so b reads, N
+      increments and at most N distinct observations; if any is shared,
+      the b keys are read again for N membership tests and H ≤ N keys
+      gathered, H = Σ_{shared} cnt.  A shared O counts cnt(O)·(k-a)
+      messages, then deletes its j and compares what is left, at most
+      cnt(O)·(k-a) together: 2·(k-a)·H in all.  In all at most
+      v + b·(2k+4) + N·(2·(k-a) + 4).
     """
     check_order(system, "classic", i)
     b, k, v = system.b, system.k, system.v
@@ -192,26 +249,46 @@ def deception_probability(system: SecrecySystem, i: int,
     anchor = _anchor(system, i, budget)
     a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
-    pairs = n * math.comb(k - a, j)
-    charge(v + b * (2 * k + 3) + pairs * (2 * (k - a) + 4),
-           budget, what=f"order-{i} spoofing tally over {n} keys")
-    tails = [sorted(row)[a:] for row in system.matrix.rows
-             if not anchor or 0 in row]
-    counts = Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
-    shared = {obs for obs, c in counts.items() if c > 1}
-    total = len(counts) - len(shared)
-    if shared:
-        keys = defaultdict(list)
-        for tail in tails:
-            for obs in filter(shared.__contains__, combinations(tail, j)):
-                keys[obs].append(tail)
-        for obs, group in keys.items():
-            extensions = Counter(chain.from_iterable(group))
-            for m in obs:
-                del extensions[m]
-            total += max(extensions.values())
+    incidences = n * math.comb(k - a, 2 - a)
+    if i == 1:
+        work = (v + b * (2 * k + 3) + 2 * incidences if anchor
+                else 2 * v + b * (3 * k + 3) + 4 * incidences)
+    else:
+        work = (v + b * (2 * k + 4)
+                + n * math.comb(k - a, j) * (2 * (k - a) + 4))
+    charge(work, budget, what=f"order-{i} spoofing tally over {n} keys")
+    if i == 1:
+        total = (max(system.pairs.values()) if anchor
+                 else _order_one_total(system))
+    else:
+        counts = system.pairs if i == 2 else _tally(_tails(system, anchor), j)
+        shared = {obs for obs, c in counts.items() if c > 1}
+        total = len(counts) - len(shared)
+        if shared:
+            keys = defaultdict(list)
+            for tail in _tails(system, anchor):
+                for obs in filter(shared.__contains__, combinations(tail, j)):
+                    keys[obs].append(tail)
+            for obs, group in keys.items():
+                extensions = Counter(chain.from_iterable(group))
+                for m in obs:
+                    del extensions[m]
+                total += max(extensions.values())
     weight = Fraction(v, i) if anchor else 1
     return weight * Fraction(total, b * math.comb(k, i))
+
+
+def _order_one_total(system: SecrecySystem) -> int:
+    """Σ_x max_y c(x,y) with no anchor: 1 for each message that occurs,
+    plus c-1 for the largest count c ≥ 2 on a pair through it."""
+    counts = system.pairs
+    best = {}
+    for (x, y), c in compress(counts.items(), map((1).__lt__, counts.values())):
+        if c > best.get(x, 1):
+            best[x] = c
+        if c > best.get(y, 1):
+            best[y] = c
+    return len(system.entry_counts) + sum(best.values()) - len(best)
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +323,32 @@ def voracle_online_value(system: SecrecySystem, i: int,
 
         value = max over (i+1)-sets S of |⋃_{m∈S} mask_m| / b.
 
-    At i = 0 that is max_m r_m / b (`_order_zero`).  Otherwise
-    each set is its i smallest messages (the prefix) plus a larger one; the
-    union of a prefix is formed once and shared by all its extensions.
-    Anchored, S+1 covers as many keys as S and every S has a translate
-    through 0, so only prefixes starting with 0 run: C(v-1, i) sets.
+    At i = 0 that is max_m r_m / b (`_order_zero`).  Anchored, S+1 covers
+    as many keys as S and every S has a translate through 0, so only the
+    S ∋ 0 run.
 
-    Charge at i ≥ 1, one step per OR or popcount, with a = |anchor|: b·k
-    for the masks and v + 2·b·(k+1) for the check; i ORs for each of the
-    C(v-1-a, i-a) prefixes with an extension (largest message at most v-2);
-    an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
+    At i = 1, |mask_x ∪ mask_y| = r_x + r_y - c(x,y), with c from the pair
+    tally `SecrecySystem.pairs` and c = 0 for a pair in no key, so no mask
+    is built (`_online_order_one`).
+
+    At i ≥ 2 each set is its i smallest messages (the prefix) plus a
+    larger one; the union of a prefix is formed once and shared by all its
+    extensions.  Anchored, only prefixes starting with 0 run: C(v-1, i)
+    sets.  Charge, one step per OR or popcount, with a = |anchor|: b·k for
+    the masks and v + 2·b·(k+1) for the check; i ORs for each of the
+    C(v-1-a, i-a) prefixes with an extension (largest message at most
+    v-2); an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
     v + b·(3k+2) + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
     """
     check_order(system, "oracle-online", i)
     if i == 0:
         return _order_zero(system, budget, "online oracle game of order 0")
-    v = system.v
     anchor = _anchor(system, i, budget)
-    a = len(anchor)
-    charge(v + system.b * (3 * system.k + 2)
-           + i * math.comb(v - 1 - a, i - a) + 2 * math.comb(v - a, i + 1 - a),
+    if i == 1:
+        return _online_order_one(system, anchor, budget)
+    b, k, v, a = system.b, system.k, system.v, len(anchor)
+    charge(v + b * (3 * k + 2) + i * math.comb(v - 1 - a, i - a)
+           + 2 * math.comb(v - a, i + 1 - a),
            budget, what=f"online oracle game of order {i}")
     masks = system.message_masks
     best = 0
@@ -278,7 +361,46 @@ def voracle_online_value(system: SecrecySystem, i: int,
             covered = (union | mask).bit_count()
             if covered > best:
                 best = covered
-    return Fraction(best, system.b)
+    return Fraction(best, b)
+
+
+def _online_order_one(system: SecrecySystem, anchor: tuple,
+                      budget: Optional[int]) -> Fraction:
+    """The online game at order 1: the max over the T = C(v-a, 2-a) pairs
+    {x, y} through the anchor (a = |anchor|) of r_x + r_y - c(x,y), over b.
+
+    When every message lies in r = b·k/v keys, as every anchored system
+    does, that is (2r - min c)/b, the min over the T pairs, and 0 when the
+    tally holds fewer than T of them (some pair shares no key).  Otherwise
+    every one of the C(v,2) pairs is scanned, at C speed.
+
+    Charge, with the v + 2·b·(k+1) translation check, b reads and
+    P = n·C(k-a, 2-a) increments for the tally (n = b, or b·k/v anchored):
+    anchored, at most min(P, T) counts compared, v + b·(2k+3) + P + min(P,
+    v-1).  Otherwise r and its max are counted first, b·k + min(v, b·k),
+    and charged with the check before they run; that decides the path,
+    charged in all as the same first stage plus b + P + min(P, T) for the
+    min, or, when r varies, plus v counts read into a list, b + P for the
+    tally and per pair an add, a count looked up, a subtraction and a
+    comparison, v + b + P + 4·C(v,2)."""
+    b, k, v, a = system.b, system.k, system.v, len(anchor)
+    incidences = (b * k // v if anchor else b) * math.comb(k - a, 2 - a)
+    through = math.comb(v - a, 2 - a)
+    what = "online oracle game of order 1"
+    work = v + 2 * b * (k + 1)
+    if not anchor:
+        work += b * k + min(v, b * k)
+        charge(work, budget, what=what)
+    if anchor or system.replication * v == b * k:
+        charge(work + b + incidences + min(incidences, through), budget,
+               what=what)
+        counts = system.pairs
+        least = min(counts.values()) if len(counts) == through else 0
+        return Fraction(2 * (b * k // v) - least, b)
+    charge(work + v + b + incidences + 4 * through, budget, what=what)
+    r = list(map(system.entry_counts.__getitem__, range(v)))
+    return Fraction(max(map(sub, map(sum, combinations(r, 2)), map(
+        system.pairs.get, combinations(range(v), 2), repeat(0)))), b)
 
 
 def offline_bound(v: int, k: int) -> Fraction:

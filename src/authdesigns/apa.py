@@ -122,15 +122,15 @@ def verify_apa(array: PerpendicularArray,
 VAN_REES_BASE_ROWS = ((0, 1, 2), (0, 9, 7), (0, 3, 6), (0, 4, 8), (0, 5, 10))
 
 
-def van_rees_array() -> PerpendicularArray:
+def van_rees_array(budget: Optional[int] = None) -> PerpendicularArray:
     """The classical APA_1(2, 3, 11): five base rows developed additively mod
-    11, in (base row, shift) lexicographic order.  Post-verified before
-    returning."""
+    11, in (base row, shift) lexicographic order.  Post-verified, charging
+    `budget`, before returning."""
     rows = tuple(tuple((x + g) % 11 for x in base)
                  for base in VAN_REES_BASE_ROWS for g in range(11))
     array = PerpendicularArray(t=2, k=3, v=11, lambda_=1, rows=rows)
-    verify_apa(array).require(ConstructionError,
-                              "developed base rows failed APA verification")
+    verify_apa(array, budget).require(
+        ConstructionError, "developed base rows failed APA verification")
     return array
 
 

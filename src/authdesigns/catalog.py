@@ -25,7 +25,8 @@ class CatalogEntry:
 
     kind 'design' payloads load as (BlockDesign, t, lambda); 'cdf' as
     DifferenceFamily; 'apa' as PerpendicularArray; 'params-only' entries
-    have no payload (loader is None).
+    have no payload (loader is None).  A loader takes the work budget its
+    generators and verifier charge.
     """
 
     name: str
@@ -37,22 +38,24 @@ class CatalogEntry:
     loader: Optional[Callable] = None
 
 
-def _gated_df(name: str, v: int, lam: int, blocks: tuple) -> DifferenceFamily:
+def _gated_df(name: str, v: int, lam: int, blocks: tuple,
+              budget: Optional[int]) -> DifferenceFamily:
     df = DifferenceFamily(v=v, lambda_=lam, base_blocks=blocks)
-    verify_df(df).require(
+    verify_df(df, budget).require(
         ConstructionError, f"catalog entry {name!r} failed difference verification")
     return df
 
 
-def _gated_design(design: BlockDesign, t: int, lam: int, name: str):
-    verify_design(design, t, lam).require(
+def _gated_design(design: BlockDesign, t: int, lam: int, name: str,
+                  budget: Optional[int]):
+    verify_design(design, t, lam, budget).require(
         ConstructionError, f"catalog entry {name!r} failed design verification")
     return design, t, lam
 
 
-def _van_rees():
+def _van_rees(budget: Optional[int]):
     from .apa import van_rees_array   # verifies the array before returning
-    return van_rees_array()
+    return van_rees_array(budget)
 
 
 _BUNDLED = " from bundled data"
@@ -151,7 +154,8 @@ def _build_registry():
         add(CatalogEntry(
             name=name, kind="cdf", note=note, params=params,
             summary=f"CDF({v},{params.k},{lam}){summary}",
-            loader=lambda row=(name, v, lam, blocks): _gated_df(*row)))
+            loader=lambda budget, row=(name, v, lam, blocks): _gated_df(
+                *row, budget)))
 
     for q in _NETTO_PRIMES:
         add(CatalogEntry(
@@ -160,21 +164,22 @@ def _build_registry():
             note="Netto's construction from sixth-power cosets mod q",
             params=DesignParameters(2, q, 3, 1),
             # netto_triples verifies the family before returning
-            loader=(lambda qq=q: netto_triples(qq))))
+            loader=(lambda budget, qq=q: netto_triples(qq, budget))))
 
     add(CatalogEntry(
         name="complete-5-3", kind="design",
         summary="3-(5,3,1): all ten 3-subsets of five points",
         note="complete design; the smallest 2-fold secure example",
         params=DesignParameters(3, 5, 3, 1),
-        loader=lambda: _gated_design(complete_design(5, 3), 3, 1, "complete-5-3")))
+        loader=lambda budget: _gated_design(
+            complete_design(5, 3, budget), 3, 1, "complete-5-3", budget)))
     add(CatalogEntry(
         name="ag-2-3", kind="design",
         summary="2-(9,3,1): the affine plane of order 3",
         note="negative example for balancing: b=12 is not divisible by v=9",
         params=DesignParameters(2, 9, 3, 1),
-        loader=lambda: _gated_design(
-            BlockDesign(v=9, blocks=_AG23_BLOCKS), 2, 1, "ag-2-3")))
+        loader=lambda budget: _gated_design(
+            BlockDesign(v=9, blocks=_AG23_BLOCKS), 2, 1, "ag-2-3", budget)))
 
     add(CatalogEntry(
         name="van-rees-apa", kind="apa",
@@ -220,14 +225,15 @@ def get(name: str) -> CatalogEntry:
     return _REGISTRY[name]
 
 
-def load_payload(name: str):
-    """Load and verify the payload of a named entry.
+def load_payload(name: str, budget: Optional[int] = None):
+    """Load and verify the payload of a named entry, every generator and
+    verifier charging against `budget`.
 
     Returns (design, t, lambda) / DifferenceFamily / PerpendicularArray
     depending on kind; None for params-only rows.
     """
     loader = get(name).loader
-    return None if loader is None else loader()
+    return None if loader is None else loader(budget)
 
 
 def buildable_names():

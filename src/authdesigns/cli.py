@@ -296,7 +296,7 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
 
     # export
-    payload = catalog.load_payload(entry.name)
+    payload = catalog.load_payload(entry.name, args.budget)
     if payload is None:
         raise DomainError(f"{entry.name} is a parameter-only row; no payload to export")
     out_path = args.out or f"{entry.name}.json"

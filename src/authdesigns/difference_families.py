@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, permutations
+from math import isqrt
 
 from .budget import charge
 from .designs import BlockDesign, VerificationReport, tally_report
@@ -168,10 +169,17 @@ def _prime_factors(n: int):
     return out
 
 
-def smallest_primitive_root(q: int) -> int:
-    """Smallest generator of the multiplicative group mod prime q."""
+def smallest_primitive_root(q: int, budget: int | None = None) -> int:
+    """Smallest generator of the multiplicative group mod prime q.  Charge,
+    one step per trial division or modular power, L the bit length of q,
+    before q-1 is factored: at most sqrt(q) candidate divisors and L-1
+    exact divisions factor q-1; the search tries at most q-1 candidates
+    against at most L-1 prime factors.  In all isqrt(q) + L + (q-1)·(L-1)."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
+    L = q.bit_length()
+    charge(isqrt(q) + L + (q - 1) * (L - 1), budget,
+           what=f"primitive root search mod {show_int(q)}")
     factors = _prime_factors(q - 1)
     for w in range(1, q):   # 1 generates only mod 2, where q-1 has no factor
         if all(pow(w, (q - 1) // p, q) != 1 for p in factors):
@@ -179,7 +187,7 @@ def smallest_primitive_root(q: int) -> int:
     raise ConstructionError(f"no primitive root found mod {q}")
 
 
-def netto_triples(q: int) -> DifferenceFamily:
+def netto_triples(q: int, budget: int | None = None) -> DifferenceFamily:
     """CDF(q, 3, 1) for a prime q ≡ 1 (mod 6): with w the smallest primitive
     root and d = (q-1)/6, base blocks {w^i, w^(i+2d), w^(i+4d)} for
     i = 0..d-1, gated through verify_df before returning.  Charge, one step
@@ -188,19 +196,20 @@ def netto_triples(q: int) -> DifferenceFamily:
     the root search re-tests primality (12·L) and tries at most q-1
     candidates against at most L-1 prime factors; the blocks take (q-1)/2
     powers and checks; verify_df charges 3(q-1), as n = 6d.  In all at most
-    q·L + 3q + sqrt(q) + 12·L < (q + 13)·(L + 4)."""
+    q·L + 3q + sqrt(q) + 12·L < (q + 13)·(L + 4).  The budget is passed on
+    to the root search and to verify_df."""
     if not is_prime(check_int("q", q, error=DomainError)):
         raise DomainError(f"q must be prime, got {show_int(q)}")
     if q % 6 != 1:
         raise DomainError(f"q must satisfy q ≡ 1 (mod 6), got {show_int(q)}")
-    charge((q + 13) * (q.bit_length() + 4), what=f"netto_triples({q})")
-    w = smallest_primitive_root(q)
+    charge((q + 13) * (q.bit_length() + 4), budget, what=f"netto_triples({q})")
+    w = smallest_primitive_root(q, budget)
     d = (q - 1) // 6
     blocks = tuple(
         (pow(w, i, q), pow(w, i + 2 * d, q), pow(w, i + 4 * d, q))
         for i in range(d))
     family = DifferenceFamily(v=q, lambda_=1, base_blocks=blocks)
-    verify_df(family).require(
+    verify_df(family, budget).require(
         ConstructionError, f"netto_triples({q}) failed its own difference tally")
     return family
 

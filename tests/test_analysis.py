@@ -673,6 +673,113 @@ def test_cyclic_reduction_matches_relabelled_copy():
                 copy, i), (name, i)
 
 
+# ------------------------------------------------------ pair tally
+
+def pair_tally_cases():
+    """Systems that reach every branch of orders 1 and 2."""
+    cycle6 = EncodingMatrix(6, 2, develop_rows(6, ((0, 1),)))
+    return {
+        # r varies and the best pair {0, 3} shares no key
+        "apart": EncodingMatrix(6, 2, ((0, 1), (0, 2), (3, 4), (3, 5))),
+        # r varies, some pairs share no key, {0, 1} shares two
+        "uneven": EncodingMatrix(6, 3, ((0, 1, 2), (0, 1, 3), (0, 4, 5))),
+        # r uniform, not invariant, most pairs share no key
+        "cycle6-relabelled": relabelled(cycle6, 2),
+        # invariant, and 0 never meets 2, 3 or 4
+        "cycle6": cycle6,
+        "z9-013": EncodingMatrix(9, 3, develop_rows(9, ((0, 1, 3),))),
+        # λ = 2 on every pair, invariant and relabelled
+        "biplane": develop_matrix(DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),))),
+        "biplane-relabelled": relabelled(develop_matrix(
+            DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),))), 3),
+        # k = 2, and k = 1 with an empty tally, with and without symmetry
+        "pentagon-relabelled": relabelled(
+            EncodingMatrix(5, 2, develop_rows(5, ((0, 1),))), 4),
+        "singletons": EncodingMatrix(4, 1, ((0,), (1,), (2,), (3,))),
+        "singletons-short": EncodingMatrix(4, 1, ((2,), (0,), (3,))),
+    }
+
+
+def test_pair_tally_paths_match_the_naive_oracles():
+    cases = pair_tally_cases()
+    for name, matrix in cases.items():
+        system = SecrecySystem(matrix)
+        for i in range(1, min(3, matrix.k)):
+            assert deception_probability(system, i) == naive_deception(
+                matrix, i), (name, i)
+        assert voracle_online_value(system, 1) == naive_online(
+            matrix, 1), name
+    # the branches these cases are meant to reach
+    shape = {}
+    for name, matrix in cases.items():
+        system = SecrecySystem(matrix)
+        a = 1 if system.translation_invariant else 0
+        voracle_online_value(system, 1)
+        shape[name] = (a, len(system.pairs) < comb(matrix.v - a, 2 - a),
+                       system.replication * matrix.v == matrix.b * matrix.k)
+    assert shape["apart"] == shape["uneven"] == (0, True, False)
+    assert shape["cycle6-relabelled"] == (0, True, True)
+    assert shape["cycle6"] == shape["z9-013"] == (1, True, True)
+    assert shape["biplane"] == (1, False, True)
+    assert shape["biplane-relabelled"] == (0, False, True)
+    assert shape["singletons"] == (1, True, True)
+    assert shape["singletons-short"] == (0, True, False)
+    assert SecrecySystem(cases["singletons"]).pairs == Counter()
+    # the unshared pair {0, 3} covers all four keys, any shared one three
+    assert voracle_online_value(SecrecySystem(cases["apart"]), 1) == 1
+
+
+def test_pair_tally_holds_every_pair_through_the_anchor():
+    biplane = pair_tally_cases()["biplane"]
+    for matrix, a in ((biplane, 1), (relabelled(biplane, 5), 0)):
+        system = SecrecySystem(matrix)
+        assert system.translation_invariant == bool(a)
+        rows = [set(row) for row in matrix.rows]
+        expected = Counter()
+        for x, y in combinations(range(matrix.v), 2):
+            if a and x != 0:
+                continue
+            c = sum({x, y} <= row for row in rows)
+            if c:
+                expected[(x, y)[a:]] = c
+        assert system.pairs == expected
+        assert set(system.pairs.values()) == {2}
+
+
+def test_pair_tally_fuzz_matches_the_naive_oracles():
+    # seeded systems over v <= 9, invariant and not, with k = 1 too; each
+    # value from one system queried in both orders and from a fresh one
+    rng = random.Random(79)
+    cases = [*random_small_systems(83, 40), *random_unbalanced_matrices(89, 30)]
+    for _ in range(10):
+        v = rng.randint(2, 7)
+        cases.append(EncodingMatrix(v, 1, tuple(
+            (m,) for m in rng.sample(range(v), rng.randint(1, v)))))
+    invariant = 0
+    for matrix in cases:
+        shared = SecrecySystem(matrix)
+        invariant += shared.translation_invariant
+        calls = [(voracle_online_value, 1, naive_online(matrix, 1))]
+        calls += [(deception_probability, i, naive_deception(matrix, i))
+                  for i in range(1, min(3, matrix.k))]
+        for fn, i, expected in (*calls, *reversed(calls)):
+            assert fn(shared, i) == expected, (matrix, fn.__name__, i)
+            assert fn(SecrecySystem(matrix), i) == expected
+    assert 20 <= invariant <= len(cases) - 20, invariant
+
+
+def test_masks_are_built_only_for_online_orders_from_two():
+    for _, matrix in catalog_developments()[:4]:
+        for case in (matrix, relabelled(matrix, 6)):
+            system = SecrecySystem(case)
+            for model in ("classic", "oracle-offline", "oracle-online"):
+                analyze(system, model, range(min(2, case.k)))
+            assert "message_masks" not in vars(system)
+            assert "pairs" in vars(system)
+            voracle_online_value(system, 2)
+            assert "message_masks" in vars(system)
+
+
 # ------------------------------------------------------------------ budget
 
 def test_budget_errors(z13_system):
@@ -695,22 +802,40 @@ def deception_charge(b, k, v, i, anchored):
     if i == 0:
         return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
-    n, j = (b * k // v if anchored else b), i - a
-    return v + b * (2 * k + 3) + n * comb(k - a, j) * (2 * (k - a) + 4)
+    n = b * k // v if anchored else b
+    pairs = n * comb(k - a, 2 - a)
+    if i == 1:
+        return (v + b * (2 * k + 3) + 2 * pairs if anchored
+                else 2 * v + b * (3 * k + 3) + 4 * pairs)
+    return v + b * (2 * k + 4) + n * comb(k - a, i - a) * (2 * (k - a) + 4)
 
 
-def online_charge(b, k, v, i, anchored):
+def online_first_stage(b, k, v):
+    """Unanchored order 1: the check plus the count of r and its max,
+    charged before they decide the path."""
+    return v + 2 * b * (k + 1) + b * k + min(v, b * k)
+
+
+def online_charge(b, k, v, i, anchored, uniform=True):
     """The documented charge of `voracle_online_value`."""
     if i == 0:
         return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
+    if i == 1:
+        pairs = (b * k // v if anchored else b) * comb(k - a, 2 - a)
+        through = comb(v - a, 2 - a)
+        if anchored:
+            return v + b * (2 * k + 3) + pairs + min(pairs, v - 1)
+        return online_first_stage(b, k, v) + b + pairs + (
+            min(pairs, through) if uniform else v + 4 * through)
     return (v + b * (3 * k + 2) + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
 
 
 def test_budget_charges_on_both_paths(z13_system):
     # the translation check is charged v + 2·b·(k+1) before it runs; past it, the
-    # whole call is charged for the path the check selects
+    # whole call is charged for the path the check selects (the unanchored
+    # online game at order 1 first charges its count of r)
     b, k, v = z13_system.b, z13_system.k, z13_system.v
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
     for fn, documented in ((deception_probability, deception_charge),
@@ -722,7 +847,10 @@ def test_budget_charges_on_both_paths(z13_system):
                 assert exc.value.required == v + 2 * b * (k + 1)
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=v + 2 * b * (k + 1))
-                assert exc.value.required == documented(b, k, v, i, anchored)
+                staged = fn is voracle_online_value and i == 1 and not anchored
+                assert exc.value.required == (
+                    online_first_stage(b, k, v) if staged
+                    else documented(b, k, v, i, anchored))
         with pytest.raises(BudgetError) as exc:
             fn(z13_system, 0, budget=5)
         assert exc.value.required == documented(b, k, v, 0, False)
@@ -730,10 +858,53 @@ def test_budget_charges_on_both_paths(z13_system):
         with pytest.raises(BudgetError) as exc:
             voracle_offline_value(z13_system, i, budget=5)
         assert exc.value.required == order_zero_charge(b, k, v)
-    # anchored, the order-1 tally reads 6 keys through 0 instead of 26
-    assert deception_charge(b, k, v, 1, True) == 295
-    assert deception_charge(b, k, v, 1, False) == 1027
+    # anchored, the order-1 tally reads the 6 keys through 0, 12 pairs
+    assert deception_charge(b, k, v, 1, True) == 271
+    assert deception_charge(b, k, v, 1, False) == 650
+    assert online_charge(b, k, v, 1, True) == 271
     assert order_zero_charge(b, k, v) == 91
+
+
+def charge_cases():
+    """(name, system, anchored, uniform) on every path of orders 1 and 2:
+    Z_13 and its relabelled copy, the relabelled biplane (λ = 2) and an
+    unbalanced matrix."""
+    z13 = develop_matrix(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7))))
+    biplane = develop_matrix(DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),)))
+    uneven = EncodingMatrix(6, 3, ((0, 1, 2), (0, 1, 3), (0, 4, 5)))
+    return [("z13", SecrecySystem(z13), True, True),
+            ("z13-relabelled", SecrecySystem(relabelled(z13, 0)), False, True),
+            ("biplane", SecrecySystem(biplane), True, True),
+            ("biplane-relabelled", SecrecySystem(relabelled(biplane, 1)),
+             False, True),
+            ("uneven", SecrecySystem(uneven), False, False)]
+
+
+def test_order_one_and_two_charges_are_pinned():
+    # each documented charge passes as the budget and is refused one step
+    # below it, with the value unchanged
+    seen = set()
+    for name, system, anchored, uniform in charge_cases():
+        assert system.translation_invariant == anchored, name
+        b, k, v = system.b, system.k, system.v
+        calls = [(deception_probability, i, deception_charge(b, k, v, i, anchored))
+                 for i in (1, 2)]
+        calls.append((voracle_online_value, 1,
+                      online_charge(b, k, v, 1, anchored, uniform)))
+        for fn, i, cost in calls:
+            fresh = SecrecySystem(system.matrix)
+            with pytest.raises(BudgetError) as exc:
+                fn(fresh, i, budget=cost - 1)
+            assert exc.value.required == cost, (name, fn.__name__, i)
+            assert fn(fresh, i, budget=cost) == fn(system, i), (name, i)
+            seen.add((fn.__name__, anchored, uniform))
+    assert len(seen) == 6
+    # the relabelled Z_13: r is uniform, so its 78 pairs are read once for
+    # the min instead of four steps each in the scan
+    assert online_first_stage(26, 3, 13) == 312
+    assert online_charge(26, 3, 13, 1, False) == 312 + 26 + 78 + 78
+    assert online_charge(26, 3, 13, 1, False, uniform=False) == (
+        312 + 13 + 26 + 78 + 4 * 78)
 
 
 def test_check_order_is_the_one_order_rule(fano_system):

@@ -578,6 +578,34 @@ def test_catalog_export_params_only_refused(capsys, tmp_path):
     assert code == 1 and "parameter-only" in err
 
 
+@pytest.mark.parametrize("name, cost", [
+    ("complete-5-3", 30),       # C(5,3) blocks, then verify_design at t = 3
+    ("ag-2-3", 108),            # verify_design at t = 2
+    ("cdf-337-7-1", 1008),      # verify_df
+    ("netto-97", 1210),         # netto_triples
+    ("van-rees-apa", 3245),     # verify_apa
+])
+def test_catalog_export_honours_the_budget(capsys, tmp_path, monkeypatch,
+                                           name, cost):
+    # --budget and AUTHDESIGNS_BUDGET both reach every loader of the entry
+    monkeypatch.delenv("AUTHDESIGNS_BUDGET", raising=False)
+    out = tmp_path / "x.json"
+    export = ["catalog", "export", name, "--out", str(out)]
+    for flag in (True, False):
+        if flag:
+            code, stdout, err = run(capsys, *export, "--budget", str(cost - 1))
+        else:
+            monkeypatch.setenv("AUTHDESIGNS_BUDGET", str(cost - 1))
+            code, stdout, err = run(capsys, *export)
+        assert (code, stdout) == (3, ""), (name, flag)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+    # the flag wins over the environment, in every generator and verifier
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "5")
+    assert run(capsys, *export, "--budget", str(cost))[0] == 0
+    assert out.exists()
+
+
 def test_catalog_action_needs_name(capsys):
     code, _, err = run(capsys, "catalog", "show")
     assert code == 1

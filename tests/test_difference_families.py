@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -328,6 +329,26 @@ def test_primitive_roots():
     assert smallest_primitive_root(2) == 1
     with pytest.raises(DomainError):
         smallest_primitive_root(15)
+
+
+def test_primitive_root_search_is_charged_before_it_factors(monkeypatch):
+    # q - 1 = 2p with p prime: trial division alone would run to 10^9
+    monkeypatch.delenv("AUTHDESIGNS_BUDGET", raising=False)
+    q = 10**18 + 7243
+    assert is_prime(q) and is_prime((q - 1) // 2)
+    with pytest.raises(BudgetError, match="primitive root search") as exc:
+        smallest_primitive_root(q)
+    assert exc.value.required == isqrt(q) + 60 + (q - 1) * 59
+    # q = 97, L = 7: 9 + 7 + 96·6 = 592
+    with pytest.raises(BudgetError):
+        smallest_primitive_root(97, budget=591)
+    assert smallest_primitive_root(97, budget=592) == 5
+    # netto_triples passes its budget on, to the root search and verify_df,
+    # so a lower AUTHDESIGNS_BUDGET does not reach them
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "5")
+    with pytest.raises(BudgetError, match="netto_triples"):
+        netto_triples(97, budget=1209)
+    assert netto_triples(97, budget=1210).l == 16
 
 
 def test_is_prime_against_sieve():
