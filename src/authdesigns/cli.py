@@ -318,7 +318,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_apa(args) -> int:
     from . import apa as apa_mod
-    array = apa_mod.van_rees_array()
+    array = apa_mod.van_rees_array(args.budget)
     report = apa_mod.verify_apa(array, budget=args.budget)
     doc = {"t": array.t, "k": array.k, "v": array.v, "lambda": array.lambda_,
            "rows": len(array.rows), "valid": report.valid}

@@ -619,3 +619,12 @@ def test_apa_command(capsys, tmp_path):
     assert code == 0
     assert "55 rows, valid: true" in text
     assert apa_from_json(load_json(out)) == van_rees_array()
+
+
+def test_apa_command_honours_the_budget(capsys, monkeypatch):
+    # the array is built and verified under --budget, not the environment
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "5")
+    assert run(capsys, "apa", "--budget", "3245")[0] == 0
+    code, out, err = run(capsys, "apa", "--budget", "3244")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
