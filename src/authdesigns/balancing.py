@@ -1,25 +1,24 @@
-"""Balanced orderings of block designs via point-splitting and edge coloring.
+"""Balanced orderings of block designs via equitable edge coloring.
 
 A design with v | b can always have its blocks ordered into rows so that
-every point occupies every column position in exactly b/v rows: split each
-point into b/v copies of degree k, and k-edge-color the resulting k-regular
-bipartite copy/block incidence graph (colors = column positions).  The
-coloring follows König's constructive proof: each edge takes a color free
-at both ends, after at most one swap of two colors along an alternating
-path (`edge_color`).  That balanced ordering is exactly what makes the
-matrix a perfect-secrecy encoding matrix under equiprobable keys.
+every point occupies every column position in exactly c = b/v rows: color
+the point/block incidence graph with the k column positions so that each
+block sees every color once and each point every color c times, an
+equitable coloring (de Werra, 1971; `edge_color`).  That balanced ordering
+is exactly what makes the matrix a perfect-secrecy encoding matrix under
+equiprobable keys.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, cycle, product, repeat
 from operator import itemgetter
 from typing import Optional
 
 from .errors import DomainError, StructuralError
-from .fileio import check_int, check_rows, int_field, int_rows
+from .fileio import check_int, check_rows, int_field, int_rows, require
 from .record import record
 
 
@@ -67,114 +66,122 @@ class EncodingMatrix:
 
 @record
 class SplitGraph:
-    """k-regular bipartite multigraph after point-splitting: n vertices a
-    side, an edge (a, z) per incidence.  Splitting gives v·(b/v) = b point
-    copies, copy a of point a // (b/v), against the b blocks.  Construction
-    refuses a graph not k-regular on n + n vertices, k = len(edges) // n >= 1,
-    so `edge_color` needs no check of its own.
-    """
+    """Bipartite multigraph, an edge (point, row) per incidence: n points of
+    degree c·k, c·n rows of degree k (k-regular if c = 1).  Construction
+    refuses other degrees, k = len(edges) // (c·n) >= 1."""
 
     n: int
-    edges: tuple   # (left vertex, right vertex)
+    edges: tuple   # (point, row)
+    c: int = 1
 
     def __post_init__(self):
-        k = len(self.edges) // check_int("n", self.n, 1)
-        # equal to a Counter per side: so k >= 1 and every end lies in [0, n)
-        regular = dict.fromkeys(range(self.n), k)
-        if any(Counter(map(itemgetter(side), self.edges)) != regular
-               for side in (0, 1)):
-            raise StructuralError(f"graph is not {k}-regular bipartite")
+        rows = check_int("n", self.n, 1) * check_int("c", self.c, 1)
+        k = len(self.edges) // rows
+        # equal to a Counter per side: so k >= 1 and every end is in range
+        require(all(Counter(map(itemgetter(side), self.edges))
+                    == dict.fromkeys(range(size), degree)
+                    for side, size, degree in ((0, self.n, self.c * k), (1, rows, k))),
+                f"graph is not {k}-regular bipartite"
+                + f" with points of degree {self.c * k}" * (self.c > 1))
 
 
 def split_points(design: BlockDesign) -> SplitGraph:
-    """Split each point into b/v copies, each taking k consecutive incidences
-    (ascending block index), yielding a k-regular bipartite graph.
-
-    Caller is responsible for having verified the design; v | b is checked
-    here because the construction is meaningless without it.
-    """
+    """The point/block incidence graph of a design, c = b/v: edge j·k + i
+    joins block j to its i-th point.  Caller is responsible for having
+    verified the design; v | b and uniform replication are checked here
+    because a balanced ordering needs both."""
     v, k, b = design.v, design.k, design.b
     if b % v != 0:
         raise DomainError(
             f"balanced ordering needs v | b; got b={b}, v={v} (b mod v = {b % v})")
-    copies = b // v
-    incidences = [[] for _ in range(v)]
-    for j, block in enumerate(design.blocks):
-        for x in block:
-            incidences[x].append(j)
     from .designs import tally_report
-    report = tally_report(dict(enumerate(map(len, incidences))), range(v), v,
-                          k * copies)
-    if not report.valid:
-        raise StructuralError(
-            f"point replication must be uniform r = k*b/v = {k * copies}",
-            offenders=report.failures)
-    # point-major, the i-th incidence falls on copy i // k
-    copy_of = chain.from_iterable(map(repeat, range(b), repeat(k)))
-    return SplitGraph(b, tuple(zip(copy_of, chain.from_iterable(incidences))))
+    points = tuple(chain.from_iterable(design.blocks))
+    report = tally_report(Counter(points), range(v), v, k * (b // v))
+    require(report.valid, f"point replication must be uniform r = k*b/v = "
+            f"{k * (b // v)}", report.failures)
+    rows = chain.from_iterable(map(repeat, range(b), repeat(k)))
+    return SplitGraph(v, tuple(zip(points, rows)), b // v)
 
 
 def edge_color(graph: SplitGraph) -> tuple:
-    """Proper k-edge-coloring of a k-regular bipartite graph, k its common
-    degree.
+    """Equitable k-edge-coloring: each row sees every color in [0, k)
+    once, each point every color exactly c times.  Returns a color per
+    edge, aligned with graph.edges.
 
-    Returns a color in [0, k) per edge, aligned with graph.edges.  König's
-    alternating-path coloring, edges taken in index order: for edge (a, z)
-    let α be the lowest color free at a and β the lowest free at z.  Use α
-    if it is free at z, else β if it is free at a.  Otherwise swap α↔β along
-    the α/β path that starts at z (its first edge is z's α-edge).  That path
-    arrives at left vertices only by α-edges and α is free at a, so it never
-    reaches a; after the swap α is free at both ends.  A path visits each
-    vertex at most once, so the worst case is O(E·V); regularity bounds the
-    degrees by k, so a free color always exists.  Deterministic by
-    construction.
+    Points are colored in turn, a point's edges in index order.  The t-th
+    edge (x, j) takes the first color from t mod k on, cyclically, that x
+    holds fewer than c times and row j lacks.  Failing that, with α open at
+    x and β lacking in row j, row j's α entry moves to β.  Its point then
+    holds c+1 β-entries, so one of them in a row not yet entered moves to α
+    (in a row lacking α if there is one: the walk ends there), that row's
+    α entry moves to β, and the walk goes on at its point.  Earlier points
+    hold every color c times and x holds c β-entries, so only a row
+    lacking α ends the walk, leaving α open at x and in row j.
+
+    Termination: each row is entered once at most, and an entered row's
+    β-entry is one the walk pushed off α.  A point's pushed entries were
+    among its at most c α-entries at the start, so a point with c+1
+    β-entries always has one in a row not yet entered.  A walk thus takes
+    at most b = c·n steps of O(c) work: O(E·b·c) worst case for E edges.
     """
-    edges = graph.edges
-    k = len(edges) // graph.n
-    # n·k slots a side: at[vertex * k + color] = edge id holding that color, or -1
-    left_at, right_at = [-1] * len(edges), [-1] * len(edges)
+    edges, c = graph.edges, graph.c
+    k = len(edges) // (graph.n * c)
+    free = [(1 << k) - 1] * (graph.n * c)   # bit α: row j lacks α
+    at = [[] for _ in range(graph.n * k)]   # at[x * k + α]: x's α-edges
+    row_at = [-1] * len(edges)              # row_at[j * k + α]: edge, or -1
     colors = [-1] * len(edges)
-    for eid, (a, z) in enumerate(edges):
-        la, rz = a * k, z * k
-        alpha = left_at.index(-1, la, la + k) - la
-        beta = right_at.index(-1, rz, rz + k) - rz
-        if right_at[rz + alpha] != -1:
-            if left_at[la + beta] == -1:
-                alpha = beta
+    from_t = [(1 << k) - (1 << t) for t in range(k)]   # colors t, ..., k-1
+    row_of, by_point = list(map(itemgetter(1), edges)), [[] for _ in range(graph.n)]
+    for eid, (x, _) in enumerate(edges):
+        by_point[x].append(eid)
+    for x, mine in enumerate(by_point):
+        room = (1 << k) - 1                 # bit α: x holds < c α-entries
+        for eid, first in zip(mine, cycle(from_t)):
+            j = row_of[eid]
+            bit = room & free[j]
+            if bit:
+                bit = bit & first or bit
+                bit &= -bit
             else:
-                # swap the α and β slots at every vertex of the path
-                y = rz
-                while True:
-                    e = right_at[y + alpha]
-                    right_at[y + alpha] = right_at[y + beta]
-                    right_at[y + beta] = e
-                    if e == -1:
-                        break
-                    colors[e] = beta
-                    x = edges[e][0] * k
-                    f = left_at[x + beta]
-                    left_at[x + beta] = left_at[x + alpha]
-                    left_at[x + alpha] = f
-                    if f == -1:
-                        break
-                    colors[f] = alpha
-                    y = edges[f][1] * k
-        left_at[la + alpha] = eid
-        right_at[rz + alpha] = eid
-        colors[eid] = alpha
+                bit, b_bit = room & -room, free[j] & -free[j]
+                alpha, beta = bit.bit_length() - 1, b_bit.bit_length() - 1
+                free[j] ^= bit | b_bit       # β taken; α is retaken below
+                e, r, entered = row_at[j * k + alpha], j, {j}
+                while e != -1:
+                    # e moves to β in row r, and f of its point to α
+                    p = edges[e][0] * k
+                    alphas, betas, f = at[p + alpha], at[p + beta], None
+                    for g in betas:
+                        if row_of[g] not in entered:
+                            f = g if f is None else f
+                            if free[row_of[g]] & bit:   # the walk ends there
+                                f = g
+                                break
+                    alphas[alphas.index(e)], betas[betas.index(f)] = f, e
+                    row_at[r * k + beta], colors[e], colors[f] = e, beta, alpha
+                    r = row_of[f]
+                    entered.add(r)
+                    e, row_at[r * k + alpha] = row_at[r * k + alpha], f
+                row_at[r * k + beta] = -1
+                free[r] ^= bit | b_bit
+            alpha = bit.bit_length() - 1
+            colors[eid], row_at[j * k + alpha] = alpha, eid
+            free[j] ^= bit
+            held = at[x * k + alpha]
+            held.append(eid)
+            if len(held) == c:
+                room ^= bit
     return tuple(colors)
 
 
 def balance(design: BlockDesign) -> EncodingMatrix:
     """Order each block into a row so every message lands in every column
-    exactly b/v times: the column of x in block B is the color of the edge
-    joining x's copy to B."""
+    exactly b/v times: the column of x in block j is the color of the edge
+    (x, j)."""
     graph = split_points(design)
-    # copy a belongs to point a // (b/v); the entries share one int per point
-    point_of = [x for x in range(design.v) for _ in range(design.b // design.v)]
     rows = [[None] * design.k for _ in range(design.b)]
-    for (a, z), color in zip(graph.edges, edge_color(graph)):
-        rows[z][color] = point_of[a]
+    for (x, j), color in zip(graph.edges, edge_color(graph)):
+        rows[j][color] = x
     return EncodingMatrix(v=design.v, k=design.k, rows=rows)
 
 
@@ -194,12 +201,8 @@ def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
 #               "provenance": {"source": "design"|"cdf", "input_digest": hex}}
 
 def matrix_to_json(matrix: EncodingMatrix, provenance: Optional[dict] = None) -> dict:
-    doc = {
-        "v": matrix.v,
-        "k": matrix.k,
-        "b": matrix.b,
-        "rows": [list(r) for r in matrix.rows],
-    }
+    doc = {"v": matrix.v, "k": matrix.k, "b": matrix.b,
+           "rows": [list(r) for r in matrix.rows]}
     if provenance is not None:
         doc["provenance"] = dict(provenance)
     return doc
@@ -210,21 +213,18 @@ def matrix_from_json(doc) -> EncodingMatrix:
     k = int_field(doc, "k", minimum=1)
     b = int_field(doc, "b", minimum=1)
     matrix = EncodingMatrix(v=v, k=k, rows=int_rows(doc, "rows"))
-    if matrix.b != b:
-        raise StructuralError(f"declared b={b} but found {matrix.b} rows")
+    require(matrix.b == b, f"declared b={b} but found {matrix.b} rows")
     return matrix
 
 
 def format_matrix_table(matrix: EncodingMatrix) -> str:
     """Plain-text tabular dump: one labeled row per key, one column per
     source state."""
-    width = max(2, len(str(matrix.v - 1)))
+    width = max(2, len(str(matrix.v - 1))) + 2
     label_width = len(f"e_{matrix.b}")
-    header = " " * label_width + "  " + "  ".join(
-        f"{'s_' + str(j + 1):>{width + 2}}" for j in range(matrix.k))
-    lines = [header]
+    lines = [" " * label_width + "  " + "  ".join(
+        f"{'s_' + str(j + 1):>{width}}" for j in range(matrix.k))]
     for i, row in enumerate(matrix.rows, start=1):
-        label = f"e_{i}"
-        lines.append(f"{label:<{label_width}}  " + "  ".join(
-            f"{x:>{width + 2}}" for x in row))
+        lines.append(f"{'e_' + str(i):<{label_width}}  "
+                     + "  ".join(f"{x:>{width}}" for x in row))
     return "\n".join(lines)

@@ -318,18 +318,18 @@ def cmd_catalog(args) -> int:
 
 def cmd_apa(args) -> int:
     from . import apa as apa_mod
+    # the array comes back only once verify_apa has passed it
     array = apa_mod.van_rees_array(args.budget)
-    report = apa_mod.verify_apa(array, budget=args.budget)
     doc = {"t": array.t, "k": array.k, "v": array.v, "lambda": array.lambda_,
-           "rows": len(array.rows), "valid": report.valid}
+           "rows": len(array.rows), "valid": True}
     lines = [f"APA_{array.lambda_}({array.t},{array.k},{array.v}): "
-             f"{len(array.rows)} rows, valid: {str(report.valid).lower()}"]
+             f"{len(array.rows)} rows, valid: true"]
     if args.out:
         atomic_write_json(apa_mod.apa_to_json(array), args.out)
         doc["out"] = args.out
         lines.append(f"wrote {args.out}")
     _emit(args, lines, doc)
-    return EXIT_OK if report.valid else EXIT_DOMAIN
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

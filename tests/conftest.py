@@ -6,7 +6,7 @@ against other library output.
 """
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -131,18 +131,23 @@ def make_regular_bipartite(rng: random.Random, n: int, k: int) -> SplitGraph:
 
 
 def assert_proper_coloring(graph: SplitGraph, colors, k: int) -> None:
+    """Every right vertex sees each of the k colors once, and every left
+    vertex each color exactly c = right/left times (c = 1: a proper
+    coloring of a k-regular graph)."""
     assert len(colors) == len(graph.edges)
-    seen_left = defaultdict(set)
+    seen_left = defaultdict(list)
     seen_right = defaultdict(set)
     for eid, (a, z) in enumerate(graph.edges):
-        c = colors[eid]
-        assert 0 <= c < k
-        assert c not in seen_left[a], f"color {c} repeats at left vertex {a}"
-        assert c not in seen_right[z], f"color {c} repeats at right vertex {z}"
-        seen_left[a].add(c)
-        seen_right[z].add(c)
-    # k-regular + proper => every vertex sees every color
-    assert all(len(s) == k for s in seen_left.values())
+        color = colors[eid]
+        assert 0 <= color < k
+        assert color not in seen_right[z], f"color {color} repeats at right vertex {z}"
+        seen_left[a].append(color)
+        seen_right[z].add(color)
+    c, rest = divmod(len(seen_right), len(seen_left))
+    assert rest == 0
+    for a, seen in seen_left.items():
+        assert Counter(seen) == dict.fromkeys(range(k), c), \
+            f"left vertex {a} sees the colors unevenly"
     assert all(len(s) == k for s in seen_right.values())
 
 

@@ -78,20 +78,22 @@ def test_column_counts_match_a_cell_by_cell_count():
 
 def test_split_fano(fano_design):
     g = split_points(fano_design)
-    assert g.n == 7                       # b/v = 1 copy per point
-    assert len(g.edges) == 21             # construction checked 3-regularity
-    # copy a of point a // (b/v) takes that point's incidences in block order
-    assert g.edges[:3] == tuple((0, j) for j, block in enumerate(fano_design.blocks)
-                                if 0 in block)
+    assert (g.n, g.c) == (7, 1)           # b/v = 1 row per point and column
+    assert len(g.edges) == 21             # construction checked the degrees
+    # edge j·k + i joins block j to its i-th point
+    assert g.edges == tuple((x, j) for j, block in enumerate(fano_design.blocks)
+                            for x in block)
 
 
 def test_split_with_multiple_copies(z13_df, complete53_design):
+    # c = b/v > 1: each point is one vertex of degree c·k, not c copies
     g = split_points(develop(z13_df))
-    assert g.n == 26 and len(g.edges) == 26 * 3
+    assert (g.n, g.c) == (13, 2) and len(g.edges) == 26 * 3
     g53 = split_points(complete53_design)
-    assert g53.n == 10 and len(g53.edges) == 10 * 3
-    # complete 3-(5,3,1): point 0 lies in blocks 0-5, copies 0 and 1 take 3 each
-    assert g53.edges[:6] == ((0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (1, 5))
+    assert (g53.n, g53.c) == (5, 2) and len(g53.edges) == 10 * 3
+    # complete 3-(5,3,1): blocks (0,1,2), (0,1,3), ... in block-major order
+    assert g53.edges[:6] == ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (3, 1))
+    assert sum(x == 0 for x, _ in g53.edges) == 6      # r = c·k
 
 
 def test_split_refuses_indivisible():
@@ -175,6 +177,24 @@ def test_edge_color_rejects_irregular():
     assert SplitGraph(2, ((0, 0), (1, 1), (0, 1), (1, 0))).n == 2
 
 
+def test_edge_color_random_incidence_multigraphs():
+    # n points of degree c·k against c·n rows of degree k, a point possibly
+    # twice in one row: every point must see each color exactly c times
+    rng = random.Random(2718)
+    for c in range(2, 7):
+        for _ in range(40):
+            n, k = rng.randint(1, 40), rng.randint(1, 8)
+            ends = [x for x in range(n) for _ in range(c * k)]
+            rng.shuffle(ends)
+            edges = [(x, i // k) for i, x in enumerate(ends)]
+            rng.shuffle(edges)
+            g = SplitGraph(n, tuple(edges), c)
+            assert_proper_coloring(g, edge_color(g), k)
+    with pytest.raises(StructuralError) as exc:     # point degrees 3 and 1
+        SplitGraph(2, ((0, 0), (0, 1), (0, 2), (1, 3)), 2)
+    assert str(exc.value) == "graph is not 1-regular bipartite with points of degree 2"
+
+
 def test_edge_color_is_deterministic():
     rng = random.Random(5)
     g = make_regular_bipartite(rng, 40, 5)
@@ -209,18 +229,21 @@ def test_balance_deterministic_bytes(complete53_design):
     assert a == b
 
 
-def relabelled_netto_97():
-    """netto-97 developed, then put through a seeded point permutation: no
-    longer translation-invariant, and its colorings need long alternating
-    paths."""
+def relabelled(name, seed):
+    """A developed catalog family put through a seeded point permutation: no
+    longer translation-invariant, and its colorings need alternating walks."""
     from authdesigns.catalog import load_payload
 
-    family = load_payload("netto-97")
-    rng = random.Random(97)
+    family = load_payload(name)
+    rng = random.Random(seed)
     perm = list(range(family.v))
     rng.shuffle(perm)
     return BlockDesign(family.v, tuple(tuple(perm[x] for x in block)
                                        for block in develop(family).blocks))
+
+
+def relabelled_netto_97():
+    return relabelled("netto-97", 97)
 
 
 def test_balance_relabelled_netto_97():
@@ -229,6 +252,7 @@ def test_balance_relabelled_netto_97():
                for block in design.blocks}
     assert shifted != set(design.blocks)
     graph = split_points(design)
+    assert graph.c == 16
     assert_proper_coloring(graph, edge_color(graph), design.k)
     m = balance(design)
     assert verify_balanced(m).valid
@@ -236,13 +260,25 @@ def test_balance_relabelled_netto_97():
     assert balance(design) == m
 
 
+def test_balance_relabelled_netto_61():
+    # c = b/v = 10 rows for every point and column
+    design = relabelled("netto-61", 61)
+    graph = split_points(design)
+    assert (graph.n, graph.c) == (61, 10)
+    assert_proper_coloring(graph, edge_color(graph), design.k)
+    m = balance(design)
+    report = verify_balanced(m)
+    assert report.valid and report.inferred_lambda == 10
+    assert [tuple(sorted(r)) for r in m.rows] == list(design.blocks)
+
+
 # digest(matrix_to_json(balance(design))): the rows' order and every column
 # the coloring chose are frozen
 BALANCED_DIGESTS = {
-    "fano": "d08ceb66a450a403b0b0a380048d6acb7f9efd7613595b4617733aff3463c528",
-    "complete-5-3": "86ac0e450b073f580ec81f3cfdbebafddb94be288fc9d713a9de2a874ca55126",
+    "fano": "5957781648db4b8253a18b4cc7db2ca13c7552503f18a7e0e99e3eb5102ca237",
+    "complete-5-3": "fbe84df5db2679d0c424a6ec77a0a065f951385c86128d739469881bd20586c6",
     "relabelled-netto-97":
-        "439352f87f0367471040d8643168fd72ac6f70d67eae3aba4300c797d67f4a4d",
+        "f3d9faba7a190f86953642b788c59615deb2c2a26bbd2afe29fb01a55423be10",
 }
 
 

@@ -628,3 +628,17 @@ def test_apa_command_honours_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "apa", "--budget", "3244")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_apa_command_verifies_once(capsys, monkeypatch):
+    # the array is verified as it is built; the report reuses that verdict
+    from authdesigns import apa
+
+    calls = []
+    verify = apa.verify_apa
+    monkeypatch.setattr(apa, "verify_apa",
+                        lambda *args: calls.append(args) or verify(*args))
+    for argv in (["apa"], ["apa", "--format", "json"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
