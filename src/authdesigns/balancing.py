@@ -149,8 +149,8 @@ def edge_color(graph: SplitGraph) -> tuple:
                 e, r, entered = row_at[j * k + alpha], j, {j}
                 while e != -1:
                     # e moves to β in row r, and f of its point to α
-                    p = edges[e][0] * k
-                    alphas, betas, f = at[p + alpha], at[p + beta], None
+                    pk = edges[e][0] * k
+                    alphas, betas, f = at[pk + alpha], at[pk + beta], None
                     for g in betas:
                         if row_of[g] not in entered:
                             f = g if f is None else f

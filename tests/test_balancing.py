@@ -242,12 +242,8 @@ def relabelled(name, seed):
                                        for block in develop(family).blocks))
 
 
-def relabelled_netto_97():
-    return relabelled("netto-97", 97)
-
-
 def test_balance_relabelled_netto_97():
-    design = relabelled_netto_97()
+    design = relabelled("netto-97", 97)
     shifted = {tuple(sorted((x + 1) % design.v for x in block))
                for block in design.blocks}
     assert shifted != set(design.blocks)
@@ -284,7 +280,7 @@ BALANCED_DIGESTS = {
 
 def test_balanced_design_artifacts_are_golden(fano_design, complete53_design):
     designs = {"fano": fano_design, "complete-5-3": complete53_design,
-               "relabelled-netto-97": relabelled_netto_97()}
+               "relabelled-netto-97": relabelled("netto-97", 97)}
     assert {name: digest(matrix_to_json(balance(design)))
             for name, design in designs.items()} == BALANCED_DIGESTS
 
