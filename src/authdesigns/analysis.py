@@ -53,7 +53,6 @@ from itertools import chain, combinations, compress, repeat
 from operator import sub
 from typing import Optional
 
-from .balancing import EncodingMatrix
 from .budget import charge
 from .errors import DomainError
 from .fileio import check_int, fraction_to_json, show_int

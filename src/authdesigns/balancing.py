@@ -1,12 +1,12 @@
 """Balanced orderings of block designs via equitable edge coloring.
 
 A design with v | b can always have its blocks ordered into rows so that
-every point occupies every column position in exactly c = b/v rows: color
-the point/block incidence graph with the k column positions so that each
-block sees every color once and each point every color c times, an
-equitable coloring (de Werra, 1971; `edge_color`).  That balanced ordering
-is exactly what makes the matrix a perfect-secrecy encoding matrix under
-equiprobable keys.
+every point occupies every column in exactly c = b/v rows, which makes the
+matrix a perfect-secrecy encoding matrix under equiprobable keys: color the
+incidence graph, one flat row-major point array, with the k columns so that
+each block sees every color once and each point every color c times (de
+Werra, 1971; `edge_color`), and write each point to its block's cell of its
+color.  `balance` skips the row checks of `EncodingMatrix` for those rows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, cycle, product, repeat
-from operator import itemgetter
 from typing import Optional
 
 from .errors import DomainError, StructuralError
@@ -28,10 +27,10 @@ class EncodingMatrix:
     messages in [0, v).
 
     Construction enforces row structure (k distinct in-range entries per row,
-    rows pairwise distinct as sets).  The balanced-form property — every
-    message exactly b/v times in every column — is checked separately by
-    `verify_balanced`, so unbalanced matrices remain representable (mutation
-    tests depend on that).
+    rows pairwise distinct as sets), except in `balance`, whose rows are
+    proven (`_proven_matrix`).  The balanced-form property — every message
+    exactly b/v times in every column — is checked separately by
+    `verify_balanced`, so unbalanced matrices remain representable.
     """
 
     v: int
@@ -66,41 +65,39 @@ class EncodingMatrix:
 
 @record
 class SplitGraph:
-    """Bipartite multigraph, an edge (point, row) per incidence: n points of
-    degree c·k, c·n rows of degree k (k-regular if c = 1).  Construction
-    refuses other degrees, k = len(edges) // (c·n) >= 1."""
+    """Bipartite multigraph of n points and c·n rows, flat: edge e joins row
+    e // k to point edges[e], k = len(edges) // (c·n).  Construction checks
+    that every point has degree c·k, so k >= 1 and all points are in range."""
 
     n: int
-    edges: tuple   # (point, row)
+    edges: tuple   # row-major points
     c: int = 1
 
     def __post_init__(self):
-        rows = check_int("n", self.n, 1) * check_int("c", self.c, 1)
-        k = len(self.edges) // rows
-        # equal to a Counter per side: so k >= 1 and every end is in range
-        require(all(Counter(map(itemgetter(side), self.edges))
-                    == dict.fromkeys(range(size), degree)
-                    for side, size, degree in ((0, self.n, self.c * k), (1, rows, k))),
+        k = len(self.edges) // (check_int("n", self.n, 1) * check_int("c", self.c, 1))
+        require(Counter(self.edges) == dict.fromkeys(range(self.n), self.c * k),
                 f"graph is not {k}-regular bipartite"
                 + f" with points of degree {self.c * k}" * (self.c > 1))
 
 
 def split_points(design: BlockDesign) -> SplitGraph:
-    """The point/block incidence graph of a design, c = b/v: edge j·k + i
-    joins block j to its i-th point.  Caller is responsible for having
-    verified the design; v | b and uniform replication are checked here
-    because a balanced ordering needs both."""
-    v, k, b = design.v, design.k, design.b
+    """The incidence graph of a design, c = b/v: edge j·k + i joins block j
+    to its i-th point.  v | b and uniform replication, which a balanced
+    ordering needs, are checked here; the rest is the caller's to verify."""
+    v, b = design.v, design.b
     if b % v != 0:
         raise DomainError(
             f"balanced ordering needs v | b; got b={b}, v={v} (b mod v = {b % v})")
-    from .designs import tally_report
     points = tuple(chain.from_iterable(design.blocks))
-    report = tally_report(Counter(points), range(v), v, k * (b // v))
-    require(report.valid, f"point replication must be uniform r = k*b/v = "
-            f"{k * (b // v)}", report.failures)
-    rows = chain.from_iterable(map(repeat, range(b), repeat(k)))
-    return SplitGraph(v, tuple(zip(points, rows)), b // v)
+    try:
+        return SplitGraph(v, points, b // v)
+    except StructuralError:   # a design can miss only on replication: name it
+        from .designs import tally_report
+        r = len(points) // v
+        report = tally_report(Counter(points), range(v), v, r)
+        require(report.valid, f"point replication must be uniform r = k*b/v = {r}",
+                report.failures)
+        raise
 
 
 def edge_color(graph: SplitGraph) -> tuple:
@@ -131,8 +128,9 @@ def edge_color(graph: SplitGraph) -> tuple:
     row_at = [-1] * len(edges)              # row_at[j * k + α]: edge, or -1
     colors = [-1] * len(edges)
     from_t = [(1 << k) - (1 << t) for t in range(k)]   # colors t, ..., k-1
-    row_of, by_point = list(map(itemgetter(1), edges)), [[] for _ in range(graph.n)]
-    for eid, (x, _) in enumerate(edges):
+    row_of = list(chain.from_iterable(map(repeat, range(len(free)), repeat(k))))
+    by_point = [[] for _ in range(graph.n)]
+    for eid, x in enumerate(edges):
         by_point[x].append(eid)
     for x, mine in enumerate(by_point):
         room = (1 << k) - 1                 # bit α: x holds < c α-entries
@@ -149,7 +147,7 @@ def edge_color(graph: SplitGraph) -> tuple:
                 e, r, entered = row_at[j * k + alpha], j, {j}
                 while e != -1:
                     # e moves to β in row r, and f of its point to α
-                    pk = edges[e][0] * k
+                    pk = edges[e] * k
                     alphas, betas, f = at[pk + alpha], at[pk + beta], None
                     for g in betas:
                         if row_of[g] not in entered:
@@ -176,13 +174,27 @@ def edge_color(graph: SplitGraph) -> tuple:
 
 def balance(design: BlockDesign) -> EncodingMatrix:
     """Order each block into a row so every message lands in every column
-    exactly b/v times: the column of x in block j is the color of the edge
-    (x, j)."""
+    exactly b/v times: edge e's point goes to cell (e // k)·k + its color."""
     graph = split_points(design)
-    rows = [[None] * design.k for _ in range(design.b)]
-    for (x, j), color in zip(graph.edges, edge_color(graph)):
-        rows[j][color] = x
-    return EncodingMatrix(v=design.v, k=design.k, rows=rows)
+    k, edges = design.k, graph.edges
+    cells = [None] * len(edges)
+    starts = chain.from_iterable(map(repeat, range(0, len(edges), k), repeat(k)))
+    for start, color, x in zip(starts, edge_color(graph), edges):
+        cells[start + color] = x
+    require(None not in cells, "the coloring left a cell empty")   # a clash
+    return _proven_matrix(design.v, k, tuple(zip(*[iter(cells)] * k)))
+
+
+def _proven_matrix(v: int, k: int, rows: tuple) -> EncodingMatrix:
+    """`EncodingMatrix(v, k, rows)` without its checks, for `balance` alone:
+    a `BlockDesign` has v >= 1 and in-range, duplicate-free blocks of one
+    size k >= 1 (`SplitGraph`), distinct as sets.  Colors lie in [0, k), so
+    block j's edges fill only row j's k cells; with none empty, row j is a
+    permutation of block j, and every check of the constructor would pass."""
+    matrix = object.__new__(EncodingMatrix)
+    for name, value in zip(("v", "k", "rows"), (v, k, rows)):
+        object.__setattr__(matrix, name, value)
+    return matrix
 
 
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:

@@ -120,35 +120,38 @@ def built_systems():
 
 
 def make_regular_bipartite(rng: random.Random, n: int, k: int) -> SplitGraph:
-    """Random k-regular bipartite multigraph on n+n vertices: union of k
-    uniformly random perfect matchings (repeated edges allowed)."""
-    edges = []
-    for _ in range(k):
+    """Random k-regular bipartite multigraph on n points and n rows, flat:
+    slot m of row j holds the point the m-th of k uniformly random perfect
+    matchings sends there (repeated edges allowed)."""
+    rows = [[None] * k for _ in range(n)]
+    for m in range(k):
         perm = list(range(n))
         rng.shuffle(perm)
-        edges.extend((i, perm[i]) for i in range(n))
-    return SplitGraph(n, tuple(edges))
+        for i in range(n):
+            rows[perm[i]][m] = i
+    return SplitGraph(n, tuple(x for row in rows for x in row))
 
 
 def assert_proper_coloring(graph: SplitGraph, colors, k: int) -> None:
-    """Every right vertex sees each of the k colors once, and every left
-    vertex each color exactly c = right/left times (c = 1: a proper
+    """Every row (k consecutive edges) sees each of the k colors once, and
+    every point each color exactly c = rows/points times (c = 1: a proper
     coloring of a k-regular graph)."""
     assert len(colors) == len(graph.edges)
-    seen_left = defaultdict(list)
-    seen_right = defaultdict(set)
-    for eid, (a, z) in enumerate(graph.edges):
-        color = colors[eid]
-        assert 0 <= color < k
-        assert color not in seen_right[z], f"color {color} repeats at right vertex {z}"
-        seen_left[a].append(color)
-        seen_right[z].add(color)
-    c, rest = divmod(len(seen_right), len(seen_left))
+    rows, rest = divmod(len(graph.edges), k)
     assert rest == 0
-    for a, seen in seen_left.items():
+    c, rest = divmod(rows, graph.n)
+    assert rest == 0 and c == graph.c
+    seen_left = defaultdict(list)
+    for x, color in zip(graph.edges, colors):
+        assert 0 <= color < k
+        seen_left[x].append(color)
+    for j in range(rows):
+        assert sorted(colors[j * k:(j + 1) * k]) == list(range(k)), \
+            f"row {j} does not see every color once"
+    assert set(seen_left) == set(range(graph.n))
+    for x, seen in seen_left.items():
         assert Counter(seen) == dict.fromkeys(range(k), c), \
-            f"left vertex {a} sees the colors unevenly"
-    assert all(len(s) == k for s in seen_right.values())
+            f"point {x} sees the colors unevenly"
 
 
 def mutate_entry(rng: random.Random, matrix: EncodingMatrix,

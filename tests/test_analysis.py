@@ -6,12 +6,16 @@ no factor cancellation.  They are deliberately slow and only run on small
 systems.
 """
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -923,3 +927,15 @@ def test_check_order_is_the_one_order_rule(fano_system):
             with pytest.raises(DomainError) as exc:
                 call(fano_system, model, bad)
             assert str(exc.value) == message
+
+
+def test_importing_analysis_leaves_balancing_unloaded():
+    # analysis names EncodingMatrix only in annotations
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, authdesigns.analysis; "
+         "print('authdesigns.balancing' in sys.modules)"],
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

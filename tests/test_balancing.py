@@ -20,6 +20,7 @@ from authdesigns import (
     split_points,
     verify_balanced,
 )
+from authdesigns import balancing, catalog
 from authdesigns.balancing import (
     SplitGraph,
     matrix_from_json,
@@ -80,9 +81,8 @@ def test_split_fano(fano_design):
     g = split_points(fano_design)
     assert (g.n, g.c) == (7, 1)           # b/v = 1 row per point and column
     assert len(g.edges) == 21             # construction checked the degrees
-    # edge j·k + i joins block j to its i-th point
-    assert g.edges == tuple((x, j) for j, block in enumerate(fano_design.blocks)
-                            for x in block)
+    # edge j·k + i joins block j to its i-th point: the blocks, row-major
+    assert g.edges == tuple(x for block in fano_design.blocks for x in block)
 
 
 def test_split_with_multiple_copies(z13_df, complete53_design):
@@ -92,8 +92,8 @@ def test_split_with_multiple_copies(z13_df, complete53_design):
     g53 = split_points(complete53_design)
     assert (g53.n, g53.c) == (5, 2) and len(g53.edges) == 10 * 3
     # complete 3-(5,3,1): blocks (0,1,2), (0,1,3), ... in block-major order
-    assert g53.edges[:6] == ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (3, 1))
-    assert sum(x == 0 for x, _ in g53.edges) == 6      # r = c·k
+    assert g53.edges[:6] == (0, 1, 2, 0, 1, 3)
+    assert g53.edges.count(0) == 6      # r = c·k
 
 
 def test_split_refuses_indivisible():
@@ -131,7 +131,7 @@ def test_edge_color_fano(fano_design):
 
 
 def test_edge_color_trivial_matching():
-    g = SplitGraph(2, ((0, 1), (1, 0)))
+    g = SplitGraph(2, (1, 0))       # row 0 holds point 1, row 1 point 0
     assert edge_color(g) == (0, 0)
 
 
@@ -142,12 +142,14 @@ def test_edge_color_handles_multigraph():
     for n, k in ((2, 2), (1, 4), (9, 3), (50, 7)):
         perm = list(range(n))
         rng.shuffle(perm)
-        matching = sorted((a, perm[a]) for a in range(n))
-        g = SplitGraph(n, tuple(matching) * k)
+        matching = sorted((a, perm[a]) for a in range(n))   # (point, row)
+        holds = sorted(range(n), key=perm.__getitem__)      # row j's point
+        g = SplitGraph(n, tuple(x for x in holds for _ in range(k)))
         colors = edge_color(g)
         assert_proper_coloring(g, colors, k)
         for c in range(k):
-            assert [e for e, col in zip(g.edges, colors) if col == c] == matching
+            assert sorted((x, e // k) for e, (x, col)
+                          in enumerate(zip(g.edges, colors)) if col == c) == matching
 
 
 def test_edge_color_random_regular_graphs():
@@ -160,21 +162,22 @@ def test_edge_color_random_regular_graphs():
 
 
 def test_edge_color_rejects_irregular():
-    # construction is the one regularity check, so edge_color never sees one
+    # construction is the one regularity check, so edge_color never sees
+    # one; rows have degree k by construction, so only points can be uneven
     with pytest.raises(StructuralError) as exc:
-        SplitGraph(2, ((0, 0), (0, 1), (1, 1)))
+        SplitGraph(2, (0, 0, 1))
     assert str(exc.value) == "graph is not 1-regular bipartite"
-    for n, edges in ((2, ()),                          # k = 0
-                     (2, ((0, 0), (1, 1), (0, 1))),    # 3 edges on 2 + 2
-                     (2, ((0, 0), (1, 1), (0, 1), (1, 1))),   # right degrees 1, 3
-                     (2, ((0, 0), (2, 1))),            # left end out of range
-                     (2, ((0, 0), (1, -1))),           # right end out of range
-                     (1, ((0, 0), (0, 0), (1, 0)))):   # n too small
+    for n, edges in ((2, ()),                 # k = 0
+                     (2, (0, 1, 0)),          # 3 edges on 2 points, 2 rows
+                     (2, (0, 0, 0, 1)),       # point degrees 3, 1 for k = 2
+                     (2, (0, 2)),             # point out of range
+                     (2, (0, -1)),            # point below range
+                     (1, (0, 0, 1))):         # n too small
         with pytest.raises(StructuralError, match="-regular bipartite"):
             SplitGraph(n, edges)
     with pytest.raises(StructuralError):
         SplitGraph(0, ())
-    assert SplitGraph(2, ((0, 0), (1, 1), (0, 1), (1, 0))).n == 2
+    assert SplitGraph(2, (0, 1, 1, 0)).n == 2
 
 
 def test_edge_color_random_incidence_multigraphs():
@@ -185,13 +188,11 @@ def test_edge_color_random_incidence_multigraphs():
         for _ in range(40):
             n, k = rng.randint(1, 40), rng.randint(1, 8)
             ends = [x for x in range(n) for _ in range(c * k)]
-            rng.shuffle(ends)
-            edges = [(x, i // k) for i, x in enumerate(ends)]
-            rng.shuffle(edges)
-            g = SplitGraph(n, tuple(edges), c)
+            rng.shuffle(ends)       # row-major: row j holds ends[jk:(j+1)k]
+            g = SplitGraph(n, tuple(ends), c)
             assert_proper_coloring(g, edge_color(g), k)
     with pytest.raises(StructuralError) as exc:     # point degrees 3 and 1
-        SplitGraph(2, ((0, 0), (0, 1), (0, 2), (1, 3)), 2)
+        SplitGraph(2, (0, 0, 0, 1), 2)
     assert str(exc.value) == "graph is not 1-regular bipartite with points of degree 2"
 
 
@@ -283,6 +284,68 @@ def test_balanced_design_artifacts_are_golden(fano_design, complete53_design):
                "relabelled-netto-97": relabelled("netto-97", 97)}
     assert {name: digest(matrix_to_json(balance(design)))
             for name, design in designs.items()} == BALANCED_DIGESTS
+
+
+def uniform_design(rng, v, k, c):
+    """A random design with b = c·v blocks, each point in c·k of them: c
+    distinct full orbits of random k-subsets under x -> x+1 mod v, then a
+    random relabelling of the points."""
+    while True:
+        bases = [rng.sample(range(v), k) for _ in range(c)]
+        blocks = {frozenset((x + g) % v for x in base)
+                  for base in bases for g in range(v)}
+        if len(blocks) == c * v:
+            perm = list(range(v))
+            rng.shuffle(perm)
+            return BlockDesign(v, tuple(tuple(perm[x] for x in block)
+                                        for block in blocks))
+
+
+def test_balance_skips_only_checks_its_rows_pass():
+    # balance builds its matrix without EncodingMatrix's row checks; the
+    # public constructor, given the same rows, must accept them unchanged
+    designs = {}
+    for name in catalog.buildable_names():
+        payload = catalog.load_payload(name)
+        design = develop(payload) if catalog.get(name).kind == "cdf" else payload[0]
+        if design.b % design.v:
+            with pytest.raises(DomainError):
+                balance(design)
+        else:
+            designs[name] = design
+    assert len(designs) == 21 and designs["complete-5-3"].b == 2 * 5
+    for name, seed in (("netto-61", 7), ("netto-97", 11), ("cdf-337-7-1", 13)):
+        designs[f"relabelled-{name}"] = relabelled(name, seed)
+    rng = random.Random(16)
+    for n in range(30):         # v >= 9: Z_v has 4 full orbits of k-sets, k >= 2
+        v = rng.randint(9, 30)
+        designs[f"random-{n}"] = uniform_design(rng, v, rng.randint(2, 5),
+                                                rng.randint(2, 4))
+    for name, design in designs.items():
+        m = balance(design)
+        assert type(m.rows) is tuple and {type(r) for r in m.rows} == {tuple}
+        assert {type(x) for r in m.rows for x in r} == {int}, name
+        assert m == EncodingMatrix(design.v, design.k, m.rows), name
+        assert verify_balanced(m).valid, name
+
+
+def test_balance_refuses_a_coloring_with_a_row_clash(monkeypatch, fano_design,
+                                                    complete53_design):
+    # a color twice in one row would leave a cell empty, and balance skips
+    # the constructor's row checks: it must refuse, not return a hole
+    real = balancing.edge_color
+    for design in (fano_design, complete53_design):
+        k = design.k
+        for row in (0, design.b - 1):
+            def clashing(graph, row=row):
+                colors = list(real(graph))
+                colors[row * k + 1] = colors[row * k]
+                return tuple(colors)
+            monkeypatch.setattr(balancing, "edge_color", clashing)
+            with pytest.raises(StructuralError, match="cell empty"):
+                balance(design)
+    monkeypatch.setattr(balancing, "edge_color", real)
+    assert verify_balanced(balance(fano_design)).valid
 
 
 def test_verify_balanced_witness(fano_design):
