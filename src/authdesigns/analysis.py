@@ -18,10 +18,14 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
   keys holding message m, which is also order 0 of the other two models;
   online, the best coverage of keys by i+1 messages.
 
-Order 1 of spoofing and of the online game, and order 2 of spoofing, read
-one pair tally, `SecrecySystem.pairs`: c(x,y), the keys holding both x and
-y, for every pair through the anchor (below; every pair when there is
-none) that some key holds.
+Order 1 of spoofing and of the online game, and order 2 of spoofing,
+first ask `SecrecySystem.pair_lambda` whether every pair through the anchor
+(below; every pair when there is none) lies in the same number λ of keys,
+as in a 2-design.  Then every message lies in r = b·k/v keys and the
+values are λ·v/(b·k) = (k-1)/(v-1), 1 (order 2, when λ = 1) and
+(2r - λ)/b.  Otherwise they read one pair tally, `SecrecySystem.pairs`:
+c(x,y), the keys holding both x and y, for every pair through the anchor
+that some key holds.
 Spoofing at order 1 sums max_y c(x,y) over the messages x; the online game
 at order 1 is the best r_x + r_y - c(x,y), and (2r - min c)/b when every
 message lies in r keys.  So only online orders ≥ 2 build per-message key
@@ -100,13 +104,56 @@ class SecrecySystem:
         return max(self.entry_counts.values())
 
     @cached_property
+    def pair_lambda(self) -> int:
+        """λ ≥ 1 when every pair through the anchor (module docstring) lies
+        in exactly λ keys, else 0.  Read only through `_pair_lambda`,
+        which charges it with the translation check.
+
+        Gates first, from cached values: k ≥ 2, r·v = b·k for r the
+        replication (b·k/v anchored), and λ = n·C(k-a, 2-a)/C(v-a, 2-a) a
+        positive integer, n the keys through the anchor, a = |anchor|.
+        Then, with w = r.bit_length(), each key is the int e(key) =
+        Σ_{y∈key} 2^(w·y), and the sum S_x = Σ_{key∋x} e(key) has digit
+        c(x,y) at y ≠ x and r at x in base 2^w.  Every digit is at most r
+        < 2^w, so none carries and the representation is unique: the
+        pairs through x are uniform iff S_x = λ·ONES + (r-λ)·2^(w·x),
+        ONES = Σ_y 2^(w·y).  Unanchored every x is compared, its e(key)
+        summed from a v-entry table of 2^(w·y); anchored only S_0, from
+        the n keys through 0 alone.  The gates give λ·v·(v-1) = b·k·(k-1),
+        so the v sums of v·w bits stay within a factor k·w of the b·k
+        entries."""
+        b, k, v, rows = self.b, self.k, self.v, self.matrix.rows
+        if k < 2:
+            return 0
+        a = 1 if self.translation_invariant else 0
+        r = b * k // v if a else self.replication
+        lam, rest = divmod((r if a else b) * math.comb(k - a, 2 - a),
+                           math.comb(v - a, 2 - a))
+        if r * v != b * k or rest or not lam:
+            return 0
+        w = r.bit_length()
+        if a:
+            sums = [sum(1 << w * y for row in rows if 0 in row for y in row)]
+        else:
+            table = [1 << w * y for y in range(v)]
+            sums = [0] * v
+            for row in rows:
+                e = sum(map(table.__getitem__, row))
+                for x in row:
+                    sums[x] += e
+        base = lam * (((1 << w * v) - 1) // ((1 << w) - 1))
+        return lam if all(s == base + ((r - lam) << w * x)
+                          for x, s in enumerate(sums)) else 0
+
+    @cached_property
     def pairs(self) -> Counter:
         """c(P), the keys holding P, for every pair P through the anchor
         (module docstring) that some key holds: the Counter of the
         (2-a)-subsets of `_tails`, a = |anchor|, so {0, y} is keyed (y,)
-        and, with no anchor, {x, y} is keyed (x, y), x < y.  Read only after
-        `_anchor` has charged the translation check; building it reads the
-        b keys and makes n·C(k-a, 2-a) increments, n the keys tallied."""
+        and, with no anchor, {x, y} is keyed (x, y), x < y.  Built only
+        when `pair_lambda` is 0.  Read only after `_anchor` has charged the
+        translation check; building it reads the b keys and makes
+        n·C(k-a, 2-a) increments, n the keys tallied."""
         anchor = (0,) if self.translation_invariant else ()
         return _tally(_tails(self, anchor), 2 - len(anchor))
 
@@ -186,6 +233,24 @@ def _tally(tails: list, j: int) -> Counter:
     return Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
 
 
+def _pair_lambda(system: SecrecySystem, anchor: tuple,
+                 budget: Optional[int], what: str) -> tuple:
+    """(work, λ): `SecrecySystem.pair_lambda`, charged with the v + 2·b·(k+1)
+    translation check before it runs; work is the two charges' sum.  One
+    step per key read, message counted or compared and big-int shift,
+    add, subtraction, product, quotient or comparison: 6 for λ·ONES and 3
+    per sum compared.  Anchored: b keys read, a shift and an add per entry
+    of the n = b·k/v keys through 0, b + 2·n·k + 9.  Otherwise: r and its
+    max, b·k + min(v, b·k); v table entries; k adds for each e(key) and k
+    into the sums, 2·b·k; 4·v + 6 with the compares."""
+    b, k, v = system.b, system.k, system.v
+    work = v + 2 * b * (k + 1) + (
+        b + 2 * k * (b * k // v) + 9 if anchor
+        else 3 * b * k + min(v, b * k) + 4 * v + 6)
+    charge(work, budget, what=what)
+    return work, system.pair_lambda
+
+
 def deception_probability(system: SecrecySystem, i: int,
                           budget: Optional[int] = None) -> Fraction:
     """Exact optimal success probability of a spoofing attack of order i.
@@ -213,33 +278,39 @@ def deception_probability(system: SecrecySystem, i: int,
     the tails of the keys through 0 (0 removed) with j = i-1, so it sees
     exactly the O ∋ 0, and P_di = v·Σ_{O∋0} best(O) / (i·b·C(k,i)).
 
-    Orders 1 and 2 read the pair tally `SecrecySystem.pairs`.  At i = 2 it
-    is the j-tally itself.  At i = 1, best({x}) = max_y c(x,y), which is at
-    least 1 for every message x that occurs, as k ≥ 2.  Anchored the sum
-    is the one term max_y c(0,y), the largest count in the tally.
-    Otherwise it is the number of messages that occur, plus, for each
-    message on a shared pair (c ≥ 2), its largest such c less 1.
+    Orders 1 and 2 first ask `SecrecySystem.pair_lambda` (`_pair_lambda`).
+    When every pair lies in λ ≥ 1 keys, best({x}) = λ for every x and P_d1
+    = λ·v/(b·k); at i = 2 with λ = 1 every pair is an O in one key and
+    P_d2 = C(v,2)/(b·C(k,2)) = 1.  Otherwise they read the pair tally
+    `SecrecySystem.pairs`.  At i = 2 it is the j-tally itself.  At i = 1,
+    best({x}) = max_y c(x,y), which is at least 1 for every message x that
+    occurs, as k ≥ 2.  Anchored the sum is the one term max_y c(0,y), the
+    largest count in the tally.  Otherwise it is the number of messages
+    that occur, plus, for each message on a shared pair (c ≥ 2), its
+    largest such c less 1.
 
     Charge, one step per key read, tally increment, distinct observation
     scanned, membership test, key gathered, message counted, message
     deleted, count compared or stored and value summed.  With a =
     |anchor|, n keys tallied (b, or b·k/v anchored: every message lies in
-    equally many keys), P = n·C(k-a, 2-a) (key, pair) incidences and the
-    v + 2·b·(k+1) translation check:
+    equally many keys) and P = n·C(k-a, 2-a) (key, pair) incidences, the
+    charge is the translation check v + 2·b·(k+1), the uniform check U of
+    `_pair_lambda` at i ≤ 2, and, when that check does not settle the
+    order, on top:
 
     * i = 1 anchored: b reads and P increments build the tally, at most P
-      counts are compared: v + b·(2k+3) + 2·P;
-    * i = 1 otherwise: b·k messages counted for r, b + P for the tally, at
-      most P counts scanned, at most P/2 shared pairs (each holds two of
-      the P incidences) with two counts compared and two stored, and at
-      most v bests summed: 2·v + b·(3k+3) + 4·P;
+      counts are compared: b + 2·P;
+    * i = 1 otherwise (r is counted by U): b + P for the tally, at most P
+      counts scanned, at most P/2 shared pairs (each holds two of the P
+      incidences) with two counts compared and two stored, and at most v
+      bests summed: v + b + 4·P;
     * i ≥ 2: N = n·C(k-a, i-a) (key, observation) pairs, so b reads, N
       increments and at most N distinct observations; if any is shared,
       the b keys are read again for N membership tests and H ≤ N keys
       gathered, H = Σ_{shared} cnt.  A shared O counts cnt(O)·(k-a)
       messages, then deletes its j and compares what is left, at most
       cnt(O)·(k-a) together: 2·(k-a)·H in all.  In all at most
-      v + b·(2k+4) + N·(2·(k-a) + 4).
+      2·b + N·(2·(k-a) + 4).
     """
     check_order(system, "classic", i)
     b, k, v = system.b, system.k, system.v
@@ -248,14 +319,22 @@ def deception_probability(system: SecrecySystem, i: int,
     anchor = _anchor(system, i, budget)
     a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
+    what = f"order-{i} spoofing tally over {n} keys"
+    if i > 2:
+        work = v + 2 * b * (k + 1)
+    else:
+        work, lam = _pair_lambda(system, anchor, budget, what)
+        if lam and i == 1:
+            return Fraction(lam * v, b * k)
+        if lam == 1:        # i = 2: every pair is an O in one key
+            return Fraction(1)
     incidences = n * math.comb(k - a, 2 - a)
     if i == 1:
-        work = (v + b * (2 * k + 3) + 2 * incidences if anchor
-                else 2 * v + b * (3 * k + 3) + 4 * incidences)
+        work += (b + 2 * incidences if anchor
+                 else v + b + 4 * incidences)
     else:
-        work = (v + b * (2 * k + 4)
-                + n * math.comb(k - a, j) * (2 * (k - a) + 4))
-    charge(work, budget, what=f"order-{i} spoofing tally over {n} keys")
+        work += 2 * b + n * math.comb(k - a, j) * (2 * (k - a) + 4)
+    charge(work, budget, what=what)
     if i == 1:
         total = (max(system.pairs.values()) if anchor
                  else _order_one_total(system))
@@ -326,9 +405,9 @@ def voracle_online_value(system: SecrecySystem, i: int,
     as many keys as S and every S has a translate through 0, so only the
     S ∋ 0 run.
 
-    At i = 1, |mask_x ∪ mask_y| = r_x + r_y - c(x,y), with c from the pair
-    tally `SecrecySystem.pairs` and c = 0 for a pair in no key, so no mask
-    is built (`_online_order_one`).
+    At i = 1, |mask_x ∪ mask_y| = r_x + r_y - c(x,y), with c from the
+    uniform check or the pair tally, so no mask is built
+    (`_online_order_one`).
 
     At i ≥ 2 each set is its i smallest messages (the prefix) plus a
     larger one; the union of a prefix is formed once and shared by all its
@@ -368,28 +447,27 @@ def _online_order_one(system: SecrecySystem, anchor: tuple,
     """The online game at order 1: the max over the T = C(v-a, 2-a) pairs
     {x, y} through the anchor (a = |anchor|) of r_x + r_y - c(x,y), over b.
 
-    When every message lies in r = b·k/v keys, as every anchored system
-    does, that is (2r - min c)/b, the min over the T pairs, and 0 when the
+    When every pair lies in λ ≥ 1 keys (`SecrecySystem.pair_lambda`), that
+    is (2r - λ)/b, r = b·k/v.  Otherwise, when every message lies in r
+    keys, as every anchored system does, it is (2r - min c)/b, the min
+    over the T pairs of the tally `SecrecySystem.pairs`, and 0 when the
     tally holds fewer than T of them (some pair shares no key).  Otherwise
     every one of the C(v,2) pairs is scanned, at C speed.
 
-    Charge, with the v + 2·b·(k+1) translation check, b reads and
-    P = n·C(k-a, 2-a) increments for the tally (n = b, or b·k/v anchored):
-    anchored, at most min(P, T) counts compared, v + b·(2k+3) + P + min(P,
-    v-1).  Otherwise r and its max are counted first, b·k + min(v, b·k),
-    and charged with the check before they run; that decides the path,
-    charged in all as the same first stage plus b + P + min(P, T) for the
-    min, or, when r varies, plus v counts read into a list, b + P for the
+    Charge: the translation check and the uniform check U, as
+    `_pair_lambda` charges them, before they run; when λ = 0, on top, b
+    reads and P = n·C(k-a, 2-a) increments for the tally (n = b, or b·k/v
+    anchored) and at most min(P, T) counts compared for the min, b + P +
+    min(P, T), or, when r varies, v counts read into a list, b + P for the
     tally and per pair an add, a count looked up, a subtraction and a
     comparison, v + b + P + 4·C(v,2)."""
     b, k, v, a = system.b, system.k, system.v, len(anchor)
+    what = "online oracle game of order 1"
+    work, lam = _pair_lambda(system, anchor, budget, what)
+    if lam:
+        return Fraction(2 * (b * k // v) - lam, b)
     incidences = (b * k // v if anchor else b) * math.comb(k - a, 2 - a)
     through = math.comb(v - a, 2 - a)
-    what = "online oracle game of order 1"
-    work = v + 2 * b * (k + 1)
-    if not anchor:
-        work += b * k + min(v, b * k)
-        charge(work, budget, what=what)
     if anchor or system.replication * v == b * k:
         charge(work + b + incidences + min(incidences, through), budget,
                what=what)

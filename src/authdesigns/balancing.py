@@ -128,14 +128,13 @@ def edge_color(graph: SplitGraph) -> tuple:
     row_at = [-1] * len(edges)              # row_at[j * k + α]: edge, or -1
     colors = [-1] * len(edges)
     from_t = [(1 << k) - (1 << t) for t in range(k)]   # colors t, ..., k-1
-    row_of = list(chain.from_iterable(map(repeat, range(len(free)), repeat(k))))
     by_point = [[] for _ in range(graph.n)]
     for eid, x in enumerate(edges):
         by_point[x].append(eid)
     for x, mine in enumerate(by_point):
         room = (1 << k) - 1                 # bit α: x holds < c α-entries
         for eid, first in zip(mine, cycle(from_t)):
-            j = row_of[eid]
+            j = eid // k
             bit = room & free[j]
             if bit:
                 bit = bit & first or bit
@@ -150,14 +149,14 @@ def edge_color(graph: SplitGraph) -> tuple:
                     pk = edges[e] * k
                     alphas, betas, f = at[pk + alpha], at[pk + beta], None
                     for g in betas:
-                        if row_of[g] not in entered:
+                        if g // k not in entered:
                             f = g if f is None else f
-                            if free[row_of[g]] & bit:   # the walk ends there
+                            if free[g // k] & bit:   # the walk ends there
                                 f = g
                                 break
                     alphas[alphas.index(e)], betas[betas.index(f)] = f, e
                     row_at[r * k + beta], colors[e], colors[f] = e, beta, alpha
-                    r = row_of[f]
+                    r = f // k
                     entered.add(r)
                     e, row_at[r * k + alpha] = row_at[r * k + alpha], f
                 row_at[r * k + beta] = -1

@@ -144,19 +144,18 @@ def cmd_build(args) -> int:
 # attack
 
 def _parse_orders(text: str, check):
-    """Orders from a comma list of numbers and lo-hi ranges; each part's
-    upper end passes `check` before its range is expanded."""
+    """Orders from a comma list of parts, each ASCII digits or a lo-hi
+    range of them with lo <= hi; anything else is a ValueError.  Each
+    part's upper end passes `check` before its range is expanded."""
     orders = set()
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
         lo, dash, hi = part.partition("-")
-        lo, hi = int(lo), int(hi) if dash else int(lo)
-        check(hi)
-        orders.update(range(lo, hi + 1))
-    if not orders:
-        raise DomainError(f"no attack orders in {text!r}")
+        hi = hi if dash else lo
+        if not all(s.isascii() and s.isdigit() for s in (lo, hi)) or (
+                int(lo) > int(hi)):
+            raise ValueError(part)
+        check(int(hi))
+        orders.update(range(int(lo), int(hi) + 1))
     return sorted(orders)
 
 
@@ -371,7 +370,8 @@ def _build_parser():
                        help="evaluate spoofing/oracle attacks on a matrix file")
     p.add_argument("path")
     p.add_argument("--orders", default="0",
-                   help="comma list and a-b ranges, e.g. 0,1 or 0-2")
+                   help="comma list of orders and a-b ranges, a <= b, no "
+                   "spaces, e.g. 0,1 or 0-2")
     p.add_argument("--model",
                    choices=("classic", "oracle-offline", "oracle-online"),
                    default="classic")

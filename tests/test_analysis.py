@@ -704,6 +704,19 @@ def pair_tally_cases():
     }
 
 
+# pass the uniform check's gates (r·v = b·k, λ a positive integer) with
+# non-uniform pair counts: Z_7-orbits of {0,1,2} and {0,1,3}, whose pairs
+# through 0 lie in 3, 2 and 1 keys (λ would be 2), and seven triples over
+# 7 points, each point in three, three pairs in two (λ would be 1)
+GATED_UNEVEN = {
+    "z7-two-orbits": EncodingMatrix(7, 3, develop_rows(7, ((0, 1, 2),
+                                                           (0, 1, 3)))),
+    "triples-7": EncodingMatrix(7, 3, ((0, 5, 1), (4, 0, 3), (5, 6, 0),
+                                       (2, 6, 1), (3, 1, 4), (2, 3, 5),
+                                       (6, 4, 2))),
+}
+
+
 def test_pair_tally_paths_match_the_naive_oracles():
     cases = pair_tally_cases()
     for name, matrix in cases.items():
@@ -713,21 +726,26 @@ def test_pair_tally_paths_match_the_naive_oracles():
                 matrix, i), (name, i)
         assert voracle_online_value(system, 1) == naive_online(
             matrix, 1), name
-    # the branches these cases are meant to reach
+    # the branches these cases are meant to reach: λ from the uniform
+    # check, then, when it is 0, whether the tally the fallback built
+    # misses a pair (None: no tally was built) and whether r is uniform
     shape = {}
     for name, matrix in cases.items():
         system = SecrecySystem(matrix)
         a = 1 if system.translation_invariant else 0
         voracle_online_value(system, 1)
-        shape[name] = (a, len(system.pairs) < comb(matrix.v - a, 2 - a),
+        tally = vars(system).get("pairs")
+        shape[name] = (a, system.pair_lambda, tally if tally is None
+                       else len(tally) < comb(matrix.v - a, 2 - a),
                        system.replication * matrix.v == matrix.b * matrix.k)
-    assert shape["apart"] == shape["uneven"] == (0, True, False)
-    assert shape["cycle6-relabelled"] == (0, True, True)
-    assert shape["cycle6"] == shape["z9-013"] == (1, True, True)
-    assert shape["biplane"] == (1, False, True)
-    assert shape["biplane-relabelled"] == (0, False, True)
-    assert shape["singletons"] == (1, True, True)
-    assert shape["singletons-short"] == (0, True, False)
+    assert shape["apart"] == shape["uneven"] == (0, 0, True, False)
+    assert shape["cycle6-relabelled"] == (0, 0, True, True)
+    assert shape["cycle6"] == shape["z9-013"] == (1, 0, True, True)
+    assert shape["biplane"] == (1, 2, None, True)
+    assert shape["biplane-relabelled"] == (0, 2, None, True)
+    assert shape["pentagon-relabelled"] == (0, 0, True, True)
+    assert shape["singletons"] == (1, 0, True, True)
+    assert shape["singletons-short"] == (0, 0, True, False)
     assert SecrecySystem(cases["singletons"]).pairs == Counter()
     # the unshared pair {0, 3} covers all four keys, any shared one three
     assert voracle_online_value(SecrecySystem(cases["apart"]), 1) == 1
@@ -772,16 +790,97 @@ def test_pair_tally_fuzz_matches_the_naive_oracles():
     assert 20 <= invariant <= len(cases) - 20, invariant
 
 
+# ------------------------------------------------------ uniform pair check
+
+def uniform_pair_cases():
+    """(name, matrix, anchored, λ) with every pair in λ keys.  The first
+    four have r = 1, 2, 4 and 4, powers of two, whose width r.bit_length()
+    is one bit more than r - 1 needs: one key holding every message, the
+    triangle, the 4-subsets of 5 points and AG(2,3) relabelled.  In the
+    relabelled Fano plane r = 3 fills its two digit bits."""
+    ag = catalog.load_payload("ag-2-3")[0]
+    fano = develop_matrix(DifferenceFamily(7, 1, ((0, 1, 3),)))
+    return [
+        ("one-key", EncodingMatrix(4, 4, ((2, 0, 3, 1),)), True, 1),
+        ("triangle", EncodingMatrix(3, 2, ((0, 1), (2, 1), (0, 2))), True, 1),
+        ("complete-5-4", EncodingMatrix(5, 4, tuple(combinations(range(5), 4))),
+         True, 3),
+        ("ag-2-3-relabelled", relabelled(
+            EncodingMatrix(ag.v, ag.k, ag.blocks), 8), False, 1),
+        ("fano-relabelled", relabelled(fano, 9), False, 1),
+    ]
+
+
+def gate_lambda(system):
+    """λ as the uniform check's gates compute it, a Fraction, or None when
+    r·v != b·k."""
+    b, k, v = system.b, system.k, system.v
+    a = 1 if system.translation_invariant else 0
+    r = b * k // v if a else system.replication
+    if r * v != b * k:
+        return None
+    return Fraction((r if a else b) * comb(k - a, 2 - a), comb(v - a, 2 - a))
+
+
+def test_uniform_pair_check_settles_orders_one_and_two():
+    replications = []
+    for name, matrix, anchored, lam in uniform_pair_cases():
+        system = SecrecySystem(matrix)
+        assert system.translation_invariant == anchored, name
+        replications.append(system.replication)
+        for i in range(1, min(3, matrix.k)):
+            assert deception_probability(system, i) == naive_deception(
+                matrix, i), (name, i)
+        assert voracle_online_value(system, 1) == naive_online(matrix, 1), name
+        assert system.pair_lambda == gate_lambda(system) == lam, name
+        # order-2 spoofing falls back to the pair tally only when λ > 1
+        assert ("pairs" in vars(system)) == (lam > 1 and matrix.k > 2), name
+    assert replications == [1, 2, 4, 4, 3]
+
+
+def test_uniform_pair_check_falls_back_on_uneven_pairs():
+    # GATED_UNEVEN passes the gates and fails the digit comparison; a
+    # relabelled Steiner system less one row fails the gate r·v = b·k
+    z13 = develop_matrix(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7))))
+    fano = develop_matrix(DifferenceFamily(7, 1, ((0, 1, 3),)))
+    cases = dict(GATED_UNEVEN)
+    for name, matrix, seed in (("z13", z13, 10), ("fano", fano, 11)):
+        copy = relabelled(matrix, seed)
+        cases[f"{name}-relabelled-less-one-row"] = EncodingMatrix(
+            copy.v, copy.k, copy.rows[1:])
+    for name, matrix in cases.items():
+        system = SecrecySystem(matrix)
+        lam = gate_lambda(system)
+        gated = lam is not None and lam.denominator == 1 and lam > 0
+        assert gated == (name in GATED_UNEVEN), name
+        for i in (1, 2):
+            assert deception_probability(system, i) == naive_deception(
+                matrix, i), (name, i)
+        assert voracle_online_value(system, 1) == naive_online(matrix, 1), name
+        assert system.pair_lambda == 0, name
+        assert "pairs" in vars(system), name
+
+
 def test_masks_are_built_only_for_online_orders_from_two():
+    # every catalog development is a 2-design: the uniform check settles
+    # order 1, and order-2 spoofing when λ = 1, with or without symmetry;
+    # only the biplane's order 2 (λ = 2) builds the pair tally
+    lams = []
     for _, matrix in catalog_developments()[:4]:
+        lam = Fraction(matrix.b * comb(matrix.k, 2), comb(matrix.v, 2))
+        lams.append(lam)
         for case in (matrix, relabelled(matrix, 6)):
             system = SecrecySystem(case)
             for model in ("classic", "oracle-offline", "oracle-online"):
                 analyze(system, model, range(min(2, case.k)))
             assert "message_masks" not in vars(system)
-            assert "pairs" in vars(system)
+            assert vars(system)["pair_lambda"] == lam
+            assert "pairs" not in vars(system)
+            deception_probability(system, 2)
+            assert ("pairs" in vars(system)) == (lam != 1)
             voracle_online_value(system, 2)
             assert "message_masks" in vars(system)
+    assert sorted(set(lams)) == [1, 2]
 
 
 # ------------------------------------------------------------------ budget
@@ -801,45 +900,60 @@ def order_zero_charge(b, k, v):
     return b * k + min(v, b * k)
 
 
-def deception_charge(b, k, v, i, anchored):
-    """The documented charge of `deception_probability`."""
+def translation_charge(b, k, v):
+    """The documented charge of the translation check."""
+    return v + 2 * b * (k + 1)
+
+
+def uniform_charge(b, k, v, anchored):
+    """The documented charge of the translation check and the uniform pair
+    check after it, both charged before they run."""
+    return translation_charge(b, k, v) + (
+        b + 2 * k * (b * k // v) + 9 if anchored
+        else 3 * b * k + min(v, b * k) + 4 * v + 6)
+
+
+def deception_charge(b, k, v, i, anchored, lam):
+    """The documented charge of `deception_probability`; λ = 0 when the
+    uniform check fails."""
     if i == 0:
         return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
     n = b * k // v if anchored else b
     pairs = n * comb(k - a, 2 - a)
+    if i > 2:
+        return (translation_charge(b, k, v) + 2 * b
+                + n * comb(k - a, i - a) * (2 * (k - a) + 4))
+    work = uniform_charge(b, k, v, anchored)
+    if lam and (i == 1 or lam == 1):
+        return work
     if i == 1:
-        return (v + b * (2 * k + 3) + 2 * pairs if anchored
-                else 2 * v + b * (3 * k + 3) + 4 * pairs)
-    return v + b * (2 * k + 4) + n * comb(k - a, i - a) * (2 * (k - a) + 4)
+        return work + (b + 2 * pairs if anchored else v + b + 4 * pairs)
+    return work + 2 * b + n * comb(k - a, i - a) * (2 * (k - a) + 4)
 
 
-def online_first_stage(b, k, v):
-    """Unanchored order 1: the check plus the count of r and its max,
-    charged before they decide the path."""
-    return v + 2 * b * (k + 1) + b * k + min(v, b * k)
-
-
-def online_charge(b, k, v, i, anchored, uniform=True):
-    """The documented charge of `voracle_online_value`."""
+def online_charge(b, k, v, i, anchored, lam, uniform_r=True):
+    """The documented charge of `voracle_online_value`; λ = 0 when the
+    uniform check fails, uniform_r whether every message lies in r keys."""
     if i == 0:
         return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
     if i == 1:
+        work = uniform_charge(b, k, v, anchored)
+        if lam:
+            return work
         pairs = (b * k // v if anchored else b) * comb(k - a, 2 - a)
         through = comb(v - a, 2 - a)
-        if anchored:
-            return v + b * (2 * k + 3) + pairs + min(pairs, v - 1)
-        return online_first_stage(b, k, v) + b + pairs + (
-            min(pairs, through) if uniform else v + 4 * through)
+        return work + b + pairs + (
+            min(pairs, through) if uniform_r else v + 4 * through)
     return (v + b * (3 * k + 2) + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
 
 
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check is charged v + 2·b·(k+1) before it runs; past it, the
-    # whole call is charged for the path the check selects (the unanchored
-    # online game at order 1 first charges its count of r)
+    # the translation check is charged v + 2·b·(k+1) before it runs, then
+    # the uniform pair check with it before that runs; on Z_13 (λ = 1)
+    # that settles orders 1 and 2 of spoofing and order 1 online
     b, k, v = z13_system.b, z13_system.k, z13_system.v
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
     for fn, documented in ((deception_probability, deception_charge),
@@ -848,67 +962,87 @@ def test_budget_charges_on_both_paths(z13_system):
             for i in (1, 2):
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=5)
-                assert exc.value.required == v + 2 * b * (k + 1)
+                assert exc.value.required == translation_charge(b, k, v)
                 with pytest.raises(BudgetError) as exc:
-                    fn(system, i, budget=v + 2 * b * (k + 1))
-                staged = fn is voracle_online_value and i == 1 and not anchored
+                    fn(system, i, budget=translation_charge(b, k, v))
                 assert exc.value.required == (
-                    online_first_stage(b, k, v) if staged
-                    else documented(b, k, v, i, anchored))
+                    uniform_charge(b, k, v, anchored) if i == 1
+                    or fn is deception_probability
+                    else documented(b, k, v, i, anchored, 1))
         with pytest.raises(BudgetError) as exc:
             fn(z13_system, 0, budget=5)
-        assert exc.value.required == documented(b, k, v, 0, False)
+        assert exc.value.required == documented(b, k, v, 0, False, 1)
     for i in (0, 1, 2):
         with pytest.raises(BudgetError) as exc:
             voracle_offline_value(z13_system, i, budget=5)
         assert exc.value.required == order_zero_charge(b, k, v)
-    # anchored, the order-1 tally reads the 6 keys through 0, 12 pairs
-    assert deception_charge(b, k, v, 1, True) == 271
-    assert deception_charge(b, k, v, 1, False) == 650
-    assert online_charge(b, k, v, 1, True) == 271
+    # anchored, the check reads the 26 keys and sums the 6 through 0;
+    # unanchored it counts r and sums all 26 into 13 rows
+    assert translation_charge(b, k, v) == 221
+    assert uniform_charge(b, k, v, True) == 221 + 26 + 36 + 9
+    assert uniform_charge(b, k, v, False) == 221 + 234 + 13 + 52 + 6
+    for i in (1, 2):
+        assert deception_charge(b, k, v, i, True, 1) == 292
+        assert deception_charge(b, k, v, i, False, 1) == 526
+    assert online_charge(b, k, v, 1, True, 1) == 292
     assert order_zero_charge(b, k, v) == 91
 
 
 def charge_cases():
-    """(name, system, anchored, uniform) on every path of orders 1 and 2:
-    Z_13 and its relabelled copy, the relabelled biplane (λ = 2) and an
-    unbalanced matrix."""
+    """(name, system, anchored, λ, uniform r) on every path of orders 1
+    and 2: Z_13 and its relabelled copy, the biplane (λ = 2) and its
+    relabelled copy, two systems that pass the check's gates with pairs
+    in one key and in two, with and without symmetry, and an unbalanced
+    matrix."""
     z13 = develop_matrix(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7))))
     biplane = develop_matrix(DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),)))
     uneven = EncodingMatrix(6, 3, ((0, 1, 2), (0, 1, 3), (0, 4, 5)))
-    return [("z13", SecrecySystem(z13), True, True),
-            ("z13-relabelled", SecrecySystem(relabelled(z13, 0)), False, True),
-            ("biplane", SecrecySystem(biplane), True, True),
+    return [("z13", SecrecySystem(z13), True, 1, True),
+            ("z13-relabelled", SecrecySystem(relabelled(z13, 0)), False, 1,
+             True),
+            ("biplane", SecrecySystem(biplane), True, 2, True),
             ("biplane-relabelled", SecrecySystem(relabelled(biplane, 1)),
-             False, True),
-            ("uneven", SecrecySystem(uneven), False, False)]
+             False, 2, True),
+            ("z7-two-orbits", SecrecySystem(GATED_UNEVEN["z7-two-orbits"]),
+             True, 0, True),
+            ("triples-7", SecrecySystem(GATED_UNEVEN["triples-7"]), False, 0,
+             True),
+            ("uneven", SecrecySystem(uneven), False, 0, False)]
 
 
 def test_order_one_and_two_charges_are_pinned():
     # each documented charge passes as the budget and is refused one step
     # below it, with the value unchanged
     seen = set()
-    for name, system, anchored, uniform in charge_cases():
+    for name, system, anchored, lam, uniform_r in charge_cases():
         assert system.translation_invariant == anchored, name
         b, k, v = system.b, system.k, system.v
-        calls = [(deception_probability, i, deception_charge(b, k, v, i, anchored))
-                 for i in (1, 2)]
+        calls = [(deception_probability, i,
+                  deception_charge(b, k, v, i, anchored, lam)) for i in (1, 2)]
         calls.append((voracle_online_value, 1,
-                      online_charge(b, k, v, 1, anchored, uniform)))
+                      online_charge(b, k, v, 1, anchored, lam, uniform_r)))
         for fn, i, cost in calls:
             fresh = SecrecySystem(system.matrix)
             with pytest.raises(BudgetError) as exc:
                 fn(fresh, i, budget=cost - 1)
             assert exc.value.required == cost, (name, fn.__name__, i)
             assert fn(fresh, i, budget=cost) == fn(system, i), (name, i)
-            seen.add((fn.__name__, anchored, uniform))
-    assert len(seen) == 6
-    # the relabelled Z_13: r is uniform, so its 78 pairs are read once for
-    # the min instead of four steps each in the scan
-    assert online_first_stage(26, 3, 13) == 312
-    assert online_charge(26, 3, 13, 1, False) == 312 + 26 + 78 + 78
-    assert online_charge(26, 3, 13, 1, False, uniform=False) == (
-        312 + 13 + 26 + 78 + 4 * 78)
+            assert fresh.pair_lambda == lam, name
+            settled = bool(lam) and (i == 1 or lam == 1)
+            assert ("pairs" in vars(fresh)) != settled, (name, fn.__name__, i)
+            seen.add((fn.__name__, i, anchored, settled,
+                      uniform_r if fn is voracle_online_value else None))
+    assert len(seen) == 13, sorted(seen)
+    # the relabelled Z_13: the uniform check sums its 26 keys into 13 rows
+    # of 13 digits; on the gated 7-point triples it fails, and r being
+    # uniform, the 21 pairs are read once for the min instead of four
+    # steps each in the scan
+    assert uniform_charge(26, 3, 13, False) == 526
+    assert online_charge(26, 3, 13, 1, False, 1) == 526
+    assert uniform_charge(7, 3, 7, False) == 63 + 63 + 7 + 28 + 6
+    assert online_charge(7, 3, 7, 1, False, 0) == 167 + 7 + 21 + 21
+    assert online_charge(7, 3, 7, 1, False, 0, uniform_r=False) == (
+        167 + 7 + 7 + 21 + 4 * 21)
 
 
 def test_check_order_is_the_one_order_rule(fano_system):

@@ -355,6 +355,22 @@ def test_attack_rejects_garbage_orders(capsys, z13_matrix_file):
     assert code == 2
 
 
+def test_attack_orders_are_ascii_digits_and_ascending_ranges(
+        capsys, z13_matrix_file):
+    # a reversed range used to drop out silently ("3-1,0" ran order 0
+    # alone), "1_0" read as 10, "٣" as 3 and empty items were skipped
+    for orders in ("3-1,0", "2-1", "1_0", "٣", "0-٢", "0,,1", ",0", "0,",
+                   "", " 1", "0, 1", "0-", "-1", "1-2-3", "+1", "0x1"):
+        code, out, err = run(capsys, "attack", str(z13_matrix_file),
+                             "--orders", orders)
+        assert (code, out) == (2, ""), orders
+        assert err == f"error: cannot parse --orders {orders!r}\n", orders
+    code, out, _ = run(capsys, "attack", str(z13_matrix_file), "--orders",
+                       "2,0-1,1-1", "--format", "json")
+    assert code == 0
+    assert [entry["i"] for entry in json.loads(out)["orders"]] == [0, 1, 2]
+
+
 def test_attack_rejects_out_of_range_orders_before_expanding(
         capsys, z13_matrix_file):
     # a range reaching 10^10 would be a set of 10^10 ints if expanded;
