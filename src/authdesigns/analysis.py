@@ -294,9 +294,9 @@ def deception_probability(system: SecrecySystem, i: int,
     deleted, count compared or stored and value summed.  With a =
     |anchor|, n keys tallied (b, or b·k/v anchored: every message lies in
     equally many keys) and P = n·C(k-a, 2-a) (key, pair) incidences, the
-    charge is the translation check v + 2·b·(k+1), the uniform check U of
-    `_pair_lambda` at i ≤ 2, and, when that check does not settle the
-    order, on top:
+    charge is the translation check v + 2·b·(k+1), at i ≤ 2 the uniform
+    check U of `_pair_lambda`, and, unless that check settles the order,
+    on top:
 
     * i = 1 anchored: b reads and P increments build the tally, at most P
       counts are compared: b + 2·P;
