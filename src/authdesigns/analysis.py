@@ -23,12 +23,12 @@ first ask `SecrecySystem.pair_lambda` whether every pair through the anchor
 (below; every pair when there is none) lies in the same number λ of keys,
 as in a 2-design.  Then every message lies in r = b·k/v keys and the
 values are λ·v/(b·k) = (k-1)/(v-1), 1 (order 2, when λ = 1) and
-(2r - λ)/b.  Otherwise they read one pair tally, `SecrecySystem.pairs`:
-c(x,y), the keys holding both x and y, for every pair through the anchor
-that some key holds.
-Spoofing at order 1 sums max_y c(x,y) over the messages x; the online game
-at order 1 is the best r_x + r_y - c(x,y), and (2r - min c)/b when every
-message lies in r keys.  So only online orders ≥ 2 build per-message key
+(2r - λ)/b.  Otherwise spoofing runs the shared-observation loop it runs
+at every order, and the online game at order 1 tallies c(x,y), the keys
+holding both x and y, for every pair through the anchor that some key
+holds: its value is the best r_x + r_y - c(x,y), and (2r - min c)/b when
+every message lies in r keys.  Both read one cached list of key tails,
+`SecrecySystem.tails`, so only online orders ≥ 2 build per-message key
 masks.
 
 Cyclic-orbit reduction: when x ↦ x+1 mod v maps every key set onto a key
@@ -53,7 +53,7 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, repeat
 from operator import sub
 from typing import Optional
 
@@ -118,8 +118,9 @@ class SecrecySystem:
         < 2^w, so none carries and the representation is unique: the
         pairs through x are uniform iff S_x = λ·ONES + (r-λ)·2^(w·x),
         ONES = Σ_y 2^(w·y).  Unanchored every x is compared, its e(key)
-        summed from a v-entry table of 2^(w·y); anchored only S_0, from
-        the n keys through 0 alone.  The gates give λ·v·(v-1) = b·k·(k-1),
+        summed from a v-entry table of 2^(w·y); anchored only S_0: r for
+        its own digit plus the n keys through 0 read from `tails`, which
+        drops 0 from each.  The gates give λ·v·(v-1) = b·k·(k-1),
         so the v sums of v·w bits stay within a factor k·w of the b·k
         entries."""
         b, k, v, rows = self.b, self.k, self.v, self.matrix.rows
@@ -133,7 +134,7 @@ class SecrecySystem:
             return 0
         w = r.bit_length()
         if a:
-            sums = [sum(1 << w * y for row in rows if 0 in row for y in row)]
+            sums = [r + sum(1 << w * y for tail in self.tails for y in tail)]
         else:
             table = [1 << w * y for y in range(v)]
             sums = [0] * v
@@ -146,16 +147,14 @@ class SecrecySystem:
                           for x, s in enumerate(sums)) else 0
 
     @cached_property
-    def pairs(self) -> Counter:
-        """c(P), the keys holding P, for every pair P through the anchor
-        (module docstring) that some key holds: the Counter of the
-        (2-a)-subsets of `_tails`, a = |anchor|, so {0, y} is keyed (y,)
-        and, with no anchor, {x, y} is keyed (x, y), x < y.  Built only
-        when `pair_lambda` is 0.  Read only after `_anchor` has charged the
-        translation check; building it reads the b keys and makes
-        n·C(k-a, 2-a) increments, n the keys tallied."""
-        anchor = (0,) if self.translation_invariant else ()
-        return _tally(_tails(self, anchor), 2 - len(anchor))
+    def tails(self) -> list:
+        """The sorted rows, or anchored (module docstring) the rows through
+        0, sorted with 0 removed: one read of each of the b keys, sorting
+        included.  Read only after `_anchor` has charged the translation
+        check."""
+        a = 1 if self.translation_invariant else 0
+        return [sorted(row)[a:] for row in self.matrix.rows
+                if not a or 0 in row]
 
     @cached_property
     def message_masks(self) -> tuple:
@@ -220,14 +219,6 @@ def _order_zero(system: SecrecySystem, budget: Optional[int],
     return Fraction(system.replication, system.b)
 
 
-def _tails(system: SecrecySystem, anchor: tuple) -> list:
-    """The sorted rows, or anchored the rows through 0 with 0 removed: one
-    read of each of the b keys."""
-    a = len(anchor)
-    return [sorted(row)[a:] for row in system.matrix.rows
-            if not anchor or 0 in row]
-
-
 def _tally(tails: list, j: int) -> Counter:
     """The Counter of the j-subsets of the tails, one increment each."""
     return Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
@@ -239,10 +230,12 @@ def _pair_lambda(system: SecrecySystem, anchor: tuple,
     translation check before it runs; work is the two charges' sum.  One
     step per key read, message counted or compared and big-int shift,
     add, subtraction, product, quotient or comparison: 6 for λ·ONES and 3
-    per sum compared.  Anchored: b keys read, a shift and an add per entry
-    of the n = b·k/v keys through 0, b + 2·n·k + 9.  Otherwise: r and its
-    max, b·k + min(v, b·k); v table entries; k adds for each e(key) and k
-    into the sums, 2·b·k; 4·v + 6 with the compares."""
+    per sum compared.  Anchored: `SecrecySystem.tails` reads the b keys and
+    sorts the n = b·k/v through 0, b + n, then a shift and an add per tail
+    entry and r added, 2·n·(k-1) + 1; with the compare that is at most the
+    b + 2·n·k + 9 charged, as n ≥ 1 once the gates pass.  Otherwise: r and
+    its max, b·k + min(v, b·k); v table entries; k adds for each e(key)
+    and k into the sums, 2·b·k; 4·v + 6 with the compares."""
     b, k, v = system.b, system.k, system.v
     work = v + 2 * b * (k + 1) + (
         b + 2 * k * (b * k // v) + 9 if anchor
@@ -275,42 +268,31 @@ def deception_probability(system: SecrecySystem, i: int,
     ∅ and best(∅) = max_m r_m, from `_order_zero`.
 
     Anchored (module docstring), best(O+1) = best(O): the same loop runs on
-    the tails of the keys through 0 (0 removed) with j = i-1, so it sees
-    exactly the O ∋ 0, and P_di = v·Σ_{O∋0} best(O) / (i·b·C(k,i)).
+    the tails of the keys through 0 (0 removed, `SecrecySystem.tails`) with
+    j = i-1, so it sees exactly the O ∋ 0, and P_di = v·Σ_{O∋0} best(O) /
+    (i·b·C(k,i)).
 
     Orders 1 and 2 first ask `SecrecySystem.pair_lambda` (`_pair_lambda`).
     When every pair lies in λ ≥ 1 keys, best({x}) = λ for every x and P_d1
     = λ·v/(b·k); at i = 2 with λ = 1 every pair is an O in one key and
-    P_d2 = C(v,2)/(b·C(k,2)) = 1.  Otherwise they read the pair tally
-    `SecrecySystem.pairs`.  At i = 2 it is the j-tally itself.  At i = 1,
-    best({x}) = max_y c(x,y), which is at least 1 for every message x that
-    occurs, as k ≥ 2.  Anchored the sum is the one term max_y c(0,y), the
-    largest count in the tally.  Otherwise it is the number of messages
-    that occur, plus, for each message on a shared pair (c ≥ 2), its
-    largest such c less 1.
+    P_d2 = C(v,2)/(b·C(k,2)) = 1.  Otherwise they run the loop like every
+    other order.  Anchored at i = 1, j = 0: the one O is {0}, shared when
+    two keys hold 0, and its best is the most keys through 0 that hold one
+    other message.
 
-    Charge, one step per key read, tally increment, distinct observation
-    scanned, membership test, key gathered, message counted, message
-    deleted, count compared or stored and value summed.  With a =
-    |anchor|, n keys tallied (b, or b·k/v anchored: every message lies in
-    equally many keys) and P = n·C(k-a, 2-a) (key, pair) incidences, the
-    charge is the translation check v + 2·b·(k+1), at i ≤ 2 the uniform
-    check U of `_pair_lambda`, and, unless that check settles the order,
-    on top:
-
-    * i = 1 anchored: b reads and P increments build the tally, at most P
-      counts are compared: b + 2·P;
-    * i = 1 otherwise (r is counted by U): b + P for the tally, at most P
-      counts scanned, at most P/2 shared pairs (each holds two of the P
-      incidences) with two counts compared and two stored, and at most v
-      bests summed: v + b + 4·P;
-    * i ≥ 2: N = n·C(k-a, i-a) (key, observation) pairs, so b reads, N
-      increments and at most N distinct observations; if any is shared,
-      the b keys are read again for N membership tests and H ≤ N keys
-      gathered, H = Σ_{shared} cnt.  A shared O counts cnt(O)·(k-a)
-      messages, then deletes its j and compares what is left, at most
-      cnt(O)·(k-a) together: 2·(k-a)·H in all.  In all at most
-      2·b + N·(2·(k-a) + 4).
+    Charge, one step per key read (sorting included), tally increment,
+    distinct observation scanned, membership test, key gathered, message
+    counted, message deleted, count compared and value summed.  With a =
+    |anchor|, j = i-a and n keys tallied (b, or b·k/v anchored: every
+    message lies in equally many keys), the loop meets N = n·C(k-a, j)
+    (key, observation) pairs: b reads, N increments and at most N distinct
+    observations; if any is shared, at most b tails are read again for N
+    membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A shared
+    O counts cnt(O)·(k-a) messages, then deletes its j and compares what
+    is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in all.  The charge
+    is the translation check v + 2·b·(k+1), at i ≤ 2 the uniform check U
+    of `_pair_lambda`, and, unless that check settles the order, on top
+    2·b + N·(2·(k-a) + 4).
     """
     check_order(system, "classic", i)
     b, k, v = system.b, system.k, system.v
@@ -328,45 +310,23 @@ def deception_probability(system: SecrecySystem, i: int,
             return Fraction(lam * v, b * k)
         if lam == 1:        # i = 2: every pair is an O in one key
             return Fraction(1)
-    incidences = n * math.comb(k - a, 2 - a)
-    if i == 1:
-        work += (b + 2 * incidences if anchor
-                 else v + b + 4 * incidences)
-    else:
-        work += 2 * b + n * math.comb(k - a, j) * (2 * (k - a) + 4)
-    charge(work, budget, what=what)
-    if i == 1:
-        total = (max(system.pairs.values()) if anchor
-                 else _order_one_total(system))
-    else:
-        counts = system.pairs if i == 2 else _tally(_tails(system, anchor), j)
-        shared = {obs for obs, c in counts.items() if c > 1}
-        total = len(counts) - len(shared)
-        if shared:
-            keys = defaultdict(list)
-            for tail in _tails(system, anchor):
-                for obs in filter(shared.__contains__, combinations(tail, j)):
-                    keys[obs].append(tail)
-            for obs, group in keys.items():
-                extensions = Counter(chain.from_iterable(group))
-                for m in obs:
-                    del extensions[m]
-                total += max(extensions.values())
+    charge(work + 2 * b + n * math.comb(k - a, j) * (2 * (k - a) + 4),
+           budget, what=what)
+    counts = _tally(system.tails, j)
+    shared = {obs for obs, c in counts.items() if c > 1}
+    total = len(counts) - len(shared)
+    if shared:
+        keys = defaultdict(list)
+        for tail in system.tails:
+            for obs in filter(shared.__contains__, combinations(tail, j)):
+                keys[obs].append(tail)
+        for obs, group in keys.items():
+            extensions = Counter(chain.from_iterable(group))
+            for m in obs:
+                del extensions[m]
+            total += max(extensions.values())
     weight = Fraction(v, i) if anchor else 1
     return weight * Fraction(total, b * math.comb(k, i))
-
-
-def _order_one_total(system: SecrecySystem) -> int:
-    """Σ_x max_y c(x,y) with no anchor: 1 for each message that occurs,
-    plus c-1 for the largest count c ≥ 2 on a pair through it."""
-    counts = system.pairs
-    best = {}
-    for (x, y), c in compress(counts.items(), map((1).__lt__, counts.values())):
-        if c > best.get(x, 1):
-            best[x] = c
-        if c > best.get(y, 1):
-            best[y] = c
-    return len(system.entry_counts) + sum(best.values()) - len(best)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +408,13 @@ def _online_order_one(system: SecrecySystem, anchor: tuple,
     {x, y} through the anchor (a = |anchor|) of r_x + r_y - c(x,y), over b.
 
     When every pair lies in λ ≥ 1 keys (`SecrecySystem.pair_lambda`), that
-    is (2r - λ)/b, r = b·k/v.  Otherwise, when every message lies in r
-    keys, as every anchored system does, it is (2r - min c)/b, the min
-    over the T pairs of the tally `SecrecySystem.pairs`, and 0 when the
-    tally holds fewer than T of them (some pair shares no key).  Otherwise
-    every one of the C(v,2) pairs is scanned, at C speed.
+    is (2r - λ)/b, r = b·k/v.  Otherwise c(x,y) is read from the tally of
+    the (2-a)-subsets of `SecrecySystem.tails`, so {0, y} is keyed (y,)
+    and, with no anchor, {x, y} is keyed (x, y), x < y.  When every message
+    lies in r keys, as every anchored system does, the value is (2r - min
+    c)/b, the min over the T pairs of the tally, and 0 when the tally
+    holds fewer than T of them (some pair shares no key).  Otherwise every
+    one of the C(v,2) pairs is scanned, at C speed.
 
     Charge: the translation check and the uniform check U, as
     `_pair_lambda` charges them, before they run; when λ = 0, on top, b
@@ -468,16 +430,16 @@ def _online_order_one(system: SecrecySystem, anchor: tuple,
         return Fraction(2 * (b * k // v) - lam, b)
     incidences = (b * k // v if anchor else b) * math.comb(k - a, 2 - a)
     through = math.comb(v - a, 2 - a)
-    if anchor or system.replication * v == b * k:
-        charge(work + b + incidences + min(incidences, through), budget,
-               what=what)
-        counts = system.pairs
+    uniform_r = anchor or system.replication * v == b * k
+    charge(work + b + incidences + (min(incidences, through) if uniform_r
+                                    else v + 4 * through), budget, what=what)
+    counts = _tally(system.tails, 2 - a)
+    if uniform_r:
         least = min(counts.values()) if len(counts) == through else 0
         return Fraction(2 * (b * k // v) - least, b)
-    charge(work + v + b + incidences + 4 * through, budget, what=what)
     r = list(map(system.entry_counts.__getitem__, range(v)))
     return Fraction(max(map(sub, map(sum, combinations(r, 2)), map(
-        system.pairs.get, combinations(range(v), 2), repeat(0)))), b)
+        counts.get, combinations(range(v), 2), repeat(0)))), b)
 
 
 def offline_bound(v: int, k: int) -> Fraction:

@@ -701,6 +701,10 @@ def pair_tally_cases():
             EncodingMatrix(5, 2, develop_rows(5, ((0, 1),))), 4),
         "singletons": EncodingMatrix(4, 1, ((0,), (1,), (2,), (3,))),
         "singletons-short": EncodingMatrix(4, 1, ((2,), (0,), (3,))),
+        # invariant with one key through 0: at order 1 the one O = {0}
+        # is unshared, and the gate fails, λ being 1/3 and 2/5
+        "halves": EncodingMatrix(4, 2, ((0, 2), (1, 3))),
+        "thirds": EncodingMatrix(6, 3, ((0, 2, 4), (1, 3, 5))),
     }
 
 
@@ -718,26 +722,31 @@ GATED_UNEVEN = {
 
 
 def test_pair_tally_paths_match_the_naive_oracles():
+    # each value on a fresh system, at the charge of the path its shape
+    # (below) takes: refused one step under it
     cases = pair_tally_cases()
-    for name, matrix in cases.items():
-        system = SecrecySystem(matrix)
-        for i in range(1, min(3, matrix.k)):
-            assert deception_probability(system, i) == naive_deception(
-                matrix, i), (name, i)
-        assert voracle_online_value(system, 1) == naive_online(
-            matrix, 1), name
-    # the branches these cases are meant to reach: λ from the uniform
-    # check, then, when it is 0, whether the tally the fallback built
-    # misses a pair (None: no tally was built) and whether r is uniform
     shape = {}
     for name, matrix in cases.items():
         system = SecrecySystem(matrix)
         a = 1 if system.translation_invariant else 0
-        voracle_online_value(system, 1)
-        tally = vars(system).get("pairs")
-        shape[name] = (a, system.pair_lambda, tally if tally is None
-                       else len(tally) < comb(matrix.v - a, 2 - a),
-                       system.replication * matrix.v == matrix.b * matrix.k)
+        b, k, v, lam = matrix.b, matrix.k, matrix.v, system.pair_lambda
+        uniform_r = system.replication * v == b * k
+        for i in range(1, min(3, k)):
+            assert charged_exactly(
+                deception_probability, matrix, i,
+                deception_charge(b, k, v, i, a, lam)) == naive_deception(
+                    matrix, i), (name, i)
+        assert charged_exactly(
+            voracle_online_value, matrix, 1,
+            online_charge(b, k, v, 1, a, lam, uniform_r)) == naive_online(
+                matrix, 1), name
+        # the branches these cases are meant to reach: λ from the uniform
+        # check, then, when it is 0, whether the fallback's pair tally
+        # misses a pair (None: the check settles) and whether r is uniform
+        held = {pair for tail in system.tails
+                for pair in combinations(tail, 2 - a)}
+        shape[name] = (a, lam, None if lam
+                       else len(held) < comb(v - a, 2 - a), uniform_r)
     assert shape["apart"] == shape["uneven"] == (0, 0, True, False)
     assert shape["cycle6-relabelled"] == (0, 0, True, True)
     assert shape["cycle6"] == shape["z9-013"] == (1, 0, True, True)
@@ -746,26 +755,30 @@ def test_pair_tally_paths_match_the_naive_oracles():
     assert shape["pentagon-relabelled"] == (0, 0, True, True)
     assert shape["singletons"] == (1, 0, True, True)
     assert shape["singletons-short"] == (0, 0, True, False)
-    assert SecrecySystem(cases["singletons"]).pairs == Counter()
+    assert shape["halves"] == shape["thirds"] == (1, 0, True, True)
+    assert SecrecySystem(cases["singletons"]).tails == [[]]
+    for name in ("halves", "thirds"):
+        assert len(SecrecySystem(cases[name]).tails) == 1, name
     # the unshared pair {0, 3} covers all four keys, any shared one three
     assert voracle_online_value(SecrecySystem(cases["apart"]), 1) == 1
 
 
-def test_pair_tally_holds_every_pair_through_the_anchor():
+def test_tails_hold_every_key_through_the_anchor():
+    # anchored, the keys through 0 with 0 removed; otherwise every row;
+    # each sorted, in row order.  Their (2-a)-subsets are then the pairs
+    # through the anchor, each as often as keys hold it: λ = 2 here
     biplane = pair_tally_cases()["biplane"]
     for matrix, a in ((biplane, 1), (relabelled(biplane, 5), 0)):
         system = SecrecySystem(matrix)
         assert system.translation_invariant == bool(a)
-        rows = [set(row) for row in matrix.rows]
-        expected = Counter()
-        for x, y in combinations(range(matrix.v), 2):
-            if a and x != 0:
-                continue
-            c = sum({x, y} <= row for row in rows)
-            if c:
-                expected[(x, y)[a:]] = c
-        assert system.pairs == expected
-        assert set(system.pairs.values()) == {2}
+        expected = ([sorted(set(row) - {0}) for row in matrix.rows if 0 in row]
+                    if a else [sorted(row) for row in matrix.rows])
+        assert system.tails == expected
+        assert len(expected) == (5 if a else 11)
+        pairs = Counter(pair for tail in system.tails
+                        for pair in combinations(tail, 2 - a))
+        assert len(pairs) == comb(matrix.v - a, 2 - a)
+        assert set(pairs.values()) == {2}
 
 
 def test_pair_tally_fuzz_matches_the_naive_oracles():
@@ -833,8 +846,14 @@ def test_uniform_pair_check_settles_orders_one_and_two():
                 matrix, i), (name, i)
         assert voracle_online_value(system, 1) == naive_online(matrix, 1), name
         assert system.pair_lambda == gate_lambda(system) == lam, name
-        # order-2 spoofing falls back to the pair tally only when λ > 1
-        assert ("pairs" in vars(system)) == (lam > 1 and matrix.k > 2), name
+        # the check settles orders 1 and 2 (at order 2 only when λ = 1):
+        # each call is charged the check's path and no more
+        b, k, v = matrix.b, matrix.k, matrix.v
+        for i in range(1, min(3, k)):
+            charged_exactly(deception_probability, matrix, i,
+                            deception_charge(b, k, v, i, anchored, lam))
+        charged_exactly(voracle_online_value, matrix, 1,
+                        online_charge(b, k, v, 1, anchored, lam))
     assert replications == [1, 2, 4, 4, 3]
 
 
@@ -858,13 +877,20 @@ def test_uniform_pair_check_falls_back_on_uneven_pairs():
                 matrix, i), (name, i)
         assert voracle_online_value(system, 1) == naive_online(matrix, 1), name
         assert system.pair_lambda == 0, name
-        assert "pairs" in vars(system), name
+        # and each call is charged the fallback on top of the check
+        b, k, v, a = matrix.b, matrix.k, matrix.v, system.translation_invariant
+        for i in (1, 2):
+            charged_exactly(deception_probability, matrix, i,
+                            deception_charge(b, k, v, i, a, 0))
+        charged_exactly(voracle_online_value, matrix, 1, online_charge(
+            b, k, v, 1, a, 0, system.replication * v == b * k))
 
 
 def test_masks_are_built_only_for_online_orders_from_two():
     # every catalog development is a 2-design: the uniform check settles
     # order 1, and order-2 spoofing when λ = 1, with or without symmetry;
-    # only the biplane's order 2 (λ = 2) builds the pair tally
+    # only the biplane's order 2 (λ = 2) is charged the fallback loop on
+    # top of the check
     lams = []
     for _, matrix in catalog_developments()[:4]:
         lam = Fraction(matrix.b * comb(matrix.k, 2), comb(matrix.v, 2))
@@ -875,9 +901,17 @@ def test_masks_are_built_only_for_online_orders_from_two():
                 analyze(system, model, range(min(2, case.k)))
             assert "message_masks" not in vars(system)
             assert vars(system)["pair_lambda"] == lam
-            assert "pairs" not in vars(system)
-            deception_probability(system, 2)
-            assert ("pairs" in vars(system)) == (lam != 1)
+            b, k, v = case.b, case.k, case.v
+            anchored = system.translation_invariant
+            check_alone = uniform_charge(b, k, v, anchored)
+            for fn, documented, i in (
+                    (deception_probability, deception_charge, 1),
+                    (voracle_online_value, online_charge, 1),
+                    (deception_probability, deception_charge, 2)):
+                cost = documented(b, k, v, i, anchored, lam)
+                assert charged_exactly(fn, case, i, cost) == fn(system, i)
+                assert (cost == check_alone) == (i == 1 or lam == 1)
+            assert "message_masks" not in vars(system)
             voracle_online_value(system, 2)
             assert "message_masks" in vars(system)
     assert sorted(set(lams)) == [1, 2]
@@ -920,15 +954,12 @@ def deception_charge(b, k, v, i, anchored, lam):
         return order_zero_charge(b, k, v)
     a = 1 if anchored else 0
     n = b * k // v if anchored else b
-    pairs = n * comb(k - a, 2 - a)
     if i > 2:
-        return (translation_charge(b, k, v) + 2 * b
-                + n * comb(k - a, i - a) * (2 * (k - a) + 4))
-    work = uniform_charge(b, k, v, anchored)
-    if lam and (i == 1 or lam == 1):
-        return work
-    if i == 1:
-        return work + (b + 2 * pairs if anchored else v + b + 4 * pairs)
+        work = translation_charge(b, k, v)
+    else:
+        work = uniform_charge(b, k, v, anchored)
+        if lam and (i == 1 or lam == 1):
+            return work
     return work + 2 * b + n * comb(k - a, i - a) * (2 * (k - a) + 4)
 
 
@@ -948,6 +979,15 @@ def online_charge(b, k, v, i, anchored, lam, uniform_r=True):
             min(pairs, through) if uniform_r else v + 4 * through)
     return (v + b * (3 * k + 2) + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
+
+
+def charged_exactly(fn, matrix, i, cost):
+    """fn(·, i) on a fresh system is refused at budget cost - 1, asking for
+    cost, and passes at cost; returns the value."""
+    with pytest.raises(BudgetError) as exc:
+        fn(SecrecySystem(matrix), i, budget=cost - 1)
+    assert exc.value.required == cost, (matrix, fn.__name__, i)
+    return fn(SecrecySystem(matrix), i, budget=cost)
 
 
 def test_budget_charges_on_both_paths(z13_system):
@@ -1022,24 +1062,24 @@ def test_order_one_and_two_charges_are_pinned():
         calls.append((voracle_online_value, 1,
                       online_charge(b, k, v, 1, anchored, lam, uniform_r)))
         for fn, i, cost in calls:
-            fresh = SecrecySystem(system.matrix)
-            with pytest.raises(BudgetError) as exc:
-                fn(fresh, i, budget=cost - 1)
-            assert exc.value.required == cost, (name, fn.__name__, i)
-            assert fn(fresh, i, budget=cost) == fn(system, i), (name, i)
-            assert fresh.pair_lambda == lam, name
+            assert charged_exactly(fn, system.matrix, i, cost) == fn(
+                system, i), (name, i)
+            assert system.pair_lambda == lam, name
             settled = bool(lam) and (i == 1 or lam == 1)
-            assert ("pairs" in vars(fresh)) != settled, (name, fn.__name__, i)
+            # the check alone, or the fallback on top of it
+            assert (cost == uniform_charge(b, k, v, anchored)) == settled
             seen.add((fn.__name__, i, anchored, settled,
                       uniform_r if fn is voracle_online_value else None))
     assert len(seen) == 13, sorted(seen)
     # the relabelled Z_13: the uniform check sums its 26 keys into 13 rows
-    # of 13 digits; on the gated 7-point triples it fails, and r being
-    # uniform, the 21 pairs are read once for the min instead of four
+    # of 13 digits; on the gated 7-point triples it fails, spoofing at
+    # order 1 loops over the 21 (key, message) pairs, and r being uniform,
+    # the online game reads the 21 pairs once for the min instead of four
     # steps each in the scan
     assert uniform_charge(26, 3, 13, False) == 526
     assert online_charge(26, 3, 13, 1, False, 1) == 526
     assert uniform_charge(7, 3, 7, False) == 63 + 63 + 7 + 28 + 6
+    assert deception_charge(7, 3, 7, 1, False, 0) == 167 + 14 + 21 * 10
     assert online_charge(7, 3, 7, 1, False, 0) == 167 + 7 + 21 + 21
     assert online_charge(7, 3, 7, 1, False, 0, uniform_r=False) == (
         167 + 7 + 7 + 21 + 4 * 21)
