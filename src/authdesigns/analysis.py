@@ -21,13 +21,15 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
 Order 1 of spoofing and of the online game, and order 2 of spoofing,
 first ask `SecrecySystem.pair_lambda` whether every pair through the anchor
 (below; every pair when there is none) lies in the same number λ of keys,
-as in a 2-design.  Then every message lies in r = b·k/v keys and the
-values are λ·v/(b·k) = (k-1)/(v-1), 1 (order 2, when λ = 1) and
-(2r - λ)/b.  Otherwise spoofing runs the shared-observation loop it runs
-at every order, and the online game at order 1 tallies c(x,y), the keys
-holding both x and y, for every pair through the anchor that some key
-holds: its value is the best r_x + r_y - c(x,y), and (2r - min c)/b when
-every message lies in r keys.  Both read one cached list of key tails,
+as in a 2-design.  Anchored, that is one count of the messages of the keys
+through 0; otherwise one big-integer sum per message.  When it holds,
+every message lies in r = b·k/v keys and the values are λ·v/(b·k) =
+(k-1)/(v-1), 1 (order 2, when λ = 1) and (2r - λ)/b.  Otherwise spoofing
+runs the shared-observation loop it runs at every order, and the online
+game at order 1 tallies c(x,y), the keys holding both x and y, for every
+pair through the anchor that some key holds: its value is the best r_x +
+r_y - c(x,y), and (2r - min c)/b when every message lies in r keys.  The
+anchored count, the loop and the tally read one cached list of key tails,
 `SecrecySystem.tails`, so only online orders ≥ 2 build per-message key
 masks.
 
@@ -55,7 +57,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import sub
-from typing import Optional
 
 from .budget import charge
 from .errors import DomainError
@@ -109,39 +110,38 @@ class SecrecySystem:
         in exactly λ keys, else 0.  Read only through `_pair_lambda`,
         which charges it with the translation check.
 
-        Gates first, from cached values: k ≥ 2, r·v = b·k for r the
-        replication (b·k/v anchored), and λ = n·C(k-a, 2-a)/C(v-a, 2-a) a
-        positive integer, n the keys through the anchor, a = |anchor|.
-        Then, with w = r.bit_length(), each key is the int e(key) =
-        Σ_{y∈key} 2^(w·y), and the sum S_x = Σ_{key∋x} e(key) has digit
-        c(x,y) at y ≠ x and r at x in base 2^w.  Every digit is at most r
-        < 2^w, so none carries and the representation is unique: the
-        pairs through x are uniform iff S_x = λ·ONES + (r-λ)·2^(w·x),
-        ONES = Σ_y 2^(w·y).  Unanchored every x is compared, its e(key)
-        summed from a v-entry table of 2^(w·y); anchored only S_0: r for
-        its own digit plus the n keys through 0 read from `tails`, which
-        drops 0 from each.  The gates give λ·v·(v-1) = b·k·(k-1),
-        so the v sums of v·w bits stay within a factor k·w of the b·k
-        entries."""
-        b, k, v, rows = self.b, self.k, self.v, self.matrix.rows
-        if k < 2:
-            return 0
-        a = 1 if self.translation_invariant else 0
-        r = b * k // v if a else self.replication
-        lam, rest = divmod((r if a else b) * math.comb(k - a, 2 - a),
-                           math.comb(v - a, 2 - a))
+        Anchored, every pair has a translate {0, y}, and the keys holding
+        {0, y} are the tails (`tails`) holding y: one Counter of the tails'
+        messages, uniform over all v-1 messages y ≠ 0, is λ.  Translation
+        already puts every message in r = b·k/v keys.
+
+        Unanchored, gates first, from cached values: r·v = b·k for r the
+        replication and λ = b·C(k,2)/C(v,2) a positive integer.  Then, with
+        w = r.bit_length(), each key is the int e(key) = Σ_{y∈key} 2^(w·y),
+        summed from a v-entry table of 2^(w·y), and the sum S_x =
+        Σ_{key∋x} e(key) has digit c(x,y) at y ≠ x and r at x in base 2^w.
+        Every digit is at most r < 2^w, so none carries and the
+        representation is unique: the pairs through x are uniform iff S_x =
+        λ·ONES + (r-λ)·2^(w·x), ONES = Σ_y 2^(w·y).  The gates give
+        λ·v·(v-1) = b·k·(k-1), so the v sums of v·w bits stay within a
+        factor k·w of the b·k entries."""
+        if self.translation_invariant:
+            counts = Counter(chain.from_iterable(self.tails))
+            lams = set(counts.values())
+            if len(counts) != self.v - 1 or len(lams) != 1:
+                return 0
+            return lams.pop()
+        b, k, v, r = self.b, self.k, self.v, self.replication
+        lam, rest = divmod(b * math.comb(k, 2), math.comb(v, 2))
         if r * v != b * k or rest or not lam:
             return 0
         w = r.bit_length()
-        if a:
-            sums = [r + sum(1 << w * y for tail in self.tails for y in tail)]
-        else:
-            table = [1 << w * y for y in range(v)]
-            sums = [0] * v
-            for row in rows:
-                e = sum(map(table.__getitem__, row))
-                for x in row:
-                    sums[x] += e
+        table = [1 << w * y for y in range(v)]
+        sums = [0] * v
+        for row in self.matrix.rows:
+            e = sum(map(table.__getitem__, row))
+            for x in row:
+                sums[x] += e
         base = lam * (((1 << w * v) - 1) // ((1 << w) - 1))
         return lam if all(s == base + ((r - lam) << w * x)
                           for x, s in enumerate(sums)) else 0
@@ -199,17 +199,18 @@ def check_order(system: SecrecySystem, model: str, i):
         raise DomainError(f"{what} must satisfy {rule}, got {show_int(i)}")
 
 
-def _anchor(system: SecrecySystem, i: int, budget: Optional[int]) -> tuple:
-    """(0,) if the order-i loops, i ≥ 1, may run only through message 0,
-    else ().  The translation check is charged v + 2·b·(k+1) before it
-    runs: v table entries, then for each key k messages set and the key
-    stored, and k messages stepped and set and the image looked up."""
-    charge(system.v + 2 * system.b * (system.k + 1), budget,
-           what=f"translation check over {system.b} keys")
-    return (0,) if system.translation_invariant else ()
+def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
+    """(anchor, work): anchor is (0,) if the loops at order i ≥ 1 may run
+    only through message 0, else (); work is the v + 2·b·(k+1) that the
+    translation check is charged before it runs: v table entries, then for
+    each key k messages set and the key stored, and k messages stepped and
+    set and the image looked up."""
+    work = system.v + 2 * system.b * (system.k + 1)
+    charge(work, budget, what=f"translation check over {system.b} keys")
+    return (0,) if system.translation_invariant else (), work
 
 
-def _order_zero(system: SecrecySystem, budget: Optional[int],
+def _order_zero(system: SecrecySystem, budget: int | None,
                 what: str) -> Fraction:
     """max_m r_m / b, r_m the keys holding message m: order 0 of all three
     models and the offline game at every order.  Charge, one step per
@@ -224,28 +225,28 @@ def _tally(tails: list, j: int) -> Counter:
     return Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
 
 
-def _pair_lambda(system: SecrecySystem, anchor: tuple,
-                 budget: Optional[int], what: str) -> tuple:
-    """(work, λ): `SecrecySystem.pair_lambda`, charged with the v + 2·b·(k+1)
-    translation check before it runs; work is the two charges' sum.  One
-    step per key read, message counted or compared and big-int shift,
-    add, subtraction, product, quotient or comparison: 6 for λ·ONES and 3
-    per sum compared.  Anchored: `SecrecySystem.tails` reads the b keys and
-    sorts the n = b·k/v through 0, b + n, then a shift and an add per tail
-    entry and r added, 2·n·(k-1) + 1; with the compare that is at most the
-    b + 2·n·k + 9 charged, as n ≥ 1 once the gates pass.  Otherwise: r and
-    its max, b·k + min(v, b·k); v table entries; k adds for each e(key)
-    and k into the sums, 2·b·k; 4·v + 6 with the compares."""
+def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
+                 budget: int | None, what: str) -> tuple:
+    """(work, λ): `SecrecySystem.pair_lambda`, charged its cost U on top of
+    the `work` already charged, before it runs; work is then that sum.  One
+    step per key read (sorting included), message counted or compared,
+    count read and big-int shift, add, subtraction, product, quotient or
+    comparison.  Anchored, `SecrecySystem.tails` reads the b keys and sorts
+    the n = b·k/v through 0, b + n; the Counter makes n·(k-1) increments
+    and the set reads at most n·(k-1) counts; two length tests and the pop
+    make b + 2·n·k - n + 3 in all, within the U = b + 2·n·k + 9 charged.
+    Otherwise: r and its max, b·k + min(v, b·k); v table entries; k adds
+    for each e(key) and k into the sums, 2·b·k; 6 for λ·ONES and 3 per sum
+    compared, 4·v + 6 with the table."""
     b, k, v = system.b, system.k, system.v
-    work = v + 2 * b * (k + 1) + (
-        b + 2 * k * (b * k // v) + 9 if anchor
-        else 3 * b * k + min(v, b * k) + 4 * v + 6)
+    work += (b + 2 * k * (b * k // v) + 9 if anchor
+             else 3 * b * k + min(v, b * k) + 4 * v + 6)
     charge(work, budget, what=what)
     return work, system.pair_lambda
 
 
 def deception_probability(system: SecrecySystem, i: int,
-                          budget: Optional[int] = None) -> Fraction:
+                          budget: int | None = None) -> Fraction:
     """Exact optimal success probability of a spoofing attack of order i.
 
     The observation event is the message set O = e(S) for key e and state
@@ -290,22 +291,20 @@ def deception_probability(system: SecrecySystem, i: int,
     membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A shared
     O counts cnt(O)·(k-a) messages, then deletes its j and compares what
     is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in all.  The charge
-    is the translation check v + 2·b·(k+1), at i ≤ 2 the uniform check U
-    of `_pair_lambda`, and, unless that check settles the order, on top
+    is the translation check (`_anchor`), at i ≤ 2 the uniform check U of
+    `_pair_lambda`, and, unless that check settles the order, on top
     2·b + N·(2·(k-a) + 4).
     """
     check_order(system, "classic", i)
     b, k, v = system.b, system.k, system.v
     if i == 0:
         return _order_zero(system, budget, f"order-0 spoofing tally over {b} keys")
-    anchor = _anchor(system, i, budget)
+    anchor, work = _anchor(system, budget)
     a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
     what = f"order-{i} spoofing tally over {n} keys"
-    if i > 2:
-        work = v + 2 * b * (k + 1)
-    else:
-        work, lam = _pair_lambda(system, anchor, budget, what)
+    if i <= 2:
+        work, lam = _pair_lambda(system, anchor, work, budget, what)
         if lam and i == 1:
             return Fraction(lam * v, b * k)
         if lam == 1:        # i = 2: every pair is an O in one key
@@ -333,7 +332,7 @@ def deception_probability(system: SecrecySystem, i: int,
 # verification-oracle games
 
 def voracle_offline_value(system: SecrecySystem, i: int,
-                          budget: Optional[int] = None) -> Fraction:
+                          budget: int | None = None) -> Fraction:
     """Exact value of the offline oracle game: up to i adaptive accept/reject
     probes, then a single spoof.
 
@@ -351,7 +350,7 @@ def voracle_offline_value(system: SecrecySystem, i: int,
 
 
 def voracle_online_value(system: SecrecySystem, i: int,
-                         budget: Optional[int] = None) -> Fraction:
+                         budget: int | None = None) -> Fraction:
     """Exact value of the online oracle game: i+1 submissions, the opponent
     wins on the first acceptance.
 
@@ -363,31 +362,62 @@ def voracle_online_value(system: SecrecySystem, i: int,
 
     At i = 0 that is max_m r_m / b (`_order_zero`).  Anchored, S+1 covers
     as many keys as S and every S has a translate through 0, so only the
-    S ∋ 0 run.
+    S ∋ 0 run.  Below, a = |anchor|.
 
-    At i = 1, |mask_x ∪ mask_y| = r_x + r_y - c(x,y), with c from the
-    uniform check or the pair tally, so no mask is built
-    (`_online_order_one`).
+    At i = 1 no mask is built: |mask_x ∪ mask_y| = r_x + r_y - c(x,y), c
+    the keys holding both, maximized over the T = C(v-a, 2-a) pairs {x, y}
+    through the anchor.  When every pair lies in λ ≥ 1 keys
+    (`SecrecySystem.pair_lambda`), that is 2r - λ, r = b·k/v.  Otherwise
+    c(x,y) is read from the tally of the (2-a)-subsets of
+    `SecrecySystem.tails`, so {0, y} is keyed (y,) and, with no anchor,
+    {x, y} is keyed (x, y), x < y.  When every message lies in r keys, as
+    every anchored system does, the value is (2r - min c)/b, the min over
+    the T pairs of the tally, and 0 when the tally holds fewer than T of
+    them (some pair shares no key).  Otherwise every one of the C(v,2)
+    pairs is scanned, at C speed.
 
     At i ≥ 2 each set is its i smallest messages (the prefix) plus a
     larger one; the union of a prefix is formed once and shared by all its
     extensions.  Anchored, only prefixes starting with 0 run: C(v-1, i)
-    sets.  Charge, one step per OR or popcount, with a = |anchor|: b·k for
-    the masks and v + 2·b·(k+1) for the check; i ORs for each of the
+    sets.
+
+    Charge, on top of the translation check (`_anchor`), before each part
+    runs.  At i = 1 the uniform check U, as `_pair_lambda` charges it; when
+    λ = 0, on top, b reads and P = n·C(k-a, 2-a) increments for the tally
+    (n = b, or b·k/v anchored) and at most min(P, T) counts compared for
+    the min, b + P + min(P, T), or, when r varies, v counts read into a
+    list, b + P for the tally and per pair an add, a count looked up, a
+    subtraction and a comparison, v + b + P + 4·C(v,2).  At i ≥ 2, one
+    step per OR or popcount: b·k for the masks; i ORs for each of the
     C(v-1-a, i-a) prefixes with an extension (largest message at most
     v-2); an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
-    v + b·(3k+2) + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
+    b·k + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a) on top.
     """
     check_order(system, "oracle-online", i)
     if i == 0:
         return _order_zero(system, budget, "online oracle game of order 0")
-    anchor = _anchor(system, i, budget)
+    b, k, v = system.b, system.k, system.v
+    anchor, work = _anchor(system, budget)
+    a, what = len(anchor), f"online oracle game of order {i}"
     if i == 1:
-        return _online_order_one(system, anchor, budget)
-    b, k, v, a = system.b, system.k, system.v, len(anchor)
-    charge(v + b * (3 * k + 2) + i * math.comb(v - 1 - a, i - a)
-           + 2 * math.comb(v - a, i + 1 - a),
-           budget, what=f"online oracle game of order {i}")
+        work, lam = _pair_lambda(system, anchor, work, budget, what)
+        if lam:
+            return Fraction(2 * (b * k // v) - lam, b)
+        incidences = (b * k // v if anchor else b) * math.comb(k - a, 2 - a)
+        through = math.comb(v - a, 2 - a)
+        uniform_r = anchor or system.replication * v == b * k
+        charge(work + b + incidences + (min(incidences, through) if uniform_r
+                                        else v + 4 * through),
+               budget, what=what)
+        counts = _tally(system.tails, 2 - a)
+        if uniform_r:
+            least = min(counts.values()) if len(counts) == through else 0
+            return Fraction(2 * (b * k // v) - least, b)
+        r = list(map(system.entry_counts.__getitem__, range(v)))
+        return Fraction(max(map(sub, map(sum, combinations(r, 2)), map(
+            counts.get, combinations(range(v), 2), repeat(0)))), b)
+    charge(work + b * k + i * math.comb(v - 1 - a, i - a)
+           + 2 * math.comb(v - a, i + 1 - a), budget, what=what)
     masks = system.message_masks
     best = 0
     for rest in combinations(range(a, v - 1), i - a):
@@ -400,46 +430,6 @@ def voracle_online_value(system: SecrecySystem, i: int,
             if covered > best:
                 best = covered
     return Fraction(best, b)
-
-
-def _online_order_one(system: SecrecySystem, anchor: tuple,
-                      budget: Optional[int]) -> Fraction:
-    """The online game at order 1: the max over the T = C(v-a, 2-a) pairs
-    {x, y} through the anchor (a = |anchor|) of r_x + r_y - c(x,y), over b.
-
-    When every pair lies in λ ≥ 1 keys (`SecrecySystem.pair_lambda`), that
-    is (2r - λ)/b, r = b·k/v.  Otherwise c(x,y) is read from the tally of
-    the (2-a)-subsets of `SecrecySystem.tails`, so {0, y} is keyed (y,)
-    and, with no anchor, {x, y} is keyed (x, y), x < y.  When every message
-    lies in r keys, as every anchored system does, the value is (2r - min
-    c)/b, the min over the T pairs of the tally, and 0 when the tally
-    holds fewer than T of them (some pair shares no key).  Otherwise every
-    one of the C(v,2) pairs is scanned, at C speed.
-
-    Charge: the translation check and the uniform check U, as
-    `_pair_lambda` charges them, before they run; when λ = 0, on top, b
-    reads and P = n·C(k-a, 2-a) increments for the tally (n = b, or b·k/v
-    anchored) and at most min(P, T) counts compared for the min, b + P +
-    min(P, T), or, when r varies, v counts read into a list, b + P for the
-    tally and per pair an add, a count looked up, a subtraction and a
-    comparison, v + b + P + 4·C(v,2)."""
-    b, k, v, a = system.b, system.k, system.v, len(anchor)
-    what = "online oracle game of order 1"
-    work, lam = _pair_lambda(system, anchor, budget, what)
-    if lam:
-        return Fraction(2 * (b * k // v) - lam, b)
-    incidences = (b * k // v if anchor else b) * math.comb(k - a, 2 - a)
-    through = math.comb(v - a, 2 - a)
-    uniform_r = anchor or system.replication * v == b * k
-    charge(work + b + incidences + (min(incidences, through) if uniform_r
-                                    else v + 4 * through), budget, what=what)
-    counts = _tally(system.tails, 2 - a)
-    if uniform_r:
-        least = min(counts.values()) if len(counts) == through else 0
-        return Fraction(2 * (b * k // v) - least, b)
-    r = list(map(system.entry_counts.__getitem__, range(v)))
-    return Fraction(max(map(sub, map(sum, combinations(r, 2)), map(
-        counts.get, combinations(range(v), 2), repeat(0)))), b)
 
 
 def offline_bound(v: int, k: int) -> Fraction:
@@ -472,7 +462,7 @@ class AttackReport:
 
 
 def analyze(system: SecrecySystem, model: str, orders,
-            budget: Optional[int] = None) -> AttackReport:
+            budget: int | None = None) -> AttackReport:
     """Value, floor and tightness at each distinct order under `model`:
     "classic" spoofing, or the "oracle-offline" / "oracle-online" game."""
     v, k = system.v, system.k
@@ -499,7 +489,7 @@ def analyze(system: SecrecySystem, model: str, orders,
                         security_order=order)
 
 
-def report_to_json(report: AttackReport, digest: Optional[str] = None) -> dict:
+def report_to_json(report: AttackReport, digest: str | None = None) -> dict:
     doc = {
         "model": report.model,
         "orders": [

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, product
 from math import comb
-from typing import Optional
 
 from .budget import charge
 from .designs import VerificationReport, tally_report
@@ -56,7 +55,7 @@ class PerpendicularArray:
 
 
 def verify_apa(array: PerpendicularArray,
-               budget: Optional[int] = None) -> VerificationReport:
+               budget: int | None = None) -> VerificationReport:
     """Check clauses (i)-(iii); the report carries the first violation found
     per clause, tagged ('i'|'ii'|'iii', ...details).
 
@@ -122,7 +121,7 @@ def verify_apa(array: PerpendicularArray,
 VAN_REES_BASE_ROWS = ((0, 1, 2), (0, 9, 7), (0, 3, 6), (0, 4, 8), (0, 5, 10))
 
 
-def van_rees_array(budget: Optional[int] = None) -> PerpendicularArray:
+def van_rees_array(budget: int | None = None) -> PerpendicularArray:
     """The classical APA_1(2, 3, 11): five base rows developed additively mod
     11, in (base row, shift) lexicographic order.  Post-verified, charging
     `budget`, before returning."""

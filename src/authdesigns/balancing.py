@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, cycle, product, repeat
-from typing import Optional
 
 from .errors import DomainError, StructuralError
 from .fileio import check_int, check_rows, int_field, int_rows, require
@@ -211,7 +210,7 @@ def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
 # file format: {"v": int, "k": int, "b": int, "rows": [[int,...],...],
 #               "provenance": {"source": "design"|"cdf", "input_digest": hex}}
 
-def matrix_to_json(matrix: EncodingMatrix, provenance: Optional[dict] = None) -> dict:
+def matrix_to_json(matrix: EncodingMatrix, provenance: dict | None = None) -> dict:
     doc = {"v": matrix.v, "k": matrix.k, "b": matrix.b,
            "rows": [list(r) for r in matrix.rows]}
     if provenance is not None:

@@ -16,8 +16,9 @@ DEFAULT_BUDGET = 10**8
 ENV_VAR = "AUTHDESIGNS_BUDGET"
 
 
-def resolve_budget(budget=None):
-    """Return the effective work budget as a positive int."""
+def charge(required, budget=None, what="computation"):
+    """Raise :class:`BudgetError` if ``required`` exceeds the effective
+    budget, a positive int."""
     if budget is None:
         raw = os.environ.get(ENV_VAR)
         if raw is not None:
@@ -27,17 +28,8 @@ def resolve_budget(budget=None):
                 raise DomainError(f"{ENV_VAR} must be an integer, got {raw!r}")
         else:
             budget = DEFAULT_BUDGET
-    return check_int("budget", budget, 1, DomainError)
-
-
-def charge(required, budget=None, what="computation"):
-    """Raise :class:`BudgetError` if ``required`` exceeds the effective budget.
-
-    Returns the resolved budget so callers can reuse it for nested checks.
-    """
-    limit = resolve_budget(budget)
+    limit = check_int("budget", budget, 1, DomainError)
     if required > limit:
         raise BudgetError(f"{what} needs {show_int(required)} elementary steps, "
                           f"budget is {show_int(limit)}",
                           required=required, budget=limit)
-    return limit

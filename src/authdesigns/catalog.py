@@ -10,7 +10,7 @@ for arithmetic cross-checks; their designs are beyond desk scale.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .designs import (BlockDesign, DesignParameters, complete_design,
                       verify_design)
@@ -33,13 +33,13 @@ class CatalogEntry:
     kind: str
     summary: str
     note: str
-    params: Optional[DesignParameters] = None
-    b_opt: Optional[int] = None
-    loader: Optional[Callable] = None
+    params: DesignParameters | None = None
+    b_opt: int | None = None
+    loader: Callable | None = None
 
 
 def _gated_df(name: str, v: int, lam: int, blocks: tuple,
-              budget: Optional[int]) -> DifferenceFamily:
+              budget: int | None) -> DifferenceFamily:
     df = DifferenceFamily(v=v, lambda_=lam, base_blocks=blocks)
     verify_df(df, budget).require(
         ConstructionError, f"catalog entry {name!r} failed difference verification")
@@ -47,13 +47,13 @@ def _gated_df(name: str, v: int, lam: int, blocks: tuple,
 
 
 def _gated_design(design: BlockDesign, t: int, lam: int, name: str,
-                  budget: Optional[int]):
+                  budget: int | None):
     verify_design(design, t, lam, budget).require(
         ConstructionError, f"catalog entry {name!r} failed design verification")
     return design, t, lam
 
 
-def _van_rees(budget: Optional[int]):
+def _van_rees(budget: int | None):
     from .apa import van_rees_array   # verifies the array before returning
     return van_rees_array(budget)
 
@@ -225,7 +225,7 @@ def get(name: str) -> CatalogEntry:
     return _REGISTRY[name]
 
 
-def load_payload(name: str, budget: Optional[int] = None):
+def load_payload(name: str, budget: int | None = None):
     """Load and verify the payload of a named entry, every generator and
     verifier charging against `budget`.
 

@@ -271,7 +271,10 @@ def cmd_catalog(args) -> int:
 
     if not args.name:
         raise DomainError(f"catalog {args.action} needs a NAME")
-    entry = catalog.get(args.name)
+    try:
+        entry = catalog.get(args.name)
+    except KeyError as exc:
+        raise DomainError(exc.args[0]) from None
 
     if args.action == "show":
         doc = _entry_doc(entry)
@@ -412,9 +415,6 @@ def main(argv=None) -> int:
         detail = f" offenders={exc.offenders[:3]}" if exc.offenders else ""
         print(f"error: {exc}{detail}", file=sys.stderr)
         return EXIT_MALFORMED
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OSError as exc:      # unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

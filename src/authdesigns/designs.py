@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, repeat
-from typing import Optional
 
 from .budget import charge
 from .errors import ConstructionError, DomainError, StructuralError
@@ -181,7 +180,7 @@ class VerificationReport:
     """
 
     valid: bool
-    inferred_lambda: Optional[int]
+    inferred_lambda: int | None
     failures: tuple
 
     def to_json(self) -> dict:
@@ -223,8 +222,8 @@ def tally_report(counts, domain, size: int, expected=None) -> VerificationReport
                               failures=tuple(failures))
 
 
-def verify_design(design: BlockDesign, t: int, lambda_: Optional[int] = None,
-                  budget: Optional[int] = None) -> VerificationReport:
+def verify_design(design: BlockDesign, t: int, lambda_: int | None = None,
+                  budget: int | None = None) -> VerificationReport:
     """Count, for every t-subset of points, the blocks containing it.
 
     Valid iff all counts agree, at `lambda_` when declared: `tally_report`
@@ -279,7 +278,7 @@ def derived_design(design: BlockDesign, x: int, t: int = 2) -> BlockDesign:
     return BlockDesign(v=design.v - 1, blocks=tuple(blocks))
 
 
-def complete_design(v: int, k: int, budget: Optional[int] = None) -> BlockDesign:
+def complete_design(v: int, k: int, budget: int | None = None) -> BlockDesign:
     """All C(v,k) k-subsets of 0..v-1: a k-(v,k,1) design, and a
     t-(v,k,C(v-t,k-t)) design for every t < k.  Test-instance generator."""
     check_int("v", v, 1, DomainError)
@@ -294,8 +293,8 @@ def complete_design(v: int, k: int, budget: Optional[int] = None) -> BlockDesign
 # file format: {"v": int, "k": int, "t": int|null, "lambda": int|null,
 #               "blocks": [[int,...],...]}
 
-def design_to_json(design: BlockDesign, t: Optional[int] = None,
-                   lambda_: Optional[int] = None) -> dict:
+def design_to_json(design: BlockDesign, t: int | None = None,
+                   lambda_: int | None = None) -> dict:
     return {
         "v": design.v,
         "k": design.k,

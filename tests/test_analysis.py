@@ -702,13 +702,14 @@ def pair_tally_cases():
         "singletons": EncodingMatrix(4, 1, ((0,), (1,), (2,), (3,))),
         "singletons-short": EncodingMatrix(4, 1, ((2,), (0,), (3,))),
         # invariant with one key through 0: at order 1 the one O = {0}
-        # is unshared, and the gate fails, λ being 1/3 and 2/5
+        # is unshared, and the pair count misses messages (λ would be 1/3
+        # and 2/5)
         "halves": EncodingMatrix(4, 2, ((0, 2), (1, 3))),
         "thirds": EncodingMatrix(6, 3, ((0, 2, 4), (1, 3, 5))),
     }
 
 
-# pass the uniform check's gates (r·v = b·k, λ a positive integer) with
+# r·v = b·k and a positive integer λ from the parameters, with
 # non-uniform pair counts: Z_7-orbits of {0,1,2} and {0,1,3}, whose pairs
 # through 0 lie in 3, 2 and 1 keys (λ would be 2), and seven triples over
 # 7 points, each point in three, three pairs in two (λ would be 1)
@@ -807,10 +808,11 @@ def test_pair_tally_fuzz_matches_the_naive_oracles():
 
 def uniform_pair_cases():
     """(name, matrix, anchored, λ) with every pair in λ keys.  The first
-    four have r = 1, 2, 4 and 4, powers of two, whose width r.bit_length()
-    is one bit more than r - 1 needs: one key holding every message, the
-    triangle, the 4-subsets of 5 points and AG(2,3) relabelled.  In the
-    relabelled Fano plane r = 3 fills its two digit bits."""
+    four have r = 1, 2, 4 and 4, powers of two: one key holding every
+    message, the triangle, the 4-subsets of 5 points and AG(2,3)
+    relabelled, whose digit width r.bit_length() in the unanchored check
+    is one bit more than r - 1 needs.  In the relabelled Fano plane r = 3
+    fills its two digit bits."""
     ag = catalog.load_payload("ag-2-3")[0]
     fano = develop_matrix(DifferenceFamily(7, 1, ((0, 1, 3),)))
     return [
@@ -825,8 +827,8 @@ def uniform_pair_cases():
 
 
 def gate_lambda(system):
-    """λ as the uniform check's gates compute it, a Fraction, or None when
-    r·v != b·k."""
+    """λ as the parameters give it (through the anchor when there is one),
+    a Fraction, or None when r·v != b·k."""
     b, k, v = system.b, system.k, system.v
     a = 1 if system.translation_invariant else 0
     r = b * k // v if a else system.replication
@@ -858,8 +860,9 @@ def test_uniform_pair_check_settles_orders_one_and_two():
 
 
 def test_uniform_pair_check_falls_back_on_uneven_pairs():
-    # GATED_UNEVEN passes the gates and fails the digit comparison; a
-    # relabelled Steiner system less one row fails the gate r·v = b·k
+    # GATED_UNEVEN has a whole λ from its parameters and fails the
+    # anchored count or the digit comparison; a relabelled Steiner system
+    # less one row fails the gate r·v = b·k
     z13 = develop_matrix(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7))))
     fano = develop_matrix(DifferenceFamily(7, 1, ((0, 1, 3),)))
     cases = dict(GATED_UNEVEN)
@@ -884,6 +887,24 @@ def test_uniform_pair_check_falls_back_on_uneven_pairs():
                             deception_charge(b, k, v, i, a, 0))
         charged_exactly(voracle_online_value, matrix, 1, online_charge(
             b, k, v, 1, a, 0, system.replication * v == b * k))
+
+
+def test_anchored_pair_check_is_the_uniform_pair_count():
+    # anchored, λ is the number of keys holding {0, y}, read here from the
+    # rows one y at a time, when that is one number for every y ≠ 0, else 0
+    cases = [*pair_tally_cases().items(), *GATED_UNEVEN.items(),
+             *((name, matrix) for name, matrix, _, _ in uniform_pair_cases()),
+             *catalog_developments()]
+    anchored = []
+    for name, matrix in cases:
+        system = SecrecySystem(matrix)
+        if system.translation_invariant:
+            held = {sum(0 in row and y in row for row in matrix.rows)
+                    for y in range(1, matrix.v)}
+            lam = held.pop() if len(held) == 1 else 0
+            assert system.pair_lambda == lam, name
+            anchored.append(bool(lam))
+    assert (len(anchored), sum(anchored)) == (30, 24), anchored
 
 
 def test_masks_are_built_only_for_online_orders_from_two():
@@ -1031,8 +1052,8 @@ def test_budget_charges_on_both_paths(z13_system):
 def charge_cases():
     """(name, system, anchored, λ, uniform r) on every path of orders 1
     and 2: Z_13 and its relabelled copy, the biplane (λ = 2) and its
-    relabelled copy, two systems that pass the check's gates with pairs
-    in one key and in two, with and without symmetry, and an unbalanced
+    relabelled copy, two systems with a whole λ from their parameters and
+    pairs in one key and in two, with and without symmetry, and an unbalanced
     matrix."""
     z13 = develop_matrix(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7))))
     biplane = develop_matrix(DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),)))
@@ -1072,7 +1093,7 @@ def test_order_one_and_two_charges_are_pinned():
                       uniform_r if fn is voracle_online_value else None))
     assert len(seen) == 13, sorted(seen)
     # the relabelled Z_13: the uniform check sums its 26 keys into 13 rows
-    # of 13 digits; on the gated 7-point triples it fails, spoofing at
+    # of 13 digits; on the 7-point triples it fails, spoofing at
     # order 1 loops over the 21 (key, message) pairs, and r being uniform,
     # the online game reads the 21 pairs once for the min instead of four
     # steps each in the scan

@@ -237,7 +237,7 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit:
         pass
     loaded.append(sorted(set(sys.modules) - before))
-print(json.dumps({"dataclasses_before": "dataclasses" in before,
+print(json.dumps({"preloaded": sorted({"dataclasses", "typing"} & before),
                   "loaded": loaded}))
 """
 
@@ -257,8 +257,9 @@ def test_commands_import_only_what_they_run(capsys, tmp_path,
         ["params", "--t", "2", "--v", "7", "--k", "3", "--lambda", "1"],
         ["catalog", "show", "cdf-13-3-1"],
     ]
+    # -S: no site hook may preload `typing` or `dataclasses`
     done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, json.dumps(commands)],
+        [sys.executable, "-S", "-c", FOOTPRINT, json.dumps(commands)],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -270,8 +271,9 @@ def test_commands_import_only_what_they_run(capsys, tmp_path,
     assert not {"authdesigns.catalog", "authdesigns.apa",
                 "authdesigns.difference_families",
                 "authdesigns.designs"} & set(attack_loaded)
-    if not result["dataclasses_before"]:
-        assert "dataclasses" not in result["loaded"][-1]
+    # none of the commands loads them, and none was there before to hide it
+    assert result["preloaded"] == []
+    assert not {"dataclasses", "typing"} & set(result["loaded"][-1])
 
 
 # ------------------------------------------------------------------ attack
@@ -571,6 +573,20 @@ def test_catalog_show_params_row(capsys):
 def test_catalog_show_unknown(capsys):
     code, _, err = run(capsys, "catalog", "show", "nope")
     assert code == 1
+    assert err == "error: unknown catalog entry 'nope'\n"
+
+
+def test_internal_key_error_is_not_an_unknown_entry(monkeypatch):
+    # only the catalog lookup turns a KeyError into exit 1; any other
+    # KeyError is a fault and propagates
+    from authdesigns import cli
+
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_params", broken)
+    with pytest.raises(KeyError):
+        main(["params", "--t", "2", "--v", "7", "--k", "3", "--lambda", "1"])
 
 
 def test_catalog_export_cdf_equals_library(capsys, tmp_path, z13_df):
