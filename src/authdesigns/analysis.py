@@ -41,6 +41,15 @@ only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
 unchanged, whatever the orbit lengths.  Other systems have no anchor and
 run the same loops over all messages.
 
+The check sorts each key once (`SecrecySystem.sorted_keys`).  A sorted key
+stepped entry by entry is the sorted translate, or, when the key holds
+v-1, the sorted translate with its leading 0 moved to the end: the
+rotated form of a key through 0.  So the check is one set of the sorted
+keys and those rotated forms, and one lookup per stepped key.  A first
+test, the translate of the first row looked up among the rows as sets,
+refuses most systems without the symmetry before anything is sorted.
+The same sort gives the tails.
+
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
 it records the value, its floor and whether they are equal, and
@@ -83,15 +92,39 @@ class SecrecySystem:
         return self.matrix.b
 
     @cached_property
+    def sorted_keys(self) -> list:
+        """Each row as a sorted tuple, in row order: the one sort of each
+        key, shared by the translation check and `tails`."""
+        return list(map(tuple, map(sorted, self.matrix.rows)))
+
+    @cached_property
     def translation_invariant(self) -> bool:
         """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
-        permutes the keys, rows being distinct sets), stopping at the first
-        miss.  Keys are frozensets and their messages step through a table
-        of x+1 mod v, so time and memory grow as v + b·k."""
+        permutes the keys, rows being distinct sets).
+
+        First test: the translate of the first row, as a set, must be a
+        row; the scan stops at the first match, so most systems without
+        the symmetry are refused after at most b frozensets, unsorted.
+
+        Then every key is one sorted tuple (`sorted_keys`), stepped entry
+        by entry through a table of x+1 mod v, column by column.  For a
+        sorted key K without v-1 the stepped tuple is sorted(K+1).  If K
+        holds v-1, its last entry steps to 0, so the stepped tuple is
+        sorted(K+1) with its leading 0 moved to the end: the rotated form
+        t[1:] + (0,) of t = sorted(K+1).  So K+1 is a key iff its stepped
+        tuple is in the set of the sorted keys and the rotated forms of
+        those starting with 0.  For k ≥ 2 a rotated form ends with 0
+        after a larger entry and is never sorted, so neither kind stands
+        in for the other (for k = 1 the two coincide).  Time and memory
+        grow as v + b·k."""
         rows, step = self.matrix.rows, [*range(1, self.v), 0]
-        keys = set(map(frozenset, rows))
-        return all(map(keys.__contains__, map(frozenset, map(
-            map, repeat(step.__getitem__), rows))))
+        if frozenset(map(step.__getitem__, rows[0])) not in map(frozenset, rows):
+            return False
+        keys = self.sorted_keys
+        known = set(keys)
+        known.update(t[1:] + (0,) for t in keys if not t[0])
+        return all(map(known.__contains__, zip(*map(
+            map, repeat(step.__getitem__), zip(*keys)))))
 
     @cached_property
     def entry_counts(self) -> Counter:
@@ -148,13 +181,13 @@ class SecrecySystem:
 
     @cached_property
     def tails(self) -> list:
-        """The sorted rows, or anchored (module docstring) the rows through
-        0, sorted with 0 removed: one read of each of the b keys, sorting
-        included.  Read only after `_anchor` has charged the translation
-        check."""
-        a = 1 if self.translation_invariant else 0
-        return [sorted(row)[a:] for row in self.matrix.rows
-                if not a or 0 in row]
+        """The sorted keys as lists, or anchored (module docstring) those
+        through 0, which start with 0, with the 0 removed.  Read only
+        after `_anchor` has charged the translation check, whose sort they
+        reuse."""
+        if self.translation_invariant:
+            return [list(t[1:]) for t in self.sorted_keys if not t[0]]
+        return list(map(list, self.sorted_keys))
 
     @cached_property
     def message_masks(self) -> tuple:
@@ -172,13 +205,18 @@ def perfect_secrecy_check(matrix: EncodingMatrix):
     frequency in every column.
 
     Returns (ok, witness); witness is the first (message, (column_a,
-    column_b)) whose counts differ, None when ok.
+    column_b)) whose counts differ, None when ok.  The k column Counters
+    are compared as dicts, in C; only when they differ does the
+    message-major scan look for the witness.
     """
+    columns = list(map(Counter, zip(*matrix.rows)))
+    # dict.__eq__, not Counter's own ==, which loops in Python
+    if all(map(dict.__eq__, columns, repeat(columns[0]))):
+        return True, None
     for m, counts in enumerate(matrix.column_counts()):
         for col in range(1, matrix.k):
             if counts[col] != counts[0]:
                 return False, (m, (0, col))
-    return True, None
 
 
 def deception_bound(v: int, k: int, i: int) -> Fraction:
@@ -201,11 +239,17 @@ def check_order(system: SecrecySystem, model: str, i):
 
 def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     """(anchor, work): anchor is (0,) if the loops at order i ≥ 1 may run
-    only through message 0, else (); work is the v + 2·b·(k+1) that the
-    translation check is charged before it runs: v table entries, then for
-    each key k messages set and the key stored, and k messages stepped and
-    set and the image looked up."""
-    work = system.v + 2 * system.b * (system.k + 1)
+    only through message 0, else (); work is what the translation check is
+    charged before it runs, one step per table entry, per message stepped
+    or put in a frozenset or tuple (sorting included) and per key compared,
+    tested, stored or looked up.  v table entries; the first test steps and
+    sets the k messages of the first row, then sets at most b rows of k and
+    compares each, k + b·(k+1); the sort puts b·k messages in tuples; the
+    set stores b keys, tests b first entries and builds and stores at most
+    b rotated forms of k messages, b·(k+3); stepping the keys steps b·k
+    messages into b tuples and looks each up, b·(k+1).  In all, v + k +
+    b·(4k+5)."""
+    work = system.v + system.k + system.b * (4 * system.k + 5)
     charge(work, budget, what=f"translation check over {system.b} keys")
     return (0,) if system.translation_invariant else (), work
 
@@ -231,15 +275,16 @@ def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
     the `work` already charged, before it runs; work is then that sum.  One
     step per key read (sorting included), message counted or compared,
     count read and big-int shift, add, subtraction, product, quotient or
-    comparison.  Anchored, `SecrecySystem.tails` reads the b keys and sorts
-    the n = b·k/v through 0, b + n; the Counter makes n·(k-1) increments
-    and the set reads at most n·(k-1) counts; two length tests and the pop
-    make b + 2·n·k - n + 3 in all, within the U = b + 2·n·k + 9 charged.
-    Otherwise: r and its max, b·k + min(v, b·k); v table entries; k adds
-    for each e(key) and k into the sums, 2·b·k; 6 for λ·ONES and 3 per sum
-    compared, 4·v + 6 with the table."""
+    comparison.  Anchored, `SecrecySystem.tails` reuses the translation
+    check's sorted keys: it tests the b first entries and slices the n =
+    b·k/v keys that start with 0, b + n; the Counter makes n·(k-1)
+    increments and the set reads at most n·(k-1) counts; two length tests
+    and the pop make U = b + n·(2k-1) + 3 in all.  Otherwise: r and its
+    max, b·k + min(v, b·k); v table entries; k adds for each e(key) and k
+    into the sums, 2·b·k; 6 for λ·ONES and 3 per sum compared, 4·v + 6
+    with the table."""
     b, k, v = system.b, system.k, system.v
-    work += (b + 2 * k * (b * k // v) + 9 if anchor
+    work += (b + (2 * k - 1) * (b * k // v) + 3 if anchor
              else 3 * b * k + min(v, b * k) + 4 * v + 6)
     charge(work, budget, what=what)
     return work, system.pair_lambda

@@ -33,7 +33,7 @@ def atomic_write_json(obj, path):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(obj))
             fh.write("\n")
         os.replace(tmp, path)
@@ -48,7 +48,7 @@ def atomic_write_json(obj, path):
 def load_json(path):
     """Parse a JSON document; unreadable or malformed input raises StructuralError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:   # RFC 8259
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from exc

@@ -184,6 +184,41 @@ def test_perfect_secrecy_mutation_breaks(z13_matrix):
         assert col_counts[ca] != col_counts[cb]
 
 
+def naive_secrecy(matrix):
+    """(ok, witness) from one count per (message, column), message-major:
+    the oracle of the whole-column comparison."""
+    for m in range(matrix.v):
+        counts = [sum(row[col] == m for row in matrix.rows)
+                  for col in range(matrix.k)]
+        for col in range(1, matrix.k):
+            if counts[col] != counts[0]:
+                return False, (m, (0, col))
+    return True, None
+
+
+def test_perfect_secrecy_matches_the_per_cell_count(z13_matrix):
+    rng = random.Random(97)
+    # message 2 is missing from column 1 only, 4 from column 0 only and 5
+    # from both
+    cases = [EncodingMatrix(6, 2, ((0, 1), (1, 3), (2, 0), (3, 4))),
+             EncodingMatrix(4, 2, ((0, 1), (1, 2), (2, 3), (3, 0))),
+             *random_unbalanced_matrices(101, 40),
+             *random_small_systems(103, 20),
+             *(mutate_entry(rng, z13_matrix)[0] for _ in range(10)),
+             *(m for _, m in catalog_developments())]
+    for _ in range(10):
+        v = rng.randint(1, 6)
+        cases.append(EncodingMatrix(v, 1, tuple(
+            (m,) for m in rng.sample(range(v), rng.randint(1, v)))))
+    verdicts = Counter()
+    for matrix in cases:
+        result = perfect_secrecy_check(matrix)
+        assert result == naive_secrecy(matrix), matrix
+        verdicts[result[0]] += 1
+    assert perfect_secrecy_check(cases[0]) == (False, (2, (0, 1)))
+    assert verdicts[True] >= 30 and verdicts[False] >= 60, verdicts
+
+
 def test_message_masks_consistency(z13_system):
     for m, mask in enumerate(z13_system.message_masks):
         hits = [e for e, row in enumerate(z13_system.matrix.rows)
@@ -596,20 +631,83 @@ def affine_images(matrix, seed):
             tuple((u * m + shift) % v for m in row) for row in matrix.rows))
 
 
+def scrambled(rows, rng):
+    """The rows in random order, each in random column order."""
+    rows = [tuple(rng.sample(row, len(row))) for row in rows]
+    rng.shuffle(rows)
+    return tuple(rows)
+
+
+def translation_cases(seed):
+    """Matrices on every branch of the sorted-key check, each also less
+    one row: k = v, k = 1, scrambled unions of Z_v-orbits (a key through
+    v-1 then steps into a rotated form), random rows, and partial orbits
+    K, K+1, ..., K+L-2 of an orbit of length L ≥ 3, first row K, where
+    the translate of the first row is a row, so the first test passes and
+    the full check refuses."""
+    rng = random.Random(seed)
+    cases = [EncodingMatrix(5, 5, ((3, 0, 4, 1, 2),)),
+             EncodingMatrix(4, 1, ((2,), (0,), (3,), (1,)))]
+    for _ in range(40):
+        v = rng.randint(2, 12)
+        k = rng.randint(1, v)
+        bases = [rng.sample(range(v), k) for _ in range(rng.randint(1, 3))]
+        cases.append(EncodingMatrix(v, k, scrambled(develop_rows(v, bases),
+                                                    rng)))
+    for _ in range(10):
+        v = rng.randint(3, 9)
+        k = rng.randint(1, v - 1)
+        pool = list(combinations(range(v), k))
+        cases.append(EncodingMatrix(v, k, scrambled(
+            rng.sample(pool, rng.randint(2, min(12, len(pool)))), rng)))
+    partial = 0
+    while partial < 20:
+        v = rng.randint(4, 12)
+        k = rng.randint(1, v - 1)
+        base = rng.sample(range(v), k)
+        orbit = [tuple((x + g) % v for x in base) for g in range(v)]
+        length = len(set(map(frozenset, orbit)))
+        if length >= 3:
+            rest = scrambled(orbit[1:length - 1], rng)
+            cases.append(EncodingMatrix(v, k, (orbit[0], *rest)))
+            partial += 1
+    for matrix in list(cases):
+        if matrix.b > 1:
+            drop = rng.randrange(matrix.b)
+            cases.append(EncodingMatrix(matrix.v, matrix.k, matrix.rows[:drop]
+                                        + matrix.rows[drop + 1:]))
+    return cases
+
+
 def test_translation_check_matches_frozenset_oracle():
+    # the verdict against the frozenset oracle, and the tails against
+    # their definition: anchored, the rows through 0, sorted, less the 0;
+    # otherwise every row sorted; in row order
     cases = [EncodingMatrix(1, 1, ((0,),)), EncodingMatrix(2, 1, ((0,), (1,))),
              EncodingMatrix(2, 1, ((1,),)), EncodingMatrix(2, 2, ((1, 0),)),
-             *SHORT_ORBITS, *random_small_systems(61, 40)]
+             *SHORT_ORBITS, *random_small_systems(61, 40),
+             *translation_cases(107)]
     for seed, (_, matrix) in enumerate(catalog_developments()):
         for image in affine_images(matrix, seed):
             cases += [image, relabelled(image, seed),
                       EncodingMatrix(image.v, image.k, image.rows[1:])]
     verdicts = Counter()
     for matrix in cases:
-        verdict = SecrecySystem(matrix).translation_invariant
-        assert verdict == frozenset_translation_check(matrix), matrix
-        verdicts[verdict] += 1
-    assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
+        system = SecrecySystem(matrix)
+        verdict = frozenset_translation_check(matrix)
+        assert system.translation_invariant == verdict, matrix
+        a = 1 if verdict else 0
+        assert system.tails == [sorted(row)[a:] for row in matrix.rows
+                                if not a or 0 in row], matrix
+        step = frozenset((m + 1) % matrix.v for m in matrix.rows[0])
+        first_test = step in map(frozenset, matrix.rows)
+        wraps = matrix.k > 1 and any(matrix.v - 1 in r for r in matrix.rows)
+        verdicts[verdict, first_test, wraps] += 1
+    # invariant with keys through v-1; refused by the full check alone;
+    # refused by the first test
+    assert verdicts[True, True, True] >= 60, verdicts
+    assert verdicts[False, True, True] >= 40, verdicts
+    assert verdicts[False, False, True] >= 40, verdicts
 
 
 def test_translation_check_memory_follows_entries_not_v():
@@ -957,14 +1055,14 @@ def order_zero_charge(b, k, v):
 
 def translation_charge(b, k, v):
     """The documented charge of the translation check."""
-    return v + 2 * b * (k + 1)
+    return v + k + b * (4 * k + 5)
 
 
 def uniform_charge(b, k, v, anchored):
     """The documented charge of the translation check and the uniform pair
     check after it, both charged before they run."""
     return translation_charge(b, k, v) + (
-        b + 2 * k * (b * k // v) + 9 if anchored
+        b + (2 * k - 1) * (b * k // v) + 3 if anchored
         else 3 * b * k + min(v, b * k) + 4 * v + 6)
 
 
@@ -998,7 +1096,7 @@ def online_charge(b, k, v, i, anchored, lam, uniform_r=True):
         through = comb(v - a, 2 - a)
         return work + b + pairs + (
             min(pairs, through) if uniform_r else v + 4 * through)
-    return (v + b * (3 * k + 2) + i * comb(v - 1 - a, i - a)
+    return (translation_charge(b, k, v) + b * k + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
 
 
@@ -1012,7 +1110,7 @@ def charged_exactly(fn, matrix, i, cost):
 
 
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check is charged v + 2·b·(k+1) before it runs, then
+    # the translation check is charged v + k + b·(4k+5) before it runs, then
     # the uniform pair check with it before that runs; on Z_13 (λ = 1)
     # that settles orders 1 and 2 of spoofing and order 1 online
     b, k, v = z13_system.b, z13_system.k, z13_system.v
@@ -1037,15 +1135,15 @@ def test_budget_charges_on_both_paths(z13_system):
         with pytest.raises(BudgetError) as exc:
             voracle_offline_value(z13_system, i, budget=5)
         assert exc.value.required == order_zero_charge(b, k, v)
-    # anchored, the check reads the 26 keys and sums the 6 through 0;
+    # anchored, the check reads the 26 keys and counts the 6 through 0;
     # unanchored it counts r and sums all 26 into 13 rows
-    assert translation_charge(b, k, v) == 221
-    assert uniform_charge(b, k, v, True) == 221 + 26 + 36 + 9
-    assert uniform_charge(b, k, v, False) == 221 + 234 + 13 + 52 + 6
+    assert translation_charge(b, k, v) == 13 + 3 + 26 * 17 == 458
+    assert uniform_charge(b, k, v, True) == 458 + 26 + 30 + 3
+    assert uniform_charge(b, k, v, False) == 458 + 234 + 13 + 52 + 6
     for i in (1, 2):
-        assert deception_charge(b, k, v, i, True, 1) == 292
-        assert deception_charge(b, k, v, i, False, 1) == 526
-    assert online_charge(b, k, v, 1, True, 1) == 292
+        assert deception_charge(b, k, v, i, True, 1) == 517
+        assert deception_charge(b, k, v, i, False, 1) == 763
+    assert online_charge(b, k, v, 1, True, 1) == 517
     assert order_zero_charge(b, k, v) == 91
 
 
@@ -1097,13 +1195,13 @@ def test_order_one_and_two_charges_are_pinned():
     # order 1 loops over the 21 (key, message) pairs, and r being uniform,
     # the online game reads the 21 pairs once for the min instead of four
     # steps each in the scan
-    assert uniform_charge(26, 3, 13, False) == 526
-    assert online_charge(26, 3, 13, 1, False, 1) == 526
-    assert uniform_charge(7, 3, 7, False) == 63 + 63 + 7 + 28 + 6
-    assert deception_charge(7, 3, 7, 1, False, 0) == 167 + 14 + 21 * 10
-    assert online_charge(7, 3, 7, 1, False, 0) == 167 + 7 + 21 + 21
+    assert uniform_charge(26, 3, 13, False) == 763
+    assert online_charge(26, 3, 13, 1, False, 1) == 763
+    assert uniform_charge(7, 3, 7, False) == 129 + 63 + 7 + 28 + 6
+    assert deception_charge(7, 3, 7, 1, False, 0) == 233 + 14 + 21 * 10
+    assert online_charge(7, 3, 7, 1, False, 0) == 233 + 7 + 21 + 21
     assert online_charge(7, 3, 7, 1, False, 0, uniform_r=False) == (
-        167 + 7 + 7 + 21 + 4 * 21)
+        233 + 7 + 7 + 21 + 4 * 21)
 
 
 def test_check_order_is_the_one_order_rule(fano_system):

@@ -437,6 +437,27 @@ def test_attack_rejects_non_utf8_file(capsys, tmp_path):
     assert_one_error_line(code, err)
 
 
+def test_json_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259): a non-ASCII provenance source reads
+    # the same under the C locale with UTF-8 mode off as under UTF-8 mode
+    doc = {"v": 7, "k": 3, "b": 7,
+           "rows": [[g, (g + 1) % 7, (g + 3) % 7] for g in range(7)],
+           "provenance": {"source": "café"}}
+    path = tmp_path / "u.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    digests = []
+    for mode in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUTF8=mode,
+                   PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        done = subprocess.run(
+            [sys.executable, "-m", "authdesigns.cli", "attack", str(path),
+             "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (mode, done.stderr)
+        digests.append(json.loads(done.stdout)["input_digest"])
+    assert digests[0] == digests[1] == digest(doc)
+
+
 def test_attack_rejects_directory(capsys, tmp_path):
     code, _, err = run(capsys, "attack", str(tmp_path))
     assert_one_error_line(code, err)
