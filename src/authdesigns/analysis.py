@@ -144,8 +144,8 @@ class SecrecySystem:
         which charges it with the translation check.
 
         Anchored, every pair has a translate {0, y}, and the keys holding
-        {0, y} are the tails (`tails`) holding y: one Counter of the tails'
-        messages, uniform over all v-1 messages y ≠ 0, is λ.  Translation
+        {0, y} are the tails (`tails`) holding y: their `_tally` of
+        1-subsets, uniform over all v-1 messages y ≠ 0, is λ.  Translation
         already puts every message in r = b·k/v keys.
 
         Unanchored, gates first, from cached values: r·v = b·k for r the
@@ -159,7 +159,7 @@ class SecrecySystem:
         λ·v·(v-1) = b·k·(k-1), so the v sums of v·w bits stay within a
         factor k·w of the b·k entries."""
         if self.translation_invariant:
-            counts = Counter(chain.from_iterable(self.tails))
+            counts = _tally(self.tails, 1)
             lams = set(counts.values())
             if len(counts) != self.v - 1 or len(lams) != 1:
                 return 0
@@ -206,16 +206,16 @@ def perfect_secrecy_check(matrix: EncodingMatrix):
 
     Returns (ok, witness); witness is the first (message, (column_a,
     column_b)) whose counts differ, None when ok.  The k column Counters
-    are compared as dicts, in C; only when they differ does the
-    message-major scan look for the witness.
+    (`EncodingMatrix.column_counts`) are compared as dicts, in C; only when
+    they differ does the message-major scan look for the witness.
     """
-    columns = list(map(Counter, zip(*matrix.rows)))
+    columns = matrix.column_counts()
     # dict.__eq__, not Counter's own ==, which loops in Python
     if all(map(dict.__eq__, columns, repeat(columns[0]))):
         return True, None
-    for m, counts in enumerate(matrix.column_counts()):
+    for m in range(matrix.v):
         for col in range(1, matrix.k):
-            if counts[col] != counts[0]:
+            if columns[col][m] != columns[0][m]:
                 return False, (m, (0, col))
 
 
@@ -277,7 +277,7 @@ def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
     count read and big-int shift, add, subtraction, product, quotient or
     comparison.  Anchored, `SecrecySystem.tails` reuses the translation
     check's sorted keys: it tests the b first entries and slices the n =
-    b·k/v keys that start with 0, b + n; the Counter makes n·(k-1)
+    b·k/v keys that start with 0, b + n; the tally makes n·(k-1)
     increments and the set reads at most n·(k-1) counts; two length tests
     and the pop make U = b + n·(2k-1) + 3 in all.  Otherwise: r and its
     max, b·k + min(v, b·k); v table entries; k adds for each e(key) and k

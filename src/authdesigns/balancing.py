@@ -55,11 +55,9 @@ class EncodingMatrix:
         return len(self.rows)
 
     def column_counts(self) -> tuple:
-        """counts[m][col] = rows holding message m in column col; the one
-        tally behind both the balance and the secrecy checks."""
-        columns = map(Counter, zip(*self.rows))
-        return tuple(zip(*(map(c.get, range(self.v), repeat(0))
-                           for c in columns)))
+        """The k column Counters, counts[col][m] = rows holding message m in
+        column col: the one tally of both the secrecy and balance checks."""
+        return tuple(map(Counter, zip(*self.rows)))
 
 
 @record
@@ -196,13 +194,14 @@ def _proven_matrix(v: int, k: int, rows: tuple) -> EncodingMatrix:
 
 
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
-    """Valid iff every message appears exactly b/v times in every column;
-    failures are ((message, column), count), message-major.  When v does
-    not divide b, every cell misses the target b/v and the report is invalid."""
+    """Valid iff every message appears exactly b/v times in every column,
+    cell by cell of the transposed `EncodingMatrix.column_counts`; failures
+    are ((message, column), count), message-major.  When v does not divide
+    b, every cell misses the target b/v and the report is invalid."""
     from .designs import tally_report   # not at import: `attack` skips designs
     v, k = matrix.v, matrix.k
-    cells = dict(zip(product(range(v), range(k)),
-                     chain.from_iterable(matrix.column_counts())))
+    cells = dict(zip(product(range(v), range(k)), chain.from_iterable(zip(*(
+        map(c.get, range(v), repeat(0)) for c in matrix.column_counts())))))
     return tally_report(cells, cells, v * k, Fraction(matrix.b, v))
 
 

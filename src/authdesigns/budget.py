@@ -8,7 +8,7 @@ environment variable, then :data:`DEFAULT_BUDGET`.
 
 import os
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, StructuralError
 from .fileio import check_int, show_int
 
 DEFAULT_BUDGET = 10**8
@@ -18,14 +18,15 @@ ENV_VAR = "AUTHDESIGNS_BUDGET"
 
 def charge(required, budget=None, what="computation"):
     """Raise :class:`BudgetError` if ``required`` exceeds the effective
-    budget, a positive int."""
+    budget, a positive int.  An ``AUTHDESIGNS_BUDGET`` that is not an
+    integer is malformed input: StructuralError."""
     if budget is None:
         raw = os.environ.get(ENV_VAR)
         if raw is not None:
             try:
                 budget = int(raw)
             except ValueError:
-                raise DomainError(f"{ENV_VAR} must be an integer, got {raw!r}")
+                raise StructuralError(f"{ENV_VAR} must be an integer, got {raw!r}")
         else:
             budget = DEFAULT_BUDGET
     limit = check_int("budget", budget, 1, DomainError)

@@ -5,7 +5,9 @@ Every payload is built here, from a table row or a generator, and gated
 through its verifier when loaded, so a mistyped row or a broken generator
 surfaces as an error instead of a silently wrong golden object; no data file
 is shipped.  Parameter-only entries carry the published key-count bound b_opt
-for arithmetic cross-checks; their designs are beyond desk scale.
+for arithmetic cross-checks; their designs are beyond desk scale.  Entry
+names are unique, which the test suite asserts; the registry is one dict
+keyed by name.
 """
 
 from __future__ import annotations
@@ -202,12 +204,7 @@ def _build_registry():
                  "construction literature; design not bundled",
             params=DesignParameters(t, v, k, lam), b_opt=b_opt))
 
-    registry = {}
-    for entry in entries:
-        if entry.name in registry:
-            raise ConstructionError(f"duplicate catalog name {entry.name!r}")
-        registry[entry.name] = entry
-    return registry
+    return {entry.name: entry for entry in entries}
 
 
 _REGISTRY = _build_registry()
@@ -234,8 +231,3 @@ def load_payload(name: str, budget: int | None = None):
     """
     loader = get(name).loader
     return None if loader is None else loader(budget)
-
-
-def buildable_names():
-    """Names of entries a system can be built from (designs and CDFs)."""
-    return [e.name for e in entries() if e.kind in ("design", "cdf")]

@@ -213,7 +213,7 @@ def cmd_params(args) -> int:
     params = designs.DesignParameters(t=args.t, v=args.v, k=args.k,
                                       lambda_=args.lambda_)
     table = [(s, designs.lambda_s(params, s)) for s in range(params.t + 1)]
-    bad = params.non_integral_lambdas()
+    bad = [(s, val) for s, val in table if val.denominator != 1]
     # the lines come first: _fmt_fraction refuses a number too long to print
     lines = [f"lambda_{s} = {_fmt_fraction(val)}" for s, val in table]
     doc = {
@@ -241,7 +241,7 @@ def cmd_params(args) -> int:
     lines.append(f"b = {b}")
     lines.append(f"b_opt = {_fmt_fraction(bound)}  (ratio {_fmt_fraction(ratio)})")
     lines.append(f"v | b: {'yes' if ok else 'no'} (b mod v = {rem})")
-    lines.append(f"class: {designs.optimality_class(params)}")
+    lines.append(f"class: {doc['optimality_class']}")
     _emit(args, lines, doc)
     return EXIT_OK
 
@@ -291,7 +291,7 @@ def cmd_catalog(args) -> int:
                             "optimality_class": designs.optimality_class(p)})
                 lines.append(f"b = {b}; v | b: {'yes' if ok else 'no'}; "
                              f"b_opt = {_fmt_fraction(bound)}; "
-                             f"class = {designs.optimality_class(p)}")
+                             f"class = {doc['optimality_class']}")
         if entry.b_opt is not None:
             lines.append(f"published b_opt = {entry.b_opt}")
         _emit(args, lines, doc)

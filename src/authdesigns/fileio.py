@@ -12,7 +12,7 @@ It also holds the one integer check (`check_int`) and the one row check
 
 import json
 import os
-import tempfile
+from collections.abc import Iterable
 from itertools import chain
 
 from .errors import StructuralError
@@ -29,19 +29,24 @@ def digest(obj) -> str:
 
 
 def atomic_write_json(obj, path):
-    """Write canonical JSON to ``path`` via a same-directory temp file + rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write canonical JSON to ``path`` via a same-directory temp file +
+    rename.  The temp file is created exclusively, so the file gets the
+    mode of any new file, 0o666 less the umask; a failure names ``path``."""
+    tmp, made = f"{path}.{os.urandom(6).hex()}.tmp", False
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            made = True
             fh.write(canonical_dumps(obj))
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if made:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):   # the path asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -95,9 +100,19 @@ def check_rows(rows, v, what, size=None, distinct=True):
     """`rows` as a non-empty tuple of int tuples, each of `size` entries
     (the first row's size when None) in [0, v), pairwise distinct within a
     row unless `distinct` is false; `what` names one row in the messages.
-    The offending (index, row) pairs, at most MAX_FAILURES, go with the
-    StructuralError."""
-    rows = tuple(map(tuple, rows))
+    Anything else, a value or a row that is no sequence included, raises
+    StructuralError with the offending (index, row) pairs, at most
+    MAX_FAILURES."""
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        raise StructuralError(f"the {what}s must form a sequence") from None
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:   # name the rows that are no sequence
+        bad = [(idx, row) for idx, row in enumerate(rows) if not isinstance(row, Iterable)]
+        require(not bad, f"each {what} must be a sequence", bad[:MAX_FAILURES])
+        raise
     require(rows, f"need at least one {what}")
     if size is None:
         size = len(rows[0])
@@ -126,11 +141,8 @@ def int_field(doc, key, minimum=None):
 
 
 def int_rows(doc, key):
-    """Fetch a required list-of-lists field (rows, blocks); the constructor
-    that receives it checks the entries with `check_rows`."""
+    """Fetch a required list field (rows, blocks); the constructor that
+    receives it checks its rows and their entries with `check_rows`."""
     require(isinstance(doc, dict) and isinstance(doc.get(key), list),
             f"missing {key!r} list")
-    bad = [(idx, row) for idx, row in enumerate(doc[key]) if not isinstance(row, list)]
-    require(not bad, f"every entry of {key!r} must be a list",
-            offenders=bad[:MAX_FAILURES])
     return doc[key]

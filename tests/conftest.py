@@ -98,12 +98,18 @@ def fano_design(fano_df):
     return develop(fano_df)
 
 
+def buildable_names():
+    """Names of the catalog entries a system can be built from (designs and
+    CDFs)."""
+    return [e.name for e in catalog.entries() if e.kind in ("design", "cdf")]
+
+
 def built_systems():
     """(name, t, matrix) for every catalog entry a system can be built from;
     entries whose parameters fail the divisibility gate are refused by
     construction and asserted as such."""
     out = []
-    for name in catalog.buildable_names():
+    for name in buildable_names():
         entry = catalog.get(name)
         payload = catalog.load_payload(name)
         if entry.kind == "cdf":

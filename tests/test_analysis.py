@@ -33,12 +33,13 @@ from authdesigns import (
     offline_bound,
     online_bound,
     perfect_secrecy_check,
+    verify_balanced,
     voracle_offline_value,
     voracle_online_value,
 )
 from authdesigns.analysis import check_order, report_to_json
 
-from conftest import built_systems, mutate_entry
+from conftest import buildable_names, built_systems, mutate_entry
 
 
 def naive_deception(matrix: EncodingMatrix, i: int) -> Fraction:
@@ -217,6 +218,25 @@ def test_perfect_secrecy_matches_the_per_cell_count(z13_matrix):
         verdicts[result[0]] += 1
     assert perfect_secrecy_check(cases[0]) == (False, (2, (0, 1)))
     assert verdicts[True] >= 30 and verdicts[False] >= 60, verdicts
+
+
+def test_balanced_matrices_have_perfect_secrecy():
+    # balanced is the secrecy criterion with every count at b/v: both
+    # checks read the one column tally, and the first implies the second
+    cases = [*random_small_systems(107, 60), *random_unbalanced_matrices(109, 60),
+             *(m for _, m in catalog_developments())]
+    verdicts = Counter()
+    for matrix in cases:
+        balanced = verify_balanced(matrix).valid
+        secret = perfect_secrecy_check(matrix)
+        if balanced:
+            assert secret == (True, None), matrix
+        verdicts[balanced, secret[0]] += 1
+    assert min(verdicts.values()) >= 5 and len(verdicts) == 3, verdicts
+    # every message once per column, but v = 4 does not divide b = 3
+    m = EncodingMatrix(4, 2, ((0, 1), (1, 2), (2, 0)))
+    assert perfect_secrecy_check(m) == (True, None)
+    assert not verify_balanced(m).valid
 
 
 def test_message_masks_consistency(z13_system):
@@ -591,7 +611,7 @@ def relabelled(matrix, seed):
 
 def catalog_developments():
     return [(name, develop_matrix(catalog.load_payload(name)))
-            for name in catalog.buildable_names()
+            for name in buildable_names()
             if catalog.get(name).kind == "cdf"]
 
 

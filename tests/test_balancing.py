@@ -29,7 +29,8 @@ from authdesigns.balancing import (
 from authdesigns.fileio import (atomic_write_json, canonical_dumps, digest,
                                load_json)
 
-from conftest import assert_proper_coloring, make_regular_bipartite
+from conftest import (assert_proper_coloring, buildable_names,
+                      make_regular_bipartite)
 
 
 # --------------------------------------------------------------- structure
@@ -68,11 +69,14 @@ def test_column_counts_match_a_cell_by_cell_count():
         pool = list(combinations(range(v), k))
         rows = tuple(tuple(rng.sample(row, k))
                      for row in rng.sample(pool, rng.randint(1, min(9, len(pool)))))
-        counts = [[0] * k for _ in range(v)]
+        counts = [{} for _ in range(k)]
         for row in rows:
             for col, m in enumerate(row):
-                counts[m][col] += 1
-        assert EncodingMatrix(v, k, rows).column_counts() == tuple(map(tuple, counts))
+                counts[col][m] = counts[col].get(m, 0) + 1
+        got = EncodingMatrix(v, k, rows).column_counts()
+        # one Counter per column, holding only the messages it holds
+        assert type(got) is tuple and all(type(c) is Counter for c in got)
+        assert list(map(dict, got)) == counts
 
 
 # ------------------------------------------------------------- splitting
@@ -305,7 +309,7 @@ def test_balance_skips_only_checks_its_rows_pass():
     # balance builds its matrix without EncodingMatrix's row checks; the
     # public constructor, given the same rows, must accept them unchanged
     designs = {}
-    for name in catalog.buildable_names():
+    for name in buildable_names():
         payload = catalog.load_payload(name)
         design = develop(payload) if catalog.get(name).kind == "cdf" else payload[0]
         if design.b % design.v:

@@ -30,6 +30,7 @@ from authdesigns.apa import apa_to_json
 from authdesigns.designs import design_to_json
 from authdesigns.difference_families import df_to_json
 from authdesigns.fileio import digest, load_json
+from conftest import buildable_names
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "authdesigns"
 
@@ -41,6 +42,15 @@ def test_registry_shape():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert {e.kind for e in entries} == {"design", "cdf", "apa", "params-only"}
+
+
+def test_catalog_names_are_unique():
+    # the registry is one dict keyed by name, so a repeated name would drop
+    # an entry: every table row and each of the three single entries
+    # (complete-5-3, ag-2-3, van-rees-apa) must leave one entry
+    tables = (catalog._CDFS, catalog._NETTO_PRIMES, catalog._STEINER_ROWS,
+              catalog._T67_ROWS, catalog._T8_ROWS)
+    assert len(catalog.entries()) == sum(map(len, tables)) + 3
 
 
 def test_get_unknown_name():
@@ -86,7 +96,7 @@ def test_netto_entries_match_generator():
 
 
 def test_buildable_systems_are_sound():
-    for name in catalog.buildable_names():
+    for name in buildable_names():
         entry = catalog.get(name)
         payload = catalog.load_payload(name)
         if entry.kind == "cdf":

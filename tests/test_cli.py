@@ -237,7 +237,8 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit:
         pass
     loaded.append(sorted(set(sys.modules) - before))
-print(json.dumps({"preloaded": sorted({"dataclasses", "typing"} & before),
+print(json.dumps({"preloaded": sorted({"dataclasses", "tempfile", "typing"}
+                                      & before),
                   "loaded": loaded}))
 """
 
@@ -273,7 +274,27 @@ def test_commands_import_only_what_they_run(capsys, tmp_path,
                 "authdesigns.designs"} & set(attack_loaded)
     # none of the commands loads them, and none was there before to hide it
     assert result["preloaded"] == []
-    assert not {"dataclasses", "typing"} & set(result["loaded"][-1])
+    assert not {"dataclasses", "tempfile", "typing"} & set(result["loaded"][-1])
+
+
+def test_artifacts_get_the_umask_mode_and_errors_name_the_path(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    umask = os.umask(0o022)
+    try:
+        assert run(capsys, "catalog", "export", "fano-cdf")[0] == 0
+        out = tmp_path / "fano-cdf.json"
+        assert oct(out.stat().st_mode & 0o777) == oct(0o644)
+        out.chmod(0o600)
+        assert run(capsys, "catalog", "export", "fano-cdf")[0] == 0
+        assert oct(out.stat().st_mode & 0o777) == oct(0o644)
+    finally:
+        os.umask(umask)
+    missing = str(tmp_path / "missing" / "x.json")
+    code, _, err = run(capsys, "catalog", "export", "fano-cdf", "--out", missing)
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fano-cdf.json"]
 
 
 # ------------------------------------------------------------------ attack
@@ -349,6 +370,22 @@ def test_attack_budget_env(capsys, monkeypatch, z13_matrix_file):
     code, _, _ = run(capsys, "attack", str(z13_matrix_file),
                      "--orders", "1")
     assert code == 3
+
+
+def test_malformed_budget_env_is_malformed_input(capsys, monkeypatch,
+                                                z13_matrix_file):
+    # a value that is no integer exits 2, as --budget abc does; a value out
+    # of range stays a domain failure
+    for raw, expected in (("abc", 2), ("1.5", 2), ("", 2), ("0", 1), ("-3", 1)):
+        monkeypatch.setenv("AUTHDESIGNS_BUDGET", raw)
+        code, _, err = run(capsys, "attack", str(z13_matrix_file))
+        assert code == expected, raw
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "abc")
+    assert run(capsys, "attack", str(z13_matrix_file))[2] == (
+        "error: AUTHDESIGNS_BUDGET must be an integer, got 'abc'\n")
+    monkeypatch.delenv("AUTHDESIGNS_BUDGET")
+    assert run(capsys, "attack", str(z13_matrix_file), "--budget", "0")[0] == 1
 
 
 def test_attack_rejects_garbage_orders(capsys, z13_matrix_file):

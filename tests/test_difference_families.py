@@ -30,7 +30,7 @@ from authdesigns.difference_families import (
 )
 from authdesigns.fileio import atomic_write_json, load_json
 
-from conftest import Z13_GOLDEN_ROWS
+from conftest import Z13_GOLDEN_ROWS, buildable_names
 
 
 def _difference_tally(df):
@@ -266,7 +266,7 @@ def test_same_orbit_refusals_match_all_translates():
 # ------------------------------------------------------------ matrix path
 
 def test_develop_matrix_rows_are_the_translates():
-    for name in catalog.buildable_names():
+    for name in buildable_names():
         if catalog.get(name).kind != "cdf":
             continue
         df = catalog.load_payload(name)

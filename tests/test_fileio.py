@@ -1,6 +1,7 @@
 """The one integer check and the one row check (`fileio.check_int`,
 `fileio.check_rows`) behind every record and every JSON field."""
 
+import os
 import random
 from enum import IntEnum
 from itertools import combinations
@@ -10,7 +11,8 @@ import pytest
 from authdesigns import (BlockDesign, BudgetError, DesignParameters,
                          DifferenceFamily, DomainError, EncodingMatrix,
                          PerpendicularArray, StructuralError)
-from authdesigns.fileio import MAX_FAILURES, check_rows, int_field
+from authdesigns.fileio import (MAX_FAILURES, atomic_write_json, check_rows,
+                                int_field, load_json)
 
 # name: (constructor, valid fields, integer fields, row field, error class of
 # the integer fields); every row field must fail with StructuralError
@@ -40,6 +42,7 @@ ROW_RULES = {
     "out of range": lambda size: tuple(range(size - 1)) + (99,),
     "bool entry": lambda size: (True,) + tuple(range(2, size + 1)),
     "repeated entry": lambda size: (0,) * size,
+    "bare number": lambda size: 5,
 }
 
 
@@ -66,6 +69,19 @@ def test_records_reject_malformed_fields(make, valid, change, error):
         make(**{**valid, **change})
 
 
+@pytest.mark.parametrize("name", [name for name, spec in RECORDS.items()
+                                  if spec[3] is not None])
+def test_records_name_what_is_not_a_sequence(name):
+    make, valid, _, field, _ = RECORDS[name]
+    first, *rest = valid[field]
+    with pytest.raises(StructuralError) as exc:
+        make(**{**valid, field: [first, 5, *rest, None]})
+    assert exc.value.offenders == [(1, 5), (len(rest) + 2, None)]
+    assert "must be a sequence" in str(exc.value)
+    with pytest.raises(StructuralError, match="must form a sequence"):
+        make(**{**valid, field: 5})
+
+
 def test_check_rows_returns_tuples_and_caps_offenders():
     assert check_rows([[0, 1], [1, 0]], 2, "row") == ((0, 1), (1, 0))
     with pytest.raises(StructuralError) as exc:
@@ -74,6 +90,48 @@ def test_check_rows_returns_tuples_and_caps_offenders():
     assert exc.value.offenders[0] == (0, (0, 5))
     # an APA row may repeat a symbol; its verifier reports it
     assert check_rows([[1, 1]], 2, "row", distinct=False) == ((1, 1),)
+
+
+# ------------------------------------------------------- atomic writes
+
+def test_atomic_write_gives_the_umask_mode_new_or_overwritten(tmp_path):
+    path = tmp_path / "doc.json"
+    umask = os.umask(0o027)
+    try:
+        atomic_write_json({"a": 1}, path)
+        assert path.stat().st_mode & 0o777 == 0o640
+        path.chmod(0o604)
+        atomic_write_json({"a": 2}, str(path))
+        assert path.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(umask)
+    assert load_json(path) == {"a": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_atomic_write_failures_name_the_path_and_leave_no_temp(tmp_path):
+    missing = tmp_path / "missing" / "doc.json"
+    with pytest.raises(FileNotFoundError) as exc:
+        atomic_write_json({}, missing)
+    assert exc.value.filename == str(missing) and ".tmp" not in str(exc.value)
+    # the temp file is made, the rename onto a directory fails: it goes
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        atomic_write_json({}, tmp_path / "dir")
+    assert str(exc.value).endswith(f"{str(tmp_path / 'dir')!r}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+
+def test_atomic_write_keeps_a_temp_file_it_did_not_make(tmp_path, monkeypatch):
+    # a temp name already taken is another writer's file: refused, kept
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    path = tmp_path / "doc.json"
+    taken = tmp_path / "doc.json.000000000000.tmp"
+    taken.write_text("theirs")
+    with pytest.raises(FileExistsError) as exc:
+        atomic_write_json({}, path)
+    assert exc.value.filename == str(path)
+    assert taken.read_text() == "theirs" and not path.exists()
 
 
 # ----------------------------------- the builtin verdict vs the row scan
