@@ -523,30 +523,18 @@ def analyze(system: SecrecySystem, model: str, orders,
     results = []
     for i in sorted(set(orders)):
         value, bound = value_of(system, i, budget), bound_of(i)
-        results.append(OrderResult(i=i, value=value, bound=bound,
-                                   tight=value == bound))
-    order = -1
-    for res in results:     # ascending, so orders 0..t are a prefix
-        if res.i != order + 1 or not res.tight:
-            break
-        order += 1
-    return AttackReport(model=model, orders=tuple(results),
-                        security_order=order)
+        results.append(OrderResult(i, value, bound, value == bound))
+    # ascending, so orders 0..t are a prefix: t + 1 is the first n that is not
+    order = next((n for n, res in enumerate(results)
+                  if res.i != n or not res.tight), len(results)) - 1
+    return AttackReport(model, tuple(results), order)
 
 
 def report_to_json(report: AttackReport, digest: str | None = None) -> dict:
-    doc = {
-        "model": report.model,
-        "orders": [
-            {
-                "i": res.i,
-                "value": fraction_to_json(res.value),
-                "bound": fraction_to_json(res.bound),
-                "tight": res.tight,
-            }
-            for res in report.orders
-        ],
-    }
+    doc = {"model": report.model, "orders": [
+        {"i": res.i, "value": fraction_to_json(res.value),
+         "bound": fraction_to_json(res.bound), "tight": res.tight}
+        for res in report.orders]}
     if report.model == "classic":
         doc["security_order"] = report.security_order
     if digest is not None:

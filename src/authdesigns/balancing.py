@@ -6,7 +6,8 @@ matrix a perfect-secrecy encoding matrix under equiprobable keys: color the
 incidence graph, one flat row-major point array, with the k columns so that
 each block sees every color once and each point every color c times (de
 Werra, 1971; `edge_color`), and write each point to its block's cell of its
-color.  `balance` skips the row checks of `EncodingMatrix` for those rows.
+color.  `balance` builds its matrix through `record.unchecked`, without the
+row checks of `EncodingMatrix`, which its proof covers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import chain, cycle, product, repeat
 
 from .errors import DomainError, StructuralError
 from .fileio import check_int, check_rows, int_field, int_rows, require
-from .record import record
+from .record import record, unchecked
 
 
 @record
@@ -26,10 +27,11 @@ class EncodingMatrix:
     messages in [0, v).
 
     Construction enforces row structure (k distinct in-range entries per row,
-    rows pairwise distinct as sets), except in `balance`, whose rows are
-    proven (`_proven_matrix`).  The balanced-form property — every message
-    exactly b/v times in every column — is checked separately by
-    `verify_balanced`, so unbalanced matrices remain representable.
+    rows pairwise distinct as sets), except in `balance` and `develop_matrix`,
+    which prove it and build with `record.unchecked`.  The balanced-form
+    property — every message exactly b/v times in every column — is checked
+    separately by `verify_balanced`, so unbalanced matrices remain
+    representable.
     """
 
     v: int
@@ -170,7 +172,13 @@ def edge_color(graph: SplitGraph) -> tuple:
 
 def balance(design: BlockDesign) -> EncodingMatrix:
     """Order each block into a row so every message lands in every column
-    exactly b/v times: edge e's point goes to cell (e // k)·k + its color."""
+    exactly b/v times: edge e's point goes to cell (e // k)·k + its color.
+
+    The matrix skips the checks of `EncodingMatrix(v, k, rows)`: a
+    `BlockDesign` has v >= 1 and in-range, duplicate-free blocks of one
+    size k >= 1 (`SplitGraph`), distinct as sets.  Colors lie in [0, k), so
+    block j's edges fill only row j's k cells; with none empty, row j is a
+    permutation of block j, and every check of the constructor would pass."""
     graph = split_points(design)
     k, edges = design.k, graph.edges
     cells = [None] * len(edges)
@@ -178,19 +186,7 @@ def balance(design: BlockDesign) -> EncodingMatrix:
     for start, color, x in zip(starts, edge_color(graph), edges):
         cells[start + color] = x
     require(None not in cells, "the coloring left a cell empty")   # a clash
-    return _proven_matrix(design.v, k, tuple(zip(*[iter(cells)] * k)))
-
-
-def _proven_matrix(v: int, k: int, rows: tuple) -> EncodingMatrix:
-    """`EncodingMatrix(v, k, rows)` without its checks, for `balance` alone:
-    a `BlockDesign` has v >= 1 and in-range, duplicate-free blocks of one
-    size k >= 1 (`SplitGraph`), distinct as sets.  Colors lie in [0, k), so
-    block j's edges fill only row j's k cells; with none empty, row j is a
-    permutation of block j, and every check of the constructor would pass."""
-    matrix = object.__new__(EncodingMatrix)
-    for name, value in zip(("v", "k", "rows"), (v, k, rows)):
-        object.__setattr__(matrix, name, value)
-    return matrix
+    return unchecked(EncodingMatrix, design.v, k, tuple(zip(*[iter(cells)] * k)))
 
 
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:

@@ -9,7 +9,7 @@ environment variable, then :data:`DEFAULT_BUDGET`.
 import os
 
 from .errors import BudgetError, DomainError, StructuralError
-from .fileio import check_int, show_int
+from .fileio import check_int, integer, show_int
 
 DEFAULT_BUDGET = 10**8
 
@@ -18,17 +18,14 @@ ENV_VAR = "AUTHDESIGNS_BUDGET"
 
 def charge(required, budget=None, what="computation"):
     """Raise :class:`BudgetError` if ``required`` exceeds the effective
-    budget, a positive int.  An ``AUTHDESIGNS_BUDGET`` that is not an
-    integer is malformed input: StructuralError."""
+    budget, a positive int.  An ``AUTHDESIGNS_BUDGET`` that `fileio.integer`
+    does not read is malformed input: StructuralError."""
     if budget is None:
         raw = os.environ.get(ENV_VAR)
-        if raw is not None:
-            try:
-                budget = int(raw)
-            except ValueError:
-                raise StructuralError(f"{ENV_VAR} must be an integer, got {raw!r}")
-        else:
-            budget = DEFAULT_BUDGET
+        try:
+            budget = DEFAULT_BUDGET if raw is None else integer(raw)
+        except ValueError:
+            raise StructuralError(f"{ENV_VAR} must be an integer, got {raw!r}")
     limit = check_int("budget", budget, 1, DomainError)
     if required > limit:
         raise BudgetError(f"{what} needs {show_int(required)} elementary steps, "

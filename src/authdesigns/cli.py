@@ -17,7 +17,7 @@ from .budget import ENV_VAR
 from .errors import (AuthDesignsError, BudgetError, ConstructionError,
                      DomainError, StructuralError)
 from .fileio import (atomic_write_json, canonical_dumps, digest,
-                     fraction_to_json, load_json)
+                     fraction_to_json, integer, load_json)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -73,12 +73,9 @@ def cmd_verify(args) -> int:
         from . import apa as apa_mod
         array = apa_mod.apa_from_json(doc)
         report = apa_mod.verify_apa(array, budget=args.budget)
-        detail = {"kind": "apa",
-                  "t": array.t, "lambda": array.lambda_}
-    out_doc = dict(detail)
-    out_doc.update(report.to_json())
-    out_doc["path"] = os.path.basename(args.path)
-    out_doc["input_digest"] = digest(doc)
+        detail = {"kind": "apa", "t": array.t, "lambda": array.lambda_}
+    out_doc = {**detail, **report.to_json(),
+               "path": os.path.basename(args.path), "input_digest": digest(doc)}
     report_path = args.out or args.path + ".report.json"
     atomic_write_json(out_doc, report_path)
     lines = [f"valid: {str(report.valid).lower()}"]
@@ -124,13 +121,10 @@ def cmd_build(args) -> int:
     input_digest = digest(input_doc)
     atomic_write_json(balancing.matrix_to_json(
         matrix, {"source": source, "input_digest": input_digest}), out_path)
-    info = {
-        "v": matrix.v, "k": matrix.k, "b": matrix.b,
-        "rows_per_message": matrix.b // matrix.v,
-        "optimality_class": designs.optimality_class(params),
-        "out": out_path,
-        "input_digest": input_digest,
-    }
+    info = {"v": matrix.v, "k": matrix.k, "b": matrix.b,
+            "rows_per_message": matrix.b // matrix.v,
+            "optimality_class": designs.optimality_class(params),
+            "out": out_path, "input_digest": input_digest}
     lines = [f"v={matrix.v} k={matrix.k} b={matrix.b} "
              f"b/v={matrix.b // matrix.v} class={info['optimality_class']}",
              f"matrix: {out_path}"]
@@ -193,18 +187,10 @@ def cmd_params(args) -> int:
             raise DomainError("--teirlinck needs --t and --v")
         params, b = designs.teirlinck_params(args.t, args.v)
         modulus, b = _decimal(params.lambda_), _decimal(b)
-        doc = {
-            "mode": "teirlinck",
-            "t": params.t, "v": params.v, "k": params.k,
-            "lambda": modulus,
-            "modulus": modulus,
-            "b": b,
-        }
-        lines = [
-            f"congruence: v ≡ t (mod {modulus})",
-            f"params: {params.t}-({params.v},{params.k},{modulus})",
-            f"b = {b}",
-        ]
+        doc = {"mode": "teirlinck", "t": params.t, "v": params.v, "k": params.k,
+               "lambda": modulus, "modulus": modulus, "b": b}
+        lines = [f"congruence: v ≡ t (mod {modulus})",
+                 f"params: {params.t}-({params.v},{params.k},{modulus})", f"b = {b}"]
         _emit(args, lines, doc)
         return EXIT_OK
 
@@ -340,7 +326,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None,
                         help="output file path")
-    common.add_argument("--budget", type=int, default=None, metavar="N",
+    common.add_argument("--budget", type=integer, default=None, metavar="N",
                         help=f"work budget in elementary steps "
                              f"(default {ENV_VAR} or 10^8)")
     common.add_argument("--format", choices=("text", "json"), default="text",
@@ -356,15 +342,15 @@ def _build_parser():
                        help="verify a design/CDF/APA file")
     p.add_argument("path")
     p.add_argument("--kind", choices=("design", "cdf", "apa"), required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--lambda", dest="lambda_", type=int, default=None)
+    p.add_argument("--t", type=integer, default=None)
+    p.add_argument("--lambda", dest="lambda_", type=integer, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("build", parents=[common],
                        help="build a balanced encoding matrix")
     p.add_argument("path")
     p.add_argument("--kind", choices=("design", "cdf"), required=True)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=integer, default=None)
     p.add_argument("--table", action="store_true",
                    help="also print the matrix as a labeled table")
     p.set_defaults(func=cmd_build)
@@ -382,10 +368,10 @@ def _build_parser():
 
     p = sub.add_parser("params", parents=[common],
                        help="exact parameter arithmetic for t-(v,k,lambda)")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--v", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lambda", dest="lambda_", type=int, default=None)
+    p.add_argument("--t", type=integer, default=None)
+    p.add_argument("--v", type=integer, default=None)
+    p.add_argument("--k", type=integer, default=None)
+    p.add_argument("--lambda", dest="lambda_", type=integer, default=None)
     p.add_argument("--teirlinck", action="store_true",
                    help="evaluate the t-(v, t+1, (t+1)!^(2t+1)) family")
     p.set_defaults(func=cmd_params)

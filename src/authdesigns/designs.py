@@ -131,14 +131,20 @@ def teirlinck_params(t: int, v: int):
     return params, params.b
 
 
+def canonical_blocks(blocks) -> tuple:
+    """The canonical form of a block list: each block sorted, then the list."""
+    return tuple(sorted(map(tuple, map(sorted, blocks))))
+
+
 @record
 class BlockDesign:
     """A set of equal-size blocks over points 0..v-1, canonically ordered.
 
-    Repeated blocks are not allowed.  Construction canonicalizes (sorts
-    within blocks, then sorts the block list) and enforces the structural
-    invariants; whether the result is actually a t-design is a separate
-    question answered by `verify_design`.
+    Repeated blocks are not allowed.  Construction canonicalizes
+    (`canonical_blocks`) and enforces the structural invariants, except in
+    `difference_families.develop`, which proves them and builds with
+    `record.unchecked`; whether the result is actually a t-design is a
+    separate question answered by `verify_design`.
     """
 
     v: int
@@ -146,13 +152,12 @@ class BlockDesign:
 
     def __post_init__(self):
         check_int("v", self.v, 1)
-        canon = sorted(tuple(sorted(block))
-                       for block in check_rows(self.blocks, self.v, "block"))
+        canon = canonical_blocks(check_rows(self.blocks, self.v, "block"))
         dupes = [canon[i] for i in range(1, len(canon)) if canon[i] == canon[i - 1]]
         if dupes:
             raise StructuralError("repeated blocks are not allowed",
                                   offenders=sorted(set(dupes))[:MAX_FAILURES])
-        object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "blocks", canon)
 
     @property
     def k(self) -> int:

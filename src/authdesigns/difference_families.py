@@ -16,11 +16,11 @@ from itertools import chain, permutations
 from math import isqrt
 
 from .budget import charge
-from .designs import BlockDesign, VerificationReport, tally_report
+from .designs import BlockDesign, canonical_blocks, tally_report
 from .errors import ConstructionError, DomainError, StructuralError
 from .fileio import (MAX_FAILURES, check_int, check_rows, int_field, int_rows,
                      show_int)
-from .record import record
+from .record import record, unchecked
 
 
 @record
@@ -111,17 +111,23 @@ def _translates(df: DifferenceFamily) -> tuple:
 
 def develop(df: DifferenceFamily) -> BlockDesign:
     """All l*v translates D_i + g as a canonical BlockDesign (a 2-(v,k,lambda)
-    design whenever verify_df passes)."""
-    return BlockDesign(v=df.v, blocks=_translates(df))
+    design whenever verify_df passes), built unchecked: see `develop_matrix`."""
+    return unchecked(BlockDesign, df.v, canonical_blocks(_translates(df)))
 
 
 def develop_matrix(df: DifferenceFamily) -> EncodingMatrix:
     """The fast path: the translates in coordinate order, base-block-major.
     Each column of each orbit is a full residue cycle, so every message
     appears exactly l times per column — already balanced, no coloring
-    needed."""
+    needed.
+
+    The matrix skips the checks of `EncodingMatrix(v, k, rows)`: the family
+    has v >= 2 and base blocks of one size k >= 2 with distinct entries in
+    [0, v), and a translate (d + g) mod v keeps all of this.
+    `_reject_short_orbits` refuses every short orbit and every two base
+    blocks of one orbit, so the l*v rows are pairwise distinct as sets."""
     from .balancing import EncodingMatrix
-    return EncodingMatrix(v=df.v, k=df.k, rows=_translates(df))
+    return unchecked(EncodingMatrix, df.v, df.k, _translates(df))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ rationals travel as ``{"num": "...", "den": "..."}`` with decimal *strings*
 to survive JSON readers that silently truncate big integers.
 
 It also holds the one integer check (`check_int`) and the one row check
-(`check_rows`) that every record and every parsed JSON field goes through.
+(`check_rows`) that every record and every parsed JSON field goes through,
+and the one parser of integer text (`integer`), for options and variables.
 """
 
 import json
@@ -94,6 +95,15 @@ def check_int(name, value, minimum=None, error=StructuralError):
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {show_int(value)}")
     return value
+
+
+def integer(text):
+    """`int(text)` for an optional '-' then ASCII digits; anything else, even
+    what int() reads (spaces, '+', '_', other scripts' digits), is a ValueError."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def check_rows(rows, v, what, size=None, distinct=True):

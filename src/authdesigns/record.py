@@ -6,7 +6,8 @@ keyword, class attributes being defaults, that ends in `__post_init__` if
 the class has one; and field-wise `__eq__`, `__hash__` and `__repr__`.
 Setting or deleting an attribute raises `AttributeError`: `__post_init__`
 writes through `object.__setattr__`, `functools.cached_property` through
-the instance `__dict__`.
+the instance `__dict__`.  `unchecked` is the one way to build a record
+without its `__post_init__`, for a caller that has proven every check.
 """
 
 
@@ -51,4 +52,14 @@ def record(cls):
     for method in (__init__, __eq__, __hash__, __repr__):
         setattr(cls, method.__name__, method)
     cls.__setattr__ = cls.__delattr__ = _frozen
+    cls._fields = names
     return cls
+
+
+def unchecked(cls, *values):
+    """A `cls` record of `values`, one per field in order, set as `__init__`
+    sets them but without `__post_init__`."""
+    self = object.__new__(cls)
+    for name, value in zip(cls._fields, values, strict=True):
+        object.__setattr__(self, name, value)
+    return self

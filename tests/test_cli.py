@@ -388,6 +388,50 @@ def test_malformed_budget_env_is_malformed_input(capsys, monkeypatch,
     assert run(capsys, "attack", str(z13_matrix_file), "--budget", "0")[0] == 1
 
 
+# what int() reads but an integer option is not: "1_3" ran as v = 13, "٢"
+# as t = 2, and the environment variable read " ١٠٠٠ " as 1000
+NOT_ASCII_INTEGERS = ("1_3", "٢", "١٠٠٠", " ١٠٠٠ ", "+13", " 13", "13 ",
+                      "0x1", "1.0", "--13", "-", "")
+
+
+def test_integer_options_are_ascii_digits(capsys):
+    # "--option=text", so that argparse takes "--13" and "-" as values
+    params = {"--t": "2", "--v": "13", "--k": "3", "--lambda": "1"}
+    for option in (*params, "--budget"):
+        for text in NOT_ASCII_INTEGERS:
+            argv = ["params", *(f"{o}={x}" for o, x in
+                                {**params, option: text}.items())]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, (option, text)
+            assert f"argument {option}: invalid integer value: {text!r}" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "export", "fano-cdf", "--budget", "١٠٠٠"])
+    assert exc.value.code == 2 and "invalid integer" in capsys.readouterr().err
+    # a leading '-' and leading zeros parse; range refusals still exit 1
+    code, out, err = run(capsys, "catalog", "export", "fano-cdf",
+                         "--budget", "-0012")
+    assert (code, out, err) == (1, "", "error: budget must be >= 1, got -12\n")
+    code, out, err = run(capsys, "params", "--t", "02", "--v", "-13", "--k",
+                         "3", "--lambda", "1")
+    assert (code, out, err) == (1, "", "error: v must be >= 1, got -13\n")
+    assert run(capsys, "params", "--t", "02", "--v", "0013", "--k", "3",
+               "--lambda", "1")[0] == 0
+
+
+def test_budget_env_is_ascii_digits(capsys, monkeypatch, tmp_path):
+    out = str(tmp_path / "f.json")
+    for text in NOT_ASCII_INTEGERS:
+        monkeypatch.setenv("AUTHDESIGNS_BUDGET", text)
+        assert run(capsys, "catalog", "export", "fano-cdf", "--out", out) == (
+            2, "", f"error: AUTHDESIGNS_BUDGET must be an integer, got {text!r}\n")
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "1000")
+    assert run(capsys, "catalog", "export", "fano-cdf", "--out", out)[0] == 0
+    monkeypatch.setenv("AUTHDESIGNS_BUDGET", "-1000")
+    assert run(capsys, "catalog", "export", "fano-cdf", "--out", out)[0] == 1
+
+
 def test_attack_rejects_garbage_orders(capsys, z13_matrix_file):
     code, _, _ = run(capsys, "attack", str(z13_matrix_file),
                      "--orders", "abc")

@@ -4,13 +4,16 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from authdesigns import (
+    BlockDesign,
     BudgetError,
     DifferenceFamily,
+    EncodingMatrix,
+    balance,
     catalog,
     DomainError,
     StructuralError,
@@ -21,7 +24,9 @@ from authdesigns import (
     verify_design,
     verify_df,
 )
+from authdesigns import balancing, designs
 from authdesigns.difference_families import (
+    _translates,
     _zero_translates,
     df_from_json,
     df_to_json,
@@ -293,6 +298,95 @@ def test_develop_matrix_is_balanced(z13_df, fano_df, biplane_df):
         report = verify_balanced(develop_matrix(df))
         assert report.valid
         assert report.inferred_lambda == df.l
+
+
+# ------------------------------------------------ unchecked developments
+
+def catalog_cdfs():
+    return [catalog.load_payload(name) for name in buildable_names()
+            if catalog.get(name).kind == "cdf"]
+
+
+def full_orbits(v, blocks):
+    """Whether every block has v distinct translates and no two blocks
+    share one: checked over all v shifts, as sets."""
+    orbits = [{frozenset((x + g) % v for x in B) for g in range(v)} for B in blocks]
+    return (all(len(o) == v for o in orbits)
+            and len(set().union(*orbits)) == v * len(blocks))
+
+
+def development_corpus():
+    """Every catalog CDF, two seeded affine images x -> ux + s of each (the
+    attack-cyclic set-up maps them so), and seeded random full-orbit
+    families, difference families or not."""
+    rng = random.Random(22)
+    corpus = []
+    for df in catalog_cdfs():
+        corpus.append(df)
+        for _ in range(2):
+            u = rng.choice([u for u in range(1, df.v) if gcd(u, df.v) == 1])
+            s = rng.randrange(df.v)
+            corpus.append(DifferenceFamily(df.v, df.lambda_, tuple(
+                tuple((u * x + s) % df.v for x in B) for B in df.base_blocks)))
+    random_families = 0
+    while random_families < 300:
+        v = rng.randint(2, 30)
+        k = rng.randint(2, v)
+        blocks = tuple(tuple(rng.sample(range(v), k))
+                       for _ in range(rng.randint(1, 4)))
+        if full_orbits(v, blocks):
+            corpus.append(DifferenceFamily(v, 1, blocks))
+            random_families += 1
+    return corpus
+
+
+def test_unchecked_developments_equal_the_checked_records():
+    # develop_matrix and develop skip the constructors' checks, which the
+    # development proves; the records must be those the checks build
+    for df in development_corpus():
+        matrix, design = develop_matrix(df), develop(df)
+        assert matrix == EncodingMatrix(df.v, df.k, matrix.rows), df
+        assert design == BlockDesign(df.v, _translates(df)), df
+        assert matrix.b == design.b == df.l * df.v
+
+
+def test_developments_refuse_what_the_checks_would():
+    # without _reject_short_orbits the rows would repeat: a short orbit
+    # (Z_3 fixes {0,1,2}; 3 fixes {0,3} in Z_6) and two blocks in one orbit
+    for df, why in ((DifferenceFamily(3, 3, ((0, 1, 2),)), "short orbit"),
+                    (DifferenceFamily(6, 2, ((0, 3),)), "short orbit"),
+                    (DifferenceFamily(7, 2, ((1, 2, 4), (2, 4, 1))),
+                     "same translation orbit"),
+                    (DifferenceFamily(13, 2, ((0, 1), (5, 6))),
+                     "same translation orbit")):
+        for develops in (develop_matrix, develop):
+            with pytest.raises(DomainError, match=why):
+                develops(df)
+        translates = [tuple((x + g) % df.v for x in B)
+                      for B in df.base_blocks for g in range(df.v)]
+        with pytest.raises(StructuralError):
+            EncodingMatrix(df.v, df.k, translates)
+        with pytest.raises(StructuralError):
+            BlockDesign(df.v, translates)
+
+
+def test_developments_and_balance_skip_the_row_checks(monkeypatch):
+    families = catalog_cdfs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row check ran")
+
+    monkeypatch.setattr(balancing, "check_rows", refuse)
+    monkeypatch.setattr(designs, "check_rows", refuse)
+    for df in families:
+        matrix, design = develop_matrix(df), develop(df)
+        assert matrix.b == design.b == df.l * df.v
+        if df.v < 100:
+            assert balance(design).b == design.b
+    with pytest.raises(AssertionError, match="a row check ran"):
+        EncodingMatrix(df.v, df.k, matrix.rows)
+    with pytest.raises(AssertionError, match="a row check ran"):
+        BlockDesign(df.v, design.blocks)
 
 
 # ------------------------------------------------------------------- netto

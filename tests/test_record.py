@@ -1,13 +1,15 @@
 """Value records (`authdesigns.record`) and the lazily resolved package
 namespace."""
 
+from pathlib import Path
+
 import pytest
 
 import authdesigns
-from authdesigns import (BlockDesign, DesignParameters, SecrecySystem,
-                         develop_matrix)
+from authdesigns import (BlockDesign, DesignParameters, DomainError,
+                         SecrecySystem, develop_matrix)
 from authdesigns.catalog import CatalogEntry
-from authdesigns.record import record
+from authdesigns.record import record, unchecked
 
 
 @record
@@ -72,6 +74,30 @@ def test_post_init_canonicalizes():
     b = BlockDesign(v=5, blocks=[[0, 3], [1, 4]])
     assert a.blocks == ((0, 3), (1, 4))
     assert a == b and hash(a) == hash(b)
+
+
+def test_unchecked_sets_the_fields_and_skips_post_init():
+    twin = unchecked(Twin, 1, 2, 3, 4)
+    assert twin == Twin(1, 2, 3, 4) and hash(twin) == hash(Twin(1, 2, 3, 4))
+    assert repr(twin) == "Twin(t=1, v=2, k=3, lambda_=4)"
+    with pytest.raises(AttributeError):
+        twin.t = 5
+    with pytest.raises(DomainError):
+        DesignParameters(3, 2, 1, 1)
+    params = unchecked(DesignParameters, 3, 2, 1, 1)   # no t <= k <= v check
+    assert (params.t, params.v, params.k, params.lambda_) == (3, 2, 1, 1)
+    design = unchecked(BlockDesign, 5, ((4, 1), (3, 0)))   # not canonicalized
+    assert design.blocks == ((4, 1), (3, 0))
+    for values in ((1, 2, 3), (1, 2, 3, 4, 5)):   # one value per field
+        with pytest.raises(ValueError):
+            unchecked(Twin, *values)
+
+
+def test_unchecked_is_the_one_way_round_post_init():
+    src = Path(authdesigns.__file__).parent
+    users = sorted(path.name for path in src.glob("*.py")
+                   if "object.__new__" in path.read_text(encoding="utf-8"))
+    assert users == ["record.py"]
 
 
 # ---------------------------------------------------------------- namespace
