@@ -151,19 +151,34 @@ def test_develop_random_pair_families():
         assert design == plain
 
 
+def all_translates(df):
+    return [tuple((x + g) % df.v for x in B)
+            for B in df.base_blocks for g in range(df.v)]
+
+
+# The orbit gate is the only guard of the unchecked developments: the
+# translates of these families repeat, and the row checks refuse them.
+# The Z_3 and Z_7 families pass verify_df.
+
 def test_develop_rejects_short_orbits():
-    stabilized = DifferenceFamily(6, 2, ((0, 3),))
-    with pytest.raises(DomainError):
-        develop(stabilized)
-    with pytest.raises(DomainError):
-        develop(DifferenceFamily(6, 4, ((0, 2, 4),)))
+    for df in (DifferenceFamily(6, 2, ((0, 3),)),
+               DifferenceFamily(6, 4, ((0, 2, 4),)),
+               DifferenceFamily(3, 3, ((0, 1, 2),))):
+        for develops in (develop, develop_matrix):
+            with pytest.raises(DomainError, match="short orbit"):
+                develops(df)
+        with pytest.raises(StructuralError):
+            EncodingMatrix(df.v, df.k, all_translates(df))
 
 
 def test_develop_rejects_same_orbit_duplicates():
-    df = DifferenceFamily(13, 2, ((0, 1), (5, 6)))
-    with pytest.raises(DomainError) as exc:
-        develop(df)
-    assert "orbit" in str(exc.value)
+    for df in (DifferenceFamily(13, 2, ((0, 1), (5, 6))),
+               DifferenceFamily(7, 2, ((1, 2, 4), (2, 4, 1)))):
+        for develops in (develop, develop_matrix):
+            with pytest.raises(DomainError, match="same translation orbit"):
+                develops(df)
+        with pytest.raises(StructuralError):
+            BlockDesign(df.v, all_translates(df))
 
 
 def v_translate_canon(block, v):
@@ -275,8 +290,7 @@ def test_develop_matrix_rows_are_the_translates():
         if catalog.get(name).kind != "cdf":
             continue
         df = catalog.load_payload(name)
-        translates = tuple(tuple((x + g) % df.v for x in block)
-                           for block in df.base_blocks for g in range(df.v))
+        translates = tuple(all_translates(df))
         assert develop_matrix(df).rows == translates, name
         assert develop(df).blocks == tuple(sorted(map(tuple, map(sorted, translates))))
 
@@ -348,26 +362,6 @@ def test_unchecked_developments_equal_the_checked_records():
         assert matrix == EncodingMatrix(df.v, df.k, matrix.rows), df
         assert design == BlockDesign(df.v, _translates(df)), df
         assert matrix.b == design.b == df.l * df.v
-
-
-def test_developments_refuse_what_the_checks_would():
-    # without _reject_short_orbits the rows would repeat: a short orbit
-    # (Z_3 fixes {0,1,2}; 3 fixes {0,3} in Z_6) and two blocks in one orbit
-    for df, why in ((DifferenceFamily(3, 3, ((0, 1, 2),)), "short orbit"),
-                    (DifferenceFamily(6, 2, ((0, 3),)), "short orbit"),
-                    (DifferenceFamily(7, 2, ((1, 2, 4), (2, 4, 1))),
-                     "same translation orbit"),
-                    (DifferenceFamily(13, 2, ((0, 1), (5, 6))),
-                     "same translation orbit")):
-        for develops in (develop_matrix, develop):
-            with pytest.raises(DomainError, match=why):
-                develops(df)
-        translates = [tuple((x + g) % df.v for x in B)
-                      for B in df.base_blocks for g in range(df.v)]
-        with pytest.raises(StructuralError):
-            EncodingMatrix(df.v, df.k, translates)
-        with pytest.raises(StructuralError):
-            BlockDesign(df.v, translates)
 
 
 def test_developments_and_balance_skip_the_row_checks(monkeypatch):
