@@ -19,8 +19,7 @@ from math import comb
 from .budget import charge
 from .designs import VerificationReport, tally_report
 from .errors import ConstructionError, StructuralError
-from .fileio import (MAX_FAILURES, check_int, check_rows, int_field, int_rows,
-                     show_int)
+from .fileio import MAX_FAILURES, check_int, check_rows, fields, show_int
 from .record import record
 
 
@@ -40,8 +39,8 @@ class PerpendicularArray:
     rows: tuple
 
     def __post_init__(self):
-        for name in ("t", "k", "v", "lambda_"):
-            check_int(name, getattr(self, name), 1)
+        for name in ("t", "k", "v", "lambda_"):   # named as in the file
+            check_int(name.rstrip("_"), getattr(self, name), 1)
         if not (self.t <= self.k <= self.v):
             raise StructuralError(f"need t <= k <= v, got t={show_int(self.t)}, "
                                   f"k={show_int(self.k)}, v={show_int(self.v)}")
@@ -148,8 +147,4 @@ def apa_to_json(array: PerpendicularArray) -> dict:
 
 
 def apa_from_json(doc) -> PerpendicularArray:
-    t = int_field(doc, "t", minimum=1)
-    k = int_field(doc, "k", minimum=1)
-    v = int_field(doc, "v", minimum=1)
-    lam = int_field(doc, "lambda", minimum=1)
-    return PerpendicularArray(t=t, k=k, v=v, lambda_=lam, rows=int_rows(doc, "rows"))
+    return PerpendicularArray(*fields(doc, "t", "k", "v", "lambda", "rows"))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, cycle, product, repeat
 
 from .errors import DomainError, StructuralError
-from .fileio import check_int, check_rows, int_field, int_rows, require
+from .fileio import check_int, check_rows, fields, require
 from .record import record, unchecked
 
 
@@ -214,11 +214,10 @@ def matrix_to_json(matrix: EncodingMatrix, provenance: dict | None = None) -> di
 
 
 def matrix_from_json(doc) -> EncodingMatrix:
-    v = int_field(doc, "v", minimum=1)
-    k = int_field(doc, "k", minimum=1)
-    b = int_field(doc, "b", minimum=1)
-    matrix = EncodingMatrix(v=v, k=k, rows=int_rows(doc, "rows"))
-    require(matrix.b == b, f"declared b={b} but found {matrix.b} rows")
+    v, k, b, rows = fields(doc, "v", "k", "b", "rows")
+    matrix = EncodingMatrix(v, k, rows)
+    require(matrix.b == check_int("b", b, 1),
+            f"declared b={b} but found {matrix.b} rows")
     return matrix
 
 

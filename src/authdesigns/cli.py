@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .budget import ENV_VAR
+from .budget import ENV_VAR, charge
 from .errors import (AuthDesignsError, BudgetError, ConstructionError,
                      DomainError, StructuralError)
 from .fileio import (atomic_write_json, canonical_dumps, digest,
@@ -393,6 +393,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        charge(0, args.budget)   # the budget's one check, for every command
         return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

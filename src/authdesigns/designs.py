@@ -16,8 +16,7 @@ from itertools import chain, combinations, repeat
 
 from .budget import charge
 from .errors import DomainError, StructuralError
-from .fileio import (MAX_FAILURES, check_int, check_rows, int_field, int_rows,
-                     show_int)
+from .fileio import MAX_FAILURES, check_int, check_rows, fields, require, show_int
 from .record import record
 
 
@@ -308,15 +307,12 @@ def design_from_json(doc) -> tuple:
 
     Returns (design, t, lambda) with t/lambda None when absent or null.
     """
-    v = int_field(doc, "v", minimum=1)
-    k = int_field(doc, "k", minimum=1)
-    design = BlockDesign(v=v, blocks=int_rows(doc, "blocks"))
-    if design.k != k:
-        raise StructuralError(f"declared k={k} but blocks have size {design.k}")
-    t = doc.get("t")
-    lam = doc.get("lambda")
-    if t is not None:
-        t = int_field(doc, "t", minimum=1)
-    if lam is not None:
-        lam = int_field(doc, "lambda", minimum=1)
+    v, k, blocks = fields(doc, "v", "k", "blocks")
+    design = BlockDesign(v, blocks)
+    require(design.k == check_int("k", k, 1),
+            f"declared k={k} but blocks have size {design.k}")
+    t, lam = doc.get("t"), doc.get("lambda")
+    for name, value in (("t", t), ("lambda", lam)):
+        if value is not None:
+            check_int(name, value, 1)
     return design, t, lam

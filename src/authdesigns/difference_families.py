@@ -18,8 +18,7 @@ from math import isqrt
 from .budget import charge
 from .designs import BlockDesign, canonical_blocks, tally_report
 from .errors import ConstructionError, DomainError, StructuralError
-from .fileio import (MAX_FAILURES, check_int, check_rows, int_field, int_rows,
-                     show_int)
+from .fileio import MAX_FAILURES, check_int, check_rows, fields, show_int
 from .record import record, unchecked
 
 
@@ -232,6 +231,4 @@ def df_to_json(df: DifferenceFamily) -> dict:
 
 
 def df_from_json(doc) -> DifferenceFamily:
-    v = int_field(doc, "v", minimum=2)
-    lam = int_field(doc, "lambda", minimum=1)
-    return DifferenceFamily(v=v, lambda_=lam, base_blocks=int_rows(doc, "base_blocks"))
+    return DifferenceFamily(*fields(doc, "v", "lambda", "base_blocks"))

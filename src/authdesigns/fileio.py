@@ -6,9 +6,10 @@ document is stable across platforms and cosmetic re-serialization.  Exact
 rationals travel as ``{"num": "...", "den": "..."}`` with decimal *strings*
 to survive JSON readers that silently truncate big integers.
 
-It also holds the one integer check (`check_int`) and the one row check
-(`check_rows`) that every record and every parsed JSON field goes through,
-and the one parser of integer text (`integer`), for options and variables.
+`fields`, the one JSON field reader, checks only that the fields are there;
+the record that holds a field checks its value, through `check_int` and
+`check_rows`, the one integer and row checks.  `integer` is the one parser
+of integer text, for options and variables.
 """
 
 import json
@@ -112,11 +113,10 @@ def check_rows(rows, v, what, size=None, distinct=True):
     row unless `distinct` is false; `what` names one row in the messages.
     Anything else, a value or a row that is no sequence included, raises
     StructuralError with the offending (index, row) pairs, at most
-    MAX_FAILURES."""
-    try:
-        rows = tuple(rows)
-    except TypeError:
-        raise StructuralError(f"the {what}s must form a sequence") from None
+    MAX_FAILURES.  A text or a mapping is refused before it is copied."""
+    require(isinstance(rows, Iterable) and not isinstance(rows, (str, bytes, dict)),
+            f"the {what}s must form a sequence")
+    rows = tuple(rows)
     try:
         rows = tuple(map(tuple, rows))
     except TypeError:   # name the rows that are no sequence
@@ -143,16 +143,10 @@ def check_rows(rows, v, what, size=None, distinct=True):
     return rows
 
 
-def int_field(doc, key, minimum=None):
-    """Fetch a required integer field from a parsed JSON object."""
+def fields(doc, *keys):
+    """The values of `keys` in the JSON object `doc`, each present; the
+    record that receives a value checks it."""
     require(isinstance(doc, dict), f"expected a JSON object, got {type(doc).__name__}")
-    require(key in doc, f"missing field {key!r}")
-    return check_int(f"field {key!r}", doc[key], minimum)
-
-
-def int_rows(doc, key):
-    """Fetch a required list field (rows, blocks); the constructor that
-    receives it checks its rows and their entries with `check_rows`."""
-    require(isinstance(doc, dict) and isinstance(doc.get(key), list),
-            f"missing {key!r} list")
-    return doc[key]
+    for key in keys:
+        require(key in doc, f"missing field {key!r}")
+    return [doc[key] for key in keys]

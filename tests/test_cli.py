@@ -432,6 +432,35 @@ def test_budget_env_is_ascii_digits(capsys, monkeypatch, tmp_path):
     assert run(capsys, "catalog", "export", "fano-cdf", "--out", out)[0] == 1
 
 
+def test_every_command_checks_the_budget_before_it_runs(
+        capsys, monkeypatch, tmp_path, z13_file, z13_matrix_file):
+    # params and catalog list/show charge nothing, and still refuse a budget
+    # out of range (exit 1) or a malformed AUTHDESIGNS_BUDGET (exit 2)
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["verify", str(z13_file), "--kind", "cdf", "--out", out],
+        ["build", str(z13_file), "--kind", "cdf", "--out", out],
+        ["attack", str(z13_matrix_file), "--out", out],
+        ["params", "--t", "2", "--v", "13", "--k", "3", "--lambda", "1"],
+        ["catalog", "list"], ["catalog", "show", "cdf-13-3-1"],
+        ["catalog", "export", "fano-cdf", "--out", out], ["apa", "--out", out],
+    ]
+    for argv in commands:
+        for budget in ("0", "-5"):
+            assert run(capsys, *argv, "--budget", budget) == (
+                1, "", f"error: budget must be >= 1, got {budget}\n"), argv
+        monkeypatch.setenv("AUTHDESIGNS_BUDGET", "abc")
+        assert run(capsys, *argv) == (
+            2, "", "error: AUTHDESIGNS_BUDGET must be an integer, got 'abc'\n"), argv
+        monkeypatch.setenv("AUTHDESIGNS_BUDGET", "0")
+        assert run(capsys, *argv)[0] == 1, argv
+        monkeypatch.delenv("AUTHDESIGNS_BUDGET")
+        assert not os.path.exists(out), argv     # refused before any work
+        assert run(capsys, *argv)[0] == 0, argv
+        if os.path.exists(out):
+            os.unlink(out)
+
+
 def test_attack_rejects_garbage_orders(capsys, z13_matrix_file):
     code, _, _ = run(capsys, "attack", str(z13_matrix_file),
                      "--orders", "abc")

@@ -2,8 +2,9 @@
 
 Valid catalog exports (a CDF, a 3-design, an APA) and a built matrix are
 mutated by byte flips, truncations and JSON type swaps, then run through
-verify, build and the three attack models.  Every run must return an exit
-code in {0, 1, 2, 3} without raising, and a failing run must say why on one
+verify, build and the three attack models; so are random documents built
+from the format keys alone.  Every run must return an exit code in
+{0, 1, 2, 3} without raising, and a failing run must say why on one
 `error:` line (a failed verification reports `valid: false` instead).
 """
 
@@ -68,6 +69,18 @@ def mutants(rng, data):
             yield json.dumps(swap(rng, json.loads(data))).encode()
 
 
+def assert_exits_cleanly(capsys, argv, data):
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except Exception as exc:   # the bug this test looks for
+        pytest.fail(f"{argv} raised {exc!r} on {data!r}")
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), (argv, data)
+    if code and not (code == 1 and "valid: false" in out and not err):
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, data, err)
+
+
 def test_mutated_inputs_exit_cleanly(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = random.Random(SEED)
@@ -80,16 +93,36 @@ def test_mutated_inputs_exit_cleanly(capsys, tmp_path, monkeypatch):
             for command in commands:
                 argv = [command[0], "mutant.json", *command[1:],
                         "--out", "out.json"]
-                capsys.readouterr()
-                try:
-                    code = main(argv)
-                except Exception as exc:   # the bug this test looks for
-                    pytest.fail(f"{argv} raised {exc!r} on {mutant!r}")
-                out, err = capsys.readouterr()
-                assert code in (0, 1, 2, 3), (argv, mutant)
-                if code and not (code == 1 and "valid: false" in out
-                                 and not err):
-                    assert err.startswith("error: ") and \
-                        err.count("\n") == 1, (argv, mutant, err)
+                assert_exits_cleanly(capsys, argv, mutant)
                 runs += 1
     assert runs == MUTANTS_PER_SOURCE * 8
+
+
+# every key of the four file formats, and values of every JSON type
+FORMAT_KEYS = ("v", "k", "b", "t", "lambda", "rows", "blocks", "base_blocks")
+SCALARS = (0, -1, 10**30, True, False, 0.5, 3.0, "3", "x", None)
+DOCUMENTS = 150
+
+
+def random_value(rng, depth=0):
+    """A scalar, or at depth 0 or 1 sometimes a list of up to three values."""
+    if depth < 2 and rng.random() < 0.4:
+        return [random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return rng.choice(SCALARS)
+
+
+def test_random_documents_exit_cleanly(capsys, tmp_path, monkeypatch):
+    # each key is read by a record or by the reader itself, never twice:
+    # whichever refuses it, the refusal is one line
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(SEED)
+    commands = [command for _, commands in SOURCES.values()
+                for command in commands]
+    assert len(commands) == 8
+    for _ in range(DOCUMENTS):
+        doc = {key: random_value(rng) for key in FORMAT_KEYS
+               if rng.random() < 0.75}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        for command in commands:
+            argv = [command[0], "doc.json", *command[1:], "--out", "out.json"]
+            assert_exits_cleanly(capsys, argv, doc)

@@ -1,9 +1,13 @@
 """The one integer check and the one row check (`fileio.check_int`,
-`fileio.check_rows`) behind every record and every JSON field."""
+`fileio.check_rows`) behind every record, and the one JSON field reader
+(`fileio.fields`) that hands each field to the record that checks it."""
 
 import os
 import random
+import time
+import tracemalloc
 from enum import IntEnum
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -11,8 +15,12 @@ import pytest
 from authdesigns import (BlockDesign, BudgetError, DesignParameters,
                          DifferenceFamily, DomainError, EncodingMatrix,
                          PerpendicularArray, StructuralError)
+from authdesigns.apa import apa_from_json
+from authdesigns.balancing import matrix_from_json
+from authdesigns.designs import design_from_json
+from authdesigns.difference_families import df_from_json
 from authdesigns.fileio import (MAX_FAILURES, atomic_write_json, check_rows,
-                                int_field, load_json)
+                                fields, load_json)
 
 # name: (constructor, valid fields, integer fields, row field, error class of
 # the integer fields); every row field must fail with StructuralError
@@ -31,8 +39,6 @@ RECORDS = {
                            ("t", "k", "v", "lambda_"), "rows", StructuralError),
     "DesignParameters": (DesignParameters, {"t": 2, "v": 7, "k": 3, "lambda_": 1},
                          ("t", "v", "k", "lambda_"), None, DomainError),
-    "int_field": (lambda **doc: int_field(doc, "v", minimum=1), {"v": 7},
-                  ("v",), None, StructuralError),
 }
 
 # each rule's first row, of a record's row size; "empty" leaves no rows
@@ -90,6 +96,108 @@ def test_check_rows_returns_tuples_and_caps_offenders():
     assert exc.value.offenders[0] == (0, (0, 5))
     # an APA row may repeat a symbol; its verifier reports it
     assert check_rows([[1, 1]], 2, "row", distinct=False) == ((1, 1),)
+
+
+# ------------------------------------------------------- the JSON readers
+
+def test_fields_checks_only_an_object_and_its_keys():
+    doc = {"v": "7", "rows": None}
+    assert fields(doc, "rows", "v") == [None, "7"]      # values unchecked
+    for not_object in ([], "v", 7, None):
+        with pytest.raises(StructuralError, match="^expected a JSON object"):
+            fields(not_object, "v")
+    for key in ("k", "b"):
+        with pytest.raises(StructuralError) as exc:
+            fields(doc, "v", key, "rows")
+        assert str(exc.value) == f"missing field {key!r}"
+
+
+# name: (reader, valid document, required keys, integer fields, rows key)
+READERS = {
+    "matrix": (matrix_from_json,
+               {"v": 7, "k": 3, "b": 2, "rows": [[0, 1, 2], [3, 4, 5]]},
+               ("v", "k", "b", "rows"), ("v", "k", "b"), "rows"),
+    "design": (design_from_json,
+               {"v": 7, "k": 3, "t": 1, "lambda": 1,
+                "blocks": [[0, 1, 2], [3, 4, 5]]},
+               ("v", "k", "blocks"), ("v", "k", "t", "lambda"), "blocks"),
+    "cdf": (df_from_json,
+            {"v": 13, "lambda": 1, "base_blocks": [[0, 1, 4], [0, 2, 7]]},
+            ("v", "lambda", "base_blocks"), ("v", "lambda"), "base_blocks"),
+    "apa": (apa_from_json,
+            {"t": 1, "k": 2, "v": 3, "lambda": 1,
+             "rows": [[0, 1], [1, 2], [2, 0]]},
+            ("t", "k", "v", "lambda", "rows"), ("t", "k", "v", "lambda"), "rows"),
+}
+
+TEXT_ROWS = "x" * 10**6
+
+
+def _reader_refusals():
+    """(reader, document, refusal pattern): each must raise StructuralError."""
+    for name, (read, valid, required, ints, rows) in READERS.items():
+        for key in required:
+            doc = {k: x for k, x in valid.items() if k != key}
+            yield pytest.param(read, doc, f"^missing field {key!r}$",
+                               id=f"{name}-missing-{key}")
+        for key in ints:
+            for value in (True, "7", 7.0):
+                # the refusal names the field as the file does
+                yield pytest.param(read, {**valid, key: value},
+                                   f"^{key} must be an integer, got ",
+                                   id=f"{name}-{key}-{value!r}")
+            yield pytest.param(read, {**valid, key: 0}, f"^{key} must be >= ",
+                               id=f"{name}-{key}-0")
+        for label, value in (("text", TEXT_ROWS), ("object", {"0": [0, 1]}),
+                             ("number", 5)):
+            yield pytest.param(read, {**valid, rows: value},
+                               "must form a sequence$", id=f"{name}-{label} rows")
+    yield pytest.param(matrix_from_json, {**READERS["matrix"][1], "b": 3},
+                       "^declared b=3 but found 2 rows$", id="matrix-declared b")
+    yield pytest.param(design_from_json, {**READERS["design"][1], "k": 2},
+                       "^declared k=2 but blocks have size 3$",
+                       id="design-declared k")
+
+
+def test_readers_accept_their_valid_documents():
+    for read, valid, required, _, _ in READERS.values():
+        read(valid)
+        read({key: valid[key] for key in required})
+    assert design_from_json({**READERS["design"][1], "t": None})[1] is None
+
+
+@pytest.mark.parametrize("read, doc, refusal", _reader_refusals())
+def test_readers_refuse_malformed_fields(read, doc, refusal):
+    with pytest.raises(StructuralError, match=refusal):
+        read(doc)
+
+
+def _text_rows_calls():
+    for name, (read, valid, _, _, rows) in READERS.items():
+        yield pytest.param(partial(read, {**valid, rows: TEXT_ROWS}),
+                           id=f"{name} reader")
+    for name, (make, valid, _, rows, _) in RECORDS.items():
+        if rows is not None:
+            yield pytest.param(partial(make, **{**valid, rows: TEXT_ROWS}),
+                               id=name)
+
+
+@pytest.mark.parametrize("call", _text_rows_calls())
+def test_text_rows_are_refused_before_any_copy(call):
+    # copied, a 10^6-character text would become 10^6 one-character rows:
+    # seconds and about 150 MB before the refusal
+    start = time.perf_counter()
+    with pytest.raises(StructuralError, match="must form a sequence"):
+        call()
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructuralError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 10**6, (elapsed, peak)
 
 
 # ------------------------------------------------------- atomic writes
