@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, cycle, product, repeat
 
 from .errors import DomainError, StructuralError
-from .fileio import check_int, check_rows, fields, require
+from .fileio import MAX_FAILURES, check_int, check_rows, fields, require
 from .record import record, unchecked
 
 
@@ -66,7 +66,8 @@ class EncodingMatrix:
 class SplitGraph:
     """Bipartite multigraph of n points and c·n rows, flat: edge e joins row
     e // k to point edges[e], k = len(edges) // (c·n).  Construction checks
-    that every point has degree c·k, so k >= 1 and all points are in range."""
+    that every point has degree c·k, naming each (point, degree) of [0, n)
+    that misses it, so k >= 1 and all points are in range."""
 
     n: int
     edges: tuple   # row-major points
@@ -74,29 +75,22 @@ class SplitGraph:
 
     def __post_init__(self):
         k = len(self.edges) // (check_int("n", self.n, 1) * check_int("c", self.c, 1))
-        require(Counter(self.edges) == dict.fromkeys(range(self.n), self.c * k),
+        degrees, d = Counter(self.edges), self.c * k
+        if degrees != dict.fromkeys(range(self.n), d):
+            raise StructuralError(
                 f"graph is not {k}-regular bipartite"
-                + f" with points of degree {self.c * k}" * (self.c > 1))
+                + f" with points of degree {d}" * (self.c > 1),
+                [(x, degrees[x]) for x in range(self.n) if degrees[x] != d][:MAX_FAILURES])
 
 
 def split_points(design: BlockDesign) -> SplitGraph:
-    """The incidence graph of a design, c = b/v: edge j·k + i joins block j
-    to its i-th point.  v | b and uniform replication, which a balanced
-    ordering needs, are checked here; the rest is the caller's to verify."""
+    """The incidence graph of a design, once v | b, c = b/v: edge j·k + i
+    joins block j to its i-th point; `SplitGraph` checks uniform replication."""
     v, b = design.v, design.b
     if b % v != 0:
         raise DomainError(
             f"balanced ordering needs v | b; got b={b}, v={v} (b mod v = {b % v})")
-    points = tuple(chain.from_iterable(design.blocks))
-    try:
-        return SplitGraph(v, points, b // v)
-    except StructuralError:   # a design can miss only on replication: name it
-        from .designs import tally_report
-        r = len(points) // v
-        report = tally_report(Counter(points), range(v), v, r)
-        require(report.valid, f"point replication must be uniform r = k*b/v = {r}",
-                report.failures)
-        raise
+    return SplitGraph(v, tuple(chain.from_iterable(design.blocks)), b // v)
 
 
 def edge_color(graph: SplitGraph) -> tuple:

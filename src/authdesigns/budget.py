@@ -25,7 +25,7 @@ def charge(required, budget=None, what="computation"):
         try:
             budget = DEFAULT_BUDGET if raw is None else integer(raw)
         except ValueError:
-            raise StructuralError(f"{ENV_VAR} must be an integer, got {raw!r}")
+            raise StructuralError(f"{ENV_VAR} must be an integer, got {show_int(raw)}")
     limit = check_int("budget", budget, 1, DomainError)
     if required > limit:
         raise BudgetError(f"{what} needs {show_int(required)} elementary steps, "

@@ -17,7 +17,7 @@ from .budget import ENV_VAR, charge
 from .errors import (AuthDesignsError, BudgetError, ConstructionError,
                      DomainError, StructuralError)
 from .fileio import (atomic_write_json, canonical_dumps, digest,
-                     fraction_to_json, integer, load_json)
+                     fraction_to_json, integer, load_json, show_int)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -49,6 +49,14 @@ def _emit(args, lines, doc):
             print(line)
 
 
+def _strength(args, t_file, what):
+    """--t, else the file's t, else a refusal naming `what`."""
+    t = args.t if args.t is not None else t_file
+    if t is None:
+        raise DomainError(f"{what} needs a strength: pass --t or store \"t\" in the file")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -57,11 +65,8 @@ def cmd_verify(args) -> int:
     if args.kind == "design":
         from . import designs
         design, t_file, lam_file = designs.design_from_json(doc)
-        t = args.t if args.t is not None else t_file
+        t = _strength(args, t_file, "design verification")
         lam = args.lambda_ if args.lambda_ is not None else lam_file
-        if t is None:
-            raise DomainError("design verification needs a strength: "
-                              "pass --t or store \"t\" in the file")
         report = designs.verify_design(design, t, lam, budget=args.budget)
         detail = {"kind": "design", "t": t, "lambda": lam}
     elif args.kind == "cdf":
@@ -104,10 +109,7 @@ def cmd_build(args) -> int:
         input_doc = dfs.df_to_json(df)
     else:
         design, t_file, lam_file = designs.design_from_json(doc)
-        t = args.t if args.t is not None else t_file
-        if t is None:
-            raise DomainError("building from a design needs a strength: "
-                              "pass --t or store \"t\" in the file")
+        t = _strength(args, t_file, "building from a design")
         report = designs.verify_design(design, t, lam_file, budget=args.budget)
         report.require(DomainError, f"input is not a valid {t}-design")
         lam = report.inferred_lambda
@@ -162,14 +164,14 @@ def cmd_attack(args) -> int:
         orders = _parse_orders(args.orders, lambda i: analysis.check_order(
             system, args.model, i))
     except ValueError as exc:
-        raise StructuralError(f"cannot parse --orders {args.orders!r}") from exc
+        raise StructuralError(f"cannot parse --orders {show_int(args.orders)}") from exc
     report = analysis.analyze(system, args.model, orders, budget=args.budget)
     out_doc = analysis.report_to_json(report, digest=digest(doc))
     lines = [f"i={res.i} value={_fmt_fraction(res.value)} "
              f"bound={_fmt_fraction(res.bound)} "
              f"tight={'yes' if res.tight else 'no'}" for res in report.orders]
-    if args.model == "classic":
-        lines.append(f"security order: {report.security_order}")
+    if "security_order" in out_doc:
+        lines.append(f"security order: {out_doc['security_order']}")
     if args.out:
         atomic_write_json(out_doc, args.out)
         lines.append(f"report: {args.out}")
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except StructuralError as exc:
-        detail = f" offenders={exc.offenders[:3]}" if exc.offenders else ""
+        detail = f" offenders={show_int(exc.offenders[:3])}" if exc.offenders else ""
         print(f"error: {exc}{detail}", file=sys.stderr)
         return EXIT_MALFORMED
     except OSError as exc:      # unreadable input or unwritable output path

@@ -189,7 +189,7 @@ class VerificationReport:
         """Raise `error`, naming `what` and the first three failures, unless
         the report is valid."""
         if not self.valid:
-            raise error(f"{what}: {self.failures[:3]}")
+            raise error(f"{what}: {show_int(self.failures[:3])}")
 
 
 def tally_report(counts, domain, size: int, expected=None) -> VerificationReport:
@@ -247,19 +247,10 @@ def verify_design(design: BlockDesign, t: int, lambda_: int | None = None,
                         lambda_)
 
 
-def derived_design(design: BlockDesign, x: int, t: int = 2) -> BlockDesign:
-    """Blocks through x with x removed, relabeled onto 0..v-2.
-
-    For a t-(v,k,lambda) design this is a (t-1)-(v-1, k-1, lambda) design;
-    `t` is the caller's claim about the parent's strength (not stored on
-    BlockDesign) and must be at least 2 for the derived structure to retain
-    any strength.
-    """
+def derived_design(design: BlockDesign, x: int) -> BlockDesign:
+    """Blocks through x with x removed, relabeled onto 0..v-2: for a
+    t-(v,k,lambda) design with t >= 2, a (t-1)-(v-1, k-1, lambda) design."""
     check_int("x", x, error=DomainError)
-    check_int("t", t, error=DomainError)
-    if t < 2:
-        raise DomainError(
-            f"derived design needs parent strength t >= 2, got {show_int(t)}")
     if not (0 <= x < design.v):
         raise DomainError(
             f"point x={show_int(x)} out of range [0, {show_int(design.v)})")

@@ -9,11 +9,13 @@ to survive JSON readers that silently truncate big integers.
 `fields`, the one JSON field reader, checks only that the fields are there;
 the record that holds a field checks its value, through `check_int` and
 `check_rows`, the one integer and row checks.  `integer` is the one parser
-of integer text, for options and variables.
+of integer text, for options and variables, and `show_int` the one renderer
+of a value that a refusal echoes.
 """
 
 import json
 import os
+import reprlib
 from collections.abc import Iterable
 from itertools import chain
 
@@ -79,9 +81,19 @@ def require(condition, message, offenders=None):
         raise StructuralError(message, offenders=offenders)
 
 
+# the Repr bounds an echo's work, SHOW_LIMIT its text (no Repr arguments before 3.12)
+_short = reprlib.Repr()
+_short.maxlevel = 4
+_short.maxtuple = _short.maxlist = 10
+SHOW_LIMIT = 400
+
+
 def show_int(value) -> str:
-    """`repr(value)`, or the bit length of an int past the interpreter's
-    digit limit, so that a refusal can always name what it refuses."""
+    """How a refusal echoes `value`: an int by `repr`, or its bit length past
+    the digit limit; anything else in at most SHOW_LIMIT characters."""
+    if not isinstance(value, int):
+        text = _short.repr(value)
+        return text if len(text) <= SHOW_LIMIT else text[:SHOW_LIMIT - 3] + "..."
     try:
         return repr(value)
     except ValueError:
@@ -92,7 +104,7 @@ def check_int(name, value, minimum=None, error=StructuralError):
     """`value` if it is an int, not a bool, and at least `minimum`; else
     raise `error`."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {show_int(value)}")
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {show_int(value)}")
     return value

@@ -114,7 +114,7 @@ def test_split_refuses_uneven_replication():
     # v | b, yet the points lie in 3, 2, 2 and 1 blocks against r = 2
     with pytest.raises(StructuralError) as exc:
         split_points(BlockDesign(4, ((0, 1), (0, 2), (0, 3), (1, 2))))
-    assert str(exc.value) == "point replication must be uniform r = k*b/v = 2"
+    assert str(exc.value) == "graph is not 2-regular bipartite"
     assert exc.value.offenders == [(0, 3), (3, 1)]
     # 0 lies in 39 blocks and 1, 2 in r = 2; the rest fail, capped
     star = BlockDesign(40, tuple((0, x) for x in range(1, 40)) + ((1, 2),))
@@ -171,6 +171,7 @@ def test_edge_color_rejects_irregular():
     with pytest.raises(StructuralError) as exc:
         SplitGraph(2, (0, 0, 1))
     assert str(exc.value) == "graph is not 1-regular bipartite"
+    assert exc.value.offenders == [(0, 2)]     # (point, degree)
     for n, edges in ((2, ()),                 # k = 0
                      (2, (0, 1, 0)),          # 3 edges on 2 points, 2 rows
                      (2, (0, 0, 0, 1)),       # point degrees 3, 1 for k = 2
@@ -198,6 +199,7 @@ def test_edge_color_random_incidence_multigraphs():
     with pytest.raises(StructuralError) as exc:     # point degrees 3 and 1
         SplitGraph(2, (0, 0, 0, 1), 2)
     assert str(exc.value) == "graph is not 1-regular bipartite with points of degree 2"
+    assert exc.value.offenders == [(0, 3), (1, 1)]
 
 
 def test_edge_color_is_deterministic():

@@ -111,6 +111,17 @@ def test_verify_design_needs_strength(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(tmp_path / "c53.json"),
                        "--kind", "design")
     assert code == 0 and "valid: true" in out
+    # without it, both design commands refuse, and --t supplies it
+    path, out = tmp_path / "no-t.json", str(tmp_path / "out.json")
+    path.write_text(json.dumps({**json.loads((tmp_path / "c53.json").read_text()),
+                                "t": None}))
+    for command, what in (("verify", "design verification"),
+                          ("build", "building from a design")):
+        assert run(capsys, command, str(path), "--kind", "design",
+                   "--out", out) == (1, "", f"error: {what} needs a strength: "
+                                           "pass --t or store \"t\" in the file\n")
+        assert run(capsys, command, str(path), "--kind", "design", "--t", "3",
+                   "--out", out)[0] == 0
 
 
 def test_verify_apa_file(capsys, tmp_path):
@@ -359,6 +370,43 @@ def test_attack_on_mutated_matrix(capsys, tmp_path, fano_matrix):
     assert value > 3 / 7
 
 
+FANO_LESS_A_ROW = [[0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6],
+                   [2, 4, 5]]
+Z7_TWO_ORBITS = [[(x + g) % 7 for x in base] for base in ((0, 1, 2), (0, 1, 3))
+                 for g in range(7)]
+# the same system, rows shuffled and each row's columns rotated
+Z7_SHUFFLED = [[4, 5, 3], [0, 4, 5], [0, 2, 6], [3, 0, 1], [3, 5, 2], [6, 4, 5],
+               [6, 1, 5], [4, 1, 2], [2, 3, 1], [2, 0, 1], [4, 6, 3], [1, 6, 0],
+               [3, 4, 2], [0, 5, 6]]
+Z7_LINES = ("i=0 value=3/7 bound=3/7 tight=yes",
+            ("i=1 value=1/2 bound=1/3 tight=no", "i=2 value=1/2 bound=1/5 tight=no",
+             "security order: 0"),
+            ("i=1 value=11/14 bound=5/7 tight=no",
+             "i=2 value=13/14 bound=31/35 tight=no"))
+
+
+@pytest.mark.parametrize("rows, lines", [
+    (FANO_LESS_A_ROW, ("i=0 value=1/2 bound=3/7 tight=no",
+                       ("i=1 value=7/18 bound=1/3 tight=no",
+                        "i=2 value=1 bound=1/5 tight=no", "security order: -1"),
+                       ("i=1 value=5/6 bound=5/7 tight=no",
+                        "i=2 value=1 bound=31/35 tight=no"))),
+    (Z7_TWO_ORBITS, Z7_LINES),
+    (Z7_SHUFFLED, Z7_LINES),
+], ids=["fano-less-a-row", "z7-two-orbits", "z7-shuffled"])
+def test_attack_values_off_the_closed_forms(capsys, tmp_path, rows, lines):
+    # the Fano plane less a row fails the uniform pair check, so orders 1-2
+    # run the shared-observation loop; the Z_7-orbits of {0,1,2} and {0,1,3}
+    # are translation-invariant with uneven pairs, so the anchored count
+    # runs and fails, and the shuffled copy must still be found invariant
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"v": 7, "k": 3, "b": len(rows), "rows": rows}))
+    first, classic, online = lines
+    for model, rest in (("classic", classic), ("oracle-online", online)):
+        assert run(capsys, "attack", str(path), "--model", model,
+                   "--orders", "0-2") == (0, "\n".join((first, *rest)) + "\n", "")
+
+
 def test_attack_budget_exhaustion(capsys, z13_matrix_file):
     code, _, err = run(capsys, "attack", str(z13_matrix_file),
                        "--orders", "1", "--budget", "10")
@@ -538,6 +586,52 @@ def test_bare_number_in_place_of_a_row(capsys, tmp_path, argv, doc):
     code, _, err = run(capsys, argv[0], str(path), *argv[1:],
                        "--out", str(tmp_path / "out.json"))
     assert_one_error_line(code, err)
+
+
+@pytest.mark.parametrize("argv, doc, code, names", [
+    (["attack"], {"v": 7, "k": 3, "b": 1, "rows": ["x" * 10**6]}, 2,
+     "offenders=[(0, ('x', "),
+    (["attack"], {"v": 7, "k": 3, "b": 1, "rows": [list(range(10**6))]}, 2,
+     "offenders=[(0, (0, 1, "),
+    (["attack"], {"v": "x" * 10**6, "k": 3, "b": 1, "rows": [[0, 1, 2]]}, 2,
+     "error: v must be an integer, got 'xxx"),
+    (["verify", "--kind", "cdf"],
+     {"v": 13, "lambda": [1] * 10**6, "base_blocks": [[0, 1, 4], [0, 2, 7]]}, 2,
+     "error: lambda must be an integer, got [1, 1, "),
+    # one block of 1000 points, declared lambda 2: the witness is the block
+    (["build", "--kind", "design"], {"v": 1000, "k": 1000, "t": 1000, "lambda": 2,
+                                     "blocks": [list(range(1000))]}, 1,
+     "error: input is not a valid 1000-design: "
+     "(((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...), 1),)"),
+], ids=["text-row", "long-row", "text-v", "list-lambda", "witness"])
+def test_refusals_echo_bounded_values(capsys, tmp_path, argv, doc, code, names):
+    # a value of any size is echoed in at most fileio.SHOW_LIMIT characters
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, argv[0], str(path), *argv[1:],
+                        "--out", str(tmp_path / "out.json"))
+    assert (got, out, err.count("\n")) == (code, "", 1)
+    assert len(err.encode()) <= 1000 and names in err
+
+
+@pytest.mark.parametrize("argv, doc, refusal", [
+    (["build", "--kind", "cdf"], {"v": 3, "lambda": 3, "base_blocks": [[0, 1, 2]]},
+     (1, "base block (0, 1, 2) has a short orbit (stabilized by g=1); "
+         "only full-orbit families are supported")),
+    (["build", "--kind", "cdf"],
+     {"v": 7, "lambda": 2, "base_blocks": [[1, 2, 4], [2, 4, 1]]},
+     (1, "base blocks (1, 2, 4) and (2, 4, 1) lie in the same translation orbit")),
+    (["attack"], {"v": 7, "k": 3, "b": 1, "rows": "xyz"},
+     (2, "the rows must form a sequence")),
+], ids=["short-orbit", "same-orbit", "text-rows"])
+def test_refusals_exit_with_their_codes(capsys, tmp_path, argv, doc, refusal):
+    # the two families pass verify_df, but would develop repeated rows
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    code, message = refusal
+    assert run(capsys, argv[0], str(path), *argv[1:], "--out", str(out)) == (
+        code, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_attack_rejects_non_utf8_file(capsys, tmp_path):

@@ -216,11 +216,6 @@ def test_derived_design_of_fano_is_a_matching(fano_design):
     assert report.valid and report.inferred_lambda == 1
 
 
-def test_derived_design_requires_t_at_least_two():
-    with pytest.raises(DomainError):
-        derived_design(complete_design(5, 3), 0, t=1)
-
-
 def test_complete_design_lambda():
     d = complete_design(7, 3)
     report = verify_design(d, 2)

@@ -387,7 +387,6 @@ def _big_int_refusals():
                                DomainError),
         "lambda_s": (lambda: lambda_s(params, BIG), DomainError),
         "derived_design-x": (lambda: derived_design(fano, BIG), DomainError),
-        "derived_design-t": (lambda: derived_design(fano, 0, -BIG), DomainError),
         "verify_design": (lambda: verify_design(fano, BIG), DomainError),
         "complete_design": (lambda: complete_design(3, BIG), DomainError),
         "deception_probability": (lambda: deception_probability(system, BIG),
@@ -416,3 +415,16 @@ def test_show_int_prints_ints_in_decimal():
     from authdesigns.fileio import show_int
     assert show_int(-12) == "-12" and show_int(3.5) == "3.5"
     assert show_int(BIG) == f"an int of {BIG.bit_length()} bits"
+
+
+def test_show_int_bounds_every_other_value():
+    from authdesigns.fileio import SHOW_LIMIT, show_int
+    # what a small refusal echoes reads as repr; ints are never cut
+    for value in (True, None, "7", "٣", [0, 1], {"a": [1, 2]}, (0, (1, 2, "a")),
+                  [(0, (0, 1, 2, 3, 4, 5, 6))], [(0, ([0], 1, 2))], 10**30):
+        assert show_int(value) == repr(value)
+    assert show_int("x" * 10**6) == "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+    assert show_int([(0, tuple(range(10**6)))]) == (
+        "[(0, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...))]")
+    nested = [[[["x" * 100] * 100] * 100] * 100]
+    assert len(show_int(nested)) == SHOW_LIMIT and show_int(nested).endswith("...")
