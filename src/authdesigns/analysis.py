@@ -18,20 +18,19 @@ equiprobable over subsets, order ignored, no repetition.  Three analyses:
   keys holding message m, which is also order 0 of the other two models;
   online, the best coverage of keys by i+1 messages.
 
-Order 1 of spoofing and of the online game, and order 2 of spoofing,
-first ask `SecrecySystem.pair_lambda` whether every pair through the anchor
-(below; every pair when there is none) lies in the same number λ of keys,
-as in a 2-design.  Anchored, that is one count of the messages of the keys
-through 0; otherwise one big-integer sum per message.  When it holds,
-every message lies in r = b·k/v keys and the values are λ·v/(b·k) =
-(k-1)/(v-1), 1 (order 2, when λ = 1) and (2r - λ)/b.  Otherwise spoofing
-runs the shared-observation loop it runs at every order, and the online
-game at order 1 tallies c(x,y), the keys holding both x and y, for every
-pair through the anchor that some key holds: its value is the best r_x +
-r_y - c(x,y), and (2r - min c)/b when every message lies in r keys.  The
-anchored count, the loop and the tally read one cached list of key tails,
-`SecrecySystem.tails`, so only online orders ≥ 2 build per-message key
-masks.
+Spoofing at every order i ≥ 1, and the online game at order 1 and at
+orders below k, first ask `SecrecySystem.pair_lambda` whether every pair
+through the anchor (below; every pair when there is none) lies in the same
+number λ of keys, as in a 2-design: anchored, one count of the messages of
+the keys through 0 (`SecrecySystem.tails`), otherwise one big-integer sum
+per message.  When it holds, every message lies in r = b·k/v keys,
+order-1 spoofing is λ·v/(b·k), spoofing at i ≥ 2 is 1 when λ = 1, and the
+online game is ((i+1)·r - i·λ)/b at order 1, and at orders 2..k-1 when
+λ = 1.  Otherwise spoofing runs the shared-observation loop over the
+tails, the online game at order 1 tallies from them the keys c(x,y)
+holding each pair, and at higher orders it ORs per-message key masks.
+Order 0 and the offline game are k/v when anchored, a count of the entries
+otherwise.
 
 Cyclic-orbit reduction: when x ↦ x+1 mod v maps every key set onto a key
 set (`SecrecySystem.translation_invariant`, true of every development of a
@@ -39,16 +38,8 @@ cyclic difference family), spoofing and the online game at order i ≥ 1 run
 only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
 Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
 unchanged, whatever the orbit lengths.  Other systems have no anchor and
-run the same loops over all messages.
-
-The check sorts each key once (`SecrecySystem.sorted_keys`).  A sorted key
-stepped entry by entry is the sorted translate, or, when the key holds
-v-1, the sorted translate with its leading 0 moved to the end: the
-rotated form of a key through 0.  So the check is one set of the sorted
-keys and those rotated forms, and one lookup per stepped key.  A first
-test, the translate of the first row looked up among the rows as sets,
-refuses most systems without the symmetry before anything is sorted.
-The same sort gives the tails.
+run the same loops over all messages.  The check sorts each key once
+(`SecrecySystem.sorted_keys`), and the same sort gives the tails.
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -79,17 +70,9 @@ class SecrecySystem:
 
     matrix: EncodingMatrix
 
-    @property
-    def v(self) -> int:
-        return self.matrix.v
-
-    @property
-    def k(self) -> int:
-        return self.matrix.k
-
-    @property
-    def b(self) -> int:
-        return self.matrix.b
+    v = property(lambda self: self.matrix.v)
+    k = property(lambda self: self.matrix.k)
+    b = property(lambda self: self.matrix.b)
 
     @cached_property
     def sorted_keys(self) -> list:
@@ -102,9 +85,12 @@ class SecrecySystem:
         """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
         permutes the keys, rows being distinct sets).
 
-        First test: the translate of the first row, as a set, must be a
-        row; the scan stops at the first match, so most systems without
-        the symmetry are refused after at most b frozensets, unsorted.
+        A key's stabilizer is a subgroup whose cosets partition the key, so
+        its orbit has at least v/k keys: b·k < v refuses before the v-entry
+        table is built.  First test: the translate of the first row, as a
+        set, must be a row; the scan stops at the first match, so most
+        systems without the symmetry are refused after at most b
+        frozensets, unsorted.
 
         Then every key is one sorted tuple (`sorted_keys`), stepped entry
         by entry through a table of x+1 mod v, column by column.  For a
@@ -117,6 +103,8 @@ class SecrecySystem:
         after a larger entry and is never sorted, so neither kind stands
         in for the other (for k = 1 the two coincide).  Time and memory
         grow as v + b·k."""
+        if self.b * self.k < self.v:
+            return False
         rows, step = self.matrix.rows, [*range(1, self.v), 0]
         if frozenset(map(step.__getitem__, rows[0])) not in map(frozenset, rows):
             return False
@@ -257,10 +245,15 @@ def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
 def _order_zero(system: SecrecySystem, budget: int | None,
                 what: str) -> Fraction:
     """max_m r_m / b, r_m the keys holding message m: order 0 of all three
-    models and the offline game at every order.  Charge, one step per
+    models and the offline game at every order.  Charged the translation
+    check (`_anchor`) first.  Anchored, translation puts every message in
+    r = b·k/v keys and the value is k/v; otherwise, on top, one step per
     message counted and per distinct message compared: b·k + min(v, b·k)."""
+    anchor, work = _anchor(system, budget)
+    if anchor:
+        return Fraction(system.k, system.v)
     bk = system.b * system.k
-    charge(bk + min(system.v, bk), budget, what=what)
+    charge(work + bk + min(system.v, bk), budget, what=what)
     return Fraction(system.replication, system.b)
 
 
@@ -309,22 +302,21 @@ def deception_probability(system: SecrecySystem, i: int,
 
     So only the i-sets are tallied, and the keys of the few shared O are
     gathered in a second pass; best(O) is then the largest multiplicity,
-    in those keys, of a message outside O.  On a λ = 1 system at i ≥ 2
-    nothing is shared and the order is one count.  At i = 0 the one O is
-    ∅ and best(∅) = max_m r_m, from `_order_zero`.
+    in those keys, of a message outside O.  At i = 0 the one O is ∅ and
+    best(∅) = max_m r_m, from `_order_zero`.
 
     Anchored (module docstring), best(O+1) = best(O): the same loop runs on
     the tails of the keys through 0 (0 removed, `SecrecySystem.tails`) with
     j = i-1, so it sees exactly the O ∋ 0, and P_di = v·Σ_{O∋0} best(O) /
     (i·b·C(k,i)).
 
-    Orders 1 and 2 first ask `SecrecySystem.pair_lambda` (`_pair_lambda`).
-    When every pair lies in λ ≥ 1 keys, best({x}) = λ for every x and P_d1
-    = λ·v/(b·k); at i = 2 with λ = 1 every pair is an O in one key and
-    P_d2 = C(v,2)/(b·C(k,2)) = 1.  Otherwise they run the loop like every
-    other order.  Anchored at i = 1, j = 0: the one O is {0}, shared when
-    two keys hold 0, and its best is the most keys through 0 that hold one
-    other message.
+    Every order i ≥ 1 first asks `SecrecySystem.pair_lambda`
+    (`_pair_lambda`).  When every pair lies in λ ≥ 1 keys, best({x}) = λ
+    for every x and P_d1 = λ·v/(b·k).  When λ = 1 and i ≥ 2, every O in a
+    key holds a pair no other key holds, so none is shared, Σ_O best(O) =
+    b·C(k,i) and P_di = 1.  Otherwise the loop runs.  Anchored at i = 1,
+    j = 0: the one O is {0}, shared when two keys hold 0, and its best is
+    the most keys through 0 that hold one other message.
 
     Charge, one step per key read (sorting included), tally increment,
     distinct observation scanned, membership test, key gathered, message
@@ -336,7 +328,7 @@ def deception_probability(system: SecrecySystem, i: int,
     membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A shared
     O counts cnt(O)·(k-a) messages, then deletes its j and compares what
     is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in all.  The charge
-    is the translation check (`_anchor`), at i ≤ 2 the uniform check U of
+    is the translation check (`_anchor`), the uniform check U of
     `_pair_lambda`, and, unless that check settles the order, on top
     2·b + N·(2·(k-a) + 4).
     """
@@ -348,12 +340,11 @@ def deception_probability(system: SecrecySystem, i: int,
     a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
     what = f"order-{i} spoofing tally over {n} keys"
-    if i <= 2:
-        work, lam = _pair_lambda(system, anchor, work, budget, what)
-        if lam and i == 1:
-            return Fraction(lam * v, b * k)
-        if lam == 1:        # i = 2: every pair is an O in one key
-            return Fraction(1)
+    work, lam = _pair_lambda(system, anchor, work, budget, what)
+    if lam and i == 1:
+        return Fraction(lam * v, b * k)
+    if lam == 1:
+        return Fraction(1)
     charge(work + 2 * b + n * math.comb(k - a, j) * (2 * (k - a) + 4),
            budget, what=what)
     counts = _tally(system.tails, j)
@@ -369,8 +360,7 @@ def deception_probability(system: SecrecySystem, i: int,
             for m in obs:
                 del extensions[m]
             total += max(extensions.values())
-    weight = Fraction(v, i) if anchor else 1
-    return weight * Fraction(total, b * math.comb(k, i))
+    return (Fraction(v, i) if anchor else 1) * Fraction(total, b * math.comb(k, i))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +374,8 @@ def voracle_offline_value(system: SecrecySystem, i: int,
     An accepted probe is already a deception of the online kind and ends
     the experiment, so the opponent wins only if every probe is rejected
     and the final spoof m accepted.  Those keys all hold m, and withholding
-    all probes wins on every key that holds m; at every order
-
-        value = max_m r_m / b,  r_m = |{e : m ∈ M(e)}|,
-
-    the order-0 value of the other two models (`_order_zero`).
+    all probes wins on every key that holds m: at every order the value is
+    max_m r_m / b, the order-0 value of the other two models (`_order_zero`).
     """
     check_order(system, "oracle-offline", i)
     return _order_zero(system, budget, f"offline oracle game of order {i}")
@@ -409,11 +396,17 @@ def voracle_online_value(system: SecrecySystem, i: int,
     as many keys as S and every S has a translate through 0, so only the
     S ∋ 0 run.  Below, a = |anchor|.
 
+    At i = 1, and at 2 ≤ i ≤ k-1, `SecrecySystem.pair_lambda` is asked
+    first.  When every pair lies in λ ≥ 1 keys, every message lies in r =
+    b·k/v; with n_j the keys meeting S in j messages, Σ_j j·n_j = (i+1)·r
+    and Σ_j C(j,2)·n_j = C(i+1,2)·λ, so S covers (i+1)·r - Σ_{j≥2}
+    (j-1)·n_j keys: 2r - λ at i = 1.  When λ = 1, j-1 = (2/j)·C(j,2) ≥
+    (2/(i+1))·C(j,2), so the sum is at least i, equal when S lies in one
+    key, as i+1 ≤ k allows.  Both are ((i+1)·r - i·λ)/b.  Otherwise:
+
     At i = 1 no mask is built: |mask_x ∪ mask_y| = r_x + r_y - c(x,y), c
     the keys holding both, maximized over the T = C(v-a, 2-a) pairs {x, y}
-    through the anchor.  When every pair lies in λ ≥ 1 keys
-    (`SecrecySystem.pair_lambda`), that is 2r - λ, r = b·k/v.  Otherwise
-    c(x,y) is read from the tally of the (2-a)-subsets of
+    through the anchor, c(x,y) read from the tally of the (2-a)-subsets of
     `SecrecySystem.tails`, so {0, y} is keyed (y,) and, with no anchor,
     {x, y} is keyed (x, y), x < y.  When every message lies in r keys, as
     every anchored system does, the value is (2r - min c)/b, the min over
@@ -427,16 +420,17 @@ def voracle_online_value(system: SecrecySystem, i: int,
     sets.
 
     Charge, on top of the translation check (`_anchor`), before each part
-    runs.  At i = 1 the uniform check U, as `_pair_lambda` charges it; when
-    λ = 0, on top, b reads and P = n·C(k-a, 2-a) increments for the tally
-    (n = b, or b·k/v anchored) and at most min(P, T) counts compared for
-    the min, b + P + min(P, T), or, when r varies, v counts read into a
-    list, b + P for the tally and per pair an add, a count looked up, a
-    subtraction and a comparison, v + b + P + 4·C(v,2).  At i ≥ 2, one
-    step per OR or popcount: b·k for the masks; i ORs for each of the
-    C(v-1-a, i-a) prefixes with an extension (largest message at most
-    v-2); an OR and a popcount for each of the C(v-a, i+1-a) sets.  In all
-    b·k + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a) on top.
+    runs.  At i = 1 and at i < k the uniform check U, as `_pair_lambda`
+    charges it; at i = 1 when λ = 0, on top, b reads and P = n·C(k-a, 2-a)
+    increments for the tally (n = b, or b·k/v anchored) and at most
+    min(P, T) counts compared for the min, b + P + min(P, T), or, when r
+    varies, v counts read into a list, b + P for the tally and per pair an
+    add, a count looked up, a subtraction and a comparison, v + b + P +
+    4·C(v,2).  At i ≥ 2 off the closed form, one step per OR or popcount:
+    b·k for the masks; i ORs for each of the C(v-1-a, i-a) prefixes with
+    an extension (largest message at most v-2); an OR and a popcount for
+    each of the C(v-a, i+1-a) sets.  In all b·k + i·C(v-1-a, i-a) +
+    2·C(v-a, i+1-a) on top.
     """
     check_order(system, "oracle-online", i)
     if i == 0:
@@ -444,10 +438,11 @@ def voracle_online_value(system: SecrecySystem, i: int,
     b, k, v = system.b, system.k, system.v
     anchor, work = _anchor(system, budget)
     a, what = len(anchor), f"online oracle game of order {i}"
-    if i == 1:
+    if i == 1 or i < k:
         work, lam = _pair_lambda(system, anchor, work, budget, what)
-        if lam:
-            return Fraction(2 * (b * k // v) - lam, b)
+        if lam == 1 or lam and i == 1:
+            return Fraction((i + 1) * (b * k // v) - i * lam, b)
+    if i == 1:
         incidences = (b * k // v if anchor else b) * math.comb(k - a, 2 - a)
         through = math.comb(v - a, 2 - a)
         uniform_r = anchor or system.replication * v == b * k

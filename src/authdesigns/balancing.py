@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, cycle, product, repeat
 
 from .errors import DomainError, StructuralError
-from .fileio import MAX_FAILURES, check_int, check_rows, fields, require
+from .fileio import MAX_FAILURES, check_int, check_rows, fields, require, show_int
 from .record import record, unchecked
 
 
@@ -211,7 +211,7 @@ def matrix_from_json(doc) -> EncodingMatrix:
     v, k, b, rows = fields(doc, "v", "k", "b", "rows")
     matrix = EncodingMatrix(v, k, rows)
     require(matrix.b == check_int("b", b, 1),
-            f"declared b={b} but found {matrix.b} rows")
+            f"declared b={show_int(b)} but found {matrix.b} rows")
     return matrix
 
 

@@ -86,8 +86,8 @@ def cmd_verify(args) -> int:
     lines = [f"valid: {str(report.valid).lower()}"]
     if report.inferred_lambda is not None:
         lines.append(f"inferred lambda: {report.inferred_lambda}")
-    for witness, observed in report.failures[:5]:
-        lines.append(f"failure: witness={witness} observed={observed}")
+    lines += [f"failure: witness={show_int(w)} observed={show_int(o)}"
+              for w, o in report.failures[:5]]
     lines.append(f"report: {report_path}")
     _emit(args, lines, out_doc)
     return EXIT_OK if report.valid else EXIT_DOMAIN

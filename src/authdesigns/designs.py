@@ -301,7 +301,7 @@ def design_from_json(doc) -> tuple:
     v, k, blocks = fields(doc, "v", "k", "blocks")
     design = BlockDesign(v, blocks)
     require(design.k == check_int("k", k, 1),
-            f"declared k={k} but blocks have size {design.k}")
+            f"declared k={show_int(k)} but blocks have size {design.k}")
     t, lam = doc.get("t"), doc.get("lambda")
     for name, value in (("t", t), ("lambda", lam)):
         if value is not None:

@@ -14,6 +14,7 @@ of a value that a refusal echoes.
 """
 
 import json
+import math
 import os
 import reprlib
 from collections.abc import Iterable
@@ -86,18 +87,22 @@ _short = reprlib.Repr()
 _short.maxlevel = 4
 _short.maxtuple = _short.maxlist = 10
 SHOW_LIMIT = 400
+SHOW_DIGITS = 60
 
 
 def show_int(value) -> str:
-    """How a refusal echoes `value`: an int by `repr`, or its bit length past
-    the digit limit; anything else in at most SHOW_LIMIT characters."""
+    """How a refusal echoes `value`: an int of at most SHOW_DIGITS digits by
+    `repr`, a longer one by its number of digits; anything else in at most
+    SHOW_LIMIT characters."""
     if not isinstance(value, int):
         text = _short.repr(value)
         return text if len(text) <= SHOW_LIMIT else text[:SHOW_LIMIT - 3] + "..."
-    try:
+    n = abs(value)
+    if n < 10 ** SHOW_DIGITS:
         return repr(value)
-    except ValueError:
-        return f"an int of {value.bit_length()} bits"
+    digits = int(math.log10(n)) + 1   # a float, so within one of the count
+    digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+    return f"an int of {digits} digits"
 
 
 def check_int(name, value, minimum=None, error=StructuralError):
@@ -150,7 +155,7 @@ def check_rows(rows, v, what, size=None, distinct=True):
                       and 0 <= x < v for x in row)
            or distinct and len(set(row)) != size]
     entries = "distinct integers" if distinct else "integers"
-    require(not bad, f"each {what} must hold {size} {entries} in [0, v)",
+    require(not bad, f"each {what} must hold {show_int(size)} {entries} in [0, v)",
             offenders=bad[:MAX_FAILURES])
     return rows
 

@@ -746,6 +746,17 @@ def test_translation_check_memory_follows_entries_not_v():
     # order 1 runs within the default budget: each message lies in two keys
     # and every extension of it in one
     assert deception_probability(system, 1) == Fraction(1, 2)
+    # b·k < v: no orbit fits, so no v-entry table is built, and order 0,
+    # charged the check, counts the two entries
+    system = SecrecySystem(EncodingMatrix(10**7, 2, ((0, 1),)))
+    tracemalloc.start()
+    try:
+        assert not system.translation_invariant
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**4, peak
+    assert deception_probability(system, 0) == 1
 
 
 def test_order_zero_agrees_across_models():
@@ -756,13 +767,21 @@ def test_order_zero_agrees_across_models():
     for _, matrix in catalog_developments():
         if matrix.b <= 100:
             cases.append(mutate_entry(rng, matrix)[0])
-    for matrix in cases:
+    # anchored, k/v with no count of the entries
+    anchored = [m for _, m in catalog_developments() if m.b <= 100]
+    invariant = 0
+    for matrix in (*cases, *anchored):
         system = SecrecySystem(matrix)
         value = deception_probability(system, 0)
         assert value == naive_deception(matrix, 0) == voracle_online_value(
             system, 0), matrix
         for i in range(min(3, matrix.v)):
             assert voracle_offline_value(system, i) == value
+        assert ("replication" in vars(system)) != system.translation_invariant
+        if system.translation_invariant:
+            assert value == Fraction(matrix.k, matrix.v)
+            invariant += 1
+    assert invariant >= len(anchored) + 2, invariant
 
 
 def test_cyclic_reduction_matches_naive():
@@ -1027,33 +1046,115 @@ def test_anchored_pair_check_is_the_uniform_pair_count():
 
 def test_masks_are_built_only_for_online_orders_from_two():
     # every catalog development is a 2-design: the uniform check settles
-    # order 1, and order-2 spoofing when λ = 1, with or without symmetry;
-    # only the biplane's order 2 (λ = 2) is charged the fallback loop on
-    # top of the check
+    # order 1, spoofing at every order when λ = 1 and the online game at
+    # orders below k when λ = 1, with or without symmetry; the biplane
+    # (λ = 2) at orders 2..k-1, and every system at order k, are charged
+    # the loops on top of the check, or the mask loop on the translation
+    # check alone
     lams = []
     for _, matrix in catalog_developments()[:4]:
         lam = Fraction(matrix.b * comb(matrix.k, 2), comb(matrix.v, 2))
         lams.append(lam)
         for case in (matrix, relabelled(matrix, 6)):
             system = SecrecySystem(case)
+            b, k, v = case.b, case.k, case.v
             for model in ("classic", "oracle-offline", "oracle-online"):
-                analyze(system, model, range(min(2, case.k)))
+                analyze(system, model, range(k if lam == 1 else 2))
             assert "message_masks" not in vars(system)
             assert vars(system)["pair_lambda"] == lam
-            b, k, v = case.b, case.k, case.v
             anchored = system.translation_invariant
             check_alone = uniform_charge(b, k, v, anchored)
-            for fn, documented, i in (
-                    (deception_probability, deception_charge, 1),
-                    (voracle_online_value, online_charge, 1),
-                    (deception_probability, deception_charge, 2)):
-                cost = documented(b, k, v, i, anchored, lam)
-                assert charged_exactly(fn, case, i, cost) == fn(system, i)
-                assert (cost == check_alone) == (i == 1 or lam == 1)
-            assert "message_masks" not in vars(system)
-            voracle_online_value(system, 2)
-            assert "message_masks" in vars(system)
+            for i in range(1, k):
+                for fn, documented in ((deception_probability, deception_charge),
+                                       (voracle_online_value, online_charge)):
+                    cost = documented(b, k, v, i, anchored, lam)
+                    assert charged_exactly(fn, case, i, cost) == fn(system, i)
+                    assert (cost == check_alone) == (i == 1 or lam == 1)
+            assert ("message_masks" in vars(system)) == (lam != 1)
+            if comb(v, k + 1) <= 2000:
+                cost = online_charge(b, k, v, k, anchored, lam)
+                assert charged_exactly(voracle_online_value, case, k, cost) == (
+                    voracle_online_value(system, k))
+                assert "message_masks" in vars(system)
     assert sorted(set(lams)) == [1, 2]
+
+
+def best_cover_through(matrix, i, message):
+    """max over the (i+1)-sets S through `message` of |⋃_{m∈S} mask_m| / b,
+    from a fresh system's `message_masks`: the online value of a system
+    whose automorphisms are transitive on the messages, as they are on
+    every development and its relabellings."""
+    masks = SecrecySystem(matrix).message_masks
+    others = masks[:message] + masks[message + 1:]
+    best = 0
+    for rest in combinations(others, i):
+        union = masks[message]
+        for mask in rest:
+            union |= mask
+        best = max(best, union.bit_count())
+    return Fraction(best, matrix.b)
+
+
+def test_steiner_closed_forms_match_the_brute_force():
+    # λ = 1 at orders 2..k-1: spoofing is 1 and the online game
+    # ((i+1)·(r-1) + 1)/b, read from the uniform check alone; checked
+    # against the mask union and naive_deception where they are small
+    checked = Counter()
+    for seed, (name, matrix) in enumerate(catalog_developments()):
+        b, k, v = matrix.b, matrix.k, matrix.v
+        if b * comb(k, 2) != comb(v, 2):
+            continue
+        r = b * k // v
+        for case in (matrix, relabelled(matrix, seed)):
+            system = SecrecySystem(case)
+            anchored = system.translation_invariant
+            for i in range(2, k):
+                online = charged_exactly(voracle_online_value, case, i,
+                                         uniform_charge(b, k, v, anchored))
+                assert online == voracle_online_value(system, i) == Fraction(
+                    (i + 1) * (r - 1) + 1, b), (name, i)
+                assert deception_probability(system, i) == 1
+                assert "message_masks" not in vars(system)
+                if comb(v - 1, i) <= 20_000:
+                    assert online == best_cover_through(case, i, case.rows[0][0])
+                    checked["online"] += 1
+                if b * comb(k, i) * v * b <= 3 * 10**6:
+                    assert naive_deception(case, i) == 1, (name, i)
+                    checked["classic"] += 1
+    assert checked == {"online": 42, "classic": 32}, checked
+
+
+def test_steiner_closed_forms_leave_other_systems_to_the_loops():
+    # the biplane (λ = 2) at orders 2..k-1, the order i = k where i+1
+    # messages fit in no key, and the Fano plane less a row (λ = 0) are
+    # charged the loops and build the masks
+    biplane, fano, z13, netto61 = (dict(catalog_developments())[name] for name in (
+        "biplane-cdf-11-5-2", "fano-cdf", "cdf-13-3-1", "netto-61"))
+    less = EncodingMatrix(7, 3, fano.rows[1:])
+    cases = [(biplane, i) for i in (2, 3, 4)]
+    cases += [(relabelled(biplane, 12), 3), (z13, 3), (relabelled(z13, 13), 3),
+              (netto61, 3), (less, 2)]
+    for matrix, i in cases:
+        system = SecrecySystem(matrix)
+        b, k, v = matrix.b, matrix.k, matrix.v
+        lam, anchored = system.pair_lambda, system.translation_invariant
+        assert (lam, i < k) != (1, True)
+        cost = online_charge(b, k, v, i, anchored, lam)
+        assert cost > uniform_charge(b, k, v, anchored)
+        value = charged_exactly(voracle_online_value, matrix, i, cost)
+        # the Fano plane less a row has no automorphism moving message 0
+        expected = (naive_online(matrix, i) if matrix is less
+                    else best_cover_through(matrix, i, 0))
+        assert value == voracle_online_value(system, i) == expected, (v, k, i)
+        assert "message_masks" in vars(system)
+        if i < k:
+            assert charged_exactly(
+                deception_probability, matrix, i,
+                deception_charge(b, k, v, i, anchored, lam)) == naive_deception(
+                    matrix, i)
+    # i = k: below the closed form ((i+1)·(r-1) + 1)/b, 21/26 and 117/610
+    assert voracle_online_value(SecrecySystem(z13), 3) == Fraction(19, 26)
+    assert voracle_online_value(SecrecySystem(netto61), 3) == Fraction(115, 610)
 
 
 # ------------------------------------------------------------------ budget
@@ -1067,10 +1168,12 @@ def test_budget_errors(z13_system):
         assert exc.value.required > 5
 
 
-def order_zero_charge(b, k, v):
+def order_zero_charge(b, k, v, anchored):
     """The documented charge of order 0 in every model, and of the offline
-    game at every order: one count of the b·k entries."""
-    return b * k + min(v, b * k)
+    game at every order: the translation check, then, with no anchor, one
+    count of the b·k entries."""
+    return translation_charge(b, k, v) + (
+        0 if anchored else b * k + min(v, b * k))
 
 
 def translation_charge(b, k, v):
@@ -1090,15 +1193,12 @@ def deception_charge(b, k, v, i, anchored, lam):
     """The documented charge of `deception_probability`; λ = 0 when the
     uniform check fails."""
     if i == 0:
-        return order_zero_charge(b, k, v)
+        return order_zero_charge(b, k, v, anchored)
     a = 1 if anchored else 0
     n = b * k // v if anchored else b
-    if i > 2:
-        work = translation_charge(b, k, v)
-    else:
-        work = uniform_charge(b, k, v, anchored)
-        if lam and (i == 1 or lam == 1):
-            return work
+    work = uniform_charge(b, k, v, anchored)
+    if lam and (i == 1 or lam == 1):
+        return work
     return work + 2 * b + n * comb(k - a, i - a) * (2 * (k - a) + 4)
 
 
@@ -1106,17 +1206,18 @@ def online_charge(b, k, v, i, anchored, lam, uniform_r=True):
     """The documented charge of `voracle_online_value`; λ = 0 when the
     uniform check fails, uniform_r whether every message lies in r keys."""
     if i == 0:
-        return order_zero_charge(b, k, v)
+        return order_zero_charge(b, k, v, anchored)
     a = 1 if anchored else 0
+    work = (uniform_charge(b, k, v, anchored) if i == 1 or i < k
+            else translation_charge(b, k, v))
+    if lam == 1 and i < k or lam and i == 1:
+        return work
     if i == 1:
-        work = uniform_charge(b, k, v, anchored)
-        if lam:
-            return work
         pairs = (b * k // v if anchored else b) * comb(k - a, 2 - a)
         through = comb(v - a, 2 - a)
         return work + b + pairs + (
             min(pairs, through) if uniform_r else v + 4 * through)
-    return (translation_charge(b, k, v) + b * k + i * comb(v - 1 - a, i - a)
+    return (work + b * k + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
 
 
@@ -1131,30 +1232,38 @@ def charged_exactly(fn, matrix, i, cost):
 
 def test_budget_charges_on_both_paths(z13_system):
     # the translation check is charged v + k + b·(4k+5) before it runs, then
-    # the uniform pair check with it before that runs; on Z_13 (λ = 1)
-    # that settles orders 1 and 2 of spoofing and order 1 online
+    # the uniform pair check with it before that runs; on Z_13 (λ = 1,
+    # k = 3) that settles spoofing at orders 1 and 2 and the online game at
+    # orders 1 and 2; at order 3 = k the online game charges the mask loop
+    # on the translation check alone, and order 0 is the translation check,
+    # with a count of the entries on top when there is no anchor
     b, k, v = z13_system.b, z13_system.k, z13_system.v
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
-    for fn, documented in ((deception_probability, deception_charge),
-                           (voracle_online_value, online_charge)):
+    for fn, documented, orders in (
+            (deception_probability, deception_charge, (1, 2)),
+            (voracle_online_value, online_charge, (1, 2, 3))):
         for system, anchored in ((z13_system, True), (copy, False)):
-            for i in (1, 2):
+            for i in orders:
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=5)
                 assert exc.value.required == translation_charge(b, k, v)
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=translation_charge(b, k, v))
                 assert exc.value.required == (
-                    uniform_charge(b, k, v, anchored) if i == 1
-                    or fn is deception_probability
+                    uniform_charge(b, k, v, anchored) if i < k
                     else documented(b, k, v, i, anchored, 1))
-        with pytest.raises(BudgetError) as exc:
-            fn(z13_system, 0, budget=5)
-        assert exc.value.required == documented(b, k, v, 0, False, 1)
+            assert documented(b, k, v, 0, anchored, 1) == order_zero_charge(
+                b, k, v, anchored)
     for i in (0, 1, 2):
-        with pytest.raises(BudgetError) as exc:
-            voracle_offline_value(z13_system, i, budget=5)
-        assert exc.value.required == order_zero_charge(b, k, v)
+        for fn in (voracle_offline_value, deception_probability,
+                   voracle_online_value):
+            if i and fn is not voracle_offline_value:
+                continue
+            with pytest.raises(BudgetError) as exc:
+                fn(copy, i, budget=translation_charge(b, k, v))
+            assert exc.value.required == order_zero_charge(b, k, v, False)
+            assert fn(z13_system, i, budget=translation_charge(b, k, v)) == (
+                Fraction(k, v))
     # anchored, the check reads the 26 keys and counts the 6 through 0;
     # unanchored it counts r and sums all 26 into 13 rows
     assert translation_charge(b, k, v) == 13 + 3 + 26 * 17 == 458
@@ -1163,8 +1272,12 @@ def test_budget_charges_on_both_paths(z13_system):
     for i in (1, 2):
         assert deception_charge(b, k, v, i, True, 1) == 517
         assert deception_charge(b, k, v, i, False, 1) == 763
-    assert online_charge(b, k, v, 1, True, 1) == 517
-    assert order_zero_charge(b, k, v) == 91
+        assert online_charge(b, k, v, i, True, 1) == 517
+    # the masks, 3 ORs for each of the C(11, 2) prefixes through 0, and an
+    # OR and a popcount for each of the C(12, 3) sets
+    assert online_charge(b, k, v, 3, True, 1) == 458 + 78 + 165 + 440
+    assert order_zero_charge(b, k, v, True) == 458
+    assert order_zero_charge(b, k, v, False) == 458 + 91
 
 
 def charge_cases():

@@ -81,13 +81,14 @@ def test_verify_invalid_cdf(capsys, tmp_path, z13_df):
 
 def test_refused_work_bound_too_long_to_print(capsys, tmp_path):
     # a v of 4,000 digits loads, but C(v, 2) has about 8,000: the budget
-    # refusal names its bit length and the command exits 3
+    # refusal names its number of digits and the command exits 3
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"v": 10**4000, "k": 3, "t": 2,
                                 "blocks": [[0, 1, 2]]}))
     code, out, err = run(capsys, "verify", str(path), "--kind", "design")
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "bits" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "needs an int of 8000 digits elementary steps" in err
 
 
 def test_verify_malformed_file(capsys, tmp_path):
@@ -603,15 +604,30 @@ def test_bare_number_in_place_of_a_row(capsys, tmp_path, argv, doc):
                                      "blocks": [list(range(1000))]}, 1,
      "error: input is not a valid 1000-design: "
      "(((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...), 1),)"),
-], ids=["text-row", "long-row", "text-v", "list-lambda", "witness"])
+    # verify reports the same witness on stdout
+    (["verify", "--kind", "design"], {"v": 1000, "k": 1000, "t": 1000, "lambda": 2,
+                                      "blocks": [list(range(1000))]}, 1,
+     "failure: witness=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...) observed=1\n"),
+    # a declared int of 4,001 digits is named by its number of digits
+    (["attack"], {"v": 7, "k": 10**4000, "b": 1, "rows": [[0, 1, 2]]}, 2,
+     "error: each row must hold an int of 4001 digits distinct integers"),
+    (["attack"], {"v": 7, "k": 3, "b": 10**4000, "rows": [[0, 1, 2]]}, 2,
+     "error: declared b=an int of 4001 digits but found 1 rows\n"),
+    (["verify", "--kind", "design"], {"v": 7, "k": 10**4000, "blocks": [[0, 1, 2]]},
+     2, "error: declared k=an int of 4001 digits but blocks have size 3\n"),
+], ids=["text-row", "long-row", "text-v", "list-lambda", "witness",
+        "verify-witness", "huge-k", "huge-b", "huge-design-k"])
 def test_refusals_echo_bounded_values(capsys, tmp_path, argv, doc, code, names):
     # a value of any size is echoed in at most fileio.SHOW_LIMIT characters
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     got, out, err = run(capsys, argv[0], str(path), *argv[1:],
                         "--out", str(tmp_path / "out.json"))
-    assert (got, out, err.count("\n")) == (code, "", 1)
-    assert len(err.encode()) <= 1000 and names in err
+    # verify reports an invalid input on stdout; a refusal is one error: line
+    report = argv[0] == "verify" and code == 1
+    text = out if report else err
+    assert (got, out + err, text.count("\n")) == (code, text, 4 if report else 1)
+    assert len(text.encode()) <= 1000 and names in text
 
 
 @pytest.mark.parametrize("argv, doc, refusal", [
@@ -705,10 +721,15 @@ def test_oracle_online_v337_at_default_budget(capsys, tmp_path):
                "--out", str(family))[0] == 0
     assert run(capsys, "build", str(family), "--kind", "cdf",
                "--out", str(matrix))[0] == 0
+    # orders 2..4 < k = 7 are the Steiner closed form ((i+1)·(r-1) + 1)/b,
+    # r = 56; with the translation check, the mask loop at order 4 would be
+    # charged 1,068,210,124 steps, past the default budget of 10^8
     code, out, _ = run(capsys, "attack", str(matrix), "--model",
-                       "oracle-online", "--orders", "0-1")
+                       "oracle-online", "--orders", "0-4")
     assert code == 0
     assert "i=1 value=111/2696 bound=111/2696 tight=yes" in out
+    for i, value in ((2, "83/1348"), (3, "221/2696"), (4, "69/674")):
+        assert f"i={i} value={value} bound=" in out
 
 
 # ------------------------------------------------------------------ params

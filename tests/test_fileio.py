@@ -4,6 +4,7 @@
 
 import os
 import random
+import re
 import time
 import tracemalloc
 from enum import IntEnum
@@ -403,18 +404,26 @@ def _big_int_refusals():
 
 @pytest.mark.parametrize("site", sorted(_big_int_refusals()))
 def test_refusals_name_an_int_too_long_to_print(site):
-    # the refusal states the int's bit length instead of raising the
+    # the refusal states the int's number of digits instead of raising the
     # interpreter's ValueError from inside its own message
     call, error = _big_int_refusals()[site]
     with pytest.raises(error) as exc:
         call()
-    assert "bits" in str(exc.value)
+    assert re.search(r"an int of \d{4,} digits", str(exc.value)), str(exc.value)
 
 
 def test_show_int_prints_ints_in_decimal():
     from authdesigns.fileio import show_int
     assert show_int(-12) == "-12" and show_int(3.5) == "3.5"
-    assert show_int(BIG) == f"an int of {BIG.bit_length()} bits"
+    # past SHOW_DIGITS digits an int is named by its number of digits,
+    # under the interpreter's int-to-text limit and past it
+    assert show_int(BIG) == show_int(-BIG) == "an int of 5001 digits"
+    assert show_int(BIG - 1) == "an int of 5000 digits"
+    assert show_int(10**4000) == "an int of 4001 digits"
+    for n in (10**60 - 1, 1 - 10**60):
+        assert show_int(n) == repr(n)
+    assert show_int(10**60) == "an int of 61 digits"
+    assert show_int(2**100_000) == "an int of 30103 digits"
 
 
 def test_show_int_bounds_every_other_value():
