@@ -87,10 +87,10 @@ class SecrecySystem:
 
         A key's stabilizer is a subgroup whose cosets partition the key, so
         its orbit has at least v/k keys: b·k < v refuses before the v-entry
-        table is built.  First test: the translate of the first row, as a
-        set, must be a row; the scan stops at the first match, so most
-        systems without the symmetry are refused after at most b
-        frozensets, unsorted.
+        table is built.  First test: the translate T of the first row, as a
+        set, must be a row.  Every row holds k distinct messages and |T| =
+        k, so T ⊇ row iff T = row: `T.issuperset` scans the rows as they
+        are, unsorted, and stops at the first match.
 
         Then every key is one sorted tuple (`sorted_keys`), stepped entry
         by entry through a table of x+1 mod v, column by column.  For a
@@ -106,7 +106,7 @@ class SecrecySystem:
         if self.b * self.k < self.v:
             return False
         rows, step = self.matrix.rows, [*range(1, self.v), 0]
-        if frozenset(map(step.__getitem__, rows[0])) not in map(frozenset, rows):
+        if not any(map(frozenset(map(step.__getitem__, rows[0])).issuperset, rows)):
             return False
         keys = self.sorted_keys
         known = set(keys)
@@ -136,36 +136,15 @@ class SecrecySystem:
         1-subsets, uniform over all v-1 messages y ≠ 0, is λ.  Translation
         already puts every message in r = b·k/v keys.
 
-        Unanchored, gates first, from cached values: r·v = b·k for r the
-        replication and λ = b·C(k,2)/C(v,2) a positive integer.  Then, with
-        w = r.bit_length(), each key is the int e(key) = Σ_{y∈key} 2^(w·y),
-        summed from a v-entry table of 2^(w·y), and the sum S_x =
-        Σ_{key∋x} e(key) has digit c(x,y) at y ≠ x and r at x in base 2^w.
-        Every digit is at most r < 2^w, so none carries and the
-        representation is unique: the pairs through x are uniform iff S_x =
-        λ·ONES + (r-λ)·2^(w·x), ONES = Σ_y 2^(w·y).  The gates give
-        λ·v·(v-1) = b·k·(k-1), so the v sums of v·w bits stay within a
-        factor k·w of the b·k entries."""
+        Unanchored, `designs.pair_lambda` of the rows and the replication."""
         if self.translation_invariant:
             counts = _tally(self.tails, 1)
             lams = set(counts.values())
             if len(counts) != self.v - 1 or len(lams) != 1:
                 return 0
             return lams.pop()
-        b, k, v, r = self.b, self.k, self.v, self.replication
-        lam, rest = divmod(b * math.comb(k, 2), math.comb(v, 2))
-        if r * v != b * k or rest or not lam:
-            return 0
-        w = r.bit_length()
-        table = [1 << w * y for y in range(v)]
-        sums = [0] * v
-        for row in self.matrix.rows:
-            e = sum(map(table.__getitem__, row))
-            for x in row:
-                sums[x] += e
-        base = lam * (((1 << w * v) - 1) // ((1 << w) - 1))
-        return lam if all(s == base + ((r - lam) << w * x)
-                          for x, s in enumerate(sums)) else 0
+        from .designs import pair_lambda
+        return pair_lambda(self.v, self.matrix.rows, self.replication)
 
     @cached_property
     def tails(self) -> list:
@@ -228,13 +207,13 @@ def check_order(system: SecrecySystem, model: str, i):
 def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     """(anchor, work): anchor is (0,) if the loops at order i ≥ 1 may run
     only through message 0, else (); work is what the translation check is
-    charged before it runs, one step per table entry, per message stepped
-    or put in a frozenset or tuple (sorting included) and per key compared,
-    tested, stored or looked up.  v table entries; the first test steps and
-    sets the k messages of the first row, then sets at most b rows of k and
-    compares each, k + b·(k+1); the sort puts b·k messages in tuples; the
-    set stores b keys, tests b first entries and builds and stores at most
-    b rotated forms of k messages, b·(k+3); stepping the keys steps b·k
+    charged before it runs, one step per table entry, per message stepped,
+    tested or put in a frozenset or tuple (sorting included) and per key
+    tested, stored or looked up.  v table entries; the first test steps
+    and sets the k messages of the first row, then tests at most b keys of
+    k messages, k + b·(k+1); the sort puts b·k messages in tuples; the set
+    stores b keys, tests b first entries and builds and stores at most b
+    rotated forms of k messages, b·(k+3); stepping the keys steps b·k
     messages into b tuples and looks each up, b·(k+1).  In all, v + k +
     b·(4k+5)."""
     work = system.v + system.k + system.b * (4 * system.k + 5)
@@ -265,20 +244,20 @@ def _tally(tails: list, j: int) -> Counter:
 def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
                  budget: int | None, what: str) -> tuple:
     """(work, λ): `SecrecySystem.pair_lambda`, charged its cost U on top of
-    the `work` already charged, before it runs; work is then that sum.  One
-    step per key read (sorting included), message counted or compared,
-    count read and big-int shift, add, subtraction, product, quotient or
-    comparison.  Anchored, `SecrecySystem.tails` reuses the translation
-    check's sorted keys: it tests the b first entries and slices the n =
-    b·k/v keys that start with 0, b + n; the tally makes n·(k-1)
-    increments and the set reads at most n·(k-1) counts; two length tests
-    and the pop make U = b + n·(2k-1) + 3 in all.  Otherwise: r and its
-    max, b·k + min(v, b·k); v table entries; k adds for each e(key) and k
-    into the sums, 2·b·k; 6 for λ·ONES and 3 per sum compared, 4·v + 6
-    with the table."""
+    the `work` already charged, before it runs; work is then that sum.
+    Unanchored, U is `designs.pair_charge`.  Anchored, one step per key
+    read (sorting included), message counted, count read or test:
+    `SecrecySystem.tails` reuses the translation check's sorted keys, tests
+    the b first entries and slices the n = b·k/v keys that start with 0, b
+    + n; the tally makes n·(k-1) increments and the set reads at most
+    n·(k-1) counts; two length tests and the pop make U = b + n·(2k-1) + 3
+    in all."""
     b, k, v = system.b, system.k, system.v
-    work += (b + (2 * k - 1) * (b * k // v) + 3 if anchor
-             else 3 * b * k + min(v, b * k) + 4 * v + 6)
+    if anchor:
+        work += b + (2 * k - 1) * (b * k // v) + 3
+    else:
+        from .designs import pair_charge
+        work += pair_charge(v, b, k)
     charge(work, budget, what=what)
     return work, system.pair_lambda
 

@@ -324,76 +324,68 @@ def cmd_apa(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="output file path")
-    common.add_argument("--budget", type=integer, default=None, metavar="N",
-                        help=f"work budget in elementary steps "
-                             f"(default {ENV_VAR} or 10^8)")
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="stdout format")
-
+def _build_parser(argv):
+    """The parser of every command, with a sub-parser for the first one
+    `argv` names only: the top level takes no positional and no option
+    with a value, so that is the one argparse runs."""
+    commands = {
+        "verify": "verify a design/CDF/APA file",
+        "build": "build a balanced encoding matrix",
+        "attack": "evaluate spoofing/oracle attacks on a matrix file",
+        "params": "exact parameter arithmetic for t-(v,k,lambda)",
+        "catalog": "browse bundled designs, CDFs, APAs, parameter rows",
+        "apa": "generate and verify the bundled APA_1(2,3,11)",
+    }
     parser = argparse.ArgumentParser(
         prog="authdesigns",
         description="Build and analyze authentication systems from "
                     "combinatorial designs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="verify a design/CDF/APA file")
-    p.add_argument("path")
-    p.add_argument("--kind", choices=("design", "cdf", "apa"), required=True)
-    p.add_argument("--t", type=integer, default=None)
-    p.add_argument("--lambda", dest="lambda_", type=integer, default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("build", parents=[common],
-                       help="build a balanced encoding matrix")
-    p.add_argument("path")
-    p.add_argument("--kind", choices=("design", "cdf"), required=True)
-    p.add_argument("--t", type=integer, default=None)
-    p.add_argument("--table", action="store_true",
-                   help="also print the matrix as a labeled table")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("attack", parents=[common],
-                       help="evaluate spoofing/oracle attacks on a matrix file")
-    p.add_argument("path")
-    p.add_argument("--orders", default="0",
-                   help="comma list of orders and a-b ranges, a <= b, no "
-                   "spaces, e.g. 0,1 or 0-2")
-    p.add_argument("--model",
-                   choices=("classic", "oracle-offline", "oracle-online"),
-                   default="classic")
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("params", parents=[common],
-                       help="exact parameter arithmetic for t-(v,k,lambda)")
-    p.add_argument("--t", type=integer, default=None)
-    p.add_argument("--v", type=integer, default=None)
-    p.add_argument("--k", type=integer, default=None)
-    p.add_argument("--lambda", dest="lambda_", type=integer, default=None)
-    p.add_argument("--teirlinck", action="store_true",
-                   help="evaluate the t-(v, t+1, (t+1)!^(2t+1)) family")
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("catalog", parents=[common],
-                       help="browse bundled designs, CDFs, APAs, parameter rows")
-    p.add_argument("action", choices=("list", "show", "export"))
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("apa", parents=[common],
-                       help="generate and verify the bundled APA_1(2,3,11)")
-    p.set_defaults(func=cmd_apa)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=lambda **kwargs: None)
+    for name, text in commands.items():
+        sub.add_parser(name, help=text)
+    name = next((arg for arg in argv if arg in commands), None)
+    if name is None:
+        return parser
+    p = sub.choices[name] = argparse.ArgumentParser(prog=f"authdesigns {name}")
+    p.add_argument("--out", metavar="PATH", help="output file path")
+    p.add_argument("--budget", type=integer, metavar="N", help="work budget "
+                   f"in elementary steps (default {ENV_VAR} or 10^8)")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="stdout format")
+    if name in ("verify", "build", "attack"):
+        p.add_argument("path")
+    if name in ("verify", "build"):
+        p.add_argument("--kind", choices=("design", "cdf", "apa")[
+            :3 if name == "verify" else 2], required=True)
+    if name in ("verify", "build", "params"):
+        p.add_argument("--t", type=integer, default=None)
+    if name == "params":
+        p.add_argument("--v", type=integer, default=None)
+        p.add_argument("--k", type=integer, default=None)
+    if name in ("verify", "params"):
+        p.add_argument("--lambda", dest="lambda_", type=integer, default=None)
+    if name == "params":
+        p.add_argument("--teirlinck", action="store_true",
+                       help="evaluate the t-(v, t+1, (t+1)!^(2t+1)) family")
+    elif name == "build":
+        p.add_argument("--table", action="store_true",
+                       help="also print the matrix as a labeled table")
+    elif name == "attack":
+        p.add_argument("--orders", default="0", help="comma list of orders "
+                       "and a-b ranges, a <= b, no spaces, e.g. 0,1 or 0-2")
+        p.add_argument("--model", default="classic", choices=(
+            "classic", "oracle-offline", "oracle-online"))
+    elif name == "catalog":
+        p.add_argument("action", choices=("list", "show", "export"))
+        p.add_argument("name", nargs="?", default=None)
+    p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         charge(0, args.budget)   # the budget's one check, for every command
         return args.func(args)

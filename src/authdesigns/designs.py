@@ -220,6 +220,46 @@ def tally_report(counts, domain, size: int, expected=None) -> VerificationReport
                               failures=tuple(failures))
 
 
+def pair_charge(v: int, b: int, k: int) -> int:
+    """U, the charge of `pair_lambda` on b rows of k points over v."""
+    return 3 * b * k + min(v, b * k) + 4 * v + 6
+
+
+def pair_lambda(v: int, rows, r: int | None = None) -> int:
+    """λ ≥ 1 when every pair of the points 0..v-1 lies in exactly λ of the
+    b `rows` of k distinct points, else 0; r, the most rows through one
+    point, is counted unless given.
+
+    Gates: r·v = b·k and a whole λ = b·C(k,2)/C(v,2) ≥ 1.  With w =
+    r.bit_length(), row R is e(R) = Σ_{y∈R} 2^(w·y), from a table of
+    2^(w·y), and S_x = Σ_{R∋x} e(R) has digit c(x,y), the rows through x
+    and y, at y ≠ x and r at x in base 2^w.  No digit exceeds r < 2^w, so
+    none carries: the pairs through x are uniform iff S_x = λ·ONES +
+    (r-λ)·2^(w·x), ONES = Σ_y 2^(w·y).  As λ·v·(v-1) = b·k·(k-1), the v
+    sums of v·w bits stay within a factor k·w of the b·k entries.
+
+    The caller charges U = 3·b·k + min(v, b·k) + 4·v + 6 first, a step per
+    entry counted, point compared, table entry and big-int operation: r,
+    b·k + min(v, b·k); the table, v; 2·b·k adds; λ·ONES, 6, and the v sums
+    compared, 3 each."""
+    b, k = len(rows), len(rows[0])
+    if r is None:
+        r = max(Counter(chain.from_iterable(rows)).values())
+    lam, rest = divmod(b * math.comb(k, 2), math.comb(v, 2))
+    if r * v != b * k or rest or not lam:
+        return 0
+    w = r.bit_length()
+    table = [1 << w * y for y in range(v)]
+    sums = [0] * v
+    for row in rows:
+        e = sum(map(table.__getitem__, row))
+        for x in row:
+            sums[x] += e
+    base = lam * (((1 << w * v) - 1) // ((1 << w) - 1))
+    return lam if all(s == base + ((r - lam) << w * x)
+                      for x, s in enumerate(sums)) else 0
+
+
 def verify_design(design: BlockDesign, t: int, lambda_: int | None = None,
                   budget: int | None = None) -> VerificationReport:
     """Count, for every t-subset of points, the blocks containing it.
@@ -229,17 +269,26 @@ def verify_design(design: BlockDesign, t: int, lambda_: int | None = None,
 
     Charge, one step per tally increment, count read and subset scanned:
     b·C(k,t) increments; the C(v,t) counts read for uniformity, only when
-    every t-subset is hit; the scan, at most C(v,t) subsets, so at most
-    2·C(v,t) + b·C(k,t) in all.
-    """
+    every t-subset is hit; the scan, at most C(v,t) subsets, so at most T
+    = 2·C(v,t) + b·C(k,t) in all.  At t = 2, if b·C(k,2)/C(v,2) is whole
+    and U < T, `pair_lambda` runs first at U: its uniform λ, unless
+    `lambda_` differs, is the tally's report; else the tally runs at U + T."""
     check_int("t", t, 1, DomainError)
     if t > design.k:
         raise DomainError(f"t={show_int(t)} exceeds block size k={design.k}")
     if lambda_ is not None:
         check_int("lambda", lambda_, 1, DomainError)
     n_subsets = math.comb(design.v, t)
-    charge(2 * n_subsets + design.b * math.comb(design.k, t), budget,
-           what=f"verifying strength t={t} over C({design.v},{t}) point subsets")
+    incidences = design.b * math.comb(design.k, t)
+    work = 2 * n_subsets + incidences
+    what = f"verifying strength t={t} over C({design.v},{t}) point subsets"
+    if t == 2 and not incidences % n_subsets and (
+            digits := pair_charge(design.v, design.b, design.k)) < work:
+        charge(digits, budget, what=what)
+        if (lam := pair_lambda(design.v, design.blocks)) and lambda_ in (None, lam):
+            return VerificationReport(True, lam, ())
+        work += digits
+    charge(work, budget, what=what)
 
     counts = Counter(chain.from_iterable(
         map(combinations, design.blocks, repeat(t))))

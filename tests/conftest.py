@@ -7,6 +7,8 @@ against other library output.
 
 import random
 from collections import Counter, defaultdict
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -24,6 +26,7 @@ from authdesigns import (
     divisibility_check,
 )
 from authdesigns.balancing import SplitGraph
+from authdesigns.designs import canonical_blocks
 
 # The published balanced ordering of the twofold (13, 3) system built from
 # base blocks {0, 1, 4} and {0, 2, 7} over Z_13: rows e_1..e_26, columns
@@ -123,6 +126,49 @@ def built_systems():
             out.append((name, t, balance(design)))
     assert len(out) >= 20
     return out
+
+
+def pair_corpus():
+    """(name, v, blocks) of families to count pairs on: every catalog entry
+    a system is built from, as a design (CDFs developed), and two seeded
+    relabellings of it; each of these less one block, and over one point
+    more than it uses; the Z_13-orbit of {0, 1, 2, 3}, with r = 4 but pairs
+    in 1 to 3 blocks; and seeded families of C(v,2)/C(k,2) distinct
+    k-sets, whose λ = 1 is whole while r varies."""
+    rng = random.Random(26)
+    cases = []
+    for name in buildable_names():
+        payload = catalog.load_payload(name)
+        design = develop(payload) if catalog.get(name).kind == "cdf" else payload[0]
+        v = design.v
+        for tag in ("", "-relabelled-1", "-relabelled-2"):
+            blocks = design.blocks
+            if tag:
+                perm = rng.sample(range(v), v)
+                blocks = canonical_blocks([perm[x] for x in B] for B in blocks)
+            cases += [(name + tag, v, blocks),
+                      (name + tag + "-less-one", v, blocks[1:]),
+                      (name + tag + "-extra-point", v + 1, blocks)]
+    cases.append(("z13-orbit-0123", 13, canonical_blocks(
+        [(x + g) % 13 for x in range(4)] for g in range(13))))
+    for v, k in ((7, 3), (13, 4), (16, 6), (21, 5), (31, 6)) * 2:
+        blocks = set()
+        while len(blocks) < comb(v, 2) // comb(k, 2):
+            blocks.add(tuple(sorted(rng.sample(range(v), k))))
+        cases.append((f"random-{v}-{k}", v, canonical_blocks(blocks)))
+    return cases
+
+
+def pair_counts(blocks) -> Counter:
+    """The blocks holding each pair, counted pair by pair."""
+    return Counter(pair for B in blocks for pair in combinations(B, 2))
+
+
+def uniform_pair_lambda(v, blocks) -> int:
+    """λ when every pair of 0..v-1 lies in λ ≥ 1 blocks, else 0."""
+    counts = pair_counts(blocks)
+    values = set(counts.values())
+    return values.pop() if len(counts) == comb(v, 2) and len(values) == 1 else 0
 
 
 def make_regular_bipartite(rng: random.Random, n: int, k: int) -> SplitGraph:

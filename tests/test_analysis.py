@@ -37,9 +37,11 @@ from authdesigns import (
     voracle_offline_value,
     voracle_online_value,
 )
+from authdesigns import designs
 from authdesigns.analysis import check_order, report_to_json
 
-from conftest import buildable_names, built_systems, mutate_entry
+from conftest import (buildable_names, built_systems, mutate_entry,
+                      pair_corpus, uniform_pair_lambda)
 
 
 def naive_deception(matrix: EncodingMatrix, i: int) -> Fraction:
@@ -1044,6 +1046,20 @@ def test_anchored_pair_check_is_the_uniform_pair_count():
     assert (len(anchored), sum(anchored)) == (30, 24), anchored
 
 
+def test_both_pair_checks_agree_with_the_pair_count():
+    # `SecrecySystem.pair_lambda` (the anchored count, or the digit sums
+    # through `designs.pair_lambda`) and `designs.pair_lambda` on the rows,
+    # as `verify_design` calls it, both give the uniform pair count or 0
+    anchored = set()
+    for name, v, blocks in pair_corpus():
+        lam = uniform_pair_lambda(v, blocks)
+        system = SecrecySystem(EncodingMatrix(v, len(blocks[0]), blocks))
+        assert system.pair_lambda == designs.pair_lambda(v, blocks) == lam, name
+        anchored.add((system.translation_invariant, bool(lam)))
+    assert anchored == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
 def test_masks_are_built_only_for_online_orders_from_two():
     # every catalog development is a 2-design: the uniform check settles
     # order 1, spoofing at every order when λ = 1 and the online game at
@@ -1356,12 +1372,14 @@ def test_check_order_is_the_one_order_rule(fano_system):
 
 
 def test_importing_analysis_leaves_balancing_unloaded():
-    # analysis names EncodingMatrix only in annotations
+    # analysis names EncodingMatrix only in annotations, and imports
+    # designs only for the pair check of a system without an anchor
     done = subprocess.run(
         [sys.executable, "-c", "import sys, authdesigns.analysis; "
-         "print('authdesigns.balancing' in sys.modules)"],
+         "print('authdesigns.balancing' in sys.modules, "
+         "'authdesigns.designs' in sys.modules)"],
         env=dict(os.environ,
                  PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

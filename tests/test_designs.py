@@ -1,5 +1,6 @@
 """Parameter arithmetic, verification, and constructions for block designs."""
 
+import json
 import math
 import random
 from itertools import combinations
@@ -21,13 +22,19 @@ from authdesigns import (
     teirlinck_params,
     verify_design,
 )
+from authdesigns import catalog, designs, develop
+from authdesigns.cli import main
 from authdesigns.designs import (
     VerificationReport,
     design_from_json,
     design_to_json,
+    pair_charge,
+    pair_lambda,
     tally_report,
 )
 from authdesigns.fileio import MAX_FAILURES, atomic_write_json, load_json
+
+from conftest import pair_corpus, pair_counts, uniform_pair_lambda
 
 
 def _random_admissible(rng: random.Random):
@@ -166,6 +173,129 @@ def test_verify_respects_budget():
     with pytest.raises(BudgetError) as exc:
         verify_design(complete_design(12, 4), 4, budget=10)
     assert exc.value.required > exc.value.budget == 10
+
+
+# ---------------------------------------------------------- pair digit sums
+
+def tallied(design, lam):
+    """The report of the pair tally alone: `tally_report` over every pair."""
+    return tally_report(pair_counts(design.blocks),
+                        combinations(range(design.v), 2),
+                        math.comb(design.v, 2), lam)
+
+
+def digits_first(v, b, k):
+    """(U, T): the charges of the digit sums and of the tally, U = None
+    when `verify_design` at t = 2 runs the tally alone: unless
+    b·C(k,2)/C(v,2) is whole and U < T."""
+    tally, digits = 2 * math.comb(v, 2) + b * math.comb(k, 2), pair_charge(v, b, k)
+    whole = not b * math.comb(k, 2) % math.comb(v, 2)
+    return (digits if whole and digits < tally else None), tally
+
+
+def test_pair_digit_sums_and_the_tally_give_one_report(monkeypatch):
+    # every report, valid or not, equals the tally's; the digit sums run
+    # first exactly where they are cheaper, find the uniform λ, and settle
+    # the report when the declared λ does not contradict it
+    charged, ran = [], []
+    real_charge, real_pairs = designs.charge, designs.pair_lambda
+
+    def spy_charge(required, *args, **kwargs):
+        charged.append(required)
+        return real_charge(required, *args, **kwargs)
+
+    def spy_pairs(*args):
+        ran.append(real_pairs(*args))
+        return ran[-1]
+
+    monkeypatch.setattr(designs, "charge", spy_charge)
+    monkeypatch.setattr(designs, "pair_lambda", spy_pairs)
+    paths = set()
+    for name, v, blocks in pair_corpus():
+        design = BlockDesign(v, blocks)
+        lam = uniform_pair_lambda(v, blocks)
+        assert pair_lambda(v, blocks) == lam, name
+        digits, tally = digits_first(v, design.b, design.k)
+        for declared in (None, lam or None, lam + 1):
+            charged.clear(), ran.clear()
+            assert verify_design(design, 2, declared) == tallied(
+                design, declared), (name, declared)
+            settled = digits and lam and declared in (None, lam)
+            assert ran == ([lam] if digits else []), (name, declared)
+            assert charged == ([tally] if not digits else [digits] if settled
+                               else [digits, digits + tally]), (name, declared)
+            paths.add((bool(digits), bool(settled), bool(lam)))
+    # settled by the digit sums; the digit sums, then the tally, on designs
+    # with a contradicting λ and on families without a uniform λ; the tally
+    # alone, on both
+    assert paths == {(True, True, True), (True, False, True),
+                     (True, False, False), (False, False, True),
+                     (False, False, False)}, paths
+
+
+def test_pair_digit_sums_follow_the_cheaper_charge(monkeypatch):
+    # k ≥ 4 designs take the digit sums; k = 3 Steiner triple systems and
+    # the λ = 2 biplane keep the tally
+    chosen = {}
+    for name in ("cdf-13-4-1", "cdf-337-7-1", "netto-61", "netto-97",
+                 "biplane-cdf-11-5-2", "ag-2-3"):
+        payload = catalog.load_payload(name)
+        d = develop(payload) if catalog.get(name).kind == "cdf" else payload[0]
+        chosen[name] = digits_first(d.v, d.b, d.k)[0] is not None
+    assert chosen == {"cdf-13-4-1": True, "cdf-337-7-1": True,
+                      "netto-61": False, "netto-97": False,
+                      "biplane-cdf-11-5-2": False, "ag-2-3": False}
+    # U on 2-(13,4,1): 3·52 + 13 + 4·13 + 6, below T = 2·78 + 13·6; on
+    # 2-(97,3,1) U = 3·4656 + 97 + 4·97 + 6 is above T = 2·4656 + 1552·3
+    assert digits_first(13, 13, 4) == (227, 234)
+    assert pair_charge(97, 1552, 3) == 14459 > 13968 == digits_first(
+        97, 1552, 3)[1]
+    # t = 3 never asks, though on the complete 3-(8,7,5) U = 214 is below
+    # T = 392 and b·C(k,3)/C(v,3) is whole: the digit sums would give λ₂ = 6
+    design = complete_design(8, 7)
+    assert pair_charge(8, 8, 7) == 214 and pair_lambda(8, design.blocks) == 6
+    monkeypatch.setattr(designs, "pair_lambda", None)
+    assert verify_design(design, 3, budget=392) == VerificationReport(True, 5, ())
+
+
+def verify_cli(capsys, path, budget):
+    code = main(["verify", str(path), "--kind", "design", "--budget",
+                 str(budget), "--out", str(path) + ".r.json"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_pair_digit_sums_are_charged_before_they_run(capsys, tmp_path,
+                                                     monkeypatch):
+    # a valid k ≥ 4 design is charged U alone, a k = 3 one the tally T
+    # alone; a k ≥ 4 family with a whole λ but uneven pairs is charged
+    # U + T before the tally runs
+    for name, cost in (("cdf-13-4-1", 227), ("netto-13", 234)):
+        path = tmp_path / f"{name}.json"
+        design = develop(catalog.load_payload(name))
+        path.write_text(json.dumps(design_to_json(design, 2, 1)))
+        assert verify_cli(capsys, path, cost)[:2] == (
+            0, f"valid: true\ninferred lambda: 1\nreport: {path}.r.json\n")
+        code, out, err = verify_cli(capsys, path, cost - 1)
+        assert (code, out) == (3, "")
+        assert f"needs {cost} elementary steps, budget is {cost - 1}" in err
+    orbit = BlockDesign(13, tuple(tuple((x + g) % 13 for x in range(4))
+                                  for g in range(13)))
+    assert pair_charge(13, 13, 4) + 234 == 461
+    tallies = []
+    real_tally = designs.tally_report
+
+    def spy_tally(*args):
+        tallies.append(args)
+        return real_tally(*args)
+
+    monkeypatch.setattr(designs, "tally_report", spy_tally)
+    with pytest.raises(BudgetError) as exc:
+        verify_design(orbit, 2, budget=460)
+    assert exc.value.required == 461 and not tallies
+    report = verify_design(orbit, 2, budget=461)
+    assert len(tallies) == 1 and report == tallied(orbit, None)
+    assert not report.valid and report.inferred_lambda is None
 
 
 # ------------------------------------------------------------ tally_report
