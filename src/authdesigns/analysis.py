@@ -38,8 +38,13 @@ cyclic difference family), spoofing and the online game at order i ≥ 1 run
 only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
 Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
 unchanged, whatever the orbit lengths.  Other systems have no anchor and
-run the same loops over all messages.  The check sorts each key once
-(`SecrecySystem.sorted_keys`), and the same sort gives the tails.
+run the same loops over all messages.  The check runs in two stages, each
+charged before it runs (`_anchor`).  The entrywise stage steps every row
+entry by entry and looks it up among the rows, sorting nothing; a
+development decides there.  On any miss the sorted stage sorts each key
+once (`SecrecySystem.sorted_keys`) and looks up the sorted translates.
+Anchored, the tails are the keys through 0, each sorted less the 0;
+otherwise they are the sorted keys.
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -77,23 +82,48 @@ class SecrecySystem:
     @cached_property
     def sorted_keys(self) -> list:
         """Each row as a sorted tuple, in row order: the one sort of each
-        key, shared by the translation check and `tails`."""
+        key, made by the sorted stage of the translation check and shared
+        with the unanchored `tails`."""
         return list(map(tuple, map(sorted, self.matrix.rows)))
+
+    @cached_property
+    def entrywise_verdict(self) -> bool | None:
+        """The first stage of `translation_invariant`: True or False when it
+        decides, None when the sorted stage must.
+
+        A key's stabilizer is a subgroup whose cosets partition the key, so
+        its orbit has at least v/k keys: b·k < v refuses before the v-entry
+        table of x+1 mod v is built.  First test: the translate T of the
+        first row, as a set, must be a row.  Every row holds k distinct
+        messages and |T| = k, so T ⊇ row iff T = row: `T.issuperset` scans
+        the rows as they are, unsorted, and stops at the first match.
+
+        Then, if the first row stepped through the table is itself a row
+        tuple, every row is stepped entry by entry, column by column, and
+        looked up in the set of the rows.  A stepped tuple that is a row
+        has a key as its set, so when every one is a row, x ↦ x+1 maps
+        every key set onto a key set and no key is sorted.  Developments
+        (`develop_matrix`, and `build --kind cdf` read back) hit here; any
+        miss leaves the verdict to the sorted stage."""
+        if self.b * self.k < self.v:
+            return False
+        rows, step = self.matrix.rows, [*range(1, self.v), 0]
+        first = tuple(map(step.__getitem__, rows[0]))
+        if not any(map(frozenset(first).issuperset, rows)):
+            return False
+        known = set(rows)
+        if first in known and all(map(known.__contains__, _stepped(step, rows))):
+            return True
+        return None
 
     @cached_property
     def translation_invariant(self) -> bool:
         """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
-        permutes the keys, rows being distinct sets).
+        permutes the keys, rows being distinct sets): `entrywise_verdict`
+        when it decides, else the sorted stage.
 
-        A key's stabilizer is a subgroup whose cosets partition the key, so
-        its orbit has at least v/k keys: b·k < v refuses before the v-entry
-        table is built.  First test: the translate T of the first row, as a
-        set, must be a row.  Every row holds k distinct messages and |T| =
-        k, so T ⊇ row iff T = row: `T.issuperset` scans the rows as they
-        are, unsorted, and stops at the first match.
-
-        Then every key is one sorted tuple (`sorted_keys`), stepped entry
-        by entry through a table of x+1 mod v, column by column.  For a
+        Sorted stage: every key is one sorted tuple (`sorted_keys`),
+        stepped entry by entry through the table, column by column.  For a
         sorted key K without v-1 the stepped tuple is sorted(K+1).  If K
         holds v-1, its last entry steps to 0, so the stepped tuple is
         sorted(K+1) with its leading 0 moved to the end: the rotated form
@@ -102,17 +132,13 @@ class SecrecySystem:
         those starting with 0.  For k ≥ 2 a rotated form ends with 0
         after a larger entry and is never sorted, so neither kind stands
         in for the other (for k = 1 the two coincide).  Time and memory
-        grow as v + b·k."""
-        if self.b * self.k < self.v:
-            return False
-        rows, step = self.matrix.rows, [*range(1, self.v), 0]
-        if not any(map(frozenset(map(step.__getitem__, rows[0])).issuperset, rows)):
-            return False
+        of both stages grow as v + b·k."""
+        if (verdict := self.entrywise_verdict) is not None:
+            return verdict
         keys = self.sorted_keys
         known = set(keys)
         known.update(t[1:] + (0,) for t in keys if not t[0])
-        return all(map(known.__contains__, zip(*map(
-            map, repeat(step.__getitem__), zip(*keys)))))
+        return all(map(known.__contains__, _stepped([*range(1, self.v), 0], keys)))
 
     @cached_property
     def entry_counts(self) -> Counter:
@@ -148,12 +174,15 @@ class SecrecySystem:
 
     @cached_property
     def tails(self) -> list:
-        """The sorted keys as lists, or anchored (module docstring) those
-        through 0, which start with 0, with the 0 removed.  Read only
-        after `_anchor` has charged the translation check, whose sort they
-        reuse."""
+        """Anchored (module docstring), the rows holding 0, in row order,
+        each sorted with the 0 dropped, so an entrywise hit of the
+        translation check never sorts the other keys; otherwise the sorted
+        keys as lists.  Read only after `_anchor` has charged the
+        translation check.  Anchored, the U of `_pair_lambda` counts their
+        making; otherwise the loops that read them count a step per key
+        read, its sort included."""
         if self.translation_invariant:
-            return [list(t[1:]) for t in self.sorted_keys if not t[0]]
+            return [sorted(row)[1:] for row in self.matrix.rows if 0 in row]
         return list(map(list, self.sorted_keys))
 
     @cached_property
@@ -207,17 +236,30 @@ def check_order(system: SecrecySystem, model: str, i):
 def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     """(anchor, work): anchor is (0,) if the loops at order i ≥ 1 may run
     only through message 0, else (); work is what the translation check is
-    charged before it runs, one step per table entry, per message stepped,
-    tested or put in a frozenset or tuple (sorting included) and per key
-    tested, stored or looked up.  v table entries; the first test steps
-    and sets the k messages of the first row, then tests at most b keys of
-    k messages, k + b·(k+1); the sort puts b·k messages in tuples; the set
-    stores b keys, tests b first entries and builds and stores at most b
-    rotated forms of k messages, b·(k+3); stepping the keys steps b·k
-    messages into b tuples and looks each up, b·(k+1).  In all, v + k +
-    b·(4k+5)."""
-    work = system.v + system.k + system.b * (4 * system.k + 5)
-    charge(work, budget, what=f"translation check over {system.b} keys")
+    charged, each stage before it runs, one step per table entry, per
+    message stepped, tested or put in a frozenset or tuple (sorting
+    included) and per key tested, stored or looked up.
+
+    Entrywise stage (`SecrecySystem.entrywise_verdict`), always: v table
+    entries; the first test steps the k messages of the first row into a
+    tuple and sets them, then tests at most b keys of k messages, 2k +
+    b·(k+1); the set stores the b rows and looks up the stepped first row,
+    b + 1; stepping the rows steps b·k messages into b tuples and looks
+    each up, b·(k+1).  E = v + 2k + 1 + b·(2k+3).
+
+    Sorted stage, on top only when the entrywise stage leaves the verdict
+    to it: v table entries again; the sort puts b·k messages in tuples;
+    the set stores b keys, tests b first entries and builds and stores at
+    most b rotated forms of k messages, b·(k+3); stepping the keys steps
+    b·k messages into b tuples and looks each up, b·(k+1).  S = v +
+    b·(3k+4)."""
+    b, k, v = system.b, system.k, system.v
+    what = f"translation check over {b} keys"
+    work = v + 2 * k + 1 + b * (2 * k + 3)
+    charge(work, budget, what=what)
+    if system.entrywise_verdict is None:
+        work += v + b * (3 * k + 4)
+        charge(work, budget, what=what)
     return (0,) if system.translation_invariant else (), work
 
 
@@ -236,6 +278,12 @@ def _order_zero(system: SecrecySystem, budget: int | None,
     return Fraction(system.replication, system.b)
 
 
+def _stepped(step: list, rows) -> zip:
+    """Each row stepped entry by entry through the table `step`, as tuples,
+    one column at a time."""
+    return zip(*map(map, repeat(step.__getitem__), zip(*rows)))
+
+
 def _tally(tails: list, j: int) -> Counter:
     """The Counter of the j-subsets of the tails, one increment each."""
     return Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
@@ -245,16 +293,15 @@ def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
                  budget: int | None, what: str) -> tuple:
     """(work, λ): `SecrecySystem.pair_lambda`, charged its cost U on top of
     the `work` already charged, before it runs; work is then that sum.
-    Unanchored, U is `designs.pair_charge`.  Anchored, one step per key
-    read (sorting included), message counted, count read or test:
-    `SecrecySystem.tails` reuses the translation check's sorted keys, tests
-    the b first entries and slices the n = b·k/v keys that start with 0, b
-    + n; the tally makes n·(k-1) increments and the set reads at most
-    n·(k-1) counts; two length tests and the pop make U = b + n·(2k-1) + 3
-    in all."""
+    Unanchored, U is `designs.pair_charge`.  Anchored, one step per
+    message scanned, sorted, sliced, counted or read and per test:
+    `SecrecySystem.tails` scans the b rows for 0, b·k, and sorts the n =
+    b·k/v rows holding 0 and slices the 0 off, n·(2k-1); the tally makes
+    n·(k-1) increments and the set reads at most n·(k-1) counts; two
+    length tests and the pop make U = b·k + n·(4k-3) + 3 in all."""
     b, k, v = system.b, system.k, system.v
     if anchor:
-        work += b + (2 * k - 1) * (b * k // v) + 3
+        work += b * k + (4 * k - 3) * (b * k // v) + 3
     else:
         from .designs import pair_charge
         work += pair_charge(v, b, k)

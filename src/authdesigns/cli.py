@@ -3,8 +3,10 @@
 Thin wrappers over the library: identical inputs through the CLI and the
 library produce identical artifacts.  Exit codes are a stable contract:
 0 success/valid, 1 domain failure (including failed verification), 2
-malformed input, 3 work budget exceeded.  Each command imports only the
-library modules it runs; `--help` and argument errors load none.
+malformed input, 3 work budget exceeded, 141 stdout closed by its reader
+(128 + SIGPIPE, as a shell reports a command the signal ends).  Each
+command imports only the library modules it runs; `--help` and argument
+errors load none.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 def _decimal(n: int) -> str:
@@ -388,7 +391,14 @@ def main(argv=None) -> int:
     args = _build_parser(argv).parse_args(argv)
     try:
         charge(0, args.budget)   # the budget's one check, for every command
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed stdout shows here, not at shutdown
+        return code
+    except BrokenPipeError:   # the reader went away, as `| head` does
+        # nothing is wrong with the input; stdout goes to devnull so the
+        # flush at shutdown prints nothing (the Python docs' SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

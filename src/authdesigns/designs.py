@@ -123,9 +123,8 @@ def teirlinck_params(t: int, v: int):
     # a v of at most t(2t+1) bits is refused before the modulus is built
     if v.bit_length() <= t * (2 * t + 1) or (
             (v - t) % (modulus := math.factorial(t + 1) ** (2 * t + 1))):
-        # the size, not v: an int past the digit limit cannot be printed
         raise DomainError(f"v must satisfy v ≡ t (mod {t + 1}!^{2 * t + 1}) "
-                          f"with v > t, got a v of {v.bit_length()} bits")
+                          f"with v > t, got {show_int(v)}")
     params = DesignParameters(t=t, v=v, k=t + 1, lambda_=modulus)
     return params, params.b
 

@@ -89,14 +89,14 @@ def _reject_short_orbits(df: DifferenceFamily):
         if shifts[0] in shifts[1:]:
             g = (block[shifts.index(shifts[0], 1)] - block[0]) % df.v
             raise DomainError(
-                f"base block {block} has a short orbit (stabilized by g={g}); "
-                "only full-orbit families are supported")
+                f"base block {show_int(block)} has a short orbit (stabilized "
+                f"by g={show_int(g)}); only full-orbit families are supported")
         canons.append(min(shifts))
     seen = {}
     for block, canon in zip(df.base_blocks, canons):
         if canon in seen:
-            raise DomainError(f"base blocks {seen[canon]} and {block} "
-                              "lie in the same translation orbit")
+            raise DomainError(f"base blocks {show_int(seen[canon])} and "
+                              f"{show_int(block)} lie in the same translation orbit")
         seen[canon] = block
 
 
@@ -181,7 +181,7 @@ def smallest_primitive_root(q: int, budget: int | None = None) -> int:
     exact divisions factor q-1; the search tries at most q-1 candidates
     against at most L-1 prime factors.  In all isqrt(q) + L + (q-1)·(L-1)."""
     if not is_prime(q):
-        raise DomainError(f"{q} is not prime")
+        raise DomainError(f"{show_int(q)} is not prime")
     L = q.bit_length()
     charge(isqrt(q) + L + (q - 1) * (L - 1), budget,
            what=f"primitive root search mod {show_int(q)}")

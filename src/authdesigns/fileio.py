@@ -82,8 +82,17 @@ def require(condition, message, offenders=None):
         raise StructuralError(message, offenders=offenders)
 
 
+class _Short(reprlib.Repr):
+    """reprlib's bounds, with each int inside a value echoed by `show_int`,
+    so an int past the int-to-text digit limit names its size instead of
+    raising ValueError (reprlib's own `repr_int` raises before 3.14)."""
+
+    def repr_int(self, x, level):
+        return show_int(x)
+
+
 # the Repr bounds an echo's work, SHOW_LIMIT its text (no Repr arguments before 3.12)
-_short = reprlib.Repr()
+_short = _Short()
 _short.maxlevel = 4
 _short.maxtuple = _short.maxlist = 10
 SHOW_LIMIT = 400

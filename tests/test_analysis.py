@@ -13,7 +13,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, gcd
 from pathlib import Path
 
@@ -26,9 +26,11 @@ from authdesigns import (
     EncodingMatrix,
     SecrecySystem,
     analyze,
+    balance,
     catalog,
     deception_bound,
     deception_probability,
+    develop,
     develop_matrix,
     offline_bound,
     online_bound,
@@ -701,10 +703,49 @@ def translation_cases(seed):
     return cases
 
 
+def entrywise_cases(seed):
+    """(kind, matrix) from developments in the entrywise layout, row g of
+    each orbit (d_1+g, ..., d_k+g) mod v: the catalog's and seeded full
+    orbits over v <= 12.  "hit": the rows shuffled, so the entrywise stage
+    decides.  "rotated": the same rows, row g rotated g places within the
+    row, then shuffled; row g stepped is row g+1 rotated g places, which
+    the matrix holds rotated g+1 places (mod k), so the sorted stage
+    decides, invariant.  "less": the shuffled
+    rows less the translate of one row, the first row and its translate
+    kept, so the first test and the gate pass and the check refuses."""
+    rng = random.Random(seed)
+    layouts = [matrix for _, matrix in catalog_developments()]
+    while len(layouts) < 40:
+        v = rng.randint(3, 12)
+        k = rng.randint(2, v - 1)
+        bases = [rng.sample(range(v), k) for _ in range(rng.randint(1, 3))]
+        rows = tuple(tuple((x + g) % v for x in base)
+                     for base in bases for g in range(v))
+        if len(set(map(frozenset, rows))) == len(rows):
+            layouts.append(EncodingMatrix(v, k, rows))
+    for matrix in layouts:
+        v, k = matrix.v, matrix.k
+        hit = list(matrix.rows)
+        rng.shuffle(hit)
+        rotated = [row[g % v % k:] + row[:g % v % k]
+                   for g, row in enumerate(matrix.rows)]
+        rng.shuffle(rotated)
+        translate = {frozenset(row): tuple((m + 1) % v for m in row)
+                     for row in hit}
+        keep = {hit[0], translate[frozenset(hit[0])]}
+        drop = rng.choice([translate[frozenset(row)] for row in hit
+                           if translate[frozenset(row)] not in keep])
+        yield "hit", EncodingMatrix(v, k, tuple(hit))
+        yield "rotated", EncodingMatrix(v, k, tuple(rotated))
+        yield "less", EncodingMatrix(v, k, tuple(
+            row for row in hit if row != drop))
+
+
 def test_translation_check_matches_frozenset_oracle():
     # the verdict against the frozenset oracle, and the tails against
     # their definition: anchored, the rows through 0, sorted, less the 0;
-    # otherwise every row sorted; in row order
+    # otherwise every row sorted; in row order.  Entrywise layouts are
+    # decided by the stage their kind names, and a hit sorts no key
     cases = [EncodingMatrix(1, 1, ((0,),)), EncodingMatrix(2, 1, ((0,), (1,))),
              EncodingMatrix(2, 1, ((1,),)), EncodingMatrix(2, 2, ((1, 0),)),
              *SHORT_ORBITS, *random_small_systems(61, 40),
@@ -713,18 +754,28 @@ def test_translation_check_matches_frozenset_oracle():
         for image in affine_images(matrix, seed):
             cases += [image, relabelled(image, seed),
                       EncodingMatrix(image.v, image.k, image.rows[1:])]
-    verdicts = Counter()
-    for matrix in cases:
+    verdicts, stages = Counter(), Counter()
+    for matrix, kind in (*zip(cases, repeat(None)),
+                         *((m, kind) for kind, m in entrywise_cases(109))):
         system = SecrecySystem(matrix)
         verdict = frozenset_translation_check(matrix)
         assert system.translation_invariant == verdict, matrix
         a = 1 if verdict else 0
         assert system.tails == [sorted(row)[a:] for row in matrix.rows
                                 if not a or 0 in row], matrix
+        stage = system.entrywise_verdict
+        assert ("sorted_keys" in vars(system)) == (stage is None or not a)
+        if kind is not None:
+            assert (stage, verdict) == {"hit": (True, True),
+                                        "rotated": (None, True),
+                                        "less": (None, False)}[kind], matrix
+            stages[kind] += 1
+            continue
         step = frozenset((m + 1) % matrix.v for m in matrix.rows[0])
         first_test = step in map(frozenset, matrix.rows)
         wraps = matrix.k > 1 and any(matrix.v - 1 in r for r in matrix.rows)
         verdicts[verdict, first_test, wraps] += 1
+    assert stages == {"hit": 40, "rotated": 40, "less": 40}, stages
     # invariant with keys through v-1; refused by the full check alone;
     # refused by the first test
     assert verdicts[True, True, True] >= 60, verdicts
@@ -871,14 +922,15 @@ def test_pair_tally_paths_match_the_naive_oracles():
         a = 1 if system.translation_invariant else 0
         b, k, v, lam = matrix.b, matrix.k, matrix.v, system.pair_lambda
         uniform_r = system.replication * v == b * k
+        s = takes_sorted_stage(matrix)
         for i in range(1, min(3, k)):
             assert charged_exactly(
                 deception_probability, matrix, i,
-                deception_charge(b, k, v, i, a, lam)) == naive_deception(
+                deception_charge(b, k, v, i, a, lam, s)) == naive_deception(
                     matrix, i), (name, i)
         assert charged_exactly(
             voracle_online_value, matrix, 1,
-            online_charge(b, k, v, 1, a, lam, uniform_r)) == naive_online(
+            online_charge(b, k, v, 1, a, lam, uniform_r, s)) == naive_online(
                 matrix, 1), name
         # the branches these cases are meant to reach: λ from the uniform
         # check, then, when it is 0, whether the fallback's pair tally
@@ -989,12 +1041,12 @@ def test_uniform_pair_check_settles_orders_one_and_two():
         assert system.pair_lambda == gate_lambda(system) == lam, name
         # the check settles orders 1 and 2 (at order 2 only when λ = 1):
         # each call is charged the check's path and no more
-        b, k, v = matrix.b, matrix.k, matrix.v
+        b, k, v, s = matrix.b, matrix.k, matrix.v, takes_sorted_stage(matrix)
         for i in range(1, min(3, k)):
             charged_exactly(deception_probability, matrix, i,
-                            deception_charge(b, k, v, i, anchored, lam))
-        charged_exactly(voracle_online_value, matrix, 1,
-                        online_charge(b, k, v, 1, anchored, lam))
+                            deception_charge(b, k, v, i, anchored, lam, s))
+        charged_exactly(voracle_online_value, matrix, 1, online_charge(
+            b, k, v, 1, anchored, lam, sorted_stage=s))
     assert replications == [1, 2, 4, 4, 3]
 
 
@@ -1021,11 +1073,12 @@ def test_uniform_pair_check_falls_back_on_uneven_pairs():
         assert system.pair_lambda == 0, name
         # and each call is charged the fallback on top of the check
         b, k, v, a = matrix.b, matrix.k, matrix.v, system.translation_invariant
+        s = takes_sorted_stage(matrix)
         for i in (1, 2):
             charged_exactly(deception_probability, matrix, i,
-                            deception_charge(b, k, v, i, a, 0))
+                            deception_charge(b, k, v, i, a, 0, s))
         charged_exactly(voracle_online_value, matrix, 1, online_charge(
-            b, k, v, 1, a, 0, system.replication * v == b * k))
+            b, k, v, 1, a, 0, system.replication * v == b * k, s))
 
 
 def test_anchored_pair_check_is_the_uniform_pair_count():
@@ -1079,16 +1132,17 @@ def test_masks_are_built_only_for_online_orders_from_two():
             assert "message_masks" not in vars(system)
             assert vars(system)["pair_lambda"] == lam
             anchored = system.translation_invariant
-            check_alone = uniform_charge(b, k, v, anchored)
+            s = takes_sorted_stage(case)
+            check_alone = uniform_charge(b, k, v, anchored, s)
             for i in range(1, k):
                 for fn, documented in ((deception_probability, deception_charge),
                                        (voracle_online_value, online_charge)):
-                    cost = documented(b, k, v, i, anchored, lam)
+                    cost = documented(b, k, v, i, anchored, lam, sorted_stage=s)
                     assert charged_exactly(fn, case, i, cost) == fn(system, i)
                     assert (cost == check_alone) == (i == 1 or lam == 1)
             assert ("message_masks" in vars(system)) == (lam != 1)
             if comb(v, k + 1) <= 2000:
-                cost = online_charge(b, k, v, k, anchored, lam)
+                cost = online_charge(b, k, v, k, anchored, lam, sorted_stage=s)
                 assert charged_exactly(voracle_online_value, case, k, cost) == (
                     voracle_online_value(system, k))
                 assert "message_masks" in vars(system)
@@ -1124,9 +1178,10 @@ def test_steiner_closed_forms_match_the_brute_force():
         for case in (matrix, relabelled(matrix, seed)):
             system = SecrecySystem(case)
             anchored = system.translation_invariant
+            s = takes_sorted_stage(case)
             for i in range(2, k):
                 online = charged_exactly(voracle_online_value, case, i,
-                                         uniform_charge(b, k, v, anchored))
+                                         uniform_charge(b, k, v, anchored, s))
                 assert online == voracle_online_value(system, i) == Fraction(
                     (i + 1) * (r - 1) + 1, b), (name, i)
                 assert deception_probability(system, i) == 1
@@ -1154,9 +1209,10 @@ def test_steiner_closed_forms_leave_other_systems_to_the_loops():
         system = SecrecySystem(matrix)
         b, k, v = matrix.b, matrix.k, matrix.v
         lam, anchored = system.pair_lambda, system.translation_invariant
+        s = takes_sorted_stage(matrix)
         assert (lam, i < k) != (1, True)
-        cost = online_charge(b, k, v, i, anchored, lam)
-        assert cost > uniform_charge(b, k, v, anchored)
+        cost = online_charge(b, k, v, i, anchored, lam, sorted_stage=s)
+        assert cost > uniform_charge(b, k, v, anchored, s)
         value = charged_exactly(voracle_online_value, matrix, i, cost)
         # the Fano plane less a row has no automorphism moving message 0
         expected = (naive_online(matrix, i) if matrix is less
@@ -1166,7 +1222,7 @@ def test_steiner_closed_forms_leave_other_systems_to_the_loops():
         if i < k:
             assert charged_exactly(
                 deception_probability, matrix, i,
-                deception_charge(b, k, v, i, anchored, lam)) == naive_deception(
+                deception_charge(b, k, v, i, anchored, lam, s)) == naive_deception(
                     matrix, i)
     # i = k: below the closed form ((i+1)·(r-1) + 1)/b, 21/26 and 117/610
     assert voracle_online_value(SecrecySystem(z13), 3) == Fraction(19, 26)
@@ -1184,48 +1240,62 @@ def test_budget_errors(z13_system):
         assert exc.value.required > 5
 
 
-def order_zero_charge(b, k, v, anchored):
+def takes_sorted_stage(matrix):
+    """Whether the translation check runs its sorted stage, from the
+    definition of the entrywise stage: the first test passes and some row,
+    stepped entry by entry, is not a row tuple."""
+    v, rows = matrix.v, matrix.rows
+    if matrix.b * matrix.k < v or frozenset(
+            (m + 1) % v for m in rows[0]) not in set(map(frozenset, rows)):
+        return False
+    return not {tuple((m + 1) % v for m in row) for row in rows} <= set(rows)
+
+
+def order_zero_charge(b, k, v, anchored, sorted_stage=False):
     """The documented charge of order 0 in every model, and of the offline
     game at every order: the translation check, then, with no anchor, one
     count of the b·k entries."""
-    return translation_charge(b, k, v) + (
+    return translation_charge(b, k, v, sorted_stage) + (
         0 if anchored else b * k + min(v, b * k))
 
 
-def translation_charge(b, k, v):
-    """The documented charge of the translation check."""
-    return v + k + b * (4 * k + 5)
+def translation_charge(b, k, v, sorted_stage=False):
+    """The documented charge of the translation check: the entrywise stage,
+    and the sorted stage on top when it runs."""
+    return v + 2 * k + 1 + b * (2 * k + 3) + (
+        v + b * (3 * k + 4) if sorted_stage else 0)
 
 
-def uniform_charge(b, k, v, anchored):
+def uniform_charge(b, k, v, anchored, sorted_stage=False):
     """The documented charge of the translation check and the uniform pair
     check after it, both charged before they run."""
-    return translation_charge(b, k, v) + (
-        b + (2 * k - 1) * (b * k // v) + 3 if anchored
+    return translation_charge(b, k, v, sorted_stage) + (
+        b * k + (4 * k - 3) * (b * k // v) + 3 if anchored
         else 3 * b * k + min(v, b * k) + 4 * v + 6)
 
 
-def deception_charge(b, k, v, i, anchored, lam):
+def deception_charge(b, k, v, i, anchored, lam, sorted_stage=False):
     """The documented charge of `deception_probability`; λ = 0 when the
     uniform check fails."""
     if i == 0:
-        return order_zero_charge(b, k, v, anchored)
+        return order_zero_charge(b, k, v, anchored, sorted_stage)
     a = 1 if anchored else 0
     n = b * k // v if anchored else b
-    work = uniform_charge(b, k, v, anchored)
+    work = uniform_charge(b, k, v, anchored, sorted_stage)
     if lam and (i == 1 or lam == 1):
         return work
     return work + 2 * b + n * comb(k - a, i - a) * (2 * (k - a) + 4)
 
 
-def online_charge(b, k, v, i, anchored, lam, uniform_r=True):
+def online_charge(b, k, v, i, anchored, lam, uniform_r=True,
+                  sorted_stage=False):
     """The documented charge of `voracle_online_value`; λ = 0 when the
     uniform check fails, uniform_r whether every message lies in r keys."""
     if i == 0:
-        return order_zero_charge(b, k, v, anchored)
+        return order_zero_charge(b, k, v, anchored, sorted_stage)
     a = 1 if anchored else 0
-    work = (uniform_charge(b, k, v, anchored) if i == 1 or i < k
-            else translation_charge(b, k, v))
+    work = (uniform_charge(b, k, v, anchored, sorted_stage) if i == 1 or i < k
+            else translation_charge(b, k, v, sorted_stage))
     if lam == 1 and i < k or lam and i == 1:
         return work
     if i == 1:
@@ -1247,7 +1317,9 @@ def charged_exactly(fn, matrix, i, cost):
 
 
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check is charged v + k + b·(4k+5) before it runs, then
+    # the translation check's entrywise stage is charged v + 2k + 1 +
+    # b·(2k+3) before it runs (Z_13 hits there, and its relabelled copy is
+    # refused by the first test, so neither runs the sorted stage), then
     # the uniform pair check with it before that runs; on Z_13 (λ = 1,
     # k = 3) that settles spoofing at orders 1 and 2 and the online game at
     # orders 1 and 2; at order 3 = k the online game charges the mask loop
@@ -1280,20 +1352,52 @@ def test_budget_charges_on_both_paths(z13_system):
             assert exc.value.required == order_zero_charge(b, k, v, False)
             assert fn(z13_system, i, budget=translation_charge(b, k, v)) == (
                 Fraction(k, v))
-    # anchored, the check reads the 26 keys and counts the 6 through 0;
-    # unanchored it counts r and sums all 26 into 13 rows
-    assert translation_charge(b, k, v) == 13 + 3 + 26 * 17 == 458
-    assert uniform_charge(b, k, v, True) == 458 + 26 + 30 + 3
-    assert uniform_charge(b, k, v, False) == 458 + 234 + 13 + 52 + 6
+    # anchored, the check scans the 26 keys for 0, sorts the 6 through 0
+    # and counts them; unanchored it counts r and sums all 26 into 13 rows
+    assert translation_charge(b, k, v) == 13 + 7 + 26 * 9 == 254
+    assert uniform_charge(b, k, v, True) == 254 + 78 + 54 + 3
+    assert uniform_charge(b, k, v, False) == 254 + 234 + 13 + 52 + 6
     for i in (1, 2):
-        assert deception_charge(b, k, v, i, True, 1) == 517
-        assert deception_charge(b, k, v, i, False, 1) == 763
-        assert online_charge(b, k, v, i, True, 1) == 517
+        assert deception_charge(b, k, v, i, True, 1) == 389
+        assert deception_charge(b, k, v, i, False, 1) == 559
+        assert online_charge(b, k, v, i, True, 1) == 389
     # the masks, 3 ORs for each of the C(11, 2) prefixes through 0, and an
     # OR and a popcount for each of the C(12, 3) sets
-    assert online_charge(b, k, v, 3, True, 1) == 458 + 78 + 165 + 440
-    assert order_zero_charge(b, k, v, True) == 458
-    assert order_zero_charge(b, k, v, False) == 458 + 91
+    assert online_charge(b, k, v, 3, True, 1) == 254 + 78 + 165 + 440
+    assert order_zero_charge(b, k, v, True) == 254
+    assert order_zero_charge(b, k, v, False) == 254 + 91
+
+
+def test_translation_check_charges_each_stage_before_it_runs(z13_system):
+    # Z_13 as developed hits at the entrywise stage and is charged it
+    # alone; balanced by edge colouring, its keys sit in other column
+    # orders, the entrywise stage misses, and the sorted stage is charged
+    # on top before it runs.  Anchored, order 0 is the check alone, and
+    # order 1 adds the uniform pair check
+    balanced = balance(develop(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7)))))
+    b, k, v = 26, 3, 13
+    entrywise = translation_charge(b, k, v)
+    for matrix, sorted_stage in ((z13_system.matrix, False), (balanced, True)):
+        assert takes_sorted_stage(matrix) == sorted_stage
+        check = translation_charge(b, k, v, sorted_stage)
+        assert charged_exactly(voracle_offline_value, matrix, 0, check) == (
+            Fraction(k, v))
+        assert charged_exactly(deception_probability, matrix, 1, uniform_charge(
+            b, k, v, True, sorted_stage)) == Fraction(1, 6)
+        system = SecrecySystem(matrix)
+        with pytest.raises(BudgetError) as exc:
+            voracle_offline_value(system, 0, budget=entrywise - 1)
+        assert exc.value.required == entrywise
+        assert "entrywise_verdict" not in vars(system)
+        if sorted_stage:   # the entrywise stage ran, the sorted one did not
+            with pytest.raises(BudgetError) as exc:
+                voracle_offline_value(system, 0, budget=entrywise)
+            assert exc.value.required == check
+            assert system.entrywise_verdict is None
+            assert "translation_invariant" not in vars(system)
+        assert voracle_offline_value(system, 0, budget=check) == Fraction(k, v)
+        assert ("sorted_keys" in vars(system)) == sorted_stage
+    assert translation_charge(b, k, v, True) == 254 + 13 + 26 * 13 == 605
 
 
 def charge_cases():
@@ -1325,17 +1429,18 @@ def test_order_one_and_two_charges_are_pinned():
     for name, system, anchored, lam, uniform_r in charge_cases():
         assert system.translation_invariant == anchored, name
         b, k, v = system.b, system.k, system.v
+        s = takes_sorted_stage(system.matrix)
         calls = [(deception_probability, i,
-                  deception_charge(b, k, v, i, anchored, lam)) for i in (1, 2)]
+                  deception_charge(b, k, v, i, anchored, lam, s)) for i in (1, 2)]
         calls.append((voracle_online_value, 1,
-                      online_charge(b, k, v, 1, anchored, lam, uniform_r)))
+                      online_charge(b, k, v, 1, anchored, lam, uniform_r, s)))
         for fn, i, cost in calls:
             assert charged_exactly(fn, system.matrix, i, cost) == fn(
                 system, i), (name, i)
             assert system.pair_lambda == lam, name
             settled = bool(lam) and (i == 1 or lam == 1)
             # the check alone, or the fallback on top of it
-            assert (cost == uniform_charge(b, k, v, anchored)) == settled
+            assert (cost == uniform_charge(b, k, v, anchored, s)) == settled
             seen.add((fn.__name__, i, anchored, settled,
                       uniform_r if fn is voracle_online_value else None))
     assert len(seen) == 13, sorted(seen)
@@ -1344,13 +1449,13 @@ def test_order_one_and_two_charges_are_pinned():
     # order 1 loops over the 21 (key, message) pairs, and r being uniform,
     # the online game reads the 21 pairs once for the min instead of four
     # steps each in the scan
-    assert uniform_charge(26, 3, 13, False) == 763
-    assert online_charge(26, 3, 13, 1, False, 1) == 763
-    assert uniform_charge(7, 3, 7, False) == 129 + 63 + 7 + 28 + 6
-    assert deception_charge(7, 3, 7, 1, False, 0) == 233 + 14 + 21 * 10
-    assert online_charge(7, 3, 7, 1, False, 0) == 233 + 7 + 21 + 21
+    assert uniform_charge(26, 3, 13, False) == 559
+    assert online_charge(26, 3, 13, 1, False, 1) == 559
+    assert uniform_charge(7, 3, 7, False) == 77 + 63 + 7 + 28 + 6
+    assert deception_charge(7, 3, 7, 1, False, 0) == 181 + 14 + 21 * 10
+    assert online_charge(7, 3, 7, 1, False, 0) == 181 + 7 + 21 + 21
     assert online_charge(7, 3, 7, 1, False, 0, uniform_r=False) == (
-        233 + 7 + 7 + 21 + 4 * 21)
+        181 + 7 + 7 + 21 + 4 * 21)
 
 
 def test_check_order_is_the_one_order_rule(fano_system):

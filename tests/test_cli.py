@@ -17,7 +17,7 @@ import pytest
 from authdesigns import van_rees_array
 from authdesigns.apa import apa_from_json
 from authdesigns.balancing import matrix_from_json, matrix_to_json
-from authdesigns.cli import main
+from authdesigns.cli import EXIT_PIPE, main
 from authdesigns.difference_families import df_from_json, df_to_json
 from authdesigns.fileio import atomic_write_json, digest, load_json
 
@@ -186,6 +186,24 @@ def test_build_design_bytes_independent_of_hash_seed(capsys, tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_a_closed_stdout_ends_quietly(capsys, tmp_path):
+    # the reader takes one line of the 151 KB table and closes the pipe, as
+    # `| head -1` does: the write that finds it closed ends the command with
+    # exit 141, and nothing is printed, neither then nor at shutdown
+    family = tmp_path / "f.json"
+    assert run(capsys, "catalog", "export", "cdf-337-7-1",
+               "--out", str(family))[0] == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "authdesigns.cli", "build", str(family),
+             "--kind", "cdf", "--out", str(tmp_path / "m.json"), "--table"],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"v=337 k=7 b=2696 b/v=8 class=optimal\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_PIPE == 141
+        assert proc.stderr.read() == b""
 
 
 def test_build_refuses_indivisible_design(capsys, tmp_path):
@@ -637,9 +655,13 @@ def test_refusals_echo_bounded_values(capsys, tmp_path, argv, doc, code, names):
     (["build", "--kind", "cdf"],
      {"v": 7, "lambda": 2, "base_blocks": [[1, 2, 4], [2, 4, 1]]},
      (1, "base blocks (1, 2, 4) and (2, 4, 1) lie in the same translation orbit")),
+    (["build", "--kind", "cdf"],
+     {"v": 200, "lambda": 200, "base_blocks": [list(range(200))]},
+     (1, "base block (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...) has a short orbit "
+         "(stabilized by g=1); only full-orbit families are supported")),
     (["attack"], {"v": 7, "k": 3, "b": 1, "rows": "xyz"},
      (2, "the rows must form a sequence")),
-], ids=["short-orbit", "same-orbit", "text-rows"])
+], ids=["short-orbit", "same-orbit", "short-orbit-v200", "text-rows"])
 def test_refusals_exit_with_their_codes(capsys, tmp_path, argv, doc, refusal):
     # the two families pass verify_df, but would develop repeated rows
     path, out = tmp_path / "doc.json", tmp_path / "out.json"

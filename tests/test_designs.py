@@ -424,11 +424,16 @@ def test_teirlinck_rejects_bad_congruence():
 
 
 def test_teirlinck_refuses_a_v_too_long_to_print():
-    # past the interpreter's int-to-text digit limit the refusal states the
-    # size of v, so it stays a DomainError
+    # v is echoed through show_int: past the interpreter's int-to-text
+    # digit limit by its number of digits, so it stays a DomainError, and
+    # a small v as it is
     with pytest.raises(DomainError) as exc:
         teirlinck_params(2, 10**5000 + 1)
-    assert "mod" in str(exc.value) and "16610 bits" in str(exc.value)
+    assert "mod" in str(exc.value) and "an int of 5001 digits" in str(exc.value)
+    with pytest.raises(DomainError) as exc:
+        teirlinck_params(2, 3)
+    assert str(exc.value) == ("v must satisfy v ≡ t (mod 3!^5) with v > t, "
+                              "got 3")
 
 
 # --------------------------------------------------------------------- json

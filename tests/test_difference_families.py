@@ -33,7 +33,7 @@ from authdesigns.difference_families import (
     is_prime,
     smallest_primitive_root,
 )
-from authdesigns.fileio import atomic_write_json, load_json
+from authdesigns.fileio import atomic_write_json, load_json, show_int
 
 from conftest import Z13_GOLDEN_ROWS, buildable_names
 
@@ -232,9 +232,9 @@ def test_short_orbit_refusals_name_the_first_stabilizer():
             stabilizers = [(d - block[0]) % v for d in block[1:]
                            if {(x + d - block[0]) % v for x in block} == set(block)]
             if stabilizers:
-                expected = (f"base block {block} has a short orbit (stabilized "
-                            f"by g={stabilizers[0]}); only full-orbit families "
-                            "are supported")
+                expected = (f"base block {show_int(block)} has a short "
+                            f"orbit (stabilized by g={stabilizers[0]}); only "
+                            "full-orbit families are supported")
                 break
         if expected is None:
             continue
@@ -277,8 +277,9 @@ def test_same_orbit_refusals_match_all_translates():
         else:
             with pytest.raises(DomainError) as exc:
                 develop_matrix(df)
-            assert str(exc.value) == (f"base blocks {pair[0]} and {pair[1]} "
-                                      "lie in the same translation orbit")
+            assert str(exc.value) == (
+                f"base blocks {show_int(pair[0])} and {show_int(pair[1])} "
+                "lie in the same translation orbit")
         outcomes[pair is None] += 1
     assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
 
@@ -416,6 +417,39 @@ def test_primitive_roots():
     assert smallest_primitive_root(41) == 6
     assert smallest_primitive_root(2) == 1
     with pytest.raises(DomainError):
+        smallest_primitive_root(15)
+
+
+def test_orbit_refusals_echo_bounded_blocks():
+    # both refusals name their blocks through show_int: at most ten entries
+    # each, however long the block, and no int past the int-to-text limit
+    whole = tuple(range(200))
+    cases = [(DifferenceFamily(200, 200, (whole,)),
+              "base block (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...) has a short "
+              "orbit (stabilized by g=1); only full-orbit families are "
+              "supported"),
+             (DifferenceFamily(200, 1, (whole[:150], whole[1:151])),
+              "base blocks (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...) and (1, 2, 3, "
+              "4, 5, 6, 7, 8, 9, 10, ...) lie in the same translation orbit")]
+    # past the int-to-text limit, the entries and g are named by their size
+    big = 10**5000
+    cases.append((DifferenceFamily(2 * big, 1, ((0, big),)),
+                  "base block (0, an int of 5001 digits) has a short orbit "
+                  "(stabilized by g=an int of 5001 digits); only full-orbit "
+                  "families are supported"))
+    assert verify_df(cases[0][0]).valid
+    for df, message in cases:
+        with pytest.raises(DomainError) as exc:
+            develop_matrix(df)
+        assert str(exc.value) == message
+
+
+def test_primitive_root_refusal_names_a_long_q_by_its_digits():
+    # q is not prime, and past the int-to-text limit it is named by its size
+    with pytest.raises(DomainError) as exc:
+        smallest_primitive_root(10**5000)
+    assert str(exc.value) == "an int of 5001 digits is not prime"
+    with pytest.raises(DomainError, match="^15 is not prime$"):
         smallest_primitive_root(15)
 
 

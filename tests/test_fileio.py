@@ -435,5 +435,9 @@ def test_show_int_bounds_every_other_value():
     assert show_int("x" * 10**6) == "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
     assert show_int([(0, tuple(range(10**6)))]) == (
         "[(0, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...))]")
+    # an int inside a value is echoed as show_int echoes it alone, so one
+    # past the int-to-text limit raises nothing
+    assert show_int((0, BIG, 10**60)) == (
+        "(0, an int of 5001 digits, an int of 61 digits)")
     nested = [[[["x" * 100] * 100] * 100] * 100]
     assert len(show_int(nested)) == SHOW_LIMIT and show_int(nested).endswith("...")
