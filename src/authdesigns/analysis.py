@@ -39,12 +39,12 @@ only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
 Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
 unchanged, whatever the orbit lengths.  Other systems have no anchor and
 run the same loops over all messages.  The check runs in two stages, each
-charged before it runs (`_anchor`).  The entrywise stage steps every row
-entry by entry and looks it up among the rows, sorting nothing; a
-development decides there.  On any miss the sorted stage sorts each key
-once (`SecrecySystem.sorted_keys`) and looks up the sorted translates.
-Anchored, the tails are the keys through 0, each sorted less the 0;
-otherwise they are the sorted keys.
+charged before it runs (`_anchor`).  The entrywise stage proves a
+development in development order by its columns, sorting nothing
+(`EncodingMatrix.in_development_order`, also a proof of secrecy); on any
+miss the sorted stage sorts each key once (`SecrecySystem.sorted_keys`)
+and looks up the sorted translates.  Anchored, the tails are the keys
+through 0, each sorted less the 0; otherwise they are the sorted keys.
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -92,29 +92,21 @@ class SecrecySystem:
         decides, None when the sorted stage must.
 
         A key's stabilizer is a subgroup whose cosets partition the key, so
-        its orbit has at least v/k keys: b·k < v refuses before the v-entry
-        table of x+1 mod v is built.  First test: the translate T of the
-        first row, as a set, must be a row.  Every row holds k distinct
-        messages and |T| = k, so T ⊇ row iff T = row: `T.issuperset` scans
-        the rows as they are, unsorted, and stops at the first match.
+        its orbit has at least v/k keys: b·k < v refuses.  First test: the
+        translate T of the first row, as a set, must be a row.  Every row
+        holds k distinct messages and |T| = k, so T ⊇ row iff T = row:
+        `T.issuperset` scans the unsorted rows up to the first match.
 
-        Then, if the first row stepped through the table is itself a row
-        tuple, every row is stepped entry by entry, column by column, and
-        looked up in the set of the rows.  A stepped tuple that is a row
-        has a key as its set, so when every one is a row, x ↦ x+1 maps
-        every key set onto a key set and no key is sorted.  Developments
-        (`develop_matrix`, and `build --kind cdf` read back) hit here; any
+        Then `EncodingMatrix.in_development_order` proves x ↦ x+1 maps
+        every key set onto a key set, sorting no key: developments
+        (`develop_matrix`, `build --kind cdf` read back) hit it, and any
         miss leaves the verdict to the sorted stage."""
         if self.b * self.k < self.v:
             return False
-        rows, step = self.matrix.rows, [*range(1, self.v), 0]
-        first = tuple(map(step.__getitem__, rows[0]))
-        if not any(map(frozenset(first).issuperset, rows)):
+        first = frozenset((m + 1) % self.v for m in self.matrix.rows[0])
+        if not any(map(first.issuperset, self.matrix.rows)):
             return False
-        known = set(rows)
-        if first in known and all(map(known.__contains__, _stepped(step, rows))):
-            return True
-        return None
+        return self.matrix.in_development_order(zip(*self.matrix.rows)) or None
 
     @cached_property
     def translation_invariant(self) -> bool:
@@ -135,10 +127,10 @@ class SecrecySystem:
         of both stages grow as v + b·k."""
         if (verdict := self.entrywise_verdict) is not None:
             return verdict
-        keys = self.sorted_keys
+        keys, step = self.sorted_keys, [*range(1, self.v), 0].__getitem__
         known = set(keys)
         known.update(t[1:] + (0,) for t in keys if not t[0])
-        return all(map(known.__contains__, _stepped([*range(1, self.v), 0], keys)))
+        return all(map(known.__contains__, zip(*map(map, repeat(step), zip(*keys)))))
 
     @cached_property
     def entry_counts(self) -> Counter:
@@ -201,17 +193,21 @@ def perfect_secrecy_check(matrix: EncodingMatrix):
     frequency in every column.
 
     Returns (ok, witness); witness is the first (message, (column_a,
-    column_b)) whose counts differ, None when ok.  The k column Counters
-    (`EncodingMatrix.column_counts`) are compared as dicts, in C; only when
-    they differ does the message-major scan look for the witness.
+    column_b)) whose counts differ, None when ok.  A matrix
+    `in_development_order` passes; else the k Counters of the same columns
+    (`EncodingMatrix.column_counts`) are compared as dicts, in C; only
+    when they differ does the message-major scan look for the witness.
     """
-    columns = matrix.column_counts()
+    columns = tuple(zip(*matrix.rows))
+    if matrix.in_development_order(columns):
+        return True, None
+    counts = matrix.column_counts(columns)
     # dict.__eq__, not Counter's own ==, which loops in Python
-    if all(map(dict.__eq__, columns, repeat(columns[0]))):
+    if all(map(dict.__eq__, counts, repeat(counts[0]))):
         return True, None
     for m in range(matrix.v):
         for col in range(1, matrix.k):
-            if columns[col][m] != columns[0][m]:
+            if counts[col][m] != counts[0][m]:
                 return False, (m, (0, col))
 
 
@@ -236,26 +232,27 @@ def check_order(system: SecrecySystem, model: str, i):
 def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     """(anchor, work): anchor is (0,) if the loops at order i ≥ 1 may run
     only through message 0, else (); work is what the translation check is
-    charged, each stage before it runs, one step per table entry, per
-    message stepped, tested or put in a frozenset or tuple (sorting
-    included) and per key tested, stored or looked up.
+    charged, each stage before it runs, one step per table or ring entry,
+    per message stepped, tested, transposed, compared or put in a set,
+    run, slice or tuple (sorting included) and per key tested, stored or
+    looked up.
 
-    Entrywise stage (`SecrecySystem.entrywise_verdict`), always: v table
-    entries; the first test steps the k messages of the first row into a
-    tuple and sets them, then tests at most b keys of k messages, 2k +
-    b·(k+1); the set stores the b rows and looks up the stepped first row,
-    b + 1; stepping the rows steps b·k messages into b tuples and looks
-    each up, b·(k+1).  E = v + 2k + 1 + b·(2k+3).
+    Entrywise stage (`SecrecySystem.entrywise_verdict`), always: the first
+    test sets the k stepped messages of the first row and tests at most b
+    keys of k messages, 2k + b·(k+1); the proof
+    (`EncodingMatrix.in_development_order`) builds the 2v-entry ring,
+    transposes the b·k entries, and per (column, run) compares the run
+    with a slice of the ring, 3·b·k.  E = 2v + 2k + b·(5k+1).
 
     Sorted stage, on top only when the entrywise stage leaves the verdict
-    to it: v table entries again; the sort puts b·k messages in tuples;
+    to it: v table entries; the sort puts b·k messages in tuples;
     the set stores b keys, tests b first entries and builds and stores at
     most b rotated forms of k messages, b·(k+3); stepping the keys steps
     b·k messages into b tuples and looks each up, b·(k+1).  S = v +
     b·(3k+4)."""
     b, k, v = system.b, system.k, system.v
     what = f"translation check over {b} keys"
-    work = v + 2 * k + 1 + b * (2 * k + 3)
+    work = 2 * v + 2 * k + b * (5 * k + 1)
     charge(work, budget, what=what)
     if system.entrywise_verdict is None:
         work += v + b * (3 * k + 4)
@@ -276,12 +273,6 @@ def _order_zero(system: SecrecySystem, budget: int | None,
     bk = system.b * system.k
     charge(work + bk + min(system.v, bk), budget, what=what)
     return Fraction(system.replication, system.b)
-
-
-def _stepped(step: list, rows) -> zip:
-    """Each row stepped entry by entry through the table `step`, as tuples,
-    one column at a time."""
-    return zip(*map(map, repeat(step.__getitem__), zip(*rows)))
 
 
 def _tally(tails: list, j: int) -> Counter:

@@ -31,8 +31,7 @@ class EncodingMatrix:
     which prove it and build with `record.unchecked`.  The balanced-form
     property — every message exactly b/v times in every column — is checked
     separately by `verify_balanced`, so unbalanced matrices remain
-    representable.
-    """
+    representable."""
 
     v: int
     k: int
@@ -56,10 +55,24 @@ class EncodingMatrix:
     def b(self) -> int:
         return len(self.rows)
 
-    def column_counts(self) -> tuple:
+    def column_counts(self, columns=None) -> tuple:
         """The k column Counters, counts[col][m] = rows holding message m in
-        column col: the one tally of both the secrecy and balance checks."""
-        return tuple(map(Counter, zip(*self.rows)))
+        column col, of `columns` (the transposed rows) when given: the one
+        tally of both the secrecy and balance checks."""
+        return tuple(map(Counter, zip(*self.rows) if columns is None else columns))
+
+    def in_development_order(self, columns) -> bool:
+        """True iff v | b and each of the `columns` (the transposed rows) is a
+        residue cycle x, x+1, ..., x+v-1 mod v in every run of v rows, as in
+        `develop_matrix`.  Row g of a run is then its first row plus g, and
+        each column holds every message b/v times: the keys are
+        translation-invariant and the matrix is balanced.  In C."""
+        v = self.v
+        if self.b % v:
+            return False
+        ring = (*range(v), *range(v))
+        return all(run == ring[run[0]:run[0] + v]
+                   for col in columns for run in zip(*[iter(col)] * v))
 
 
 @record
@@ -184,14 +197,16 @@ def balance(design: BlockDesign) -> EncodingMatrix:
 
 
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
-    """Valid iff every message appears exactly b/v times in every column,
-    cell by cell of the transposed `EncodingMatrix.column_counts`; failures
-    are ((message, column), count), message-major.  When v does not divide
-    b, every cell misses the target b/v and the report is invalid."""
-    from .designs import tally_report   # not at import: `attack` skips designs
-    v, k = matrix.v, matrix.k
+    """Valid iff every message appears exactly b/v times in every column:
+    with λ = b/v `in_development_order`, else cell by cell of the same
+    columns' `EncodingMatrix.column_counts`, failures ((message, column),
+    count), message-major; invalid in every cell when v does not divide b."""
+    from .designs import VerificationReport, tally_report   # lazily: `attack` skips designs
+    v, k, columns = matrix.v, matrix.k, tuple(zip(*matrix.rows))
+    if matrix.in_development_order(columns):
+        return VerificationReport(True, matrix.b // v, ())
     cells = dict(zip(product(range(v), range(k)), chain.from_iterable(zip(*(
-        map(c.get, range(v), repeat(0)) for c in matrix.column_counts())))))
+        map(c.get, range(v), repeat(0)) for c in matrix.column_counts(columns))))))
     return tally_report(cells, cells, v * k, Fraction(matrix.b, v))
 
 

@@ -55,11 +55,20 @@ def atomic_write_json(obj, path):
         raise
 
 
+def _object(pairs):
+    """A JSON object as a dict; a repeated name is refused, the first named."""
+    if len(doc := dict(pairs)) < len(pairs):
+        seen = set()
+        raise StructuralError("repeated object name " + show_int(next(
+            name for name, _ in pairs if name in seen or seen.add(name))))
+    return doc
+
+
 def load_json(path):
     """Parse a JSON document; unreadable or malformed input raises StructuralError."""
     try:
         with open(path, encoding="utf-8") as fh:   # RFC 8259
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from exc
     # ValueError: undecodable bytes, or an integer past the digit limit

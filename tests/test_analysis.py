@@ -704,15 +704,16 @@ def translation_cases(seed):
 
 
 def entrywise_cases(seed):
-    """(kind, matrix) from developments in the entrywise layout, row g of
+    """(kind, matrix) from developments in development order, row g of
     each orbit (d_1+g, ..., d_k+g) mod v: the catalog's and seeded full
-    orbits over v <= 12.  "hit": the rows shuffled, so the entrywise stage
-    decides.  "rotated": the same rows, row g rotated g places within the
-    row, then shuffled; row g stepped is row g+1 rotated g places, which
-    the matrix holds rotated g+1 places (mod k), so the sorted stage
-    decides, invariant.  "less": the shuffled
-    rows less the translate of one row, the first row and its translate
-    kept, so the first test and the gate pass and the check refuses."""
+    orbits over v <= 12.  "hit": the rows as they are, so the entrywise
+    stage decides.  "shuffled": the rows shuffled; the sorted stage
+    decides, invariant.  "rotated": the same rows, row g rotated g places
+    within the row, then shuffled; row g stepped is row g+1 rotated g
+    places, which the matrix holds rotated g+1 places (mod k), so the
+    sorted stage decides, invariant.  "less": the shuffled rows less the
+    translate of one row, the first row and its translate kept, so the
+    first test passes and the check refuses."""
     rng = random.Random(seed)
     layouts = [matrix for _, matrix in catalog_developments()]
     while len(layouts) < 40:
@@ -725,26 +726,36 @@ def entrywise_cases(seed):
             layouts.append(EncodingMatrix(v, k, rows))
     for matrix in layouts:
         v, k = matrix.v, matrix.k
-        hit = list(matrix.rows)
-        rng.shuffle(hit)
-        rotated = [row[g % v % k:] + row[:g % v % k]
-                   for g, row in enumerate(matrix.rows)]
-        rng.shuffle(rotated)
+        shuffled = out_of_order(matrix, matrix.rows, rng)
+        rotated = out_of_order(matrix, [row[g % v % k:] + row[:g % v % k]
+                                        for g, row in enumerate(matrix.rows)], rng)
         translate = {frozenset(row): tuple((m + 1) % v for m in row)
-                     for row in hit}
-        keep = {hit[0], translate[frozenset(hit[0])]}
-        drop = rng.choice([translate[frozenset(row)] for row in hit
+                     for row in shuffled.rows}
+        keep = {shuffled.rows[0], translate[frozenset(shuffled.rows[0])]}
+        drop = rng.choice([translate[frozenset(row)] for row in shuffled.rows
                            if translate[frozenset(row)] not in keep])
-        yield "hit", EncodingMatrix(v, k, tuple(hit))
-        yield "rotated", EncodingMatrix(v, k, tuple(rotated))
+        yield "hit", matrix
+        yield "shuffled", shuffled
+        yield "rotated", rotated
         yield "less", EncodingMatrix(v, k, tuple(
-            row for row in hit if row != drop))
+            row for row in shuffled.rows if row != drop))
+
+
+def out_of_order(matrix, rows, rng):
+    """A matrix of the v and k of `matrix` with `rows` shuffled until they
+    are not in development order."""
+    rows = list(rows)
+    while True:
+        rng.shuffle(rows)
+        shuffled = EncodingMatrix(matrix.v, matrix.k, tuple(rows))
+        if not development_order(shuffled):
+            return shuffled
 
 
 def test_translation_check_matches_frozenset_oracle():
     # the verdict against the frozenset oracle, and the tails against
     # their definition: anchored, the rows through 0, sorted, less the 0;
-    # otherwise every row sorted; in row order.  Entrywise layouts are
+    # otherwise every row sorted; in row order.  Development layouts are
     # decided by the stage their kind names, and a hit sorts no key
     cases = [EncodingMatrix(1, 1, ((0,),)), EncodingMatrix(2, 1, ((0,), (1,))),
              EncodingMatrix(2, 1, ((1,),)), EncodingMatrix(2, 2, ((1, 0),)),
@@ -767,6 +778,7 @@ def test_translation_check_matches_frozenset_oracle():
         assert ("sorted_keys" in vars(system)) == (stage is None or not a)
         if kind is not None:
             assert (stage, verdict) == {"hit": (True, True),
+                                        "shuffled": (None, True),
                                         "rotated": (None, True),
                                         "less": (None, False)}[kind], matrix
             stages[kind] += 1
@@ -775,7 +787,8 @@ def test_translation_check_matches_frozenset_oracle():
         first_test = step in map(frozenset, matrix.rows)
         wraps = matrix.k > 1 and any(matrix.v - 1 in r for r in matrix.rows)
         verdicts[verdict, first_test, wraps] += 1
-    assert stages == {"hit": 40, "rotated": 40, "less": 40}, stages
+    assert stages == {"hit": 40, "shuffled": 40, "rotated": 40,
+                      "less": 40}, stages
     # invariant with keys through v-1; refused by the full check alone;
     # refused by the first test
     assert verdicts[True, True, True] >= 60, verdicts
@@ -810,6 +823,86 @@ def test_translation_check_memory_follows_entries_not_v():
         tracemalloc.stop()
     assert peak < 10**4, peak
     assert deception_probability(system, 0) == 1
+
+
+def development_order(matrix):
+    """Whether v | b and, in every run of v rows from row s, row s+g is row
+    s plus g mod v: the definition `EncodingMatrix.in_development_order`
+    proves column by column."""
+    v, rows = matrix.v, matrix.rows
+    return matrix.b % v == 0 and all(
+        rows[s + g] == tuple((m + g) % v for m in rows[s])
+        for s in range(0, matrix.b, v) for g in range(v))
+
+
+def tallied_secrecy(matrix):
+    """`perfect_secrecy_check` read from the column Counters alone."""
+    counts = matrix.column_counts()
+    for m in range(matrix.v):
+        for col in range(1, matrix.k):
+            if counts[col][m] != counts[0][m]:
+                return False, (m, (0, col))
+    return True, None
+
+
+def tallied_balance(matrix):
+    """`verify_balanced` read from the column Counters alone."""
+    counts, v, k = matrix.column_counts(), matrix.v, matrix.k
+    cells = {(m, col): counts[col][m] for m in range(v) for col in range(k)}
+    return designs.tally_report(cells, cells, v * k, Fraction(matrix.b, v))
+
+
+def development_order_cases(seed):
+    """(kind, matrix) around every catalog development: "order", the
+    development with each orbit's run started at a seeded g and the orbits
+    reordered, both in development order; "image", its affine images;
+    "shuffled", its rows shuffled; "mutant", one-entry changes, each named
+    with its (row, column); "indivisible", v ∤ b: less its last row, plus
+    one k-set that is no row, and one row of a larger v.  Then the balanced
+    complete 3-(5,3,1)."""
+    rng = random.Random(seed)
+    for n, (_, matrix) in enumerate(catalog_developments()):
+        v, k, rows = matrix.v, matrix.k, matrix.rows
+        yield "order", matrix
+        runs = [rows[s:s + v] for s in range(0, matrix.b, v)]
+        runs = [run[g:] + run[:g] for run, g in zip(runs, (
+            rng.randrange(v) for _ in runs))]
+        rng.shuffle(runs)
+        yield "order", EncodingMatrix(v, k, sum(runs, ()))
+        for image in affine_images(matrix, n):
+            yield "image", image
+        yield "shuffled", out_of_order(matrix, rows, rng)
+        for _ in range(6):
+            mutant, (r, c, _) = mutate_entry(rng, matrix)
+            yield ("mutant", r >= v, c > 0), mutant
+        known = set(map(frozenset, rows))
+        extra = next(row for row in combinations(range(v), k)
+                     if frozenset(row) not in known)
+        yield "indivisible", EncodingMatrix(v, k, rows[:-1])
+        yield "indivisible", EncodingMatrix(v, k, rows + (extra,))
+        yield "indivisible", EncodingMatrix(v + 1, k, rows[:1])
+    yield "balanced", balance(designs.BlockDesign(5, tuple(combinations(range(5), 3))))
+
+
+def test_development_order_proof_matches_the_column_tallies():
+    # a matrix in development order is balanced and perfectly secret by
+    # its proof; every other one is tallied.  Both verdicts, witnesses and
+    # inferred λ included, equal those the column Counters alone give
+    kinds = Counter()
+    for kind, matrix in development_order_cases(113):
+        proof = matrix.in_development_order(tuple(zip(*matrix.rows)))
+        assert proof == development_order(matrix), (kind, matrix)
+        assert perfect_secrecy_check(matrix) == tallied_secrecy(matrix), matrix
+        assert verify_balanced(matrix) == tallied_balance(matrix), matrix
+        kinds[kind, proof] += 1
+    assert kinds["order", True] == 40 and kinds["shuffled", False] == 20, kinds
+    assert kinds["image", True] >= 3 and kinds["image", False] >= 20, kinds
+    assert kinds["indivisible", False] == 60 and kinds["balanced", False], kinds
+    # mutants in a later run, and in a later column, of the first run too
+    mutants = [key for key in kinds if key[0][0] == "mutant"]
+    assert all(not proof for _, proof in mutants), kinds
+    for later_run, later_col in ((True, False), (False, True), (True, True)):
+        assert kinds[("mutant", later_run, later_col), False] >= 5, kinds
 
 
 def test_order_zero_agrees_across_models():
@@ -1242,13 +1335,13 @@ def test_budget_errors(z13_system):
 
 def takes_sorted_stage(matrix):
     """Whether the translation check runs its sorted stage, from the
-    definition of the entrywise stage: the first test passes and some row,
-    stepped entry by entry, is not a row tuple."""
+    definition of the entrywise stage: the first test passes and the rows
+    are not in development order."""
     v, rows = matrix.v, matrix.rows
     if matrix.b * matrix.k < v or frozenset(
             (m + 1) % v for m in rows[0]) not in set(map(frozenset, rows)):
         return False
-    return not {tuple((m + 1) % v for m in row) for row in rows} <= set(rows)
+    return not development_order(matrix)
 
 
 def order_zero_charge(b, k, v, anchored, sorted_stage=False):
@@ -1262,7 +1355,7 @@ def order_zero_charge(b, k, v, anchored, sorted_stage=False):
 def translation_charge(b, k, v, sorted_stage=False):
     """The documented charge of the translation check: the entrywise stage,
     and the sorted stage on top when it runs."""
-    return v + 2 * k + 1 + b * (2 * k + 3) + (
+    return 2 * v + 2 * k + b * (5 * k + 1) + (
         v + b * (3 * k + 4) if sorted_stage else 0)
 
 
@@ -1317,8 +1410,8 @@ def charged_exactly(fn, matrix, i, cost):
 
 
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check's entrywise stage is charged v + 2k + 1 +
-    # b·(2k+3) before it runs (Z_13 hits there, and its relabelled copy is
+    # the translation check's entrywise stage is charged 2v + 2k +
+    # b·(5k+1) before it runs (Z_13 hits there, and its relabelled copy is
     # refused by the first test, so neither runs the sorted stage), then
     # the uniform pair check with it before that runs; on Z_13 (λ = 1,
     # k = 3) that settles spoofing at orders 1 and 2 and the online game at
@@ -1354,18 +1447,18 @@ def test_budget_charges_on_both_paths(z13_system):
                 Fraction(k, v))
     # anchored, the check scans the 26 keys for 0, sorts the 6 through 0
     # and counts them; unanchored it counts r and sums all 26 into 13 rows
-    assert translation_charge(b, k, v) == 13 + 7 + 26 * 9 == 254
-    assert uniform_charge(b, k, v, True) == 254 + 78 + 54 + 3
-    assert uniform_charge(b, k, v, False) == 254 + 234 + 13 + 52 + 6
+    assert translation_charge(b, k, v) == 26 + 6 + 26 * 16 == 448
+    assert uniform_charge(b, k, v, True) == 448 + 78 + 54 + 3
+    assert uniform_charge(b, k, v, False) == 448 + 234 + 13 + 52 + 6
     for i in (1, 2):
-        assert deception_charge(b, k, v, i, True, 1) == 389
-        assert deception_charge(b, k, v, i, False, 1) == 559
-        assert online_charge(b, k, v, i, True, 1) == 389
+        assert deception_charge(b, k, v, i, True, 1) == 583
+        assert deception_charge(b, k, v, i, False, 1) == 753
+        assert online_charge(b, k, v, i, True, 1) == 583
     # the masks, 3 ORs for each of the C(11, 2) prefixes through 0, and an
     # OR and a popcount for each of the C(12, 3) sets
-    assert online_charge(b, k, v, 3, True, 1) == 254 + 78 + 165 + 440
-    assert order_zero_charge(b, k, v, True) == 254
-    assert order_zero_charge(b, k, v, False) == 254 + 91
+    assert online_charge(b, k, v, 3, True, 1) == 448 + 78 + 165 + 440
+    assert order_zero_charge(b, k, v, True) == 448
+    assert order_zero_charge(b, k, v, False) == 448 + 91
 
 
 def test_translation_check_charges_each_stage_before_it_runs(z13_system):
@@ -1397,7 +1490,7 @@ def test_translation_check_charges_each_stage_before_it_runs(z13_system):
             assert "translation_invariant" not in vars(system)
         assert voracle_offline_value(system, 0, budget=check) == Fraction(k, v)
         assert ("sorted_keys" in vars(system)) == sorted_stage
-    assert translation_charge(b, k, v, True) == 254 + 13 + 26 * 13 == 605
+    assert translation_charge(b, k, v, True) == 448 + 13 + 26 * 13 == 799
 
 
 def charge_cases():
@@ -1449,13 +1542,13 @@ def test_order_one_and_two_charges_are_pinned():
     # order 1 loops over the 21 (key, message) pairs, and r being uniform,
     # the online game reads the 21 pairs once for the min instead of four
     # steps each in the scan
-    assert uniform_charge(26, 3, 13, False) == 559
-    assert online_charge(26, 3, 13, 1, False, 1) == 559
-    assert uniform_charge(7, 3, 7, False) == 77 + 63 + 7 + 28 + 6
-    assert deception_charge(7, 3, 7, 1, False, 0) == 181 + 14 + 21 * 10
-    assert online_charge(7, 3, 7, 1, False, 0) == 181 + 7 + 21 + 21
+    assert uniform_charge(26, 3, 13, False) == 753
+    assert online_charge(26, 3, 13, 1, False, 1) == 753
+    assert uniform_charge(7, 3, 7, False) == 132 + 63 + 7 + 28 + 6
+    assert deception_charge(7, 3, 7, 1, False, 0) == 236 + 14 + 21 * 10
+    assert online_charge(7, 3, 7, 1, False, 0) == 236 + 7 + 21 + 21
     assert online_charge(7, 3, 7, 1, False, 0, uniform_r=False) == (
-        181 + 7 + 7 + 21 + 4 * 21)
+        236 + 7 + 7 + 21 + 4 * 21)
 
 
 def test_check_order_is_the_one_order_rule(fano_system):

@@ -661,11 +661,15 @@ def test_refusals_echo_bounded_values(capsys, tmp_path, argv, doc, code, names):
          "(stabilized by g=1); only full-orbit families are supported")),
     (["attack"], {"v": 7, "k": 3, "b": 1, "rows": "xyz"},
      (2, "the rows must form a sequence")),
-], ids=["short-orbit", "same-orbit", "short-orbit-v200", "text-rows"])
+    # JSON text, as json.dumps writes no repeated name
+    (["attack"], '{"v": 3, "k": 3, "b": 1, "rows": [[0, 1, 2]], "v": 4}',
+     (2, "repeated object name 'v'")),
+], ids=["short-orbit", "same-orbit", "short-orbit-v200", "text-rows",
+        "repeated-name"])
 def test_refusals_exit_with_their_codes(capsys, tmp_path, argv, doc, refusal):
     # the two families pass verify_df, but would develop repeated rows
     path, out = tmp_path / "doc.json", tmp_path / "out.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, message = refusal
     assert run(capsys, argv[0], str(path), *argv[1:], "--out", str(out)) == (
         code, "", f"error: {message}\n")

@@ -201,6 +201,23 @@ def test_text_rows_are_refused_before_any_copy(call):
     assert elapsed < 0.01 and peak < 10**6, (elapsed, peak)
 
 
+def test_load_json_refuses_a_repeated_object_name(tmp_path):
+    # at any depth, naming the first repeated name, bounded; one name in
+    # two objects is no repeat
+    path = tmp_path / "doc.json"
+    long = "n" * 10**5
+    for text, name in (('{"v": 3, "rows": [[0]], "v": 4}', "'v'"),
+                       ('{"p": {"s": 1, "t": 2, "t": 3, "s": 4}}', "'t'"),
+                       (f'{{"{long}": 1, "{long}": 2}}', "'nnnnnnnnnnnn")):
+        path.write_text(text)
+        with pytest.raises(StructuralError) as exc:
+            load_json(path)
+        assert str(exc.value).startswith(f"repeated object name {name}")
+        assert len(str(exc.value)) < 100
+    path.write_text('{"s": 1, "p": {"s": 2}}')
+    assert load_json(path) == {"s": 1, "p": {"s": 2}}
+
+
 # ------------------------------------------------------- atomic writes
 
 def test_atomic_write_gives_the_umask_mode_new_or_overwritten(tmp_path):
