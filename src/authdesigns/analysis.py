@@ -40,11 +40,12 @@ only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
 unchanged, whatever the orbit lengths.  Other systems have no anchor and
 run the same loops over all messages.  The check runs in two stages, each
 charged before it runs (`_anchor`).  The entrywise stage proves a
-development in development order by its columns, sorting nothing
+development in development order by its rows, sorting nothing
 (`EncodingMatrix.in_development_order`, also a proof of secrecy); on any
 miss the sorted stage sorts each key once (`SecrecySystem.sorted_keys`)
 and looks up the sorted translates.  Anchored, the tails are the keys
-through 0, each sorted less the 0; otherwise they are the sorted keys.
+through 0, each sorted less the 0 (found by position after a proof);
+otherwise they are the sorted keys.
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -106,7 +107,7 @@ class SecrecySystem:
         first = frozenset((m + 1) % self.v for m in self.matrix.rows[0])
         if not any(map(first.issuperset, self.matrix.rows)):
             return False
-        return self.matrix.in_development_order(zip(*self.matrix.rows)) or None
+        return self.matrix.in_development_order() or None
 
     @cached_property
     def translation_invariant(self) -> bool:
@@ -167,14 +168,18 @@ class SecrecySystem:
     @cached_property
     def tails(self) -> list:
         """Anchored (module docstring), the rows holding 0, in row order,
-        each sorted with the 0 dropped, so an entrywise hit of the
-        translation check never sorts the other keys; otherwise the sorted
-        keys as lists.  Read only after `_anchor` has charged the
-        translation check.  Anchored, the U of `_pair_lambda` counts their
-        making; otherwise the loops that read them count a step per key
-        read, its sort included."""
+        each sorted with the 0 dropped; otherwise the sorted keys as lists.
+        After an entrywise hit, row s+g of the run from row s holds 0 iff
+        g = -x mod v for an x of row s, so sorted offsets find those rows,
+        reading no other; else anchored, a scan does.  Read only after
+        `_anchor` has charged the translation check; anchored, the U of
+        `_pair_lambda` counts their making, else each loop its key reads."""
+        rows, v = self.matrix.rows, self.v
+        if self.entrywise_verdict:
+            return [sorted(rows[s + g])[1:] for s in range(0, self.b, v)
+                    for g in sorted((-x) % v for x in rows[s])]
         if self.translation_invariant:
-            return [sorted(row)[1:] for row in self.matrix.rows if 0 in row]
+            return [sorted(row)[1:] for row in rows if 0 in row]
         return list(map(list, self.sorted_keys))
 
     @cached_property
@@ -194,14 +199,13 @@ def perfect_secrecy_check(matrix: EncodingMatrix):
 
     Returns (ok, witness); witness is the first (message, (column_a,
     column_b)) whose counts differ, None when ok.  A matrix
-    `in_development_order` passes; else the k Counters of the same columns
-    (`EncodingMatrix.column_counts`) are compared as dicts, in C; only
-    when they differ does the message-major scan look for the witness.
+    `in_development_order` passes; only a miss builds the k column
+    Counters (`EncodingMatrix.column_counts`), compared as dicts, in C,
+    and only when they differ does a message-major scan find the witness.
     """
-    columns = tuple(zip(*matrix.rows))
-    if matrix.in_development_order(columns):
+    if matrix.in_development_order():
         return True, None
-    counts = matrix.column_counts(columns)
+    counts = matrix.column_counts()
     # dict.__eq__, not Counter's own ==, which loops in Python
     if all(map(dict.__eq__, counts, repeat(counts[0]))):
         return True, None
@@ -233,16 +237,16 @@ def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     """(anchor, work): anchor is (0,) if the loops at order i ≥ 1 may run
     only through message 0, else (); work is what the translation check is
     charged, each stage before it runs, one step per table or ring entry,
-    per message stepped, tested, transposed, compared or put in a set,
-    run, slice or tuple (sorting included) and per key tested, stored or
-    looked up.
+    per message stepped, tested, sliced, zipped, compared or put in a
+    set or tuple (sorting included) and per row sliced or key tested,
+    stored or looked up.
 
     Entrywise stage (`SecrecySystem.entrywise_verdict`), always: the first
     test sets the k stepped messages of the first row and tests at most b
     keys of k messages, 2k + b·(k+1); the proof
-    (`EncodingMatrix.in_development_order`) builds the 2v-entry ring,
-    transposes the b·k entries, and per (column, run) compares the run
-    with a slice of the ring, 3·b·k.  E = 2v + 2k + b·(5k+1).
+    (`EncodingMatrix.in_development_order`) builds the 2v-entry ring, and
+    per run slices it at the k entries of its first row, zips the slices
+    and slices and compares the v rows, 3·b·k + b.  E = 2v + 2k + b·(4k+2).
 
     Sorted stage, on top only when the entrywise stage leaves the verdict
     to it: v table entries; the sort puts b·k messages in tuples;
@@ -252,7 +256,7 @@ def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     b·(3k+4)."""
     b, k, v = system.b, system.k, system.v
     what = f"translation check over {b} keys"
-    work = 2 * v + 2 * k + b * (5 * k + 1)
+    work = 2 * v + 2 * k + b * (4 * k + 2)
     charge(work, budget, what=what)
     if system.entrywise_verdict is None:
         work += v + b * (3 * k + 4)
@@ -285,14 +289,16 @@ def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
     """(work, λ): `SecrecySystem.pair_lambda`, charged its cost U on top of
     the `work` already charged, before it runs; work is then that sum.
     Unanchored, U is `designs.pair_charge`.  Anchored, one step per
-    message scanned, sorted, sliced, counted or read and per test:
-    `SecrecySystem.tails` scans the b rows for 0, b·k, and sorts the n =
-    b·k/v rows holding 0 and slices the 0 off, n·(2k-1); the tally makes
-    n·(k-1) increments and the set reads at most n·(k-1) counts; two
-    length tests and the pop make U = b·k + n·(4k-3) + 3 in all."""
+    message scanned, sorted, sliced, counted or read and per offset or
+    test: `SecrecySystem.tails` finds the n = b·k/v rows holding 0 by n
+    offsets sorted per run after an entrywise hit, 2n, else by scanning
+    the b rows, b·k, then sorts them and slices the 0 off, n·(2k-1); the
+    tally and the set make and read n·(k-1) counts each; two length
+    tests and the pop: U = n·(4k-1) + 3 after a hit, else b·k + n·(4k-3) + 3."""
     b, k, v = system.b, system.k, system.v
     if anchor:
-        work += b * k + (4 * k - 3) * (b * k // v) + 3
+        n = b * k // v
+        work += (4 * k - 3) * n + 3 + (2 * n if system.entrywise_verdict else b * k)
     else:
         from .designs import pair_charge
         work += pair_charge(v, b, k)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, cycle, product, repeat
+from operator import eq
 
 from .errors import DomainError, StructuralError
 from .fileio import MAX_FAILURES, check_int, check_rows, fields, require, show_int
@@ -55,24 +56,24 @@ class EncodingMatrix:
     def b(self) -> int:
         return len(self.rows)
 
-    def column_counts(self, columns=None) -> tuple:
+    def column_counts(self) -> tuple:
         """The k column Counters, counts[col][m] = rows holding message m in
-        column col, of `columns` (the transposed rows) when given: the one
-        tally of both the secrecy and balance checks."""
-        return tuple(map(Counter, zip(*self.rows) if columns is None else columns))
+        column col: the one tally of both the secrecy and balance checks,
+        which build it only when `in_development_order` misses."""
+        return tuple(map(Counter, zip(*self.rows)))
 
-    def in_development_order(self, columns) -> bool:
-        """True iff v | b and each of the `columns` (the transposed rows) is a
-        residue cycle x, x+1, ..., x+v-1 mod v in every run of v rows, as in
-        `develop_matrix`.  Row g of a run is then its first row plus g, and
-        each column holds every message b/v times: the keys are
-        translation-invariant and the matrix is balanced.  In C."""
-        v = self.v
-        if self.b % v:
+    def in_development_order(self) -> bool:
+        """True iff v | b and, in every run of v rows from row s, row s+g is
+        row s plus g mod v, as in `develop_matrix`: the keys are then
+        translation-invariant and each column holds every message b/v
+        times.  In C, row by row: a run against the zip of the ring slices
+        at its first row's entries, up to the first row that differs."""
+        v, rows = self.v, self.rows
+        if len(rows) % v:
             return False
         ring = (*range(v), *range(v))
-        return all(run == ring[run[0]:run[0] + v]
-                   for col in columns for run in zip(*[iter(col)] * v))
+        return all(all(map(eq, rows[s:s + v], zip(*[ring[x:x + v] for x in rows[s]])))
+                   for s in range(0, len(rows), v))
 
 
 @record
@@ -197,17 +198,20 @@ def balance(design: BlockDesign) -> EncodingMatrix:
 
 
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
-    """Valid iff every message appears exactly b/v times in every column:
-    with λ = b/v `in_development_order`, else cell by cell of the same
-    columns' `EncodingMatrix.column_counts`, failures ((message, column),
-    count), message-major; invalid in every cell when v does not divide b."""
+    """Valid iff every message appears exactly b/v times in every column
+    (never when v ∤ b): with λ = b/v `in_development_order` or, on a miss,
+    when each column's `EncodingMatrix.column_counts` is the uniform dict,
+    in C; else failures ((message, column), count), message-major."""
     from .designs import VerificationReport, tally_report   # lazily: `attack` skips designs
-    v, k, columns = matrix.v, matrix.k, tuple(zip(*matrix.rows))
-    if matrix.in_development_order(columns):
-        return VerificationReport(True, matrix.b // v, ())
+    v, k, b = matrix.v, matrix.k, matrix.b
+    if matrix.in_development_order():
+        return VerificationReport(True, b // v, ())
+    counts, uniform = matrix.column_counts(), dict.fromkeys(range(v), b // v)
+    if not b % v and all(map(dict.__eq__, counts, repeat(uniform))):
+        return VerificationReport(True, b // v, ())
     cells = dict(zip(product(range(v), range(k)), chain.from_iterable(zip(*(
-        map(c.get, range(v), repeat(0)) for c in matrix.column_counts(columns))))))
-    return tally_report(cells, cells, v * k, Fraction(matrix.b, v))
+        map(c.get, range(v), repeat(0)) for c in counts)))))
+    return tally_report(cells, cells, v * k, Fraction(b, v))
 
 
 # ---------------------------------------------------------------------------

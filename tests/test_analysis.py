@@ -756,7 +756,9 @@ def test_translation_check_matches_frozenset_oracle():
     # the verdict against the frozenset oracle, and the tails against
     # their definition: anchored, the rows through 0, sorted, less the 0;
     # otherwise every row sorted; in row order.  Development layouts are
-    # decided by the stage their kind names, and a hit sorts no key
+    # decided by the stage their kind names, and a hit sorts no key: its
+    # tails come from row positions, also in the "order" layouts, whose
+    # runs start at a seeded g in a shuffled order of the orbits
     cases = [EncodingMatrix(1, 1, ((0,),)), EncodingMatrix(2, 1, ((0,), (1,))),
              EncodingMatrix(2, 1, ((1,),)), EncodingMatrix(2, 2, ((1, 0),)),
              *SHORT_ORBITS, *random_small_systems(61, 40),
@@ -767,7 +769,9 @@ def test_translation_check_matches_frozenset_oracle():
                       EncodingMatrix(image.v, image.k, image.rows[1:])]
     verdicts, stages = Counter(), Counter()
     for matrix, kind in (*zip(cases, repeat(None)),
-                         *((m, kind) for kind, m in entrywise_cases(109))):
+                         *((m, kind) for kind, m in entrywise_cases(109)),
+                         *((m, kind) for kind, m in development_order_cases(127)
+                           if kind == "order")):
         system = SecrecySystem(matrix)
         verdict = frozenset_translation_check(matrix)
         assert system.translation_invariant == verdict, matrix
@@ -778,6 +782,7 @@ def test_translation_check_matches_frozenset_oracle():
         assert ("sorted_keys" in vars(system)) == (stage is None or not a)
         if kind is not None:
             assert (stage, verdict) == {"hit": (True, True),
+                                        "order": (True, True),
                                         "shuffled": (None, True),
                                         "rotated": (None, True),
                                         "less": (None, False)}[kind], matrix
@@ -787,7 +792,7 @@ def test_translation_check_matches_frozenset_oracle():
         first_test = step in map(frozenset, matrix.rows)
         wraps = matrix.k > 1 and any(matrix.v - 1 in r for r in matrix.rows)
         verdicts[verdict, first_test, wraps] += 1
-    assert stages == {"hit": 40, "shuffled": 40, "rotated": 40,
+    assert stages == {"hit": 40, "order": 40, "shuffled": 40, "rotated": 40,
                       "less": 40}, stages
     # invariant with keys through v-1; refused by the full check alone;
     # refused by the first test
@@ -828,7 +833,7 @@ def test_translation_check_memory_follows_entries_not_v():
 def development_order(matrix):
     """Whether v | b and, in every run of v rows from row s, row s+g is row
     s plus g mod v: the definition `EncodingMatrix.in_development_order`
-    proves column by column."""
+    proves row by row."""
     v, rows = matrix.v, matrix.rows
     return matrix.b % v == 0 and all(
         rows[s + g] == tuple((m + g) % v for m in rows[s])
@@ -890,7 +895,7 @@ def test_development_order_proof_matches_the_column_tallies():
     # inferred λ included, equal those the column Counters alone give
     kinds = Counter()
     for kind, matrix in development_order_cases(113):
-        proof = matrix.in_development_order(tuple(zip(*matrix.rows)))
+        proof = matrix.in_development_order()
         assert proof == development_order(matrix), (kind, matrix)
         assert perfect_secrecy_check(matrix) == tallied_secrecy(matrix), matrix
         assert verify_balanced(matrix) == tallied_balance(matrix), matrix
@@ -1355,15 +1360,19 @@ def order_zero_charge(b, k, v, anchored, sorted_stage=False):
 def translation_charge(b, k, v, sorted_stage=False):
     """The documented charge of the translation check: the entrywise stage,
     and the sorted stage on top when it runs."""
-    return 2 * v + 2 * k + b * (5 * k + 1) + (
+    return 2 * v + 2 * k + b * (4 * k + 2) + (
         v + b * (3 * k + 4) if sorted_stage else 0)
 
 
 def uniform_charge(b, k, v, anchored, sorted_stage=False):
     """The documented charge of the translation check and the uniform pair
-    check after it, both charged before they run."""
+    check after it, both charged before they run.  Anchored, the tails of
+    an entrywise hit are found by position, those of the sorted stage by a
+    scan of the b·k entries."""
+    n = b * k // v
     return translation_charge(b, k, v, sorted_stage) + (
-        b * k + (4 * k - 3) * (b * k // v) + 3 if anchored
+        (4 * k - 1) * n + 3 if anchored and not sorted_stage
+        else b * k + (4 * k - 3) * n + 3 if anchored
         else 3 * b * k + min(v, b * k) + 4 * v + 6)
 
 
@@ -1411,7 +1420,7 @@ def charged_exactly(fn, matrix, i, cost):
 
 def test_budget_charges_on_both_paths(z13_system):
     # the translation check's entrywise stage is charged 2v + 2k +
-    # b·(5k+1) before it runs (Z_13 hits there, and its relabelled copy is
+    # b·(4k+2) before it runs (Z_13 hits there, and its relabelled copy is
     # refused by the first test, so neither runs the sorted stage), then
     # the uniform pair check with it before that runs; on Z_13 (λ = 1,
     # k = 3) that settles spoofing at orders 1 and 2 and the online game at
@@ -1445,20 +1454,21 @@ def test_budget_charges_on_both_paths(z13_system):
             assert exc.value.required == order_zero_charge(b, k, v, False)
             assert fn(z13_system, i, budget=translation_charge(b, k, v)) == (
                 Fraction(k, v))
-    # anchored, the check scans the 26 keys for 0, sorts the 6 through 0
-    # and counts them; unanchored it counts r and sums all 26 into 13 rows
-    assert translation_charge(b, k, v) == 26 + 6 + 26 * 16 == 448
-    assert uniform_charge(b, k, v, True) == 448 + 78 + 54 + 3
-    assert uniform_charge(b, k, v, False) == 448 + 234 + 13 + 52 + 6
+    # anchored, the check finds the 6 keys through 0 by their offsets,
+    # sorts them and counts them; unanchored it counts r and sums all 26
+    # into 13 rows
+    assert translation_charge(b, k, v) == 26 + 6 + 26 * 14 == 396
+    assert uniform_charge(b, k, v, True) == 396 + 12 + 54 + 3
+    assert uniform_charge(b, k, v, False) == 396 + 234 + 13 + 52 + 6
     for i in (1, 2):
-        assert deception_charge(b, k, v, i, True, 1) == 583
-        assert deception_charge(b, k, v, i, False, 1) == 753
-        assert online_charge(b, k, v, i, True, 1) == 583
+        assert deception_charge(b, k, v, i, True, 1) == 465
+        assert deception_charge(b, k, v, i, False, 1) == 701
+        assert online_charge(b, k, v, i, True, 1) == 465
     # the masks, 3 ORs for each of the C(11, 2) prefixes through 0, and an
     # OR and a popcount for each of the C(12, 3) sets
-    assert online_charge(b, k, v, 3, True, 1) == 448 + 78 + 165 + 440
-    assert order_zero_charge(b, k, v, True) == 448
-    assert order_zero_charge(b, k, v, False) == 448 + 91
+    assert online_charge(b, k, v, 3, True, 1) == 396 + 78 + 165 + 440
+    assert order_zero_charge(b, k, v, True) == 396
+    assert order_zero_charge(b, k, v, False) == 396 + 91
 
 
 def test_translation_check_charges_each_stage_before_it_runs(z13_system):
@@ -1490,7 +1500,9 @@ def test_translation_check_charges_each_stage_before_it_runs(z13_system):
             assert "translation_invariant" not in vars(system)
         assert voracle_offline_value(system, 0, budget=check) == Fraction(k, v)
         assert ("sorted_keys" in vars(system)) == sorted_stage
-    assert translation_charge(b, k, v, True) == 448 + 13 + 26 * 13 == 799
+    assert translation_charge(b, k, v, True) == 396 + 13 + 26 * 13 == 747
+    # the balanced copy's tails come from a scan of the 78 entries
+    assert uniform_charge(b, k, v, True, True) == 747 + 78 + 54 + 3
 
 
 def charge_cases():
@@ -1542,13 +1554,13 @@ def test_order_one_and_two_charges_are_pinned():
     # order 1 loops over the 21 (key, message) pairs, and r being uniform,
     # the online game reads the 21 pairs once for the min instead of four
     # steps each in the scan
-    assert uniform_charge(26, 3, 13, False) == 753
-    assert online_charge(26, 3, 13, 1, False, 1) == 753
-    assert uniform_charge(7, 3, 7, False) == 132 + 63 + 7 + 28 + 6
-    assert deception_charge(7, 3, 7, 1, False, 0) == 236 + 14 + 21 * 10
-    assert online_charge(7, 3, 7, 1, False, 0) == 236 + 7 + 21 + 21
+    assert uniform_charge(26, 3, 13, False) == 701
+    assert online_charge(26, 3, 13, 1, False, 1) == 701
+    assert uniform_charge(7, 3, 7, False) == 118 + 63 + 7 + 28 + 6
+    assert deception_charge(7, 3, 7, 1, False, 0) == 222 + 14 + 21 * 10
+    assert online_charge(7, 3, 7, 1, False, 0) == 222 + 7 + 21 + 21
     assert online_charge(7, 3, 7, 1, False, 0, uniform_r=False) == (
-        236 + 7 + 7 + 21 + 4 * 21)
+        222 + 7 + 7 + 21 + 4 * 21)
 
 
 def test_check_order_is_the_one_order_rule(fano_system):
