@@ -38,14 +38,12 @@ cyclic difference family), spoofing and the online game at order i ≥ 1 run
 only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
 Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
 unchanged, whatever the orbit lengths.  Other systems have no anchor and
-run the same loops over all messages.  The check runs in two stages, each
-charged before it runs (`_anchor`).  The entrywise stage proves a
-development in development order by its rows, sorting nothing
-(`EncodingMatrix.in_development_order`, also a proof of secrecy); on any
-miss the sorted stage sorts each key once (`SecrecySystem.sorted_keys`)
-and looks up the sorted translates.  Anchored, the tails are the keys
-through 0, each sorted less the 0 (found by position after a proof);
-otherwise they are the sorted keys.
+run the same loops over all messages.  One bool, `SecrecySystem.developed`
+(`EncodingMatrix.in_development_order`, also a proof of secrecy), picks
+the route: a developed system is invariant and finds its keys through 0 by
+position; any other sorts each key once (`SecrecySystem.sorted_keys`) for
+the lookup of the sorted translates and for its tails.  Each stage is
+charged before it runs (`_anchor`).
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -81,39 +79,25 @@ class SecrecySystem:
     b = property(lambda self: self.matrix.b)
 
     @cached_property
-    def sorted_keys(self) -> list:
-        """Each row as a sorted tuple, in row order: the one sort of each
-        key, made by the sorted stage of the translation check and shared
-        with the unanchored `tails`."""
-        return list(map(tuple, map(sorted, self.matrix.rows)))
+    def developed(self) -> bool:
+        """`EncodingMatrix.in_development_order`, asked once per system."""
+        return self.matrix.in_development_order()
 
     @cached_property
-    def entrywise_verdict(self) -> bool | None:
-        """The first stage of `translation_invariant`: True or False when it
-        decides, None when the sorted stage must.
-
-        A key's stabilizer is a subgroup whose cosets partition the key, so
-        its orbit has at least v/k keys: b·k < v refuses.  First test: the
-        translate T of the first row, as a set, must be a row.  Every row
-        holds k distinct messages and |T| = k, so T ⊇ row iff T = row:
-        `T.issuperset` scans the unsorted rows up to the first match.
-
-        Then `EncodingMatrix.in_development_order` proves x ↦ x+1 maps
-        every key set onto a key set, sorting no key: developments
-        (`develop_matrix`, `build --kind cdf` read back) hit it, and any
-        miss leaves the verdict to the sorted stage."""
-        if self.b * self.k < self.v:
-            return False
-        first = frozenset((m + 1) % self.v for m in self.matrix.rows[0])
-        if not any(map(first.issuperset, self.matrix.rows)):
-            return False
-        return self.matrix.in_development_order() or None
+    def sorted_keys(self) -> list:
+        """Each row as a sorted tuple, in row order: its one sort (module docstring)."""
+        return list(map(tuple, map(sorted, self.matrix.rows)))
 
     @cached_property
     def translation_invariant(self) -> bool:
         """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
-        permutes the keys, rows being distinct sets): `entrywise_verdict`
-        when it decides, else the sorted stage.
+        permutes the keys, rows being distinct sets): always when
+        `developed`.  Otherwise a key's stabilizer is a subgroup whose
+        cosets partition the key, so its orbit has at least v/k keys: b·k <
+        v refuses.  First test: the translate T of the first row, as a set,
+        must be a row.  Every row holds k distinct messages and |T| = k, so
+        T ⊇ row iff T = row: `T.issuperset` scans the unsorted rows up to
+        the first match.
 
         Sorted stage: every key is one sorted tuple (`sorted_keys`),
         stepped entry by entry through the table, column by column.  For a
@@ -125,9 +109,14 @@ class SecrecySystem:
         those starting with 0.  For k ≥ 2 a rotated form ends with 0
         after a larger entry and is never sorted, so neither kind stands
         in for the other (for k = 1 the two coincide).  Time and memory
-        of both stages grow as v + b·k."""
-        if (verdict := self.entrywise_verdict) is not None:
-            return verdict
+        grow as v + b·k."""
+        if self.developed:
+            return True
+        if self.b * self.k < self.v:
+            return False
+        first = frozenset((m + 1) % self.v for m in self.matrix.rows[0])
+        if not any(map(first.issuperset, self.matrix.rows)):
+            return False
         keys, step = self.sorted_keys, [*range(1, self.v), 0].__getitem__
         known = set(keys)
         known.update(t[1:] + (0,) for t in keys if not t[0])
@@ -167,19 +156,18 @@ class SecrecySystem:
 
     @cached_property
     def tails(self) -> list:
-        """Anchored (module docstring), the rows holding 0, in row order,
-        each sorted with the 0 dropped; otherwise the sorted keys as lists.
-        After an entrywise hit, row s+g of the run from row s holds 0 iff
-        g = -x mod v for an x of row s, so sorted offsets find those rows,
-        reading no other; else anchored, a scan does.  Read only after
-        `_anchor` has charged the translation check; anchored, the U of
-        `_pair_lambda` counts their making, else each loop its key reads."""
-        rows, v = self.matrix.rows, self.v
-        if self.entrywise_verdict:
+        """Anchored (module docstring), the rows holding 0, in row order, each
+        sorted with the 0 dropped; otherwise the sorted keys as lists.  When
+        `developed`, row s+g of the run from row s holds 0 iff g = -x mod v for
+        an x of row s: sorted offsets find those rows.  Else they are the
+        `sorted_keys` (anchored, those starting with 0).  Read only after
+        `_anchor`; anchored, `_pair_lambda` charges their making."""
+        if self.developed:
+            rows, v = self.matrix.rows, self.v
             return [sorted(rows[s + g])[1:] for s in range(0, self.b, v)
                     for g in sorted((-x) % v for x in rows[s])]
         if self.translation_invariant:
-            return [sorted(row)[1:] for row in rows if 0 in row]
+            return [list(key[1:]) for key in self.sorted_keys if not key[0]]
         return list(map(list, self.sorted_keys))
 
     @cached_property
@@ -241,24 +229,24 @@ def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     set or tuple (sorting included) and per row sliced or key tested,
     stored or looked up.
 
-    Entrywise stage (`SecrecySystem.entrywise_verdict`), always: the first
-    test sets the k stepped messages of the first row and tests at most b
-    keys of k messages, 2k + b·(k+1); the proof
+    E, before `SecrecySystem.developed` is asked: the proof
     (`EncodingMatrix.in_development_order`) builds the 2v-entry ring, and
     per run slices it at the k entries of its first row, zips the slices
-    and slices and compares the v rows, 3·b·k + b.  E = 2v + 2k + b·(4k+2).
+    and slices and compares the v rows, 3·b·k + b; the first test sets the
+    k stepped messages of the first row and tests at most b keys of k
+    messages, 2k + b·(k+1).  E = 2v + 2k + b·(4k+2).
 
-    Sorted stage, on top only when the entrywise stage leaves the verdict
-    to it: v table entries; the sort puts b·k messages in tuples;
-    the set stores b keys, tests b first entries and builds and stores at
-    most b rotated forms of k messages, b·(k+3); stepping the keys steps
-    b·k messages into b tuples and looks each up, b·(k+1).  S = v +
-    b·(3k+4)."""
+    S, on top whenever the system is not developed, though the b·k < v
+    refusal and the first test may leave it unspent: v table entries; the
+    sort puts b·k messages in tuples; the set stores b keys, tests b first
+    entries and builds and stores at most b rotated forms of k messages,
+    b·(k+3); stepping the keys steps b·k messages into b tuples and looks
+    each up, b·(k+1).  S = v + b·(3k+4)."""
     b, k, v = system.b, system.k, system.v
     what = f"translation check over {b} keys"
     work = 2 * v + 2 * k + b * (4 * k + 2)
     charge(work, budget, what=what)
-    if system.entrywise_verdict is None:
+    if not system.developed:
         work += v + b * (3 * k + 4)
         charge(work, budget, what=what)
     return (0,) if system.translation_invariant else (), work
@@ -289,16 +277,17 @@ def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
     """(work, λ): `SecrecySystem.pair_lambda`, charged its cost U on top of
     the `work` already charged, before it runs; work is then that sum.
     Unanchored, U is `designs.pair_charge`.  Anchored, one step per
-    message scanned, sorted, sliced, counted or read and per offset or
-    test: `SecrecySystem.tails` finds the n = b·k/v rows holding 0 by n
-    offsets sorted per run after an entrywise hit, 2n, else by scanning
-    the b rows, b·k, then sorts them and slices the 0 off, n·(2k-1); the
-    tally and the set make and read n·(k-1) counts each; two length
-    tests and the pop: U = n·(4k-1) + 3 after a hit, else b·k + n·(4k-3) + 3."""
+    message sorted, sliced, listed, counted or read and per offset or key
+    tested: `SecrecySystem.tails` finds the n = b·k/v keys holding 0 by n
+    offsets sorted per run when developed, 2n, sorts them and slices the 0
+    off, n·(2k-1), else tests the b sorted keys, slicing and listing the
+    n, b + 2n·(k-1); the tally and the set make and read n·(k-1) counts
+    each; two length tests and the pop: U = n·(4k-1) + 3 when developed,
+    else b + 4n·(k-1) + 3."""
     b, k, v = system.b, system.k, system.v
     if anchor:
         n = b * k // v
-        work += (4 * k - 3) * n + 3 + (2 * n if system.entrywise_verdict else b * k)
+        work += (n * (4 * k - 1) if system.developed else b + 4 * n * (k - 1)) + 3
     else:
         from .designs import pair_charge
         work += pair_charge(v, b, k)

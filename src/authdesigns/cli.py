@@ -203,7 +203,7 @@ def cmd_params(args) -> int:
         raise DomainError("params needs --t, --v, --k and --lambda")
     params = designs.DesignParameters(t=args.t, v=args.v, k=args.k,
                                       lambda_=args.lambda_)
-    table = [(s, designs.lambda_s(params, s)) for s in range(params.t + 1)]
+    table = list(enumerate(designs.lambda_table(params, args.budget)))
     bad = [(s, val) for s, val in table if val.denominator != 1]
     # the lines come first: _fmt_fraction refuses a number too long to print
     lines = [f"lambda_{s} = {_fmt_fraction(val)}" for s, val in table]
@@ -217,21 +217,21 @@ def cmd_params(args) -> int:
             f"lambda_{s}={_fmt_fraction(val)}" for s, val in bad))
         _emit(args, lines, doc)
         return EXIT_DOMAIN
-    b = params.b
-    bound = designs.massey_schobi_bound(params.v, params.k, params.t)
+    b = table[0][1].numerator
+    bound = table[0][1] / params.lambda_   # C(v,t)/C(k,t), the key-count bound
     ratio = b / bound
-    ok, (b_val, rem) = designs.divisibility_check(params)
+    rem = b % params.v
     doc.update({
         "b": str(b),
         "b_opt": fraction_to_json(bound),
         "ratio": fraction_to_json(ratio),
-        "divisible": ok,
+        "divisible": not rem,
         "b_mod_v": rem,
         "optimality_class": designs.optimality_class(params),
     })
     lines.append(f"b = {b}")
     lines.append(f"b_opt = {_fmt_fraction(bound)}  (ratio {_fmt_fraction(ratio)})")
-    lines.append(f"v | b: {'yes' if ok else 'no'} (b mod v = {rem})")
+    lines.append(f"v | b: {'no' if rem else 'yes'} (b mod v = {rem})")
     lines.append(f"class: {doc['optimality_class']}")
     _emit(args, lines, doc)
     return EXIT_OK

@@ -63,22 +63,32 @@ class DesignParameters:
 
     def non_integral_lambdas(self):
         """All (s, lambda_s) with a non-integral value, ascending s."""
-        return [(s, value) for s in range(self.t + 1)
-                if (value := lambda_s(self, s)).denominator != 1]
+        return [(s, value) for s, value in enumerate(lambda_table(self))
+                if value.denominator != 1]
 
 
 def lambda_s(params: DesignParameters, s: int) -> Fraction:
     """Number of blocks containing a fixed s-subset of points, as an exact
-    rational: lambda * C(v-s, t-s) / C(k-s, t-s).  Integer iff admissible
-    at level s.  lambda_0 = b, lambda_1 = r, lambda_t = lambda."""
+    rational (`lambda_table`): lambda * C(v-s, t-s) / C(k-s, t-s).  Integer
+    iff admissible at level s.  lambda_0 = b, lambda_1 = r, lambda_t = lambda."""
     check_int("s", s, error=DomainError)
     if not (0 <= s <= params.t):
         raise DomainError(f"s must satisfy 0 <= s <= t={show_int(params.t)}, "
                           f"got {show_int(s)}")
-    return Fraction(
-        params.lambda_ * math.comb(params.v - s, params.t - s),
-        math.comb(params.k - s, params.t - s),
-    )
+    return lambda_table(params)[s]
+
+
+def lambda_table(params: DesignParameters, budget: int | None = None) -> list:
+    """[lambda_0, ..., lambda_t], down from lambda_t = lambda by lambda_s =
+    lambda_{s+1}·(v-s)/(k-s).  Charged first, a step per int operation of any
+    size: per s < t, 2 subtractions, the reduced (v-s)/(k-s) (a gcd, 2 tests, 2
+    divisions) times lambda_{s+1} (2 gcds, 2 tests, ≤ 4 divisions, 2 products):
+    17·t."""
+    charge(17 * params.t, budget, what=f"lambda_s table of a {params.t}-design")
+    table = [Fraction(params.lambda_)]
+    for s in range(params.t - 1, -1, -1):
+        table.append(table[-1] * Fraction(params.v - s, params.k - s))
+    return table[::-1]
 
 
 def massey_schobi_bound(v: int, k: int, t: int) -> Fraction:

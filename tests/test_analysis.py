@@ -6,6 +6,7 @@ no factor cancellation.  They are deliberately slow and only run on small
 systems.
 """
 
+import builtins
 import os
 import random
 import subprocess
@@ -39,7 +40,7 @@ from authdesigns import (
     voracle_offline_value,
     voracle_online_value,
 )
-from authdesigns import designs
+from authdesigns import analysis, designs
 from authdesigns.analysis import check_order, report_to_json
 
 from conftest import (buildable_names, built_systems, mutate_entry,
@@ -703,11 +704,11 @@ def translation_cases(seed):
     return cases
 
 
-def entrywise_cases(seed):
+def development_layouts(seed):
     """(kind, matrix) from developments in development order, row g of
     each orbit (d_1+g, ..., d_k+g) mod v: the catalog's and seeded full
-    orbits over v <= 12.  "hit": the rows as they are, so the entrywise
-    stage decides.  "shuffled": the rows shuffled; the sorted stage
+    orbits over v <= 12.  "hit": the rows as they are, so the system is
+    developed.  "shuffled": the rows shuffled; the sorted stage
     decides, invariant.  "rotated": the same rows, row g rotated g places
     within the row, then shuffled; row g stepped is row g+1 rotated g
     places, which the matrix holds rotated g+1 places (mod k), so the
@@ -755,10 +756,10 @@ def out_of_order(matrix, rows, rng):
 def test_translation_check_matches_frozenset_oracle():
     # the verdict against the frozenset oracle, and the tails against
     # their definition: anchored, the rows through 0, sorted, less the 0;
-    # otherwise every row sorted; in row order.  Development layouts are
-    # decided by the stage their kind names, and a hit sorts no key: its
-    # tails come from row positions, also in the "order" layouts, whose
-    # runs start at a seeded g in a shuffled order of the orbits
+    # otherwise every row sorted; in row order.  A developed system sorts
+    # no key: its tails come from row positions, also in the "order"
+    # layouts, whose runs start at a seeded g in a shuffled order of the
+    # orbits; every other system builds its sorted keys
     cases = [EncodingMatrix(1, 1, ((0,),)), EncodingMatrix(2, 1, ((0,), (1,))),
              EncodingMatrix(2, 1, ((1,),)), EncodingMatrix(2, 2, ((1, 0),)),
              *SHORT_ORBITS, *random_small_systems(61, 40),
@@ -769,7 +770,7 @@ def test_translation_check_matches_frozenset_oracle():
                       EncodingMatrix(image.v, image.k, image.rows[1:])]
     verdicts, stages = Counter(), Counter()
     for matrix, kind in (*zip(cases, repeat(None)),
-                         *((m, kind) for kind, m in entrywise_cases(109)),
+                         *((m, kind) for kind, m in development_layouts(109)),
                          *((m, kind) for kind, m in development_order_cases(127)
                            if kind == "order")):
         system = SecrecySystem(matrix)
@@ -778,14 +779,14 @@ def test_translation_check_matches_frozenset_oracle():
         a = 1 if verdict else 0
         assert system.tails == [sorted(row)[a:] for row in matrix.rows
                                 if not a or 0 in row], matrix
-        stage = system.entrywise_verdict
-        assert ("sorted_keys" in vars(system)) == (stage is None or not a)
+        developed = system.developed
+        assert ("sorted_keys" in vars(system)) != developed
         if kind is not None:
-            assert (stage, verdict) == {"hit": (True, True),
-                                        "order": (True, True),
-                                        "shuffled": (None, True),
-                                        "rotated": (None, True),
-                                        "less": (None, False)}[kind], matrix
+            assert (developed, verdict) == {"hit": (True, True),
+                                            "order": (True, True),
+                                            "shuffled": (False, True),
+                                            "rotated": (False, True),
+                                            "less": (False, False)}[kind], matrix
             stages[kind] += 1
             continue
         step = frozenset((m + 1) % matrix.v for m in matrix.rows[0])
@@ -799,6 +800,37 @@ def test_translation_check_matches_frozenset_oracle():
     assert verdicts[True, True, True] >= 60, verdicts
     assert verdicts[False, True, True] >= 40, verdicts
     assert verdicts[False, False, True] >= 40, verdicts
+
+
+def test_each_key_is_sorted_at_most_once(monkeypatch):
+    # a developed system sorts only its 6 keys through 0; any other sorts
+    # each of its 26 keys once, for the translation check and the tails
+    # both.  Nothing is cached on the matrix, which may outlive a system
+    sorts = Counter()
+
+    def counting_sorted(iterable, **kwargs):
+        if type(iterable) is tuple:
+            sorts[iterable] += 1
+        return builtins.sorted(iterable, **kwargs)
+
+    monkeypatch.setattr(analysis, "sorted", counting_sorted, raising=False)
+    z13 = develop_matrix(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7))))
+    rotated = EncodingMatrix(13, 3, tuple(row[g % 3:] + row[:g % 3]
+                                          for g, row in enumerate(z13.rows)))
+    balanced = balance(develop(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7)))))
+    for matrix, developed, secret in ((z13, True, True), (balanced, False, True),
+                                      (rotated, False, False)):
+        sorts.clear()
+        system = SecrecySystem(matrix)
+        assert perfect_secrecy_check(matrix)[0] == secret
+        assert verify_balanced(matrix).valid == secret
+        for model, orders in (("classic", (0, 1, 2)), ("oracle-offline", (0, 1)),
+                              ("oracle-online", (0, 1, 2))):
+            analyze(system, model, orders)
+        assert system.developed == developed and system.translation_invariant
+        assert set(sorts) <= set(matrix.rows) and set(sorts.values()) == {1}
+        assert len(sorts) == (6 if developed else 26)
+        assert set(vars(matrix)) == {"v", "k", "rows"}
 
 
 def test_translation_check_memory_follows_entries_not_v():
@@ -1020,7 +1052,7 @@ def test_pair_tally_paths_match_the_naive_oracles():
         a = 1 if system.translation_invariant else 0
         b, k, v, lam = matrix.b, matrix.k, matrix.v, system.pair_lambda
         uniform_r = system.replication * v == b * k
-        s = takes_sorted_stage(matrix)
+        s = not development_order(matrix)
         for i in range(1, min(3, k)):
             assert charged_exactly(
                 deception_probability, matrix, i,
@@ -1139,7 +1171,7 @@ def test_uniform_pair_check_settles_orders_one_and_two():
         assert system.pair_lambda == gate_lambda(system) == lam, name
         # the check settles orders 1 and 2 (at order 2 only when λ = 1):
         # each call is charged the check's path and no more
-        b, k, v, s = matrix.b, matrix.k, matrix.v, takes_sorted_stage(matrix)
+        b, k, v, s = matrix.b, matrix.k, matrix.v, not development_order(matrix)
         for i in range(1, min(3, k)):
             charged_exactly(deception_probability, matrix, i,
                             deception_charge(b, k, v, i, anchored, lam, s))
@@ -1171,7 +1203,7 @@ def test_uniform_pair_check_falls_back_on_uneven_pairs():
         assert system.pair_lambda == 0, name
         # and each call is charged the fallback on top of the check
         b, k, v, a = matrix.b, matrix.k, matrix.v, system.translation_invariant
-        s = takes_sorted_stage(matrix)
+        s = not development_order(matrix)
         for i in (1, 2):
             charged_exactly(deception_probability, matrix, i,
                             deception_charge(b, k, v, i, a, 0, s))
@@ -1230,7 +1262,7 @@ def test_masks_are_built_only_for_online_orders_from_two():
             assert "message_masks" not in vars(system)
             assert vars(system)["pair_lambda"] == lam
             anchored = system.translation_invariant
-            s = takes_sorted_stage(case)
+            s = not development_order(case)
             check_alone = uniform_charge(b, k, v, anchored, s)
             for i in range(1, k):
                 for fn, documented in ((deception_probability, deception_charge),
@@ -1276,7 +1308,7 @@ def test_steiner_closed_forms_match_the_brute_force():
         for case in (matrix, relabelled(matrix, seed)):
             system = SecrecySystem(case)
             anchored = system.translation_invariant
-            s = takes_sorted_stage(case)
+            s = not development_order(case)
             for i in range(2, k):
                 online = charged_exactly(voracle_online_value, case, i,
                                          uniform_charge(b, k, v, anchored, s))
@@ -1307,7 +1339,7 @@ def test_steiner_closed_forms_leave_other_systems_to_the_loops():
         system = SecrecySystem(matrix)
         b, k, v = matrix.b, matrix.k, matrix.v
         lam, anchored = system.pair_lambda, system.translation_invariant
-        s = takes_sorted_stage(matrix)
+        s = not development_order(matrix)
         assert (lam, i < k) != (1, True)
         cost = online_charge(b, k, v, i, anchored, lam, sorted_stage=s)
         assert cost > uniform_charge(b, k, v, anchored, s)
@@ -1338,17 +1370,6 @@ def test_budget_errors(z13_system):
         assert exc.value.required > 5
 
 
-def takes_sorted_stage(matrix):
-    """Whether the translation check runs its sorted stage, from the
-    definition of the entrywise stage: the first test passes and the rows
-    are not in development order."""
-    v, rows = matrix.v, matrix.rows
-    if matrix.b * matrix.k < v or frozenset(
-            (m + 1) % v for m in rows[0]) not in set(map(frozenset, rows)):
-        return False
-    return not development_order(matrix)
-
-
 def order_zero_charge(b, k, v, anchored, sorted_stage=False):
     """The documented charge of order 0 in every model, and of the offline
     game at every order: the translation check, then, with no anchor, one
@@ -1358,8 +1379,8 @@ def order_zero_charge(b, k, v, anchored, sorted_stage=False):
 
 
 def translation_charge(b, k, v, sorted_stage=False):
-    """The documented charge of the translation check: the entrywise stage,
-    and the sorted stage on top when it runs."""
+    """The documented charge of the translation check: E, and the sorted
+    stage's S on top when the rows are not in development order."""
     return 2 * v + 2 * k + b * (4 * k + 2) + (
         v + b * (3 * k + 4) if sorted_stage else 0)
 
@@ -1367,12 +1388,12 @@ def translation_charge(b, k, v, sorted_stage=False):
 def uniform_charge(b, k, v, anchored, sorted_stage=False):
     """The documented charge of the translation check and the uniform pair
     check after it, both charged before they run.  Anchored, the tails of
-    an entrywise hit are found by position, those of the sorted stage by a
-    scan of the b·k entries."""
+    a developed system are found by position, those of any other from its
+    b sorted keys."""
     n = b * k // v
     return translation_charge(b, k, v, sorted_stage) + (
         (4 * k - 1) * n + 3 if anchored and not sorted_stage
-        else b * k + (4 * k - 3) * n + 3 if anchored
+        else b + 4 * n * (k - 1) + 3 if anchored
         else 3 * b * k + min(v, b * k) + 4 * v + 6)
 
 
@@ -1419,69 +1440,77 @@ def charged_exactly(fn, matrix, i, cost):
 
 
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check's entrywise stage is charged 2v + 2k +
-    # b·(4k+2) before it runs (Z_13 hits there, and its relabelled copy is
-    # refused by the first test, so neither runs the sorted stage), then
-    # the uniform pair check with it before that runs; on Z_13 (λ = 1,
-    # k = 3) that settles spoofing at orders 1 and 2 and the online game at
-    # orders 1 and 2; at order 3 = k the online game charges the mask loop
-    # on the translation check alone, and order 0 is the translation check,
-    # with a count of the entries on top when there is no anchor
+    # the translation check charges E = 2v + 2k + b·(4k+2) before the
+    # development-order proof runs, then S on top, before the sorted stage,
+    # whenever the rows are not in development order: Z_13 is developed,
+    # and its relabelled copy is charged S though the first test refuses
+    # it.  Then the uniform pair check is charged with them before it
+    # runs; on Z_13 (λ = 1, k = 3) that settles spoofing at orders 1 and 2
+    # and the online game at orders 1 and 2; at order 3 = k the online game
+    # charges the mask loop on the translation check alone, and order 0 is
+    # the translation check, with a count of the entries on top when there
+    # is no anchor
     b, k, v = z13_system.b, z13_system.k, z13_system.v
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
     for fn, documented, orders in (
             (deception_probability, deception_charge, (1, 2)),
             (voracle_online_value, online_charge, (1, 2, 3))):
         for system, anchored in ((z13_system, True), (copy, False)):
+            s = not anchored   # the copy is not in development order
+            check = translation_charge(b, k, v, s)
             for i in orders:
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=5)
                 assert exc.value.required == translation_charge(b, k, v)
+                if s:   # S, charged before the first test refuses the copy
+                    with pytest.raises(BudgetError) as exc:
+                        fn(system, i, budget=translation_charge(b, k, v))
+                    assert exc.value.required == check
                 with pytest.raises(BudgetError) as exc:
-                    fn(system, i, budget=translation_charge(b, k, v))
+                    fn(system, i, budget=check)
                 assert exc.value.required == (
-                    uniform_charge(b, k, v, anchored) if i < k
-                    else documented(b, k, v, i, anchored, 1))
-            assert documented(b, k, v, 0, anchored, 1) == order_zero_charge(
-                b, k, v, anchored)
+                    uniform_charge(b, k, v, anchored, s) if i < k
+                    else documented(b, k, v, i, anchored, 1, sorted_stage=s))
+            assert documented(b, k, v, 0, anchored, 1, sorted_stage=s) == (
+                order_zero_charge(b, k, v, anchored, s))
     for i in (0, 1, 2):
         for fn in (voracle_offline_value, deception_probability,
                    voracle_online_value):
             if i and fn is not voracle_offline_value:
                 continue
             with pytest.raises(BudgetError) as exc:
-                fn(copy, i, budget=translation_charge(b, k, v))
-            assert exc.value.required == order_zero_charge(b, k, v, False)
+                fn(copy, i, budget=translation_charge(b, k, v, True))
+            assert exc.value.required == order_zero_charge(b, k, v, False, True)
             assert fn(z13_system, i, budget=translation_charge(b, k, v)) == (
                 Fraction(k, v))
     # anchored, the check finds the 6 keys through 0 by their offsets,
-    # sorts them and counts them; unanchored it counts r and sums all 26
-    # into 13 rows
+    # sorts them and counts them; unanchored it is charged S, then counts r
+    # and sums all 26 keys into 13 rows
     assert translation_charge(b, k, v) == 26 + 6 + 26 * 14 == 396
+    assert translation_charge(b, k, v, True) == 396 + 13 + 26 * 13 == 747
     assert uniform_charge(b, k, v, True) == 396 + 12 + 54 + 3
-    assert uniform_charge(b, k, v, False) == 396 + 234 + 13 + 52 + 6
+    assert uniform_charge(b, k, v, False, True) == 747 + 234 + 13 + 52 + 6
     for i in (1, 2):
         assert deception_charge(b, k, v, i, True, 1) == 465
-        assert deception_charge(b, k, v, i, False, 1) == 701
+        assert deception_charge(b, k, v, i, False, 1, True) == 1052
         assert online_charge(b, k, v, i, True, 1) == 465
     # the masks, 3 ORs for each of the C(11, 2) prefixes through 0, and an
     # OR and a popcount for each of the C(12, 3) sets
     assert online_charge(b, k, v, 3, True, 1) == 396 + 78 + 165 + 440
     assert order_zero_charge(b, k, v, True) == 396
-    assert order_zero_charge(b, k, v, False) == 396 + 91
+    assert order_zero_charge(b, k, v, False, True) == 747 + 91
 
 
 def test_translation_check_charges_each_stage_before_it_runs(z13_system):
-    # Z_13 as developed hits at the entrywise stage and is charged it
-    # alone; balanced by edge colouring, its keys sit in other column
-    # orders, the entrywise stage misses, and the sorted stage is charged
-    # on top before it runs.  Anchored, order 0 is the check alone, and
-    # order 1 adds the uniform pair check
+    # Z_13 as developed is charged E alone; balanced by edge colouring,
+    # its rows are not in development order, and S is charged on top
+    # before the sorted stage runs.  Anchored, order 0 is the check alone,
+    # and order 1 adds the uniform pair check
     balanced = balance(develop(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7)))))
     b, k, v = 26, 3, 13
-    entrywise = translation_charge(b, k, v)
+    proof = translation_charge(b, k, v)
     for matrix, sorted_stage in ((z13_system.matrix, False), (balanced, True)):
-        assert takes_sorted_stage(matrix) == sorted_stage
+        assert development_order(matrix) != sorted_stage
         check = translation_charge(b, k, v, sorted_stage)
         assert charged_exactly(voracle_offline_value, matrix, 0, check) == (
             Fraction(k, v))
@@ -1489,20 +1518,22 @@ def test_translation_check_charges_each_stage_before_it_runs(z13_system):
             b, k, v, True, sorted_stage)) == Fraction(1, 6)
         system = SecrecySystem(matrix)
         with pytest.raises(BudgetError) as exc:
-            voracle_offline_value(system, 0, budget=entrywise - 1)
-        assert exc.value.required == entrywise
-        assert "entrywise_verdict" not in vars(system)
-        if sorted_stage:   # the entrywise stage ran, the sorted one did not
+            voracle_offline_value(system, 0, budget=proof - 1)
+        assert exc.value.required == proof
+        assert "developed" not in vars(system)
+        if sorted_stage:   # the proof ran, the sorted stage did not
             with pytest.raises(BudgetError) as exc:
-                voracle_offline_value(system, 0, budget=entrywise)
+                voracle_offline_value(system, 0, budget=proof)
             assert exc.value.required == check
-            assert system.entrywise_verdict is None
+            assert system.developed is False
             assert "translation_invariant" not in vars(system)
         assert voracle_offline_value(system, 0, budget=check) == Fraction(k, v)
         assert ("sorted_keys" in vars(system)) == sorted_stage
-    assert translation_charge(b, k, v, True) == 396 + 13 + 26 * 13 == 747
-    # the balanced copy's tails come from a scan of the 78 entries
-    assert uniform_charge(b, k, v, True, True) == 747 + 78 + 54 + 3
+    assert translation_charge(b, k, v, True) == 747
+    # the balanced copy's tails come from its sorted keys: 26 first
+    # entries tested, the 6 keys through 0 sliced and listed, 24 messages
+    # twice, then tallied and read
+    assert uniform_charge(b, k, v, True, True) == 747 + 26 + 48 + 3 == 824
 
 
 def charge_cases():
@@ -1534,7 +1565,7 @@ def test_order_one_and_two_charges_are_pinned():
     for name, system, anchored, lam, uniform_r in charge_cases():
         assert system.translation_invariant == anchored, name
         b, k, v = system.b, system.k, system.v
-        s = takes_sorted_stage(system.matrix)
+        s = not development_order(system.matrix)
         calls = [(deception_probability, i,
                   deception_charge(b, k, v, i, anchored, lam, s)) for i in (1, 2)]
         calls.append((voracle_online_value, 1,
@@ -1554,13 +1585,15 @@ def test_order_one_and_two_charges_are_pinned():
     # order 1 loops over the 21 (key, message) pairs, and r being uniform,
     # the online game reads the 21 pairs once for the min instead of four
     # steps each in the scan
-    assert uniform_charge(26, 3, 13, False) == 701
-    assert online_charge(26, 3, 13, 1, False, 1) == 701
-    assert uniform_charge(7, 3, 7, False) == 118 + 63 + 7 + 28 + 6
-    assert deception_charge(7, 3, 7, 1, False, 0) == 222 + 14 + 21 * 10
-    assert online_charge(7, 3, 7, 1, False, 0) == 222 + 7 + 21 + 21
-    assert online_charge(7, 3, 7, 1, False, 0, uniform_r=False) == (
-        222 + 7 + 7 + 21 + 4 * 21)
+    assert uniform_charge(26, 3, 13, False, True) == 1052
+    assert online_charge(26, 3, 13, 1, False, 1, sorted_stage=True) == 1052
+    assert translation_charge(7, 3, 7, True) == 118 + 7 + 7 * 13
+    assert uniform_charge(7, 3, 7, False, True) == 216 + 63 + 7 + 28 + 6
+    assert deception_charge(7, 3, 7, 1, False, 0, True) == 320 + 14 + 21 * 10
+    assert online_charge(7, 3, 7, 1, False, 0, sorted_stage=True) == (
+        320 + 7 + 21 + 21)
+    assert online_charge(7, 3, 7, 1, False, 0, False, True) == (
+        320 + 7 + 7 + 21 + 4 * 21)
 
 
 def test_check_order_is_the_one_order_rule(fano_system):

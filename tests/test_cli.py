@@ -501,8 +501,9 @@ def test_budget_env_is_ascii_digits(capsys, monkeypatch, tmp_path):
 
 def test_every_command_checks_the_budget_before_it_runs(
         capsys, monkeypatch, tmp_path, z13_file, z13_matrix_file):
-    # params and catalog list/show charge nothing, and still refuse a budget
-    # out of range (exit 1) or a malformed AUTHDESIGNS_BUDGET (exit 2)
+    # catalog list/show charge nothing and params only its lambda_s table,
+    # and each still refuses a budget out of range (exit 1) or a malformed
+    # AUTHDESIGNS_BUDGET (exit 2)
     out = str(tmp_path / "out.json")
     commands = [
         ["verify", str(z13_file), "--kind", "cdf", "--out", out],
@@ -664,14 +665,26 @@ def test_refusals_echo_bounded_values(capsys, tmp_path, argv, doc, code, names):
     # JSON text, as json.dumps writes no repeated name
     (["attack"], '{"v": 3, "k": 3, "b": 1, "rows": [[0, 1, 2]], "v": 4}',
      (2, "repeated object name 'v'")),
+    # the lambda_s table is charged 17 steps per level before it is built
+    (["params", "--t", "5000", "--v", "100000", "--k", "7500", "--lambda", "1",
+      "--budget", "1000"], None,
+     (3, "lambda_s table of a 5000-design needs 85000 elementary steps, "
+         "budget is 1000")),
+    (["params", "--t", "20000", "--v", "400000", "--k", "30000", "--lambda",
+      "1", "--budget", "1000"], None,
+     (3, "lambda_s table of a 20000-design needs 340000 elementary steps, "
+         "budget is 1000")),
 ], ids=["short-orbit", "same-orbit", "short-orbit-v200", "text-rows",
-        "repeated-name"])
+        "repeated-name", "params-t5000", "params-t20000"])
 def test_refusals_exit_with_their_codes(capsys, tmp_path, argv, doc, refusal):
-    # the two families pass verify_df, but would develop repeated rows
+    # the two families pass verify_df, but would develop repeated rows; a
+    # command with no document reads no file
     path, out = tmp_path / "doc.json", tmp_path / "out.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = [argv[0], str(path), *argv[1:]]
     code, message = refusal
-    assert run(capsys, argv[0], str(path), *argv[1:], "--out", str(out)) == (
+    assert run(capsys, *argv, "--out", str(out)) == (
         code, "", f"error: {message}\n")
     assert not out.exists()
 
