@@ -42,8 +42,10 @@ run the same loops over all messages.  One bool, `SecrecySystem.developed`
 (`EncodingMatrix.in_development_order`, also a proof of secrecy), picks
 the route: a developed system is invariant and finds its keys through 0 by
 position; any other sorts each key once (`SecrecySystem.sorted_keys`) for
-the lookup of the sorted translates and for its tails.  Each stage is
-charged before it runs (`_anchor`).
+the lookup of the sorted translates and for its tails.  Each call charges
+one setup bound before `developed` is asked (`_anchor`), which covers
+every stage before a loop on every route, and a loop's own term on top
+before the loop runs.
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -136,8 +138,8 @@ class SecrecySystem:
     @cached_property
     def pair_lambda(self) -> int:
         """λ ≥ 1 when every pair through the anchor (module docstring) lies
-        in exactly λ keys, else 0.  Read only through `_pair_lambda`,
-        which charges it with the translation check.
+        in exactly λ keys, else 0.  Read only after `_anchor`, whose
+        setup charge covers it.
 
         Anchored, every pair has a translate {0, y}, and the keys holding
         {0, y} are the tails (`tails`) holding y: their `_tally` of
@@ -161,7 +163,7 @@ class SecrecySystem:
         `developed`, row s+g of the run from row s holds 0 iff g = -x mod v for
         an x of row s: sorted offsets find those rows.  Else they are the
         `sorted_keys` (anchored, those starting with 0).  Read only after
-        `_anchor`; anchored, `_pair_lambda` charges their making."""
+        `_anchor`, whose setup charge covers their making."""
         if self.developed:
             rows, v = self.matrix.rows, self.v
             return [sorted(rows[s + g])[1:] for s in range(0, self.b, v)
@@ -189,7 +191,8 @@ def perfect_secrecy_check(matrix: EncodingMatrix):
     column_b)) whose counts differ, None when ok.  A matrix
     `in_development_order` passes; only a miss builds the k column
     Counters (`EncodingMatrix.column_counts`), compared as dicts, in C,
-    and only when they differ does a message-major scan find the witness.
+    and only when they differ does a message-major scan find the witness
+    among the messages that occur, so v never bounds the work.
     """
     if matrix.in_development_order():
         return True, None
@@ -197,7 +200,7 @@ def perfect_secrecy_check(matrix: EncodingMatrix):
     # dict.__eq__, not Counter's own ==, which loops in Python
     if all(map(dict.__eq__, counts, repeat(counts[0]))):
         return True, None
-    for m in range(matrix.v):
+    for m in sorted(set().union(*counts)):
         for col in range(1, matrix.k):
             if counts[col][m] != counts[0][m]:
                 return False, (m, (0, col))
@@ -221,78 +224,31 @@ def check_order(system: SecrecySystem, model: str, i):
         raise DomainError(f"{what} must satisfy {rule}, got {show_int(i)}")
 
 
+def _setup(system: SecrecySystem) -> int:
+    """The setup charge 8·v + 24·b·k, a bound on every stage before a loop."""
+    return 8 * system.v + 24 * system.b * system.k
+
+
 def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
-    """(anchor, work): anchor is (0,) if the loops at order i ≥ 1 may run
-    only through message 0, else (); work is what the translation check is
-    charged, each stage before it runs, one step per table or ring entry,
-    per message stepped, tested, sliced, zipped, compared or put in a
-    set or tuple (sorting included) and per row sliced or key tested,
-    stored or looked up.
-
-    E, before `SecrecySystem.developed` is asked: the proof
-    (`EncodingMatrix.in_development_order`) builds the 2v-entry ring, and
-    per run slices it at the k entries of its first row, zips the slices
-    and slices and compares the v rows, 3·b·k + b; the first test sets the
-    k stepped messages of the first row and tests at most b keys of k
-    messages, 2k + b·(k+1).  E = 2v + 2k + b·(4k+2).
-
-    S, on top whenever the system is not developed, though the b·k < v
-    refusal and the first test may leave it unspent: v table entries; the
-    sort puts b·k messages in tuples; the set stores b keys, tests b first
-    entries and builds and stores at most b rotated forms of k messages,
-    b·(k+3); stepping the keys steps b·k messages into b tuples and looks
-    each up, b·(k+1).  S = v + b·(3k+4)."""
-    b, k, v = system.b, system.k, system.v
-    what = f"translation check over {b} keys"
-    work = 2 * v + 2 * k + b * (4 * k + 2)
-    charge(work, budget, what=what)
-    if not system.developed:
-        work += v + b * (3 * k + 4)
-        charge(work, budget, what=what)
-    return (0,) if system.translation_invariant else (), work
+    """(0,) if the loops at order i ≥ 1 may run only through message 0, else
+    (); charged `_setup` before `SecrecySystem.developed` is asked."""
+    charge(_setup(system), budget, what=f"translation check over {system.b} keys")
+    return (0,) if system.translation_invariant else ()
 
 
-def _order_zero(system: SecrecySystem, budget: int | None,
-                what: str) -> Fraction:
+def _order_zero(system: SecrecySystem, budget: int | None) -> Fraction:
     """max_m r_m / b, r_m the keys holding message m: order 0 of all three
-    models and the offline game at every order.  Charged the translation
-    check (`_anchor`) first.  Anchored, translation puts every message in
-    r = b·k/v keys and the value is k/v; otherwise, on top, one step per
-    message counted and per distinct message compared: b·k + min(v, b·k)."""
-    anchor, work = _anchor(system, budget)
-    if anchor:
+    models and the offline game at every order, charged the setup alone
+    (`_anchor`).  Anchored, translation puts every message in r = b·k/v
+    keys and the value is k/v."""
+    if _anchor(system, budget):
         return Fraction(system.k, system.v)
-    bk = system.b * system.k
-    charge(work + bk + min(system.v, bk), budget, what=what)
     return Fraction(system.replication, system.b)
 
 
 def _tally(tails: list, j: int) -> Counter:
     """The Counter of the j-subsets of the tails, one increment each."""
     return Counter(chain.from_iterable(map(combinations, tails, repeat(j))))
-
-
-def _pair_lambda(system: SecrecySystem, anchor: tuple, work: int,
-                 budget: int | None, what: str) -> tuple:
-    """(work, λ): `SecrecySystem.pair_lambda`, charged its cost U on top of
-    the `work` already charged, before it runs; work is then that sum.
-    Unanchored, U is `designs.pair_charge`.  Anchored, one step per
-    message sorted, sliced, listed, counted or read and per offset or key
-    tested: `SecrecySystem.tails` finds the n = b·k/v keys holding 0 by n
-    offsets sorted per run when developed, 2n, sorts them and slices the 0
-    off, n·(2k-1), else tests the b sorted keys, slicing and listing the
-    n, b + 2n·(k-1); the tally and the set make and read n·(k-1) counts
-    each; two length tests and the pop: U = n·(4k-1) + 3 when developed,
-    else b + 4n·(k-1) + 3."""
-    b, k, v = system.b, system.k, system.v
-    if anchor:
-        n = b * k // v
-        work += (n * (4 * k - 1) if system.developed else b + 4 * n * (k - 1)) + 3
-    else:
-        from .designs import pair_charge
-        work += pair_charge(v, b, k)
-    charge(work, budget, what=what)
-    return work, system.pair_lambda
 
 
 def deception_probability(system: SecrecySystem, i: int,
@@ -322,43 +278,31 @@ def deception_probability(system: SecrecySystem, i: int,
     j = i-1, so it sees exactly the O ∋ 0, and P_di = v·Σ_{O∋0} best(O) /
     (i·b·C(k,i)).
 
-    Every order i ≥ 1 first asks `SecrecySystem.pair_lambda`
-    (`_pair_lambda`).  When every pair lies in λ ≥ 1 keys, best({x}) = λ
-    for every x and P_d1 = λ·v/(b·k).  When λ = 1 and i ≥ 2, every O in a
-    key holds a pair no other key holds, so none is shared, Σ_O best(O) =
-    b·C(k,i) and P_di = 1.  Otherwise the loop runs.  Anchored at i = 1,
-    j = 0: the one O is {0}, shared when two keys hold 0, and its best is
-    the most keys through 0 that hold one other message.
+    Every order i ≥ 1 first asks `SecrecySystem.pair_lambda`.  When every
+    pair lies in λ ≥ 1 keys, best({x}) = λ for every x and P_d1 =
+    λ·v/(b·k).  When λ = 1 and i ≥ 2, every O in a key holds a pair no
+    other key holds, so none is shared, Σ_O best(O) = b·C(k,i) and P_di =
+    1.  Otherwise the loop runs.  Anchored at i = 1, j = 0: the one O is
+    {0}, shared when two keys hold 0, and its best is the most keys
+    through 0 that hold one other message.
 
-    Charge, one step per key read (sorting included), tally increment,
-    distinct observation scanned, membership test, key gathered, message
-    counted, message deleted, count compared and value summed.  With a =
-    |anchor|, j = i-a and n keys tallied (b, or b·k/v anchored: every
-    message lies in equally many keys), the loop meets N = n·C(k-a, j)
-    (key, observation) pairs: b reads, N increments and at most N distinct
-    observations; if any is shared, at most b tails are read again for N
-    membership tests and H ≤ N keys gathered, H = Σ_{shared} cnt.  A shared
-    O counts cnt(O)·(k-a) messages, then deletes its j and compares what
-    is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in all.  The charge
-    is the translation check (`_anchor`), the uniform check U of
-    `_pair_lambda`, and, unless that check settles the order, on top
-    2·b + N·(2·(k-a) + 4).
+    Charge: the setup (`_anchor`), and 2·b + n·C(k-a, j)·(2·(k-a) + 4) on
+    top before the loop, a = |anchor|, n = b (b·k/v anchored) keys tallied.
     """
     check_order(system, "classic", i)
-    b, k, v = system.b, system.k, system.v
     if i == 0:
-        return _order_zero(system, budget, f"order-0 spoofing tally over {b} keys")
-    anchor, work = _anchor(system, budget)
+        return _order_zero(system, budget)
+    b, k, v = system.b, system.k, system.v
+    anchor = _anchor(system, budget)
     a, j = len(anchor), i - len(anchor)
     n = b * k // v if anchor else b
-    what = f"order-{i} spoofing tally over {n} keys"
-    work, lam = _pair_lambda(system, anchor, work, budget, what)
+    lam = system.pair_lambda
     if lam and i == 1:
         return Fraction(lam * v, b * k)
     if lam == 1:
         return Fraction(1)
-    charge(work + 2 * b + n * math.comb(k - a, j) * (2 * (k - a) + 4),
-           budget, what=what)
+    charge(_setup(system) + 2 * b + n * math.comb(k - a, j) * (2 * (k - a) + 4),
+           budget, what=f"order-{i} spoofing tally over {n} keys")
     counts = _tally(system.tails, j)
     shared = {obs for obs, c in counts.items() if c > 1}
     total = len(counts) - len(shared)
@@ -390,7 +334,7 @@ def voracle_offline_value(system: SecrecySystem, i: int,
     max_m r_m / b, the order-0 value of the other two models (`_order_zero`).
     """
     check_order(system, "oracle-offline", i)
-    return _order_zero(system, budget, f"offline oracle game of order {i}")
+    return _order_zero(system, budget)
 
 
 def voracle_online_value(system: SecrecySystem, i: int,
@@ -431,36 +375,27 @@ def voracle_online_value(system: SecrecySystem, i: int,
     extensions.  Anchored, only prefixes starting with 0 run: C(v-1, i)
     sets.
 
-    Charge, on top of the translation check (`_anchor`), before each part
-    runs.  At i = 1 and at i < k the uniform check U, as `_pair_lambda`
-    charges it; at i = 1 when λ = 0, on top, b reads and P = n·C(k-a, 2-a)
-    increments for the tally (n = b, or b·k/v anchored) and at most
-    min(P, T) counts compared for the min, b + P + min(P, T), or, when r
-    varies, v counts read into a list, b + P for the tally and per pair an
-    add, a count looked up, a subtraction and a comparison, v + b + P +
-    4·C(v,2).  At i ≥ 2 off the closed form, one step per OR or popcount:
-    b·k for the masks; i ORs for each of the C(v-1-a, i-a) prefixes with
-    an extension (largest message at most v-2); an OR and a popcount for
-    each of the C(v-a, i+1-a) sets.  In all b·k + i·C(v-1-a, i-a) +
-    2·C(v-a, i+1-a) on top.
+    Charge: the setup (`_anchor`), and on top before a loop, with P =
+    n·C(k-a, 2-a), n = b (b·k/v anchored): at i = 1, b + P + min(P, T)
+    when every message lies in r keys, else b + P + v + 4·T; at i ≥ 2,
+    b·k + i·C(v-1-a, i-a) + 2·C(v-a, i+1-a).
     """
     check_order(system, "oracle-online", i)
     if i == 0:
-        return _order_zero(system, budget, "online oracle game of order 0")
+        return _order_zero(system, budget)
     b, k, v = system.b, system.k, system.v
-    anchor, work = _anchor(system, budget)
+    anchor = _anchor(system, budget)
     a, what = len(anchor), f"online oracle game of order {i}"
     if i == 1 or i < k:
-        work, lam = _pair_lambda(system, anchor, work, budget, what)
+        lam = system.pair_lambda
         if lam == 1 or lam and i == 1:
             return Fraction((i + 1) * (b * k // v) - i * lam, b)
     if i == 1:
         incidences = (b * k // v if anchor else b) * math.comb(k - a, 2 - a)
         through = math.comb(v - a, 2 - a)
         uniform_r = anchor or system.replication * v == b * k
-        charge(work + b + incidences + (min(incidences, through) if uniform_r
-                                        else v + 4 * through),
-               budget, what=what)
+        charge(_setup(system) + b + incidences + (min(incidences, through)
+               if uniform_r else v + 4 * through), budget, what=what)
         counts = _tally(system.tails, 2 - a)
         if uniform_r:
             least = min(counts.values()) if len(counts) == through else 0
@@ -468,7 +403,7 @@ def voracle_online_value(system: SecrecySystem, i: int,
         r = list(map(system.entry_counts.__getitem__, range(v)))
         return Fraction(max(map(sub, map(sum, combinations(r, 2)), map(
             counts.get, combinations(range(v), 2), repeat(0)))), b)
-    charge(work + b * k + i * math.comb(v - 1 - a, i - a)
+    charge(_setup(system) + b * k + i * math.comb(v - 1 - a, i - a)
            + 2 * math.comb(v - a, i + 1 - a), budget, what=what)
     masks = system.message_masks
     best = 0

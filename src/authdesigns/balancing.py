@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, cycle, product, repeat
+from itertools import chain, cycle, islice, repeat
 from operator import eq
 
 from .errors import DomainError, StructuralError
@@ -201,17 +201,21 @@ def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:
     """Valid iff every message appears exactly b/v times in every column
     (never when v ∤ b): with λ = b/v `in_development_order` or, on a miss,
     when each column's `EncodingMatrix.column_counts` is the uniform dict,
-    in C; else failures ((message, column), count), message-major."""
-    from .designs import VerificationReport, tally_report   # lazily: `attack` skips designs
-    v, k, b = matrix.v, matrix.k, matrix.b
+    in C; else the first MAX_FAILURES ((message, column), count) failures,
+    message-major, scanned lazily: when v ∤ b every cell fails, otherwise
+    the v·k cells number at most b·k.  No count is then common to all."""
+    from .designs import VerificationReport   # lazily: `attack` skips designs
+    v, b = matrix.v, matrix.b
     if matrix.in_development_order():
         return VerificationReport(True, b // v, ())
-    counts, uniform = matrix.column_counts(), dict.fromkeys(range(v), b // v)
-    if not b % v and all(map(dict.__eq__, counts, repeat(uniform))):
+    counts = matrix.column_counts()
+    if not b % v and all(map(dict.__eq__, counts, repeat(
+            dict.fromkeys(range(v), b // v)))):
         return VerificationReport(True, b // v, ())
-    cells = dict(zip(product(range(v), range(k)), chain.from_iterable(zip(*(
-        map(c.get, range(v), repeat(0)) for c in counts)))))
-    return tally_report(cells, cells, v * k, Fraction(b, v))
+    cells = (((m, col), c.get(m, 0)) for m in range(v) for col, c in enumerate(counts))
+    expected = Fraction(b, v)
+    return VerificationReport(False, None, tuple(islice(
+        (cell for cell in cells if cell[1] != expected), MAX_FAILURES)))
 
 
 # ---------------------------------------------------------------------------

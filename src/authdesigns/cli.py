@@ -190,7 +190,7 @@ def cmd_params(args) -> int:
     if args.teirlinck:
         if args.t is None or args.v is None:
             raise DomainError("--teirlinck needs --t and --v")
-        params, b = designs.teirlinck_params(args.t, args.v)
+        params, b = designs.teirlinck_params(args.t, args.v, args.budget)
         modulus, b = _decimal(params.lambda_), _decimal(b)
         doc = {"mode": "teirlinck", "t": params.t, "v": params.v, "k": params.k,
                "lambda": modulus, "modulus": modulus, "b": b}
@@ -274,10 +274,11 @@ def cmd_catalog(args) -> int:
         if entry.params is not None:
             p = entry.params
             lines.append(f"params: {p.t}-({p.v},{p.k},{p.lambda_})")
-            if p.is_admissible:
-                ok, (b, rem) = designs.divisibility_check(p)
-                bound = designs.massey_schobi_bound(p.v, p.k, p.t)
-                doc.update({"b": str(p.b), "divisible": ok,
+            table = designs.lambda_table(p, args.budget)
+            if all(val.denominator == 1 for val in table):
+                b, bound = table[0].numerator, table[0] / p.lambda_
+                ok = not b % p.v
+                doc.update({"b": str(b), "divisible": ok,
                             "b_opt_exact": fraction_to_json(bound),
                             "optimality_class": designs.optimality_class(p)})
                 lines.append(f"b = {b}; v | b: {'yes' if ok else 'no'}; "

@@ -120,12 +120,12 @@ def divisibility_check(params: DesignParameters):
     return (b % params.v == 0, (b, b % params.v))
 
 
-def teirlinck_params(t: int, v: int):
+def teirlinck_params(t: int, v: int, budget: int | None = None):
     """Parameter set t-(v, t+1, (t+1)!^(2t+1)) of the classical nontrivial
     t-design family that exists whenever v ≡ t (mod (t+1)!^(2t+1)).
 
-    Returns (params, b), b = lambda*C(v,t)/C(k,t) = `params.b`, which is
-    the closed form (t+1)!^(2t) * t! * C(v,t).
+    Returns (params, b), b = lambda*C(v,t)/C(k,t) = lambda_0 of the charged
+    `lambda_table`, which is the closed form (t+1)!^(2t) * t! * C(v,t).
     """
     check_int("t", t, 1, DomainError)
     check_int("v", v, error=DomainError)
@@ -136,7 +136,7 @@ def teirlinck_params(t: int, v: int):
         raise DomainError(f"v must satisfy v ≡ t (mod {t + 1}!^{2 * t + 1}) "
                           f"with v > t, got {show_int(v)}")
     params = DesignParameters(t=t, v=v, k=t + 1, lambda_=modulus)
-    return params, params.b
+    return params, lambda_table(params, budget)[0].numerator
 
 
 def canonical_blocks(blocks) -> tuple:

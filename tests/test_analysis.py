@@ -862,6 +862,31 @@ def test_translation_check_memory_follows_entries_not_v():
     assert deception_probability(system, 0) == 1
 
 
+def test_witness_scans_follow_the_entries_not_v(monkeypatch):
+    # one row over v = 10^7: the secrecy witness is sought among the two
+    # messages that occur, with no range over v, and the balance scan, every
+    # cell failing as v ∤ b, stops at its MAX_FAILURES-th failure with no
+    # table of the v·k cells
+    def short_range(*args):
+        steps = builtins.range(*args)
+        assert len(steps) <= 10, args
+        return steps
+
+    monkeypatch.setattr(analysis, "range", short_range, raising=False)
+    v = 10**7
+    matrix = EncodingMatrix(v, 2, ((v - 1, v - 2),))
+    tracemalloc.start()
+    try:
+        secrecy, balanced = perfect_secrecy_check(matrix), verify_balanced(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5, peak
+    assert secrecy == (False, (v - 2, (0, 1)))
+    assert balanced == designs.VerificationReport(False, None, tuple(
+        ((m, col), 0) for m in range(16) for col in (0, 1)))
+
+
 def development_order(matrix):
     """Whether v | b and, in every run of v rows from row s, row s+g is row
     s plus g mod v: the definition `EncodingMatrix.in_development_order`
@@ -1052,15 +1077,14 @@ def test_pair_tally_paths_match_the_naive_oracles():
         a = 1 if system.translation_invariant else 0
         b, k, v, lam = matrix.b, matrix.k, matrix.v, system.pair_lambda
         uniform_r = system.replication * v == b * k
-        s = not development_order(matrix)
         for i in range(1, min(3, k)):
             assert charged_exactly(
                 deception_probability, matrix, i,
-                deception_charge(b, k, v, i, a, lam, s)) == naive_deception(
+                deception_charge(b, k, v, i, a, lam)) == naive_deception(
                     matrix, i), (name, i)
         assert charged_exactly(
             voracle_online_value, matrix, 1,
-            online_charge(b, k, v, 1, a, lam, uniform_r, s)) == naive_online(
+            online_charge(b, k, v, 1, a, lam, uniform_r)) == naive_online(
                 matrix, 1), name
         # the branches these cases are meant to reach: λ from the uniform
         # check, then, when it is 0, whether the fallback's pair tally
@@ -1170,13 +1194,13 @@ def test_uniform_pair_check_settles_orders_one_and_two():
         assert voracle_online_value(system, 1) == naive_online(matrix, 1), name
         assert system.pair_lambda == gate_lambda(system) == lam, name
         # the check settles orders 1 and 2 (at order 2 only when λ = 1):
-        # each call is charged the check's path and no more
-        b, k, v, s = matrix.b, matrix.k, matrix.v, not development_order(matrix)
+        # each call is charged the setup and no more
+        b, k, v = matrix.b, matrix.k, matrix.v
         for i in range(1, min(3, k)):
             charged_exactly(deception_probability, matrix, i,
-                            deception_charge(b, k, v, i, anchored, lam, s))
-        charged_exactly(voracle_online_value, matrix, 1, online_charge(
-            b, k, v, 1, anchored, lam, sorted_stage=s))
+                            deception_charge(b, k, v, i, anchored, lam))
+        charged_exactly(voracle_online_value, matrix, 1,
+                        online_charge(b, k, v, 1, anchored, lam))
     assert replications == [1, 2, 4, 4, 3]
 
 
@@ -1201,14 +1225,13 @@ def test_uniform_pair_check_falls_back_on_uneven_pairs():
                 matrix, i), (name, i)
         assert voracle_online_value(system, 1) == naive_online(matrix, 1), name
         assert system.pair_lambda == 0, name
-        # and each call is charged the fallback on top of the check
+        # and each call is charged the fallback on top of the setup
         b, k, v, a = matrix.b, matrix.k, matrix.v, system.translation_invariant
-        s = not development_order(matrix)
         for i in (1, 2):
             charged_exactly(deception_probability, matrix, i,
-                            deception_charge(b, k, v, i, a, 0, s))
+                            deception_charge(b, k, v, i, a, 0))
         charged_exactly(voracle_online_value, matrix, 1, online_charge(
-            b, k, v, 1, a, 0, system.replication * v == b * k, s))
+            b, k, v, 1, a, 0, system.replication * v == b * k))
 
 
 def test_anchored_pair_check_is_the_uniform_pair_count():
@@ -1248,8 +1271,7 @@ def test_masks_are_built_only_for_online_orders_from_two():
     # order 1, spoofing at every order when λ = 1 and the online game at
     # orders below k when λ = 1, with or without symmetry; the biplane
     # (λ = 2) at orders 2..k-1, and every system at order k, are charged
-    # the loops on top of the check, or the mask loop on the translation
-    # check alone
+    # the loops on top of the setup
     lams = []
     for _, matrix in catalog_developments()[:4]:
         lam = Fraction(matrix.b * comb(matrix.k, 2), comb(matrix.v, 2))
@@ -1262,17 +1284,15 @@ def test_masks_are_built_only_for_online_orders_from_two():
             assert "message_masks" not in vars(system)
             assert vars(system)["pair_lambda"] == lam
             anchored = system.translation_invariant
-            s = not development_order(case)
-            check_alone = uniform_charge(b, k, v, anchored, s)
             for i in range(1, k):
                 for fn, documented in ((deception_probability, deception_charge),
                                        (voracle_online_value, online_charge)):
-                    cost = documented(b, k, v, i, anchored, lam, sorted_stage=s)
+                    cost = documented(b, k, v, i, anchored, lam)
                     assert charged_exactly(fn, case, i, cost) == fn(system, i)
-                    assert (cost == check_alone) == (i == 1 or lam == 1)
+                    assert (cost == setup_charge(b, k, v)) == (i == 1 or lam == 1)
             assert ("message_masks" in vars(system)) == (lam != 1)
             if comb(v, k + 1) <= 2000:
-                cost = online_charge(b, k, v, k, anchored, lam, sorted_stage=s)
+                cost = online_charge(b, k, v, k, anchored, lam)
                 assert charged_exactly(voracle_online_value, case, k, cost) == (
                     voracle_online_value(system, k))
                 assert "message_masks" in vars(system)
@@ -1297,7 +1317,7 @@ def best_cover_through(matrix, i, message):
 
 def test_steiner_closed_forms_match_the_brute_force():
     # λ = 1 at orders 2..k-1: spoofing is 1 and the online game
-    # ((i+1)·(r-1) + 1)/b, read from the uniform check alone; checked
+    # ((i+1)·(r-1) + 1)/b, read from the uniform check at the setup; checked
     # against the mask union and naive_deception where they are small
     checked = Counter()
     for seed, (name, matrix) in enumerate(catalog_developments()):
@@ -1307,11 +1327,9 @@ def test_steiner_closed_forms_match_the_brute_force():
         r = b * k // v
         for case in (matrix, relabelled(matrix, seed)):
             system = SecrecySystem(case)
-            anchored = system.translation_invariant
-            s = not development_order(case)
             for i in range(2, k):
                 online = charged_exactly(voracle_online_value, case, i,
-                                         uniform_charge(b, k, v, anchored, s))
+                                         setup_charge(b, k, v))
                 assert online == voracle_online_value(system, i) == Fraction(
                     (i + 1) * (r - 1) + 1, b), (name, i)
                 assert deception_probability(system, i) == 1
@@ -1339,10 +1357,9 @@ def test_steiner_closed_forms_leave_other_systems_to_the_loops():
         system = SecrecySystem(matrix)
         b, k, v = matrix.b, matrix.k, matrix.v
         lam, anchored = system.pair_lambda, system.translation_invariant
-        s = not development_order(matrix)
         assert (lam, i < k) != (1, True)
-        cost = online_charge(b, k, v, i, anchored, lam, sorted_stage=s)
-        assert cost > uniform_charge(b, k, v, anchored, s)
+        cost = online_charge(b, k, v, i, anchored, lam)
+        assert cost > setup_charge(b, k, v)
         value = charged_exactly(voracle_online_value, matrix, i, cost)
         # the Fano plane less a row has no automorphism moving message 0
         expected = (naive_online(matrix, i) if matrix is less
@@ -1352,7 +1369,7 @@ def test_steiner_closed_forms_leave_other_systems_to_the_loops():
         if i < k:
             assert charged_exactly(
                 deception_probability, matrix, i,
-                deception_charge(b, k, v, i, anchored, lam, s)) == naive_deception(
+                deception_charge(b, k, v, i, anchored, lam)) == naive_deception(
                     matrix, i)
     # i = k: below the closed form ((i+1)·(r-1) + 1)/b, 21/26 and 117/610
     assert voracle_online_value(SecrecySystem(z13), 3) == Fraction(19, 26)
@@ -1370,55 +1387,131 @@ def test_budget_errors(z13_system):
         assert exc.value.required > 5
 
 
-def order_zero_charge(b, k, v, anchored, sorted_stage=False):
-    """The documented charge of order 0 in every model, and of the offline
-    game at every order: the translation check, then, with no anchor, one
-    count of the b·k entries."""
-    return translation_charge(b, k, v, sorted_stage) + (
-        0 if anchored else b * k + min(v, b * k))
+def setup_charge(b, k, v):
+    """The documented setup charge, 8·v + 24·b·k, of every call at every
+    order: it dominates every stage reference below, whose worst route,
+    unanchored and not developed, is translation_reference + U = 3v + 2k +
+    b·(7k+6) + 3·b·k + min(v, b·k) + 4v + 6 <= 8v + 24·b·k as b, k >= 1.
+    Every reference is at least E >= 2v + 4·b·k, so the setup is at most
+    six times it."""
+    return 8 * v + 24 * b * k
 
 
-def translation_charge(b, k, v, sorted_stage=False):
-    """The documented charge of the translation check: E, and the sorted
-    stage's S on top when the rows are not in development order."""
+def deception_charge(b, k, v, i, anchored, lam):
+    """The documented charge of `deception_probability`: the setup, and on
+    top the loop's term when the uniform pair check (λ = 0 when it fails)
+    does not settle the order."""
+    if i == 0 or lam and (i == 1 or lam == 1):
+        return setup_charge(b, k, v)
+    a = 1 if anchored else 0
+    n = b * k // v if anchored else b
+    return setup_charge(b, k, v) + 2 * b + n * comb(k - a, i - a) * (2 * (k - a) + 4)
+
+
+def online_charge(b, k, v, i, anchored, lam, uniform_r=True):
+    """The documented charge of `voracle_online_value`: the setup, and on
+    top the loop's term when the uniform pair check does not settle the
+    order, uniform_r whether every message lies in r keys."""
+    if i == 0 or lam == 1 and i < k or lam and i == 1:
+        return setup_charge(b, k, v)
+    a = 1 if anchored else 0
+    if i == 1:
+        pairs = (b * k // v if anchored else b) * comb(k - a, 2 - a)
+        through = comb(v - a, 2 - a)
+        return setup_charge(b, k, v) + b + pairs + (
+            min(pairs, through) if uniform_r else v + 4 * through)
+    return (setup_charge(b, k, v) + b * k + i * comb(v - 1 - a, i - a)
+            + 2 * comb(v - a, i + 1 - a))
+
+
+def translation_reference(b, k, v, sorted_stage=False):
+    """The steps of the translation check, each stage counted before it
+    runs: one step per table or ring entry, per message stepped, tested,
+    sliced, zipped, compared or put in a set or tuple (sorting included)
+    and per row sliced or key tested, stored or looked up.
+
+    E, before `SecrecySystem.developed` is asked: the proof
+    (`EncodingMatrix.in_development_order`) builds the 2v-entry ring, and
+    per run slices it at the k entries of its first row, zips the slices
+    and slices and compares the v rows, 3·b·k + b; the first test sets the
+    k stepped messages of the first row and tests at most b keys of k
+    messages, 2k + b·(k+1).  E = 2v + 2k + b·(4k+2).
+
+    S, on top whenever the system is not developed (sorted_stage), though
+    the b·k < v refusal and the first test may leave it unspent: v table
+    entries; the sort puts b·k messages in tuples; the set stores b keys,
+    tests b first entries and builds and stores at most b rotated forms of
+    k messages, b·(k+3); stepping the keys steps b·k messages into b
+    tuples and looks each up, b·(k+1).  S = v + b·(3k+4)."""
     return 2 * v + 2 * k + b * (4 * k + 2) + (
         v + b * (3 * k + 4) if sorted_stage else 0)
 
 
-def uniform_charge(b, k, v, anchored, sorted_stage=False):
-    """The documented charge of the translation check and the uniform pair
-    check after it, both charged before they run.  Anchored, the tails of
-    a developed system are found by position, those of any other from its
-    b sorted keys."""
+def order_zero_reference(b, k, v, anchored, sorted_stage=False):
+    """The steps of order 0 in every model, and of the offline game at
+    every order: the translation check, then, with no anchor, one step per
+    message counted and per distinct message compared, b·k + min(v, b·k)."""
+    return translation_reference(b, k, v, sorted_stage) + (
+        0 if anchored else b * k + min(v, b * k))
+
+
+def uniform_reference(b, k, v, anchored, sorted_stage=False):
+    """The steps of the translation check and the uniform pair check U
+    after it.  Unanchored, U is `designs.pair_charge`.  Anchored, one step
+    per message sorted, sliced, listed, counted or read and per offset or
+    key tested: `SecrecySystem.tails` finds the n = b·k/v keys holding 0
+    by n offsets sorted per run when developed, 2n, sorts them and slices
+    the 0 off, n·(2k-1), else tests the b sorted keys, slicing and listing
+    the n, b + 2n·(k-1); the tally and the set make and read n·(k-1)
+    counts each; two length tests and the pop: U = n·(4k-1) + 3 when
+    developed, else b + 4n·(k-1) + 3."""
     n = b * k // v
-    return translation_charge(b, k, v, sorted_stage) + (
+    return translation_reference(b, k, v, sorted_stage) + (
         (4 * k - 1) * n + 3 if anchored and not sorted_stage
         else b + 4 * n * (k - 1) + 3 if anchored
-        else 3 * b * k + min(v, b * k) + 4 * v + 6)
+        else designs.pair_charge(v, b, k))
 
 
-def deception_charge(b, k, v, i, anchored, lam, sorted_stage=False):
-    """The documented charge of `deception_probability`; λ = 0 when the
-    uniform check fails."""
+def deception_reference(b, k, v, i, anchored, lam, sorted_stage=False):
+    """The steps of `deception_probability`, stage by stage; λ = 0 when
+    the uniform pair check fails.  Past the check, one step per key read
+    (sorting included), tally increment, distinct observation scanned,
+    membership test, key gathered, message counted, message deleted, count
+    compared and value summed.  With a = |anchor|, j = i-a and n keys
+    tallied (b, or b·k/v anchored: every message lies in equally many
+    keys), the loop meets N = n·C(k-a, j) (key, observation) pairs: b
+    reads, N increments and at most N distinct observations; if any is
+    shared, at most b tails are read again for N membership tests and H <=
+    N keys gathered, H = Σ_{shared} cnt.  A shared O counts cnt(O)·(k-a)
+    messages, then deletes its j and compares what is left, at most
+    cnt(O)·(k-a) together: 2·(k-a)·H in all.  So 2·b + N·(2·(k-a) + 4)."""
     if i == 0:
-        return order_zero_charge(b, k, v, anchored, sorted_stage)
+        return order_zero_reference(b, k, v, anchored, sorted_stage)
     a = 1 if anchored else 0
     n = b * k // v if anchored else b
-    work = uniform_charge(b, k, v, anchored, sorted_stage)
+    work = uniform_reference(b, k, v, anchored, sorted_stage)
     if lam and (i == 1 or lam == 1):
         return work
     return work + 2 * b + n * comb(k - a, i - a) * (2 * (k - a) + 4)
 
 
-def online_charge(b, k, v, i, anchored, lam, uniform_r=True,
-                  sorted_stage=False):
-    """The documented charge of `voracle_online_value`; λ = 0 when the
-    uniform check fails, uniform_r whether every message lies in r keys."""
+def online_reference(b, k, v, i, anchored, lam, uniform_r=True,
+                     sorted_stage=False):
+    """The steps of `voracle_online_value`, stage by stage: the uniform
+    pair check runs at order 1 and at orders below k.  Past it, at i = 1,
+    b reads and P = n·C(k-a, 2-a) increments for the tally (n = b, or
+    b·k/v anchored) and at most min(P, T) counts compared for the min, T =
+    C(v-a, 2-a), or, when r varies, v counts read into a list and per pair
+    an add, a count looked up, a subtraction and a comparison, v + 4·T.
+    At i >= 2, one step per OR or popcount: b·k for the masks; i ORs for
+    each of the C(v-1-a, i-a) prefixes with an extension (largest message
+    at most v-2); an OR and a popcount for each of the C(v-a, i+1-a)
+    sets."""
     if i == 0:
-        return order_zero_charge(b, k, v, anchored, sorted_stage)
+        return order_zero_reference(b, k, v, anchored, sorted_stage)
     a = 1 if anchored else 0
-    work = (uniform_charge(b, k, v, anchored, sorted_stage) if i == 1 or i < k
-            else translation_charge(b, k, v, sorted_stage))
+    work = (uniform_reference(b, k, v, anchored, sorted_stage) if i == 1 or i < k
+            else translation_reference(b, k, v, sorted_stage))
     if lam == 1 and i < k or lam and i == 1:
         return work
     if i == 1:
@@ -1439,101 +1532,87 @@ def charged_exactly(fn, matrix, i, cost):
     return fn(SecrecySystem(matrix), i, budget=cost)
 
 
+def charge_of(fn, matrix, i):
+    """The charge of fn(·, i) on a fresh system, found without running a
+    loop: the setup it asks at budget 1, then what it asks at the setup,
+    or the setup when it passes there."""
+    with pytest.raises(BudgetError) as exc:
+        fn(SecrecySystem(matrix), i, budget=1)
+    setup = exc.value.required
+    try:
+        fn(SecrecySystem(matrix), i, budget=setup)
+    except BudgetError as err:
+        return err.required
+    return setup
+
+
 def test_budget_charges_on_both_paths(z13_system):
-    # the translation check charges E = 2v + 2k + b·(4k+2) before the
-    # development-order proof runs, then S on top, before the sorted stage,
-    # whenever the rows are not in development order: Z_13 is developed,
-    # and its relabelled copy is charged S though the first test refuses
-    # it.  Then the uniform pair check is charged with them before it
-    # runs; on Z_13 (λ = 1, k = 3) that settles spoofing at orders 1 and 2
-    # and the online game at orders 1 and 2; at order 3 = k the online game
-    # charges the mask loop on the translation check alone, and order 0 is
-    # the translation check, with a count of the entries on top when there
-    # is no anchor
+    # every call is charged the setup before the development proof runs;
+    # on Z_13 (λ = 1, k = 3) and its relabelled copy the uniform pair
+    # check then settles spoofing at orders 1 and 2 and the online game at
+    # orders 1 and 2 within it; at order 3 = k the online game charges the
+    # mask loop on top, and order 0 and the offline game are the setup
     b, k, v = z13_system.b, z13_system.k, z13_system.v
+    setup = setup_charge(b, k, v)
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
-    for fn, documented, orders in (
-            (deception_probability, deception_charge, (1, 2)),
-            (voracle_online_value, online_charge, (1, 2, 3))):
-        for system, anchored in ((z13_system, True), (copy, False)):
-            s = not anchored   # the copy is not in development order
-            check = translation_charge(b, k, v, s)
+    for system, anchored in ((z13_system, True), (copy, False)):
+        assert system.translation_invariant == anchored
+        for fn, orders in ((deception_probability, (0, 1, 2)),
+                           (voracle_offline_value, (0, 1, 2)),
+                           (voracle_online_value, (0, 1, 2, 3))):
             for i in orders:
                 with pytest.raises(BudgetError) as exc:
                     fn(system, i, budget=5)
-                assert exc.value.required == translation_charge(b, k, v)
-                if s:   # S, charged before the first test refuses the copy
+                assert exc.value.required == setup
+                if fn is voracle_online_value and i == 3:
                     with pytest.raises(BudgetError) as exc:
-                        fn(system, i, budget=translation_charge(b, k, v))
-                    assert exc.value.required == check
-                with pytest.raises(BudgetError) as exc:
-                    fn(system, i, budget=check)
-                assert exc.value.required == (
-                    uniform_charge(b, k, v, anchored, s) if i < k
-                    else documented(b, k, v, i, anchored, 1, sorted_stage=s))
-            assert documented(b, k, v, 0, anchored, 1, sorted_stage=s) == (
-                order_zero_charge(b, k, v, anchored, s))
-    for i in (0, 1, 2):
-        for fn in (voracle_offline_value, deception_probability,
-                   voracle_online_value):
-            if i and fn is not voracle_offline_value:
-                continue
-            with pytest.raises(BudgetError) as exc:
-                fn(copy, i, budget=translation_charge(b, k, v, True))
-            assert exc.value.required == order_zero_charge(b, k, v, False, True)
-            assert fn(z13_system, i, budget=translation_charge(b, k, v)) == (
-                Fraction(k, v))
-    # anchored, the check finds the 6 keys through 0 by their offsets,
-    # sorts them and counts them; unanchored it is charged S, then counts r
-    # and sums all 26 keys into 13 rows
-    assert translation_charge(b, k, v) == 26 + 6 + 26 * 14 == 396
-    assert translation_charge(b, k, v, True) == 396 + 13 + 26 * 13 == 747
-    assert uniform_charge(b, k, v, True) == 396 + 12 + 54 + 3
-    assert uniform_charge(b, k, v, False, True) == 747 + 234 + 13 + 52 + 6
-    for i in (1, 2):
-        assert deception_charge(b, k, v, i, True, 1) == 465
-        assert deception_charge(b, k, v, i, False, 1, True) == 1052
-        assert online_charge(b, k, v, i, True, 1) == 465
+                        fn(system, i, budget=setup)
+                    assert exc.value.required == online_charge(
+                        b, k, v, 3, anchored, 1)
+                else:
+                    assert fn(system, i, budget=setup) == fn(z13_system, i)
+    assert setup == 8 * 13 + 24 * 78 == 1976
     # the masks, 3 ORs for each of the C(11, 2) prefixes through 0, and an
     # OR and a popcount for each of the C(12, 3) sets
-    assert online_charge(b, k, v, 3, True, 1) == 396 + 78 + 165 + 440
-    assert order_zero_charge(b, k, v, True) == 396
-    assert order_zero_charge(b, k, v, False, True) == 747 + 91
+    assert online_charge(b, k, v, 3, True, 1) == 1976 + 78 + 165 + 440
+    # the stage references these dominate: anchored, the check finds the
+    # 6 keys through 0 by their offsets, sorts them and counts them;
+    # unanchored it is charged S, then counts r and sums all 26 keys into
+    # 13 rows
+    assert translation_reference(b, k, v) == 26 + 6 + 26 * 14 == 396
+    assert translation_reference(b, k, v, True) == 396 + 13 + 26 * 13 == 747
+    assert uniform_reference(b, k, v, True) == 396 + 12 + 54 + 3 == 465
+    assert uniform_reference(b, k, v, False, True) == 747 + 234 + 13 + 52 + 6
+    assert online_reference(b, k, v, 3, True, 1) == 396 + 78 + 165 + 440
+    assert order_zero_reference(b, k, v, False, True) == 747 + 91
 
 
-def test_translation_check_charges_each_stage_before_it_runs(z13_system):
-    # Z_13 as developed is charged E alone; balanced by edge colouring,
-    # its rows are not in development order, and S is charged on top
-    # before the sorted stage runs.  Anchored, order 0 is the check alone,
-    # and order 1 adds the uniform pair check
+def test_setup_is_charged_before_the_route_is_known(z13_system):
+    # Z_13 as developed and balanced by edge colouring, whose rows are not
+    # in development order, are charged the same setup, refused one step
+    # under it before `developed` is asked; anchored, order 0 is the setup
+    # and order 1 is settled within it by the uniform pair check
     balanced = balance(develop(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7)))))
     b, k, v = 26, 3, 13
-    proof = translation_charge(b, k, v)
+    setup = setup_charge(b, k, v)
     for matrix, sorted_stage in ((z13_system.matrix, False), (balanced, True)):
         assert development_order(matrix) != sorted_stage
-        check = translation_charge(b, k, v, sorted_stage)
-        assert charged_exactly(voracle_offline_value, matrix, 0, check) == (
+        assert charged_exactly(voracle_offline_value, matrix, 0, setup) == (
             Fraction(k, v))
-        assert charged_exactly(deception_probability, matrix, 1, uniform_charge(
-            b, k, v, True, sorted_stage)) == Fraction(1, 6)
+        assert charged_exactly(deception_probability, matrix, 1, setup) == (
+            Fraction(1, 6))
         system = SecrecySystem(matrix)
-        with pytest.raises(BudgetError) as exc:
-            voracle_offline_value(system, 0, budget=proof - 1)
-        assert exc.value.required == proof
+        with pytest.raises(BudgetError):
+            voracle_offline_value(system, 0, budget=setup - 1)
         assert "developed" not in vars(system)
-        if sorted_stage:   # the proof ran, the sorted stage did not
-            with pytest.raises(BudgetError) as exc:
-                voracle_offline_value(system, 0, budget=proof)
-            assert exc.value.required == check
-            assert system.developed is False
-            assert "translation_invariant" not in vars(system)
-        assert voracle_offline_value(system, 0, budget=check) == Fraction(k, v)
+        assert voracle_offline_value(system, 0, budget=setup) == Fraction(k, v)
+        assert system.developed != sorted_stage
         assert ("sorted_keys" in vars(system)) == sorted_stage
-    assert translation_charge(b, k, v, True) == 747
-    # the balanced copy's tails come from its sorted keys: 26 first
-    # entries tested, the 6 keys through 0 sliced and listed, 24 messages
-    # twice, then tallied and read
-    assert uniform_charge(b, k, v, True, True) == 747 + 26 + 48 + 3 == 824
+    # the stages the balanced copy runs: the proof, the sorted stage, and
+    # its tails from its sorted keys: 26 first entries tested, the 6 keys
+    # through 0 sliced and listed, 24 messages twice, then tallied and read
+    assert translation_reference(b, k, v, True) == 747
+    assert uniform_reference(b, k, v, True, True) == 747 + 26 + 48 + 3 == 824 < setup
 
 
 def charge_cases():
@@ -1565,35 +1644,100 @@ def test_order_one_and_two_charges_are_pinned():
     for name, system, anchored, lam, uniform_r in charge_cases():
         assert system.translation_invariant == anchored, name
         b, k, v = system.b, system.k, system.v
-        s = not development_order(system.matrix)
         calls = [(deception_probability, i,
-                  deception_charge(b, k, v, i, anchored, lam, s)) for i in (1, 2)]
+                  deception_charge(b, k, v, i, anchored, lam)) for i in (1, 2)]
         calls.append((voracle_online_value, 1,
-                      online_charge(b, k, v, 1, anchored, lam, uniform_r, s)))
+                      online_charge(b, k, v, 1, anchored, lam, uniform_r)))
         for fn, i, cost in calls:
             assert charged_exactly(fn, system.matrix, i, cost) == fn(
                 system, i), (name, i)
             assert system.pair_lambda == lam, name
             settled = bool(lam) and (i == 1 or lam == 1)
-            # the check alone, or the fallback on top of it
-            assert (cost == uniform_charge(b, k, v, anchored, s)) == settled
+            # the setup alone, or the loop on top of it
+            assert (cost == setup_charge(b, k, v)) == settled
             seen.add((fn.__name__, i, anchored, settled,
                       uniform_r if fn is voracle_online_value else None))
     assert len(seen) == 13, sorted(seen)
-    # the relabelled Z_13: the uniform check sums its 26 keys into 13 rows
-    # of 13 digits; on the 7-point triples it fails, spoofing at
-    # order 1 loops over the 21 (key, message) pairs, and r being uniform,
-    # the online game reads the 21 pairs once for the min instead of four
+    # on the 7-point triples the uniform check fails, spoofing at order 1
+    # loops over the 21 (key, message) pairs, and r being uniform, the
+    # online game reads the 21 pairs once for the min instead of four
     # steps each in the scan
-    assert uniform_charge(26, 3, 13, False, True) == 1052
-    assert online_charge(26, 3, 13, 1, False, 1, sorted_stage=True) == 1052
-    assert translation_charge(7, 3, 7, True) == 118 + 7 + 7 * 13
-    assert uniform_charge(7, 3, 7, False, True) == 216 + 63 + 7 + 28 + 6
-    assert deception_charge(7, 3, 7, 1, False, 0, True) == 320 + 14 + 21 * 10
-    assert online_charge(7, 3, 7, 1, False, 0, sorted_stage=True) == (
-        320 + 7 + 21 + 21)
-    assert online_charge(7, 3, 7, 1, False, 0, False, True) == (
+    assert setup_charge(7, 3, 7) == 56 + 504 == 560
+    assert deception_charge(7, 3, 7, 1, False, 0) == 560 + 14 + 21 * 10
+    assert online_charge(7, 3, 7, 1, False, 0) == 560 + 7 + 21 + 21
+    assert online_charge(7, 3, 7, 1, False, 0, False) == 560 + 7 + 7 + 21 + 4 * 21
+    # their stage references
+    assert translation_reference(7, 3, 7, True) == 118 + 7 + 7 * 13 == 216
+    assert uniform_reference(7, 3, 7, False, True) == 216 + 63 + 7 + 28 + 6 == 320
+    assert deception_reference(7, 3, 7, 1, False, 0, True) == 320 + 14 + 21 * 10
+    assert online_reference(7, 3, 7, 1, False, 0, False, True) == (
         320 + 7 + 7 + 21 + 4 * 21)
+
+
+def reference_corpus():
+    """(name, matrix): six catalog developments as developed, balanced by
+    edge colouring, with their rows shuffled and less their first row;
+    complete 3-(5,3,1) balanced; the Z_v-orbit of {0, 1, 2} at v = 13 and
+    200, and at 200 relabelled, which has no anchor, puts every message
+    in 3 keys and holds pairs in 0, 1 and 2 keys (λ = 0); and every
+    system built from the catalog."""
+    rng = random.Random(131)
+    cases = []
+    for name in ("fano-cdf", "cdf-13-3-1", "cdf-13-4-1", "biplane-cdf-11-5-2",
+                 "netto-19", "cdf-31-6-1"):
+        df = catalog.load_payload(name)
+        matrix = develop_matrix(df)
+        rows = list(matrix.rows)
+        rng.shuffle(rows)
+        cases += [(name, matrix), (f"{name}-balanced", balance(develop(df))),
+                  (f"{name}-shuffled", EncodingMatrix(matrix.v, matrix.k, tuple(rows))),
+                  (f"{name}-less", EncodingMatrix(matrix.v, matrix.k, matrix.rows[1:]))]
+    cases.append(("complete-5-3", balance(designs.BlockDesign(
+        5, tuple(combinations(range(5), 3))))))
+    for v in (13, 200):
+        cases.append((f"012-mod-{v}", EncodingMatrix(v, 3, develop_rows(v, ((0, 1, 2),)))))
+    cases.append(("012-mod-200-relabelled", relabelled(cases[-1][1], 14)))
+    cases += [(f"built-{name}", matrix) for name, _, matrix in built_systems()]
+    return cases
+
+
+def test_every_charge_dominates_its_stage_reference():
+    # at every model and at orders 0..min(k+1, 4), each call asks exactly
+    # its documented charge, at least the steps its stages and loop take
+    # (the reference) and at most six times them; where the loop is
+    # small, it also passes at that charge.  Relabelled (0, 1, 2) mod 200
+    # has the order-1 online scan at v + 4·C(v,2) steps far above its
+    # min over the pairs, so a charge folding the two formulas fails the
+    # factor there; a setup of E alone fails wherever a stage after the
+    # proof runs
+    ratios, names = [], set()
+    for name, matrix in reference_corpus():
+        system = SecrecySystem(matrix)
+        b, k, v = matrix.b, matrix.k, matrix.v
+        anchored, lam = system.translation_invariant, system.pair_lambda
+        uniform_r = system.replication * v == b * k
+        s = not development_order(matrix)
+        orders = range(min(k + 1, 4, v - 1) + 1)
+        calls = [(deception_probability, i,
+                  deception_charge(b, k, v, i, anchored, lam),
+                  deception_reference(b, k, v, i, anchored, lam, s))
+                 for i in orders if i < k]
+        calls += [(voracle_offline_value, i, setup_charge(b, k, v),
+                   order_zero_reference(b, k, v, anchored, s)) for i in orders]
+        calls += [(voracle_online_value, i,
+                   online_charge(b, k, v, i, anchored, lam, uniform_r),
+                   online_reference(b, k, v, i, anchored, lam, uniform_r, s))
+                  for i in orders]
+        for fn, i, cost, reference in calls:
+            assert charge_of(fn, matrix, i) == cost, (name, fn.__name__, i)
+            assert reference <= cost <= 6 * reference, (name, fn.__name__, i)
+            ratios.append(Fraction(cost, reference))
+            if cost - setup_charge(b, k, v) <= 20_000:
+                assert charged_exactly(fn, matrix, i, cost) == fn(system, i)
+        names.add(name)
+    assert len(names) == 28 + len(built_systems()), len(names)
+    assert len(ratios) >= 600 and 1 < min(ratios) and max(ratios) < 6, (
+        len(ratios), float(min(ratios)), float(max(ratios)))
 
 
 def test_check_order_is_the_one_order_rule(fano_system):

@@ -501,9 +501,9 @@ def test_budget_env_is_ascii_digits(capsys, monkeypatch, tmp_path):
 
 def test_every_command_checks_the_budget_before_it_runs(
         capsys, monkeypatch, tmp_path, z13_file, z13_matrix_file):
-    # catalog list/show charge nothing and params only its lambda_s table,
-    # and each still refuses a budget out of range (exit 1) or a malformed
-    # AUTHDESIGNS_BUDGET (exit 2)
+    # catalog list charges nothing, catalog show and params only a
+    # lambda_s table, and each still refuses a budget out of range (exit 1)
+    # or a malformed AUTHDESIGNS_BUDGET (exit 2)
     out = str(tmp_path / "out.json")
     commands = [
         ["verify", str(z13_file), "--kind", "cdf", "--out", out],
@@ -674,8 +674,17 @@ def test_refusals_echo_bounded_values(capsys, tmp_path, argv, doc, code, names):
       "1", "--budget", "1000"], None,
      (3, "lambda_s table of a 20000-design needs 340000 elementary steps, "
          "budget is 1000")),
+    # --budget reaches the table of a parameter row and of the Teirlinck
+    # family too
+    (["catalog", "show", "params-8-31-10-100", "--budget", "100"], None,
+     (3, "lambda_s table of a 8-design needs 136 elementary steps, "
+         "budget is 100")),
+    (["params", "--teirlinck", "--t", "2", "--v", "23330", "--budget", "10"],
+     None, (3, "lambda_s table of a 2-design needs 34 elementary steps, "
+               "budget is 10")),
 ], ids=["short-orbit", "same-orbit", "short-orbit-v200", "text-rows",
-        "repeated-name", "params-t5000", "params-t20000"])
+        "repeated-name", "params-t5000", "params-t20000", "catalog-show-params",
+        "params-teirlinck"])
 def test_refusals_exit_with_their_codes(capsys, tmp_path, argv, doc, refusal):
     # the two families pass verify_df, but would develop repeated rows; a
     # command with no document reads no file
