@@ -9,8 +9,7 @@ import math
 
 from authdesigns import (
     DesignParameters,
-    divisibility_check,
-    lambda_s,
+    lambda_table,
     massey_schobi_bound,
     optimality_class,
     teirlinck_params,
@@ -22,9 +21,9 @@ print(f"{'name':<20} {'params':>18} {'b':>12} {'b_opt':>11} {'class':>13} v|b")
 for entry in rows:
     p = entry.params
     label = f"{p.t}-({p.v},{p.k},{p.lambda_})"
-    ok, _ = divisibility_check(p)
-    print(f"{entry.name:<20} {label:>18} {p.b:>12} {entry.b_opt:>11} "
-          f"{optimality_class(p):>13} {'yes' if ok else 'no'}")
+    b = lambda_table(p)[0].numerator
+    print(f"{entry.name:<20} {label:>18} {b:>12} {entry.b_opt:>11} "
+          f"{optimality_class(p):>13} {'no' if b % p.v else 'yes'}")
 print()
 
 print("t-(v, t+1, (t+1)!^(2t+1)) family at the smallest admissible order:")
@@ -36,13 +35,13 @@ for t in range(1, 8):
 print()
 
 print("an inadmissible tuple and its fractional block counts:")
-p = DesignParameters(2, 8, 3, 1)
-for s in range(p.t + 1):
-    value = lambda_s(p, s)
+table = lambda_table(DesignParameters(2, 8, 3, 1))
+for s, value in enumerate(table):
     print(f"  lambda_{s} = {value}")
-print(f"  admissible: {p.is_admissible}")
+print(f"  admissible: {all(value.denominator == 1 for value in table)}")
 print()
 
 q = DesignParameters(6, 19, 7, 4)
-print(f"6-(19,7,4): b = {q.b}, key bound = {massey_schobi_bound(19, 7, 6)}, "
-      f"ratio = {q.b // 3876}, class = {optimality_class(q)}")
+b = lambda_table(q)[0].numerator
+print(f"6-(19,7,4): b = {b}, key bound = {massey_schobi_bound(19, 7, 6)}, "
+      f"ratio = {b // 3876}, class = {optimality_class(q)}")

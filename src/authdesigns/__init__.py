@@ -22,9 +22,9 @@ _SUBMODULE = {name: module for module, names in {
                   "format_matrix_table", "split_points", "verify_balanced"),
     "budget": ("DEFAULT_BUDGET",),
     "designs": ("BlockDesign", "DesignParameters", "VerificationReport",
-                "complete_design", "derived_design", "divisibility_check",
-                "lambda_s", "massey_schobi_bound", "optimality_class",
-                "teirlinck_params", "verify_design"),
+                "complete_design", "derived_design", "lambda_table",
+                "massey_schobi_bound", "optimality_class", "teirlinck_params",
+                "verify_design"),
     "difference_families": ("DifferenceFamily", "develop", "develop_matrix",
                             "netto_triples", "verify_df"),
     "errors": ("AuthDesignsError", "BudgetError", "ConstructionError",

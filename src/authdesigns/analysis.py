@@ -232,7 +232,7 @@ def _setup(system: SecrecySystem) -> int:
 def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
     """(0,) if the loops at order i ≥ 1 may run only through message 0, else
     (); charged `_setup` before `SecrecySystem.developed` is asked."""
-    charge(_setup(system), budget, what=f"translation check over {system.b} keys")
+    charge(_setup(system), budget, what=f"analysis setup over {system.b} keys")
     return (0,) if system.translation_invariant else ()
 
 

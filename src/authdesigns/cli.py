@@ -185,6 +185,18 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------------------
 # params
 
+def _readings(params, budget):
+    """The charged λ_s table of `params` as (s, λ_s) pairs, its fractional
+    pairs, which make `params` inadmissible, and, only when there are none,
+    (b, b_opt, b mod v): b = λ_0, b_opt = λ_0/λ = C(v,t)/C(k,t)."""
+    from .designs import lambda_table
+    table = list(enumerate(lambda_table(params, budget)))
+    bad = [(s, val) for s, val in table if val.denominator != 1]
+    lam0 = table[0][1]
+    return table, bad, None if bad else (
+        lam0.numerator, lam0 / params.lambda_, lam0.numerator % params.v)
+
+
 def cmd_params(args) -> int:
     from . import designs
     if args.teirlinck:
@@ -203,36 +215,25 @@ def cmd_params(args) -> int:
         raise DomainError("params needs --t, --v, --k and --lambda")
     params = designs.DesignParameters(t=args.t, v=args.v, k=args.k,
                                       lambda_=args.lambda_)
-    table = list(enumerate(designs.lambda_table(params, args.budget)))
-    bad = [(s, val) for s, val in table if val.denominator != 1]
+    table, bad, counts = _readings(params, args.budget)
     # the lines come first: _fmt_fraction refuses a number too long to print
     lines = [f"lambda_{s} = {_fmt_fraction(val)}" for s, val in table]
-    doc = {
-        "t": params.t, "v": params.v, "k": params.k, "lambda": params.lambda_,
-        "lambda_s": [{"s": s, "value": fraction_to_json(val)} for s, val in table],
-        "admissible": not bad,
-    }
+    doc = {"t": params.t, "v": params.v, "k": params.k, "lambda": params.lambda_,
+           "lambda_s": [{"s": s, "value": fraction_to_json(val)} for s, val in table],
+           "admissible": not bad}
     if bad:
         lines.append("inadmissible: " + ", ".join(
             f"lambda_{s}={_fmt_fraction(val)}" for s, val in bad))
         _emit(args, lines, doc)
         return EXIT_DOMAIN
-    b = table[0][1].numerator
-    bound = table[0][1] / params.lambda_   # C(v,t)/C(k,t), the key-count bound
-    ratio = b / bound
-    rem = b % params.v
-    doc.update({
-        "b": str(b),
-        "b_opt": fraction_to_json(bound),
-        "ratio": fraction_to_json(ratio),
-        "divisible": not rem,
-        "b_mod_v": rem,
-        "optimality_class": designs.optimality_class(params),
-    })
-    lines.append(f"b = {b}")
-    lines.append(f"b_opt = {_fmt_fraction(bound)}  (ratio {_fmt_fraction(ratio)})")
-    lines.append(f"v | b: {'no' if rem else 'yes'} (b mod v = {rem})")
-    lines.append(f"class: {doc['optimality_class']}")
+    b, bound, rem = counts
+    ratio, kind = b / bound, designs.optimality_class(params)
+    doc.update({"b": str(b), "b_opt": fraction_to_json(bound),
+                "ratio": fraction_to_json(ratio), "divisible": not rem,
+                "b_mod_v": rem, "optimality_class": kind})
+    lines += [f"b = {b}",
+              f"b_opt = {_fmt_fraction(bound)}  (ratio {_fmt_fraction(ratio)})",
+              f"v | b: {'no' if rem else 'yes'} (b mod v = {rem})", f"class: {kind}"]
     _emit(args, lines, doc)
     return EXIT_OK
 
@@ -274,14 +275,13 @@ def cmd_catalog(args) -> int:
         if entry.params is not None:
             p = entry.params
             lines.append(f"params: {p.t}-({p.v},{p.k},{p.lambda_})")
-            table = designs.lambda_table(p, args.budget)
-            if all(val.denominator == 1 for val in table):
-                b, bound = table[0].numerator, table[0] / p.lambda_
-                ok = not b % p.v
-                doc.update({"b": str(b), "divisible": ok,
+            _, bad, counts = _readings(p, args.budget)
+            if not bad:
+                b, bound, rem = counts
+                doc.update({"b": str(b), "divisible": not rem,
                             "b_opt_exact": fraction_to_json(bound),
                             "optimality_class": designs.optimality_class(p)})
-                lines.append(f"b = {b}; v | b: {'yes' if ok else 'no'}; "
+                lines.append(f"b = {b}; v | b: {'no' if rem else 'yes'}; "
                              f"b_opt = {_fmt_fraction(bound)}; "
                              f"class = {doc['optimality_class']}")
         if entry.b_opt is not None:

@@ -25,9 +25,10 @@ class DesignParameters:
     """Parameter tuple of a t-design with index lambda.
 
     Construction enforces only the cheap structural conditions
-    (1 <= t <= k <= v, lambda >= 1); integrality of the derived counts —
-    admissibility — is a property (`is_admissible`), because callers need to
-    represent and report on inadmissible tuples too.
+    (1 <= t <= k <= v, lambda >= 1), because callers need to represent and
+    report on inadmissible tuples too.  Every derived count is read from
+    `lambda_table`: b = lambda_0, r = lambda_1, b_opt = lambda_0/lambda;
+    admissibility is a table with no fractional entry.
     """
 
     t: int
@@ -44,46 +45,15 @@ class DesignParameters:
             raise DomainError(f"need t <= k <= v, got t={show_int(self.t)}, "
                               f"k={show_int(self.k)}, v={show_int(self.v)}")
 
-    def _integral(self, s: int, name: str) -> int:
-        value = lambda_s(self, s)
-        if value.denominator != 1:
-            raise DomainError(f"{name} = {show_int(value.numerator)}/"
-                              f"{show_int(value.denominator)} is not an integer; "
-                              "parameters inadmissible")
-        return value.numerator
-
-    b = property(lambda self: self._integral(0, "b"),
-                 doc="Number of blocks, lambda * C(v,t)/C(k,t).  Must be integral.")
-    r = property(lambda self: self._integral(1, "r"),
-                 doc="Replication number (blocks through a point).  Must be integral.")
-
-    @property
-    def is_admissible(self) -> bool:
-        return not self.non_integral_lambdas()
-
-    def non_integral_lambdas(self):
-        """All (s, lambda_s) with a non-integral value, ascending s."""
-        return [(s, value) for s, value in enumerate(lambda_table(self))
-                if value.denominator != 1]
-
-
-def lambda_s(params: DesignParameters, s: int) -> Fraction:
-    """Number of blocks containing a fixed s-subset of points, as an exact
-    rational (`lambda_table`): lambda * C(v-s, t-s) / C(k-s, t-s).  Integer
-    iff admissible at level s.  lambda_0 = b, lambda_1 = r, lambda_t = lambda."""
-    check_int("s", s, error=DomainError)
-    if not (0 <= s <= params.t):
-        raise DomainError(f"s must satisfy 0 <= s <= t={show_int(params.t)}, "
-                          f"got {show_int(s)}")
-    return lambda_table(params)[s]
-
 
 def lambda_table(params: DesignParameters, budget: int | None = None) -> list:
-    """[lambda_0, ..., lambda_t], down from lambda_t = lambda by lambda_s =
-    lambda_{s+1}·(v-s)/(k-s).  Charged first, a step per int operation of any
-    size: per s < t, 2 subtractions, the reduced (v-s)/(k-s) (a gcd, 2 tests, 2
-    divisions) times lambda_{s+1} (2 gcds, 2 tests, ≤ 4 divisions, 2 products):
-    17·t."""
+    """[lambda_0, ..., lambda_t]: lambda_s = lambda·C(v-s,t-s)/C(k-s,t-s),
+    the blocks through a fixed s-subset of points, exact and integral iff
+    the parameters are admissible at level s; b = lambda_0, r = lambda_1.
+    Built down from lambda_t = lambda by lambda_s = lambda_{s+1}·(v-s)/(k-s),
+    and charged first, a step per int operation of any size: per s < t, 2
+    subtractions, the reduced (v-s)/(k-s) (a gcd, 2 tests, 2 divisions) times
+    lambda_{s+1} (2 gcds, 2 tests, ≤ 4 divisions, 2 products): 17·t."""
     charge(17 * params.t, budget, what=f"lambda_s table of a {params.t}-design")
     table = [Fraction(params.lambda_)]
     for s in range(params.t - 1, -1, -1):
@@ -93,9 +63,9 @@ def lambda_table(params: DesignParameters, budget: int | None = None) -> list:
 
 def massey_schobi_bound(v: int, k: int, t: int) -> Fraction:
     """Information-theoretic lower bound C(v,t)/C(k,t) on the number of keys
-    of any system that is (t-1)-fold secure against spoofing: b of a
-    t-(v,k,1) design."""
-    return lambda_s(DesignParameters(t, v, k, 1), 0)
+    of any system that is (t-1)-fold secure against spoofing: b = lambda_0
+    of the `lambda_table` of a t-(v,k,1) design."""
+    return lambda_table(DesignParameters(t, v, k, 1))[0]
 
 
 def optimality_class(params: DesignParameters) -> str:
@@ -109,15 +79,6 @@ def optimality_class(params: DesignParameters) -> str:
     if 2 <= params.lambda_ <= 10:
         return "near_optimal"
     return "other"
-
-
-def divisibility_check(params: DesignParameters):
-    """Whether v divides b — the gate for balanced orderings to exist.
-
-    Returns (ok, (b, b mod v)) so failures carry their witness.
-    """
-    b = params.b
-    return (b % params.v == 0, (b, b % params.v))
 
 
 def teirlinck_params(t: int, v: int, budget: int | None = None):

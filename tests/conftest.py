@@ -23,7 +23,7 @@ from authdesigns import (
     complete_design,
     develop,
     develop_matrix,
-    divisibility_check,
+    lambda_table,
 )
 from authdesigns.balancing import SplitGraph
 from authdesigns.designs import canonical_blocks
@@ -119,7 +119,7 @@ def built_systems():
             out.append((name, 2, develop_matrix(payload)))
         else:
             design, t, _ = payload
-            if not divisibility_check(entry.params)[0]:
+            if lambda_table(entry.params)[0] % entry.params.v:
                 with pytest.raises(DomainError):
                     balance(design)
                 continue

@@ -22,9 +22,8 @@ from authdesigns import (
     analyze,
     deception_probability,
     develop,
-    divisibility_check,
     edge_color,
-    lambda_s,
+    lambda_table,
     massey_schobi_bound,
     perfect_secrecy_check,
     teirlinck_params,
@@ -186,10 +185,12 @@ def test_criterion_07_counting_identities():
                 // math.gcd(math.comb(v - s, t - s), math.comb(k - s, t - s))
                 for s in range(t + 1)))
             params = DesignParameters(t, v, k, lam_min * rng.randint(1, 100))
-            b, r = params.b, params.r
+            table = lambda_table(params)
+            assert all(value.denominator == 1 for value in table)
+            b, r = table[:2]
             assert b * k == v * r
             if t >= 2:
-                assert r * (k - 1) == lambda_s(params, 2) * (v - 1)
+                assert r * (k - 1) == table[2] * (v - 1)
 
         # integrality formulas against literal subset counting
         desk = [(catalog.load_payload("complete-5-3")[0], 3, 1),
@@ -199,9 +200,8 @@ def test_criterion_07_counting_identities():
                 (develop(catalog.load_payload("biplane-cdf-11-5-2")), 2, 2),
                 (develop(catalog.load_payload("cdf-13-4-1")), 2, 1)]
         for design, t, lam in desk:
-            params = DesignParameters(t, design.v, design.k, lam)
-            for s in range(t + 1):
-                expected = lambda_s(params, s)
+            table = lambda_table(DesignParameters(t, design.v, design.k, lam))
+            for s, expected in enumerate(table):
                 assert expected.denominator == 1
                 for subset in list(combinations(range(design.v), s))[:12]:
                     count = sum(1 for blk in design.blocks
@@ -221,8 +221,8 @@ def test_criterion_08_published_bounds():
         for entry in rows:
             p = entry.params
             assert massey_schobi_bound(p.v, p.k, p.t) == entry.b_opt, entry.name
-            ok, (b, rem) = divisibility_check(p)
-            assert ok, (entry.name, b, rem)
+            b = lambda_table(p)[0]
+            assert b % p.v == 0, (entry.name, b, b % p.v)
 
 
 def test_criterion_09_perpendicular_array():
@@ -249,9 +249,8 @@ def test_criterion_10_teirlinck_parameters():
             assert params.lambda_ == modulus
             closed = (math.factorial(t + 1) ** (2 * t) * math.factorial(t)
                       * math.comb(v, t))
-            counted = lambda_s(params, 0)
-            assert counted.denominator == 1
-            assert b == closed == counted.numerator
-            assert params.is_admissible
+            table = lambda_table(params)
+            assert all(value.denominator == 1 for value in table)
+            assert b == closed == table[0]
         assert teirlinck_params(7, 7 + math.factorial(8) ** 15)[0].lambda_ \
             == 40320 ** 15

@@ -1,9 +1,12 @@
 """Bundled constructions and published parameter rows."""
 
+import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from authdesigns import (
     balance,
     deception_probability,
     develop_matrix,
-    divisibility_check,
+    lambda_table,
     massey_schobi_bound,
     netto_triples,
     perfect_secrecy_check,
@@ -27,6 +30,7 @@ from authdesigns import (
 )
 from authdesigns import catalog
 from authdesigns.apa import apa_to_json
+from authdesigns.cli import main
 from authdesigns.designs import design_to_json
 from authdesigns.difference_families import df_to_json
 from authdesigns.fileio import digest, load_json
@@ -78,16 +82,31 @@ def test_every_payload_verifies():
             assert verify_apa(payload).valid
 
 
-def test_param_rows_match_key_bound():
-    rows = [e for e in catalog.entries() if e.kind == "params-only"]
-    assert len(rows) >= 20
+def test_param_rows_match_key_bound(capsys):
+    rows = [e for e in catalog.entries() if e.params is not None]
+    assert sum(e.kind == "params-only" for e in rows) >= 20
     for entry in rows:
         p = entry.params
-        bound = massey_schobi_bound(p.v, p.k, p.t)
-        assert bound == entry.b_opt             # published optimum
-        assert p.b == p.lambda_ * entry.b_opt   # and b sits lambda above it
-        ok, (b, rem) = divisibility_check(p)
-        assert ok, (entry.name, b, rem)
+        assert main(["catalog", "show", entry.name, "--format", "json"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert main(["params", "--t", str(p.t), "--v", str(p.v), "--k", str(p.k),
+                     "--lambda", str(p.lambda_), "--format", "json"]) == 0
+        computed = json.loads(capsys.readouterr().out)
+        # both commands give the same numbers, and those of the closed form
+        bound = Fraction(comb(p.v, p.t), comb(p.k, p.t))
+        b = p.lambda_ * bound
+        kind = ("optimal" if p.lambda_ == 1 else
+                "near_optimal" if p.lambda_ <= 10 else "other")
+        expected = (str(b), {"num": str(bound.numerator),
+                             "den": str(bound.denominator)}, b % p.v == 0, kind)
+        assert (shown["b"], shown["b_opt_exact"], shown["divisible"],
+                shown["optimality_class"]) == expected, entry.name
+        assert (computed["b"], computed["b_opt"], computed["divisible"],
+                computed["optimality_class"]) == expected, entry.name
+        if entry.kind == "params-only":
+            assert massey_schobi_bound(p.v, p.k, p.t) == entry.b_opt   # published
+            assert b == p.lambda_ * entry.b_opt   # and b sits lambda above it
+            assert shown["divisible"], entry.name
 
 
 def test_netto_entries_match_generator():
@@ -103,7 +122,7 @@ def test_buildable_systems_are_sound():
             matrix = develop_matrix(payload)
         else:
             design, t, lam = payload
-            if not divisibility_check(entry.params)[0]:
+            if lambda_table(entry.params)[0] % entry.params.v:
                 with pytest.raises(DomainError):
                     balance(design)
                 continue
@@ -111,7 +130,7 @@ def test_buildable_systems_are_sound():
         assert verify_balanced(matrix).valid, name
         ok, witness = perfect_secrecy_check(matrix)
         assert ok, (name, witness)
-        assert matrix.b == entry.params.b
+        assert matrix.b == lambda_table(entry.params)[0]
 
 
 def test_z13_entry_is_the_published_system():

@@ -682,9 +682,16 @@ def test_refusals_echo_bounded_values(capsys, tmp_path, argv, doc, code, names):
     (["params", "--teirlinck", "--t", "2", "--v", "23330", "--budget", "10"],
      None, (3, "lambda_s table of a 2-design needs 34 elementary steps, "
                "budget is 10")),
+    # one setup charge, 8·v + 24·b·k = 560 on the Fano matrix, covers every
+    # stage of an analysis call before its loop
+    (["attack", "--budget", "559"],
+     {"v": 7, "k": 3, "b": 7,
+      "rows": [[(x + g) % 7 for x in (1, 2, 4)] for g in range(7)]},
+     (3, "analysis setup over 7 keys needs 560 elementary steps, "
+         "budget is 559")),
 ], ids=["short-orbit", "same-orbit", "short-orbit-v200", "text-rows",
         "repeated-name", "params-t5000", "params-t20000", "catalog-show-params",
-        "params-teirlinck"])
+        "params-teirlinck", "attack-setup"])
 def test_refusals_exit_with_their_codes(capsys, tmp_path, argv, doc, refusal):
     # the two families pass verify_df, but would develop repeated rows; a
     # command with no document reads no file

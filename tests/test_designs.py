@@ -15,8 +15,7 @@ from authdesigns import (
     StructuralError,
     complete_design,
     derived_design,
-    divisibility_check,
-    lambda_s,
+    lambda_table,
     massey_schobi_bound,
     optimality_class,
     teirlinck_params,
@@ -64,51 +63,34 @@ def test_parameters_reject_bad_shapes():
 
 def test_lambda_s_matches_direct_count_on_developed_design(fano_design):
     # oracle: count Fano blocks through s fixed points directly
+    table = lambda_table(DesignParameters(2, 7, 3, 1))
     for s, subset in [(0, ()), (1, (3,)), (2, (1, 2))]:
         expected = sum(1 for blk in fano_design.blocks
                        if set(subset) <= set(blk))
-        assert lambda_s(DesignParameters(2, 7, 3, 1), s) == expected
-    assert lambda_s(DesignParameters(2, 7, 3, 1), 0) == 7
-    assert lambda_s(DesignParameters(2, 7, 3, 1), 1) == 3
+        assert table[s] == expected
+    assert table == [7, 3, 1]
 
 
 def test_lambda_s_on_complete_design():
     # 3-(5,3,1) realized by all triples: b = C(5,3) = 10, r = C(4,2) = 6
-    p = DesignParameters(3, 5, 3, 1)
-    assert p.b == len(list(combinations(range(5), 3)))
-    assert lambda_s(p, 1) == len([c for c in combinations(range(5), 3)
-                                  if 0 in c])
-    assert lambda_s(p, 3) == 1
-
-
-def test_lambda_s_rejects_out_of_range():
-    p = DesignParameters(2, 13, 3, 1)
-    with pytest.raises(DomainError):
-        lambda_s(p, 3)
-    with pytest.raises(DomainError):
-        lambda_s(p, -1)
+    table = lambda_table(DesignParameters(3, 5, 3, 1))
+    assert table[0] == len(list(combinations(range(5), 3)))
+    assert table[1] == len([c for c in combinations(range(5), 3) if 0 in c])
+    assert table[3] == 1 and len(table) == 4
 
 
 def test_lambda_s_fraction_for_inadmissible():
     # 2-(8,3,1): r = 7/2, b = 28/3
     from fractions import Fraction
 
-    p = DesignParameters(2, 8, 3, 1)
-    assert lambda_s(p, 1) == Fraction(7, 2)
-    assert lambda_s(p, 0) == Fraction(28, 3)
-    assert not p.is_admissible
-    assert p.non_integral_lambdas() == [(0, Fraction(28, 3)),
-                                        (1, Fraction(7, 2))]
-    with pytest.raises(DomainError):
-        p.b
-    with pytest.raises(DomainError):
-        p.r
+    assert lambda_table(DesignParameters(2, 8, 3, 1)) == [
+        Fraction(28, 3), Fraction(7, 2), 1]
 
 
 def test_admissible_params_have_integral_cascade():
-    p = DesignParameters(2, 9, 3, 1)
-    assert p.is_admissible
-    assert (p.b, p.r) == (12, 4)
+    table = lambda_table(DesignParameters(2, 9, 3, 1))
+    assert table == [12, 4, 1]
+    assert all(value.denominator == 1 for value in table)
 
 
 def test_counting_identities_random():
@@ -116,11 +98,12 @@ def test_counting_identities_random():
     rng = random.Random(20260825)
     for _ in range(300):
         p = _random_admissible(rng)
-        b, r = p.b, p.r
+        table = lambda_table(p)
+        assert all(value.denominator == 1 for value in table)
+        b, r = table[:2]
         assert b * p.k == p.v * r
         if p.t >= 2:
-            lam2 = lambda_s(p, 2)
-            assert r * (p.k - 1) == lam2 * (p.v - 1)
+            assert r * (p.k - 1) == table[2] * (p.v - 1)
 
 
 # --------------------------------------------------------------- block sets
@@ -376,12 +359,12 @@ def test_optimality_classes():
 
 
 def test_divisibility_check():
-    ok, (b, rem) = divisibility_check(DesignParameters(2, 13, 3, 1))
-    assert ok and (b, rem) == (26, 0)
-    ok, (b, rem) = divisibility_check(DesignParameters(2, 9, 3, 1))
-    assert not ok and (b, rem) == (12, 3)
-    ok, (b, rem) = divisibility_check(DesignParameters(3, 5, 3, 1))
-    assert ok and (b, rem) == (10, 0)
+    # v | b, the gate for balanced orderings, reads b = lambda_0
+    for p, b, rem in [(DesignParameters(2, 13, 3, 1), 26, 0),
+                      (DesignParameters(2, 9, 3, 1), 12, 3),
+                      (DesignParameters(3, 5, 3, 1), 10, 0)]:
+        lam0 = lambda_table(p)[0]
+        assert (lam0, lam0 % p.v) == (b, rem)
 
 
 # ---------------------------------------------------------------- Teirlinck
@@ -411,7 +394,7 @@ def test_teirlinck_family_at_every_order():
         num = modulus * math.comb(v, t)
         assert num % (t + 1) == 0
         assert b == num // (t + 1)
-        assert p.is_admissible
+        assert all(value.denominator == 1 for value in lambda_table(p))
         # v just off the congruence class must be rejected
         with pytest.raises(DomainError):
             teirlinck_params(t, v + 1)

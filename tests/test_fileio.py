@@ -386,7 +386,7 @@ BIG = 10**5000      # past the interpreter's int-to-text digit limit
 def _big_int_refusals():
     from authdesigns import (SecrecySystem, complete_design,
                              deception_probability, derived_design, develop,
-                             develop_matrix, lambda_s, netto_triples,
+                             develop_matrix, netto_triples,
                              verify_design, voracle_offline_value)
     from authdesigns.budget import charge
     from authdesigns.catalog import load_payload
@@ -394,16 +394,12 @@ def _big_int_refusals():
 
     fano = develop(load_payload("fano-cdf"))
     system = SecrecySystem(develop_matrix(load_payload("fano-cdf")))
-    params = DesignParameters(2, 7, 3, 1)
     return {
         "charge": (lambda: charge(BIG, 10), BudgetError),
         "check_int": (lambda: check_int("v", -BIG, 1), StructuralError),
         "netto_triples": (lambda: netto_triples(BIG), DomainError),
         "DesignParameters": (lambda: DesignParameters(2, BIG, BIG + 1, 1),
                              DomainError),
-        "DesignParameters.b": (lambda: DesignParameters(2, BIG + 1, 3, 1).b,
-                               DomainError),
-        "lambda_s": (lambda: lambda_s(params, BIG), DomainError),
         "derived_design-x": (lambda: derived_design(fano, BIG), DomainError),
         "verify_design": (lambda: verify_design(fano, BIG), DomainError),
         "complete_design": (lambda: complete_design(3, BIG), DomainError),
