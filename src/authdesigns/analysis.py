@@ -32,20 +32,18 @@ holding each pair, and at higher orders it ORs per-message key masks.
 Order 0 and the offline game are k/v when anchored, a count of the entries
 otherwise.
 
-Cyclic-orbit reduction: when x ↦ x+1 mod v maps every key set onto a key
-set (`SecrecySystem.translation_invariant`, true of every development of a
-cyclic difference family), spoofing and the online game at order i ≥ 1 run
-only through message 0, the anchor.  Counting pairs (O, x ∈ O) twice gives
-Σ_O f(O) = (v/i)·Σ_{O∋0} f(O) for any f on i-sets that translation leaves
-unchanged, whatever the orbit lengths.  Other systems have no anchor and
-run the same loops over all messages.  One bool, `SecrecySystem.developed`
-(`EncodingMatrix.in_development_order`, also a proof of secrecy), picks
-the route: a developed system is invariant and finds its keys through 0 by
-position; any other sorts each key once (`SecrecySystem.sorted_keys`) for
-the lookup of the sorted translates and for its tails.  Each call charges
-one setup bound before `developed` is asked (`_anchor`), which covers
-every stage before a loop on every route, and a loop's own term on top
-before the loop runs.
+Cyclic-orbit reduction: a system laid out as the development of a cyclic
+difference family (`SecrecySystem.developed`, that is
+`EncodingMatrix.in_development_order`, also a proof of secrecy) is mapped
+onto itself by x ↦ x+1 mod v, each key onto the next of its run, so
+spoofing and the online game at order i ≥ 1 run only through message 0,
+the anchor.  Counting pairs (O, x ∈ O) twice gives Σ_O f(O) = (v/i)·Σ_{O∋0}
+f(O) for any f on i-sets that translation leaves unchanged.  A developed
+system finds its keys through 0 by position.  Every other system, invariant
+or not, has no anchor: it sorts each key once for its tails and runs the
+same loops over all messages.  Each call charges one setup bound before
+`developed` is asked (`_anchor`), which covers every stage before a loop
+on both routes, and a loop's own term on top before the loop runs.
 
 `analyze(system, model, orders)` is the one per-order loop over the three
 attack models ("classic", "oracle-offline", "oracle-online"): at each order
@@ -82,47 +80,9 @@ class SecrecySystem:
 
     @cached_property
     def developed(self) -> bool:
-        """`EncodingMatrix.in_development_order`, asked once per system."""
+        """`EncodingMatrix.in_development_order`, asked once per system: the
+        one proof of the x ↦ x+1 symmetry that anchors (module docstring)."""
         return self.matrix.in_development_order()
-
-    @cached_property
-    def sorted_keys(self) -> list:
-        """Each row as a sorted tuple, in row order: its one sort (module docstring)."""
-        return list(map(tuple, map(sorted, self.matrix.rows)))
-
-    @cached_property
-    def translation_invariant(self) -> bool:
-        """True iff x ↦ x+1 mod v maps every key set onto a key set (and so
-        permutes the keys, rows being distinct sets): always when
-        `developed`.  Otherwise a key's stabilizer is a subgroup whose
-        cosets partition the key, so its orbit has at least v/k keys: b·k <
-        v refuses.  First test: the translate T of the first row, as a set,
-        must be a row.  Every row holds k distinct messages and |T| = k, so
-        T ⊇ row iff T = row: `T.issuperset` scans the unsorted rows up to
-        the first match.
-
-        Sorted stage: every key is one sorted tuple (`sorted_keys`),
-        stepped entry by entry through the table, column by column.  For a
-        sorted key K without v-1 the stepped tuple is sorted(K+1).  If K
-        holds v-1, its last entry steps to 0, so the stepped tuple is
-        sorted(K+1) with its leading 0 moved to the end: the rotated form
-        t[1:] + (0,) of t = sorted(K+1).  So K+1 is a key iff its stepped
-        tuple is in the set of the sorted keys and the rotated forms of
-        those starting with 0.  For k ≥ 2 a rotated form ends with 0
-        after a larger entry and is never sorted, so neither kind stands
-        in for the other (for k = 1 the two coincide).  Time and memory
-        grow as v + b·k."""
-        if self.developed:
-            return True
-        if self.b * self.k < self.v:
-            return False
-        first = frozenset((m + 1) % self.v for m in self.matrix.rows[0])
-        if not any(map(first.issuperset, self.matrix.rows)):
-            return False
-        keys, step = self.sorted_keys, [*range(1, self.v), 0].__getitem__
-        known = set(keys)
-        known.update(t[1:] + (0,) for t in keys if not t[0])
-        return all(map(known.__contains__, zip(*map(map, repeat(step), zip(*keys)))))
 
     @cached_property
     def entry_counts(self) -> Counter:
@@ -141,13 +101,13 @@ class SecrecySystem:
         in exactly λ keys, else 0.  Read only after `_anchor`, whose
         setup charge covers it.
 
-        Anchored, every pair has a translate {0, y}, and the keys holding
-        {0, y} are the tails (`tails`) holding y: their `_tally` of
-        1-subsets, uniform over all v-1 messages y ≠ 0, is λ.  Translation
-        already puts every message in r = b·k/v keys.
+        Anchored (`developed`), every pair has a translate {0, y}, and the
+        keys holding {0, y} are the tails (`tails`) holding y: their
+        `_tally` of 1-subsets, uniform over all v-1 messages y ≠ 0, is λ.
+        Translation already puts every message in r = b·k/v keys.
 
-        Unanchored, `designs.pair_lambda` of the rows and the replication."""
-        if self.translation_invariant:
+        Otherwise `designs.pair_lambda` of the rows and the replication."""
+        if self.developed:
             counts = _tally(self.tails, 1)
             lams = set(counts.values())
             if len(counts) != self.v - 1 or len(lams) != 1:
@@ -158,19 +118,16 @@ class SecrecySystem:
 
     @cached_property
     def tails(self) -> list:
-        """Anchored (module docstring), the rows holding 0, in row order, each
-        sorted with the 0 dropped; otherwise the sorted keys as lists.  When
-        `developed`, row s+g of the run from row s holds 0 iff g = -x mod v for
-        an x of row s: sorted offsets find those rows.  Else they are the
-        `sorted_keys` (anchored, those starting with 0).  Read only after
-        `_anchor`, whose setup charge covers their making."""
+        """Anchored (`developed`, module docstring), the rows holding 0, each
+        sorted with the 0 dropped: row s+g of the run from row s holds 0 iff
+        g = -x mod v for an x of row s, so sorted offsets find those rows.
+        Otherwise every row sorted, in row order, one sort per key.  Read
+        only after `_anchor`, whose setup charge covers their making."""
         if self.developed:
             rows, v = self.matrix.rows, self.v
             return [sorted(rows[s + g])[1:] for s in range(0, self.b, v)
                     for g in sorted((-x) % v for x in rows[s])]
-        if self.translation_invariant:
-            return [list(key[1:]) for key in self.sorted_keys if not key[0]]
-        return list(map(list, self.sorted_keys))
+        return list(map(sorted, self.matrix.rows))
 
     @cached_property
     def message_masks(self) -> tuple:
@@ -230,10 +187,11 @@ def _setup(system: SecrecySystem) -> int:
 
 
 def _anchor(system: SecrecySystem, budget: int | None) -> tuple:
-    """(0,) if the loops at order i ≥ 1 may run only through message 0, else
-    (); charged `_setup` before `SecrecySystem.developed` is asked."""
+    """(0,) if the loops at order i ≥ 1 run only through message 0, that is
+    if `SecrecySystem.developed`, else (); charged `_setup` before it is
+    asked."""
     charge(_setup(system), budget, what=f"analysis setup over {system.b} keys")
-    return (0,) if system.translation_invariant else ()
+    return (0,) if system.developed else ()
 
 
 def _order_zero(system: SecrecySystem, budget: int | None) -> Fraction:

@@ -13,7 +13,6 @@ from math import comb
 import pytest
 
 from authdesigns import (
-    BlockDesign,
     DifferenceFamily,
     DomainError,
     EncodingMatrix,

@@ -14,7 +14,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb, gcd
 from pathlib import Path
 
@@ -375,7 +375,7 @@ def test_shared_observation_cases():
     for matrix, values in ((apart, (1, Fraction(5, 6), 1)),
                            (overlap, (1, 1, Fraction(5, 6)))):
         system = SecrecySystem(matrix)
-        assert not system.translation_invariant
+        assert not system.developed
         for i, value in enumerate(values):
             assert deception_probability(system, i) == value
             assert naive_deception(matrix, i) == value
@@ -592,12 +592,43 @@ def develop_rows(v, bases):
                          for base in bases for g in range(v)}))
 
 
+def development_rows(v, bases):
+    """Rows of the Z_v-orbits of the base blocks in development order,
+    orbit by orbit, row g of each (d_1+g, ..., d_k+g) mod v."""
+    return tuple(tuple((x + g) % v for x in base)
+                 for base in bases for g in range(v))
+
+
+def relaid(matrix):
+    """The key sets of `matrix` in development order, each run from the
+    first of its rows in that orbit, as the row stands; None when an orbit
+    is short or leaves the keys, so that no such layout exists."""
+    v, left, rows = matrix.v, set(map(frozenset, matrix.rows)), []
+    for row in matrix.rows:
+        if frozenset(row) in left:
+            run = [tuple((x + g) % v for x in row) for g in range(v)]
+            keys = set(map(frozenset, run))
+            if len(keys) < v or not keys <= left:
+                return None
+            left -= keys
+            rows += run
+    return EncodingMatrix(v, matrix.k, tuple(rows))
+
+
 # orbit lengths 3 and 6 over Z_6; 2, 4 and 8 over Z_8
 SHORT_ORBITS = (
     EncodingMatrix(6, 2, develop_rows(6, ((0, 3), (0, 1)))),
     EncodingMatrix(8, 4, develop_rows(8, ((0, 2, 4, 6), (0, 1, 4, 5),
                                           (0, 1, 2, 3)))),
 )
+
+
+def frozenset_translation_check(matrix):
+    """Whether x ↦ x+1 mod v maps every key set onto a key set: the oracle
+    of translation invariance, which `SecrecySystem.developed` implies."""
+    keys = {frozenset(row) for row in matrix.rows}
+    return all(frozenset((m + 1) % matrix.v for m in key) in keys
+               for key in keys)
 
 
 def relabelled(matrix, seed):
@@ -609,7 +640,7 @@ def relabelled(matrix, seed):
         rng.shuffle(perm)
         copy = EncodingMatrix(matrix.v, matrix.k, tuple(
             tuple(perm[m] for m in row) for row in matrix.rows))
-        if not SecrecySystem(copy).translation_invariant:
+        if not frozenset_translation_check(copy):
             return copy
     raise AssertionError("no relabelling breaks the translation invariance")
 
@@ -621,27 +652,24 @@ def catalog_developments():
 
 
 def test_translation_check_counterexamples(fano_system):
-    assert fano_system.translation_invariant
+    # the development proof anchors the Fano plane; a system with short
+    # orbits is invariant but has no development order, so it runs
+    # unanchored
+    assert fano_system.developed
     for matrix in SHORT_ORBITS:
-        assert SecrecySystem(matrix).translation_invariant
+        assert frozenset_translation_check(matrix)
+        assert relaid(matrix) is None and not SecrecySystem(matrix).developed
     # invariant under x ↦ x+2 only
     matching = EncodingMatrix(6, 2, ((0, 1), (2, 3), (4, 5)))
     # a developed CDF with one row removed
     z13_less = EncodingMatrix(13, 3, develop_rows(13, ((0, 1, 4), (0, 2, 7)))[1:])
     for matrix in (matching, z13_less):
         system = SecrecySystem(matrix)
-        assert not system.translation_invariant
+        assert not frozenset_translation_check(matrix) and not system.developed
         for i in range(matrix.k):
             assert deception_probability(system, i) == naive_deception(matrix, i)
         for i in range(3):
             assert voracle_online_value(system, i) == naive_online(matrix, i)
-
-
-def frozenset_translation_check(matrix):
-    """x ↦ x+1 mod v on key sets, the oracle of the table-stepped check."""
-    keys = {frozenset(row) for row in matrix.rows}
-    return all(frozenset((m + 1) % matrix.v for m in key) in keys
-               for key in keys)
 
 
 def affine_images(matrix, seed):
@@ -656,73 +684,22 @@ def affine_images(matrix, seed):
             tuple((u * m + shift) % v for m in row) for row in matrix.rows))
 
 
-def scrambled(rows, rng):
-    """The rows in random order, each in random column order."""
-    rows = [tuple(rng.sample(row, len(row))) for row in rows]
-    rng.shuffle(rows)
-    return tuple(rows)
-
-
-def translation_cases(seed):
-    """Matrices on every branch of the sorted-key check, each also less
-    one row: k = v, k = 1, scrambled unions of Z_v-orbits (a key through
-    v-1 then steps into a rotated form), random rows, and partial orbits
-    K, K+1, ..., K+L-2 of an orbit of length L ≥ 3, first row K, where
-    the translate of the first row is a row, so the first test passes and
-    the full check refuses."""
-    rng = random.Random(seed)
-    cases = [EncodingMatrix(5, 5, ((3, 0, 4, 1, 2),)),
-             EncodingMatrix(4, 1, ((2,), (0,), (3,), (1,)))]
-    for _ in range(40):
-        v = rng.randint(2, 12)
-        k = rng.randint(1, v)
-        bases = [rng.sample(range(v), k) for _ in range(rng.randint(1, 3))]
-        cases.append(EncodingMatrix(v, k, scrambled(develop_rows(v, bases),
-                                                    rng)))
-    for _ in range(10):
-        v = rng.randint(3, 9)
-        k = rng.randint(1, v - 1)
-        pool = list(combinations(range(v), k))
-        cases.append(EncodingMatrix(v, k, scrambled(
-            rng.sample(pool, rng.randint(2, min(12, len(pool)))), rng)))
-    partial = 0
-    while partial < 20:
-        v = rng.randint(4, 12)
-        k = rng.randint(1, v - 1)
-        base = rng.sample(range(v), k)
-        orbit = [tuple((x + g) % v for x in base) for g in range(v)]
-        length = len(set(map(frozenset, orbit)))
-        if length >= 3:
-            rest = scrambled(orbit[1:length - 1], rng)
-            cases.append(EncodingMatrix(v, k, (orbit[0], *rest)))
-            partial += 1
-    for matrix in list(cases):
-        if matrix.b > 1:
-            drop = rng.randrange(matrix.b)
-            cases.append(EncodingMatrix(matrix.v, matrix.k, matrix.rows[:drop]
-                                        + matrix.rows[drop + 1:]))
-    return cases
-
-
 def development_layouts(seed):
     """(kind, matrix) from developments in development order, row g of
     each orbit (d_1+g, ..., d_k+g) mod v: the catalog's and seeded full
     orbits over v <= 12.  "hit": the rows as they are, so the system is
-    developed.  "shuffled": the rows shuffled; the sorted stage
-    decides, invariant.  "rotated": the same rows, row g rotated g places
-    within the row, then shuffled; row g stepped is row g+1 rotated g
-    places, which the matrix holds rotated g+1 places (mod k), so the
-    sorted stage decides, invariant.  "less": the shuffled rows less the
-    translate of one row, the first row and its translate kept, so the
-    first test passes and the check refuses."""
+    developed.  "shuffled": the rows shuffled.  "rotated": the same rows,
+    row g rotated g places within the row, then shuffled.  "balanced": the
+    key sets balanced by edge colouring.  These three are invariant and
+    not developed.  "less": the shuffled rows less the translate of one
+    row, the first row and its translate kept, so not invariant."""
     rng = random.Random(seed)
     layouts = [matrix for _, matrix in catalog_developments()]
     while len(layouts) < 40:
         v = rng.randint(3, 12)
         k = rng.randint(2, v - 1)
         bases = [rng.sample(range(v), k) for _ in range(rng.randint(1, 3))]
-        rows = tuple(tuple((x + g) % v for x in base)
-                     for base in bases for g in range(v))
+        rows = development_rows(v, bases)
         if len(set(map(frozenset, rows))) == len(rows):
             layouts.append(EncodingMatrix(v, k, rows))
     for matrix in layouts:
@@ -738,6 +715,7 @@ def development_layouts(seed):
         yield "hit", matrix
         yield "shuffled", shuffled
         yield "rotated", rotated
+        yield "balanced", balance(designs.BlockDesign(v, matrix.rows))
         yield "less", EncodingMatrix(v, k, tuple(
             row for row in shuffled.rows if row != drop))
 
@@ -754,58 +732,68 @@ def out_of_order(matrix, rows, rng):
 
 
 def test_translation_check_matches_frozenset_oracle():
-    # the verdict against the frozenset oracle, and the tails against
-    # their definition: anchored, the rows through 0, sorted, less the 0;
-    # otherwise every row sorted; in row order.  A developed system sorts
-    # no key: its tails come from row positions, also in the "order"
-    # layouts, whose runs start at a seeded g in a shuffled order of the
-    # orbits; every other system builds its sorted keys
-    cases = [EncodingMatrix(1, 1, ((0,),)), EncodingMatrix(2, 1, ((0,), (1,))),
-             EncodingMatrix(2, 1, ((1,),)), EncodingMatrix(2, 2, ((1, 0),)),
-             *SHORT_ORBITS, *random_small_systems(61, 40),
-             *translation_cases(107)]
+    # `developed` implies the frozenset oracle on every layout; a system it
+    # does not anchor runs unanchored whether invariant or not, and on the
+    # small invariant ones orders 0-2 of all three models equal the naive
+    # oracles.  The tails against their definition: anchored, the rows
+    # through 0, sorted, less the 0; otherwise every row sorted; in row
+    # order.  The "order" layouts start each run at a seeded g, in a
+    # shuffled order of the orbits
+    cases = [("tiny", EncodingMatrix(1, 1, ((0,),))),
+             ("tiny", EncodingMatrix(2, 1, ((0,), (1,)))),
+             ("tiny", EncodingMatrix(2, 1, ((1,),))),
+             ("tiny", EncodingMatrix(2, 2, ((1, 0),))),
+             ("one-key", EncodingMatrix(4, 4, ((2, 0, 3, 1),))),
+             *(("short", matrix) for matrix in SHORT_ORBITS),
+             *(("small", matrix) for matrix in random_small_systems(61, 40))]
     for seed, (_, matrix) in enumerate(catalog_developments()):
         for image in affine_images(matrix, seed):
-            cases += [image, relabelled(image, seed),
-                      EncodingMatrix(image.v, image.k, image.rows[1:])]
-    verdicts, stages = Counter(), Counter()
-    for matrix, kind in (*zip(cases, repeat(None)),
-                         *((m, kind) for kind, m in development_layouts(109)),
-                         *((m, kind) for kind, m in development_order_cases(127)
-                           if kind == "order")):
+            cases += [("image", image), ("relabelled", relabelled(image, seed)),
+                      ("image-less", EncodingMatrix(image.v, image.k,
+                                                    image.rows[1:]))]
+    cases += development_layouts(109)
+    cases += [case for case in development_order_cases(127) if case[0] == "order"]
+    kinds, checked = Counter(), Counter()
+    for kind, matrix in cases:
         system = SecrecySystem(matrix)
-        verdict = frozenset_translation_check(matrix)
-        assert system.translation_invariant == verdict, matrix
-        a = 1 if verdict else 0
+        invariant, developed = frozenset_translation_check(matrix), system.developed
+        assert invariant or not developed, matrix
+        assert developed == development_order(matrix), matrix
+        a = 1 if developed else 0
         assert system.tails == [sorted(row)[a:] for row in matrix.rows
                                 if not a or 0 in row], matrix
-        developed = system.developed
-        assert ("sorted_keys" in vars(system)) != developed
-        if kind is not None:
-            assert (developed, verdict) == {"hit": (True, True),
-                                            "order": (True, True),
-                                            "shuffled": (False, True),
-                                            "rotated": (False, True),
-                                            "less": (False, False)}[kind], matrix
-            stages[kind] += 1
-            continue
-        step = frozenset((m + 1) % matrix.v for m in matrix.rows[0])
-        first_test = step in map(frozenset, matrix.rows)
-        wraps = matrix.k > 1 and any(matrix.v - 1 in r for r in matrix.rows)
-        verdicts[verdict, first_test, wraps] += 1
-    assert stages == {"hit": 40, "order": 40, "shuffled": 40, "rotated": 40,
-                      "less": 40}, stages
-    # invariant with keys through v-1; refused by the full check alone;
-    # refused by the first test
-    assert verdicts[True, True, True] >= 60, verdicts
-    assert verdicts[False, True, True] >= 40, verdicts
-    assert verdicts[False, False, True] >= 40, verdicts
+        kinds[kind, developed, invariant] += 1
+        if invariant and not developed and matrix.v ** 3 * matrix.b <= 20_000:
+            v, k = matrix.v, matrix.k
+            for i in range(min(3, k)):
+                assert deception_probability(system, i) == naive_deception(
+                    matrix, i), (matrix, i)
+            for i in range(min(3, v)):
+                assert voracle_offline_value(system, i) == naive_offline(
+                    matrix, i), (matrix, i)
+                assert voracle_online_value(system, i) == naive_online(
+                    matrix, i), (matrix, i)
+            checked[kind] += 1
+    assert kinds == {
+        ("tiny", True, True): 2, ("tiny", False, True): 1,
+        ("tiny", False, False): 1, ("one-key", False, True): 1,
+        ("short", False, True): 2, ("small", False, True): 32,
+        ("small", False, False): 48, ("image", True, True): 4,
+        ("image", False, True): 56, ("relabelled", False, False): 60,
+        ("image-less", False, False): 60, ("hit", True, True): 40,
+        ("shuffled", False, True): 40, ("rotated", False, True): 40,
+        ("balanced", False, True): 40, ("less", False, False): 40,
+        ("order", True, True): 40}, kinds
+    assert checked == {"tiny": 1, "one-key": 1, "short": 2, "small": 32,
+                       "image": 8, "shuffled": 19, "rotated": 19,
+                       "balanced": 19}, checked
 
 
 def test_each_key_is_sorted_at_most_once(monkeypatch):
-    # a developed system sorts only its 6 keys through 0; any other sorts
-    # each of its 26 keys once, for the translation check and the tails
-    # both.  Nothing is cached on the matrix, which may outlive a system
+    # the biplane (λ = 2) runs the spoofing loop at order 2 over its tails:
+    # developed, they are its 5 keys through 0, each sorted once; any other
+    # layout sorts each of its 11 keys once.  Nothing is cached on the
+    # matrix, which may outlive a system
     sorts = Counter()
 
     def counting_sorted(iterable, **kwargs):
@@ -814,11 +802,13 @@ def test_each_key_is_sorted_at_most_once(monkeypatch):
         return builtins.sorted(iterable, **kwargs)
 
     monkeypatch.setattr(analysis, "sorted", counting_sorted, raising=False)
-    z13 = develop_matrix(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7))))
-    rotated = EncodingMatrix(13, 3, tuple(row[g % 3:] + row[:g % 3]
-                                          for g, row in enumerate(z13.rows)))
-    balanced = balance(develop(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7)))))
-    for matrix, developed, secret in ((z13, True, True), (balanced, False, True),
+    family = DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),))
+    biplane = develop_matrix(family)
+    rotated = EncodingMatrix(11, 5, tuple(row[g % 5:] + row[:g % 5]
+                                          for g, row in enumerate(biplane.rows)))
+    balanced = balance(develop(family))
+    for matrix, developed, secret in ((biplane, True, True),
+                                      (balanced, False, True),
                                       (rotated, False, False)):
         sorts.clear()
         system = SecrecySystem(matrix)
@@ -827,21 +817,22 @@ def test_each_key_is_sorted_at_most_once(monkeypatch):
         for model, orders in (("classic", (0, 1, 2)), ("oracle-offline", (0, 1)),
                               ("oracle-online", (0, 1, 2))):
             analyze(system, model, orders)
-        assert system.developed == developed and system.translation_invariant
+        assert system.developed == developed and "tails" in vars(system)
         assert set(sorts) <= set(matrix.rows) and set(sorts.values()) == {1}
-        assert len(sorts) == (6 if developed else 26)
+        assert len(sorts) == (5 if developed else 11)
         assert set(vars(matrix)) == {"v", "k", "rows"}
 
 
 def test_translation_check_memory_follows_entries_not_v():
-    # the v keys (g, g+1) mod v at v = 20,000: a key held as a v-bit int
-    # would take b·v/8 = 50 MB, frozensets take a few hundred bytes a key
+    # the v keys (g, g+1) mod v at v = 20,000, in development order: a key
+    # held as a v-bit int would take b·v/8 = 50 MB, the proof's ring and
+    # slices take a few hundred bytes a key
     v = 20_000
     matrix = EncodingMatrix(v, 2, tuple((g, (g + 1) % v) for g in range(v)))
     system = SecrecySystem(matrix)
     tracemalloc.start()
     try:
-        assert system.translation_invariant
+        assert system.developed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -849,12 +840,12 @@ def test_translation_check_memory_follows_entries_not_v():
     # order 1 runs within the default budget: each message lies in two keys
     # and every extension of it in one
     assert deception_probability(system, 1) == Fraction(1, 2)
-    # b·k < v: no orbit fits, so no v-entry table is built, and order 0,
-    # charged the check, counts the two entries
+    # v ∤ b: the proof refuses before its 2v-entry ring is built, and
+    # order 0, charged the setup, counts the two entries
     system = SecrecySystem(EncodingMatrix(10**7, 2, ((0, 1),)))
     tracemalloc.start()
     try:
-        assert not system.translation_invariant
+        assert not system.developed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -977,7 +968,7 @@ def test_order_zero_agrees_across_models():
             cases.append(mutate_entry(rng, matrix)[0])
     # anchored, k/v with no count of the entries
     anchored = [m for _, m in catalog_developments() if m.b <= 100]
-    invariant = 0
+    developed = 0
     for matrix in (*cases, *anchored):
         system = SecrecySystem(matrix)
         value = deception_probability(system, 0)
@@ -985,48 +976,62 @@ def test_order_zero_agrees_across_models():
             system, 0), matrix
         for i in range(min(3, matrix.v)):
             assert voracle_offline_value(system, i) == value
-        assert ("replication" in vars(system)) != system.translation_invariant
-        if system.translation_invariant:
+        assert ("replication" in vars(system)) != system.developed
+        if system.developed:
             assert value == Fraction(matrix.k, matrix.v)
-            invariant += 1
-    assert invariant >= len(anchored) + 2, invariant
+            developed += 1
+    assert developed == len(anchored), developed
 
 
 def test_cyclic_reduction_matches_naive():
+    # each invariant system as it stands and, where its orbits are full,
+    # relaid in development order, which anchors it
     small = [m for _, m in catalog_developments() if m.b * m.v <= 1100]
     assert len(small) >= 6
+    developed = 0
     for matrix in (*small, *SHORT_ORBITS, *random_developments(43)):
-        system = SecrecySystem(matrix)
-        assert system.translation_invariant
-        for i in range(min(3, matrix.k)):
-            assert deception_probability(system, i) == naive_deception(
-                matrix, i), (matrix.v, matrix.k, i)
-        for i in range(3):
-            assert voracle_online_value(system, i) == naive_online(
-                matrix, i), (matrix.v, matrix.k, i)
+        assert frozenset_translation_check(matrix)
+        laid = relaid(matrix)
+        for case in (matrix,) if laid in (None, matrix) else (matrix, laid):
+            system = SecrecySystem(case)
+            developed += system.developed
+            for i in range(min(3, case.k)):
+                assert deception_probability(system, i) == naive_deception(
+                    case, i), (case.v, case.k, i)
+            for i in range(3):
+                assert voracle_online_value(system, i) == naive_online(
+                    case, i), (case.v, case.k, i)
+    # the small catalog developments, and every random one relaid
+    assert developed == len(small) + 10 == 18, developed
 
 
 def test_cyclic_reduction_matches_relabelled_copy():
+    # anchored where the orbits are full (relaid in development order)
     cases = [*catalog_developments(),
              *((f"short-{n}", m) for n, m in enumerate(SHORT_ORBITS)),
              *((f"random-{n}", m) for n, m in enumerate(random_developments(47)))]
+    developed = 0
     for seed, (name, matrix) in enumerate(cases):
-        system = SecrecySystem(matrix)
+        assert frozenset_translation_check(matrix), name
+        system = SecrecySystem(relaid(matrix) or matrix)
         copy = SecrecySystem(relabelled(matrix, seed))
-        assert system.translation_invariant, name
+        developed += system.developed
         for i in range(1, min(3, matrix.k)):
             assert deception_probability(system, i) == deception_probability(
                 copy, i), (name, i)
         for i in range(1, 3 if matrix.v <= 100 else 2):
             assert voracle_online_value(system, i) == voracle_online_value(
                 copy, i), (name, i)
+    # the catalog developments, and every random one relaid
+    assert developed == 20 + 10, developed
 
 
 # ------------------------------------------------------ pair tally
 
 def pair_tally_cases():
-    """Systems that reach every branch of orders 1 and 2."""
-    cycle6 = EncodingMatrix(6, 2, develop_rows(6, ((0, 1),)))
+    """Systems that reach every branch of orders 1 and 2; the invariant
+    ones with full orbits in development order, so they are anchored."""
+    cycle6 = EncodingMatrix(6, 2, development_rows(6, ((0, 1),)))
     return {
         # r varies and the best pair {0, 3} shares no key
         "apart": EncodingMatrix(6, 2, ((0, 1), (0, 2), (3, 4), (3, 5))),
@@ -1034,10 +1039,10 @@ def pair_tally_cases():
         "uneven": EncodingMatrix(6, 3, ((0, 1, 2), (0, 1, 3), (0, 4, 5))),
         # r uniform, not invariant, most pairs share no key
         "cycle6-relabelled": relabelled(cycle6, 2),
-        # invariant, and 0 never meets 2, 3 or 4
+        # developed, and 0 never meets 2, 3 or 4
         "cycle6": cycle6,
-        "z9-013": EncodingMatrix(9, 3, develop_rows(9, ((0, 1, 3),))),
-        # λ = 2 on every pair, invariant and relabelled
+        "z9-013": EncodingMatrix(9, 3, development_rows(9, ((0, 1, 3),))),
+        # λ = 2 on every pair, developed and relabelled
         "biplane": develop_matrix(DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),))),
         "biplane-relabelled": relabelled(develop_matrix(
             DifferenceFamily(11, 2, ((1, 3, 4, 5, 9),))), 3),
@@ -1046,9 +1051,9 @@ def pair_tally_cases():
             EncodingMatrix(5, 2, develop_rows(5, ((0, 1),))), 4),
         "singletons": EncodingMatrix(4, 1, ((0,), (1,), (2,), (3,))),
         "singletons-short": EncodingMatrix(4, 1, ((2,), (0,), (3,))),
-        # invariant with one key through 0: at order 1 the one O = {0}
-        # is unshared, and the pair count misses messages (λ would be 1/3
-        # and 2/5)
+        # invariant with short orbits, so never developed: each message
+        # in one key, so at order 1 no O = {x} is shared, and the pair
+        # count misses messages (λ would be 1/3 and 2/5)
         "halves": EncodingMatrix(4, 2, ((0, 2), (1, 3))),
         "thirds": EncodingMatrix(6, 3, ((0, 2, 4), (1, 3, 5))),
     }
@@ -1059,8 +1064,8 @@ def pair_tally_cases():
 # through 0 lie in 3, 2 and 1 keys (λ would be 2), and seven triples over
 # 7 points, each point in three, three pairs in two (λ would be 1)
 GATED_UNEVEN = {
-    "z7-two-orbits": EncodingMatrix(7, 3, develop_rows(7, ((0, 1, 2),
-                                                           (0, 1, 3)))),
+    "z7-two-orbits": EncodingMatrix(7, 3, development_rows(7, ((0, 1, 2),
+                                                               (0, 1, 3)))),
     "triples-7": EncodingMatrix(7, 3, ((0, 5, 1), (4, 0, 3), (5, 6, 0),
                                        (2, 6, 1), (3, 1, 4), (2, 3, 5),
                                        (6, 4, 2))),
@@ -1074,7 +1079,7 @@ def test_pair_tally_paths_match_the_naive_oracles():
     shape = {}
     for name, matrix in cases.items():
         system = SecrecySystem(matrix)
-        a = 1 if system.translation_invariant else 0
+        a = 1 if system.developed else 0
         b, k, v, lam = matrix.b, matrix.k, matrix.v, system.pair_lambda
         uniform_r = system.replication * v == b * k
         for i in range(1, min(3, k)):
@@ -1101,10 +1106,10 @@ def test_pair_tally_paths_match_the_naive_oracles():
     assert shape["pentagon-relabelled"] == (0, 0, True, True)
     assert shape["singletons"] == (1, 0, True, True)
     assert shape["singletons-short"] == (0, 0, True, False)
-    assert shape["halves"] == shape["thirds"] == (1, 0, True, True)
+    assert shape["halves"] == shape["thirds"] == (0, 0, True, True)
     assert SecrecySystem(cases["singletons"]).tails == [[]]
     for name in ("halves", "thirds"):
-        assert len(SecrecySystem(cases[name]).tails) == 1, name
+        assert len(SecrecySystem(cases[name]).tails) == 2, name
     # the unshared pair {0, 3} covers all four keys, any shared one three
     assert voracle_online_value(SecrecySystem(cases["apart"]), 1) == 1
 
@@ -1116,7 +1121,7 @@ def test_tails_hold_every_key_through_the_anchor():
     biplane = pair_tally_cases()["biplane"]
     for matrix, a in ((biplane, 1), (relabelled(biplane, 5), 0)):
         system = SecrecySystem(matrix)
-        assert system.translation_invariant == bool(a)
+        assert system.developed == bool(a)
         expected = ([sorted(set(row) - {0}) for row in matrix.rows if 0 in row]
                     if a else [sorted(row) for row in matrix.rows])
         assert system.tails == expected
@@ -1128,25 +1133,28 @@ def test_tails_hold_every_key_through_the_anchor():
 
 
 def test_pair_tally_fuzz_matches_the_naive_oracles():
-    # seeded systems over v <= 9, invariant and not, with k = 1 too; each
-    # value from one system queried in both orders and from a fresh one
+    # seeded systems over v <= 9, invariant and not, with k = 1 too, and
+    # each one with full orbits also relaid in development order, which
+    # anchors it; each value from one system queried in both orders and
+    # from a fresh one
     rng = random.Random(79)
     cases = [*random_small_systems(83, 40), *random_unbalanced_matrices(89, 30)]
     for _ in range(10):
         v = rng.randint(2, 7)
         cases.append(EncodingMatrix(v, 1, tuple(
             (m,) for m in rng.sample(range(v), rng.randint(1, v)))))
-    invariant = 0
+    cases += [laid for laid in map(relaid, cases) if laid is not None]
+    developed = 0
     for matrix in cases:
         shared = SecrecySystem(matrix)
-        invariant += shared.translation_invariant
+        developed += shared.developed
         calls = [(voracle_online_value, 1, naive_online(matrix, 1))]
         calls += [(deception_probability, i, naive_deception(matrix, i))
                   for i in range(1, min(3, matrix.k))]
         for fn, i, expected in (*calls, *reversed(calls)):
             assert fn(shared, i) == expected, (matrix, fn.__name__, i)
             assert fn(SecrecySystem(matrix), i) == expected
-    assert 20 <= invariant <= len(cases) - 20, invariant
+    assert (developed, len(cases)) == (27, 146), (developed, len(cases))
 
 
 # ------------------------------------------------------ uniform pair check
@@ -1154,17 +1162,19 @@ def test_pair_tally_fuzz_matches_the_naive_oracles():
 def uniform_pair_cases():
     """(name, matrix, anchored, λ) with every pair in λ keys.  The first
     four have r = 1, 2, 4 and 4, powers of two: one key holding every
-    message, the triangle, the 4-subsets of 5 points and AG(2,3)
+    message (invariant, but v ∤ b, so never developed), the triangle and
+    the 4-subsets of 5 points in development order, and AG(2,3)
     relabelled, whose digit width r.bit_length() in the unanchored check
     is one bit more than r - 1 needs.  In the relabelled Fano plane r = 3
     fills its two digit bits."""
     ag = catalog.load_payload("ag-2-3")[0]
     fano = develop_matrix(DifferenceFamily(7, 1, ((0, 1, 3),)))
     return [
-        ("one-key", EncodingMatrix(4, 4, ((2, 0, 3, 1),)), True, 1),
-        ("triangle", EncodingMatrix(3, 2, ((0, 1), (2, 1), (0, 2))), True, 1),
-        ("complete-5-4", EncodingMatrix(5, 4, tuple(combinations(range(5), 4))),
-         True, 3),
+        ("one-key", EncodingMatrix(4, 4, ((2, 0, 3, 1),)), False, 1),
+        ("triangle", EncodingMatrix(3, 2, development_rows(3, ((0, 1),))),
+         True, 1),
+        ("complete-5-4", EncodingMatrix(5, 4, development_rows(
+            5, ((0, 1, 2, 3),))), True, 3),
         ("ag-2-3-relabelled", relabelled(
             EncodingMatrix(ag.v, ag.k, ag.blocks), 8), False, 1),
         ("fano-relabelled", relabelled(fano, 9), False, 1),
@@ -1175,7 +1185,7 @@ def gate_lambda(system):
     """λ as the parameters give it (through the anchor when there is one),
     a Fraction, or None when r·v != b·k."""
     b, k, v = system.b, system.k, system.v
-    a = 1 if system.translation_invariant else 0
+    a = 1 if system.developed else 0
     r = b * k // v if a else system.replication
     if r * v != b * k:
         return None
@@ -1186,7 +1196,7 @@ def test_uniform_pair_check_settles_orders_one_and_two():
     replications = []
     for name, matrix, anchored, lam in uniform_pair_cases():
         system = SecrecySystem(matrix)
-        assert system.translation_invariant == anchored, name
+        assert system.developed == anchored, name
         replications.append(system.replication)
         for i in range(1, min(3, matrix.k)):
             assert deception_probability(system, i) == naive_deception(
@@ -1226,7 +1236,7 @@ def test_uniform_pair_check_falls_back_on_uneven_pairs():
         assert voracle_online_value(system, 1) == naive_online(matrix, 1), name
         assert system.pair_lambda == 0, name
         # and each call is charged the fallback on top of the setup
-        b, k, v, a = matrix.b, matrix.k, matrix.v, system.translation_invariant
+        b, k, v, a = matrix.b, matrix.k, matrix.v, system.developed
         for i in (1, 2):
             charged_exactly(deception_probability, matrix, i,
                             deception_charge(b, k, v, i, a, 0))
@@ -1243,25 +1253,30 @@ def test_anchored_pair_check_is_the_uniform_pair_count():
     anchored = []
     for name, matrix in cases:
         system = SecrecySystem(matrix)
-        if system.translation_invariant:
+        if system.developed:
             held = {sum(0 in row and y in row for row in matrix.rows)
                     for y in range(1, matrix.v)}
             lam = held.pop() if len(held) == 1 else 0
             assert system.pair_lambda == lam, name
             anchored.append(bool(lam))
-    assert (len(anchored), sum(anchored)) == (30, 24), anchored
+    assert (len(anchored), sum(anchored)) == (27, 23), anchored
 
 
 def test_both_pair_checks_agree_with_the_pair_count():
     # `SecrecySystem.pair_lambda` (the anchored count, or the digit sums
     # through `designs.pair_lambda`) and `designs.pair_lambda` on the rows,
-    # as `verify_design` calls it, both give the uniform pair count or 0
+    # as `verify_design` calls it, both give the uniform pair count or 0;
+    # each family with full orbits also relaid in development order, which
+    # anchors it
     anchored = set()
     for name, v, blocks in pair_corpus():
         lam = uniform_pair_lambda(v, blocks)
-        system = SecrecySystem(EncodingMatrix(v, len(blocks[0]), blocks))
-        assert system.pair_lambda == designs.pair_lambda(v, blocks) == lam, name
-        anchored.add((system.translation_invariant, bool(lam)))
+        matrix = EncodingMatrix(v, len(blocks[0]), blocks)
+        assert designs.pair_lambda(v, blocks) == lam, name
+        for case in filter(None, (matrix, relaid(matrix))):
+            system = SecrecySystem(case)
+            assert system.pair_lambda == lam, name
+            anchored.add((system.developed, bool(lam)))
     assert anchored == {(True, True), (True, False), (False, True),
                         (False, False)}
 
@@ -1283,7 +1298,7 @@ def test_masks_are_built_only_for_online_orders_from_two():
                 analyze(system, model, range(k if lam == 1 else 2))
             assert "message_masks" not in vars(system)
             assert vars(system)["pair_lambda"] == lam
-            anchored = system.translation_invariant
+            anchored = system.developed
             for i in range(1, k):
                 for fn, documented in ((deception_probability, deception_charge),
                                        (voracle_online_value, online_charge)):
@@ -1356,7 +1371,7 @@ def test_steiner_closed_forms_leave_other_systems_to_the_loops():
     for matrix, i in cases:
         system = SecrecySystem(matrix)
         b, k, v = matrix.b, matrix.k, matrix.v
-        lam, anchored = system.pair_lambda, system.translation_invariant
+        lam, anchored = system.pair_lambda, system.developed
         assert (lam, i < k) != (1, True)
         cost = online_charge(b, k, v, i, anchored, lam)
         assert cost > setup_charge(b, k, v)
@@ -1389,11 +1404,12 @@ def test_budget_errors(z13_system):
 
 def setup_charge(b, k, v):
     """The documented setup charge, 8·v + 24·b·k, of every call at every
-    order: it dominates every stage reference below, whose worst route,
-    unanchored and not developed, is translation_reference + U = 3v + 2k +
-    b·(7k+6) + 3·b·k + min(v, b·k) + 4v + 6 <= 8v + 24·b·k as b, k >= 1.
-    Every reference is at least E >= 2v + 4·b·k, so the setup is at most
-    six times it."""
+    order: it dominates every stage before a loop in the references below,
+    whose worst route, unanchored, is proof_reference + U + the tails =
+    2v + b·(3k+1) + 3·b·k + min(v, b·k) + 4v + 6 + b·k <= 8v + 24·b·k as
+    b, k >= 1.  Every reference is at least the proof, 2v + b·(3k+1), and
+    8·(2v + 3·b·k + b) >= 8v + 24·b·k, so the setup is at most eight times
+    it."""
     return 8 * v + 24 * b * k
 
 
@@ -1424,100 +1440,82 @@ def online_charge(b, k, v, i, anchored, lam, uniform_r=True):
             + 2 * comb(v - a, i + 1 - a))
 
 
-def translation_reference(b, k, v, sorted_stage=False):
-    """The steps of the translation check, each stage counted before it
-    runs: one step per table or ring entry, per message stepped, tested,
-    sliced, zipped, compared or put in a set or tuple (sorting included)
-    and per row sliced or key tested, stored or looked up.
-
-    E, before `SecrecySystem.developed` is asked: the proof
-    (`EncodingMatrix.in_development_order`) builds the 2v-entry ring, and
+def proof_reference(b, k, v):
+    """The steps of the development proof, the one stage before
+    `SecrecySystem.developed` answers, one step per ring entry and per
+    message sliced, zipped or compared and per row compared:
+    `EncodingMatrix.in_development_order` builds the 2v-entry ring, and
     per run slices it at the k entries of its first row, zips the slices
-    and slices and compares the v rows, 3·b·k + b; the first test sets the
-    k stepped messages of the first row and tests at most b keys of k
-    messages, 2k + b·(k+1).  E = 2v + 2k + b·(4k+2).
-
-    S, on top whenever the system is not developed (sorted_stage), though
-    the b·k < v refusal and the first test may leave it unspent: v table
-    entries; the sort puts b·k messages in tuples; the set stores b keys,
-    tests b first entries and builds and stores at most b rotated forms of
-    k messages, b·(k+3); stepping the keys steps b·k messages into b
-    tuples and looks each up, b·(k+1).  S = v + b·(3k+4)."""
-    return 2 * v + 2 * k + b * (4 * k + 2) + (
-        v + b * (3 * k + 4) if sorted_stage else 0)
+    and compares the v rows, 3·b·k + b in all.  E = 2v + b·(3k+1)."""
+    return 2 * v + b * (3 * k + 1)
 
 
-def order_zero_reference(b, k, v, anchored, sorted_stage=False):
+def order_zero_reference(b, k, v, anchored):
     """The steps of order 0 in every model, and of the offline game at
-    every order: the translation check, then, with no anchor, one step per
-    message counted and per distinct message compared, b·k + min(v, b·k)."""
-    return translation_reference(b, k, v, sorted_stage) + (
-        0 if anchored else b * k + min(v, b * k))
+    every order: the proof, then, with no anchor, one step per message
+    counted and per distinct message compared, b·k + min(v, b·k)."""
+    return proof_reference(b, k, v) + (0 if anchored else b * k + min(v, b * k))
 
 
-def uniform_reference(b, k, v, anchored, sorted_stage=False):
-    """The steps of the translation check and the uniform pair check U
-    after it.  Unanchored, U is `designs.pair_charge`.  Anchored, one step
-    per message sorted, sliced, listed, counted or read and per offset or
-    key tested: `SecrecySystem.tails` finds the n = b·k/v keys holding 0
-    by n offsets sorted per run when developed, 2n, sorts them and slices
-    the 0 off, n·(2k-1), else tests the b sorted keys, slicing and listing
-    the n, b + 2n·(k-1); the tally and the set make and read n·(k-1)
-    counts each; two length tests and the pop: U = n·(4k-1) + 3 when
-    developed, else b + 4n·(k-1) + 3."""
-    n = b * k // v
-    return translation_reference(b, k, v, sorted_stage) + (
-        (4 * k - 1) * n + 3 if anchored and not sorted_stage
-        else b + 4 * n * (k - 1) + 3 if anchored
-        else designs.pair_charge(v, b, k))
+def uniform_reference(b, k, v, anchored):
+    """The steps of the proof and the uniform pair check U after it.
+    Unanchored, U is `designs.pair_charge`.  Anchored, one step per message
+    sorted, sliced, listed, counted or read and per offset: `SecrecySystem.tails`
+    finds the n = b·k/v keys holding 0 by n offsets sorted per run, 2n,
+    sorts them and slices the 0 off, n·(2k-1); the tally and the set make
+    and read n·(k-1) counts each; two length tests and the pop: U =
+    n·(4k-1) + 3."""
+    return proof_reference(b, k, v) + (
+        (4 * k - 1) * (b * k // v) + 3 if anchored else designs.pair_charge(v, b, k))
 
 
-def deception_reference(b, k, v, i, anchored, lam, sorted_stage=False):
+def deception_reference(b, k, v, i, anchored, lam):
     """The steps of `deception_probability`, stage by stage; λ = 0 when
-    the uniform pair check fails.  Past the check, one step per key read
-    (sorting included), tally increment, distinct observation scanned,
-    membership test, key gathered, message counted, message deleted, count
-    compared and value summed.  With a = |anchor|, j = i-a and n keys
-    tallied (b, or b·k/v anchored: every message lies in equally many
-    keys), the loop meets N = n·C(k-a, j) (key, observation) pairs: b
-    reads, N increments and at most N distinct observations; if any is
-    shared, at most b tails are read again for N membership tests and H <=
-    N keys gathered, H = Σ_{shared} cnt.  A shared O counts cnt(O)·(k-a)
-    messages, then deletes its j and compares what is left, at most
-    cnt(O)·(k-a) together: 2·(k-a)·H in all.  So 2·b + N·(2·(k-a) + 4)."""
+    the uniform pair check fails.  Past the check, unanchored, the tails
+    sort every key, b·k; then one step per key read, tally increment,
+    distinct observation scanned, membership test, key gathered, message
+    counted, message deleted, count compared and value summed.  With a =
+    |anchor|, j = i-a and n keys tallied (b, or b·k/v anchored: every
+    message lies in equally many keys), the loop meets N = n·C(k-a, j)
+    (key, observation) pairs: b reads, N increments and at most N distinct
+    observations; if any is shared, at most b tails are read again for N
+    membership tests and H <= N keys gathered, H = Σ_{shared} cnt.  A
+    shared O counts cnt(O)·(k-a) messages, then deletes its j and compares
+    what is left, at most cnt(O)·(k-a) together: 2·(k-a)·H in all.  So
+    2·b + N·(2·(k-a) + 4)."""
     if i == 0:
-        return order_zero_reference(b, k, v, anchored, sorted_stage)
+        return order_zero_reference(b, k, v, anchored)
     a = 1 if anchored else 0
     n = b * k // v if anchored else b
-    work = uniform_reference(b, k, v, anchored, sorted_stage)
+    work = uniform_reference(b, k, v, anchored)
     if lam and (i == 1 or lam == 1):
         return work
-    return work + 2 * b + n * comb(k - a, i - a) * (2 * (k - a) + 4)
+    return (work + (0 if anchored else b * k) + 2 * b
+            + n * comb(k - a, i - a) * (2 * (k - a) + 4))
 
 
-def online_reference(b, k, v, i, anchored, lam, uniform_r=True,
-                     sorted_stage=False):
+def online_reference(b, k, v, i, anchored, lam, uniform_r=True):
     """The steps of `voracle_online_value`, stage by stage: the uniform
     pair check runs at order 1 and at orders below k.  Past it, at i = 1,
-    b reads and P = n·C(k-a, 2-a) increments for the tally (n = b, or
-    b·k/v anchored) and at most min(P, T) counts compared for the min, T =
-    C(v-a, 2-a), or, when r varies, v counts read into a list and per pair
-    an add, a count looked up, a subtraction and a comparison, v + 4·T.
-    At i >= 2, one step per OR or popcount: b·k for the masks; i ORs for
-    each of the C(v-1-a, i-a) prefixes with an extension (largest message
-    at most v-2); an OR and a popcount for each of the C(v-a, i+1-a)
-    sets."""
+    unanchored, the tails sort every key, b·k; then b reads and P =
+    n·C(k-a, 2-a) increments for the tally (n = b, or b·k/v anchored) and
+    at most min(P, T) counts compared for the min, T = C(v-a, 2-a), or,
+    when r varies, v counts read into a list and per pair an add, a count
+    looked up, a subtraction and a comparison, v + 4·T.  At i >= 2, one
+    step per OR or popcount: b·k for the masks; i ORs for each of the
+    C(v-1-a, i-a) prefixes with an extension (largest message at most
+    v-2); an OR and a popcount for each of the C(v-a, i+1-a) sets."""
     if i == 0:
-        return order_zero_reference(b, k, v, anchored, sorted_stage)
+        return order_zero_reference(b, k, v, anchored)
     a = 1 if anchored else 0
-    work = (uniform_reference(b, k, v, anchored, sorted_stage) if i == 1 or i < k
-            else translation_reference(b, k, v, sorted_stage))
+    work = (uniform_reference(b, k, v, anchored) if i == 1 or i < k
+            else proof_reference(b, k, v))
     if lam == 1 and i < k or lam and i == 1:
         return work
     if i == 1:
         pairs = (b * k // v if anchored else b) * comb(k - a, 2 - a)
         through = comb(v - a, 2 - a)
-        return work + b + pairs + (
+        return work + (0 if anchored else b * k) + b + pairs + (
             min(pairs, through) if uniform_r else v + 4 * through)
     return (work + b * k + i * comb(v - 1 - a, i - a)
             + 2 * comb(v - a, i + 1 - a))
@@ -1556,7 +1554,7 @@ def test_budget_charges_on_both_paths(z13_system):
     setup = setup_charge(b, k, v)
     copy = SecrecySystem(relabelled(z13_system.matrix, 0))
     for system, anchored in ((z13_system, True), (copy, False)):
-        assert system.translation_invariant == anchored
+        assert system.developed == anchored
         for fn, orders in ((deception_probability, (0, 1, 2)),
                            (voracle_offline_value, (0, 1, 2)),
                            (voracle_online_value, (0, 1, 2, 3))):
@@ -1575,28 +1573,27 @@ def test_budget_charges_on_both_paths(z13_system):
     # the masks, 3 ORs for each of the C(11, 2) prefixes through 0, and an
     # OR and a popcount for each of the C(12, 3) sets
     assert online_charge(b, k, v, 3, True, 1) == 1976 + 78 + 165 + 440
-    # the stage references these dominate: anchored, the check finds the
-    # 6 keys through 0 by their offsets, sorts them and counts them;
-    # unanchored it is charged S, then counts r and sums all 26 keys into
-    # 13 rows
-    assert translation_reference(b, k, v) == 26 + 6 + 26 * 14 == 396
-    assert translation_reference(b, k, v, True) == 396 + 13 + 26 * 13 == 747
-    assert uniform_reference(b, k, v, True) == 396 + 12 + 54 + 3 == 465
-    assert uniform_reference(b, k, v, False, True) == 747 + 234 + 13 + 52 + 6
-    assert online_reference(b, k, v, 3, True, 1) == 396 + 78 + 165 + 440
-    assert order_zero_reference(b, k, v, False, True) == 747 + 91
+    # the stage references these dominate: the proof; then, anchored, the
+    # 6 keys through 0 found by their offsets, sorted and counted;
+    # unanchored, r counted and all 26 keys summed into 13 rows
+    assert proof_reference(b, k, v) == 26 + 26 * 10 == 286
+    assert uniform_reference(b, k, v, True) == 286 + 12 + 54 + 3 == 355
+    assert uniform_reference(b, k, v, False) == 286 + 234 + 13 + 52 + 6 == 591
+    assert online_reference(b, k, v, 3, True, 1) == 286 + 78 + 165 + 440
+    assert order_zero_reference(b, k, v, False) == 286 + 91
 
 
 def test_setup_is_charged_before_the_route_is_known(z13_system):
     # Z_13 as developed and balanced by edge colouring, whose rows are not
     # in development order, are charged the same setup, refused one step
-    # under it before `developed` is asked; anchored, order 0 is the setup
-    # and order 1 is settled within it by the uniform pair check
+    # under it before `developed` is asked; order 0 is the setup, and order
+    # 1 is settled within it by the uniform pair check, anchored on the
+    # developed system and by the digit sums on the balanced one
     balanced = balance(develop(DifferenceFamily(13, 1, ((0, 1, 4), (0, 2, 7)))))
     b, k, v = 26, 3, 13
     setup = setup_charge(b, k, v)
-    for matrix, sorted_stage in ((z13_system.matrix, False), (balanced, True)):
-        assert development_order(matrix) != sorted_stage
+    for matrix, developed in ((z13_system.matrix, True), (balanced, False)):
+        assert development_order(matrix) == developed
         assert charged_exactly(voracle_offline_value, matrix, 0, setup) == (
             Fraction(k, v))
         assert charged_exactly(deception_probability, matrix, 1, setup) == (
@@ -1606,13 +1603,10 @@ def test_setup_is_charged_before_the_route_is_known(z13_system):
             voracle_offline_value(system, 0, budget=setup - 1)
         assert "developed" not in vars(system)
         assert voracle_offline_value(system, 0, budget=setup) == Fraction(k, v)
-        assert system.developed != sorted_stage
-        assert ("sorted_keys" in vars(system)) == sorted_stage
-    # the stages the balanced copy runs: the proof, the sorted stage, and
-    # its tails from its sorted keys: 26 first entries tested, the 6 keys
-    # through 0 sliced and listed, 24 messages twice, then tallied and read
-    assert translation_reference(b, k, v, True) == 747
-    assert uniform_reference(b, k, v, True, True) == 747 + 26 + 48 + 3 == 824 < setup
+        assert system.developed == developed
+    # the stages each runs at order 1: the proof, then the anchored count
+    # or the digit sums
+    assert uniform_reference(b, k, v, True) < uniform_reference(b, k, v, False) < setup
 
 
 def charge_cases():
@@ -1642,7 +1636,7 @@ def test_order_one_and_two_charges_are_pinned():
     # below it, with the value unchanged
     seen = set()
     for name, system, anchored, lam, uniform_r in charge_cases():
-        assert system.translation_invariant == anchored, name
+        assert system.developed == anchored, name
         b, k, v = system.b, system.k, system.v
         calls = [(deception_probability, i,
                   deception_charge(b, k, v, i, anchored, lam)) for i in (1, 2)]
@@ -1666,21 +1660,22 @@ def test_order_one_and_two_charges_are_pinned():
     assert deception_charge(7, 3, 7, 1, False, 0) == 560 + 14 + 21 * 10
     assert online_charge(7, 3, 7, 1, False, 0) == 560 + 7 + 21 + 21
     assert online_charge(7, 3, 7, 1, False, 0, False) == 560 + 7 + 7 + 21 + 4 * 21
-    # their stage references
-    assert translation_reference(7, 3, 7, True) == 118 + 7 + 7 * 13 == 216
-    assert uniform_reference(7, 3, 7, False, True) == 216 + 63 + 7 + 28 + 6 == 320
-    assert deception_reference(7, 3, 7, 1, False, 0, True) == 320 + 14 + 21 * 10
-    assert online_reference(7, 3, 7, 1, False, 0, False, True) == (
-        320 + 7 + 7 + 21 + 4 * 21)
+    # their stage references: the proof, the digit sums, and before either
+    # loop the tails, the 21 messages sorted
+    assert proof_reference(7, 3, 7) == 14 + 7 * 10 == 84
+    assert uniform_reference(7, 3, 7, False) == 84 + 63 + 7 + 28 + 6 == 188
+    assert deception_reference(7, 3, 7, 1, False, 0) == 188 + 21 + 14 + 21 * 10
+    assert online_reference(7, 3, 7, 1, False, 0, False) == (
+        188 + 21 + 7 + 7 + 21 + 4 * 21)
 
 
 def reference_corpus():
     """(name, matrix): six catalog developments as developed, balanced by
     edge colouring, with their rows shuffled and less their first row;
     complete 3-(5,3,1) balanced; the Z_v-orbit of {0, 1, 2} at v = 13 and
-    200, and at 200 relabelled, which has no anchor, puts every message
-    in 3 keys and holds pairs in 0, 1 and 2 keys (λ = 0); and every
-    system built from the catalog."""
+    200 in development order, and at 200 relabelled, which has no anchor,
+    puts every message in 3 keys and holds pairs in 0, 1 and 2 keys (λ =
+    0); and every system built from the catalog."""
     rng = random.Random(131)
     cases = []
     for name in ("fano-cdf", "cdf-13-3-1", "cdf-13-4-1", "biplane-cdf-11-5-2",
@@ -1695,7 +1690,8 @@ def reference_corpus():
     cases.append(("complete-5-3", balance(designs.BlockDesign(
         5, tuple(combinations(range(5), 3))))))
     for v in (13, 200):
-        cases.append((f"012-mod-{v}", EncodingMatrix(v, 3, develop_rows(v, ((0, 1, 2),)))))
+        cases.append((f"012-mod-{v}", EncodingMatrix(v, 3, development_rows(
+            v, ((0, 1, 2),)))))
     cases.append(("012-mod-200-relabelled", relabelled(cases[-1][1], 14)))
     cases += [(f"built-{name}", matrix) for name, _, matrix in built_systems()]
     return cases
@@ -1704,7 +1700,7 @@ def reference_corpus():
 def test_every_charge_dominates_its_stage_reference():
     # at every model and at orders 0..min(k+1, 4), each call asks exactly
     # its documented charge, at least the steps its stages and loop take
-    # (the reference) and at most six times them; where the loop is
+    # (the reference) and at most eight times them; where the loop is
     # small, it also passes at that charge.  Relabelled (0, 1, 2) mod 200
     # has the order-1 online scan at v + 4·C(v,2) steps far above its
     # min over the pairs, so a charge folding the two formulas fails the
@@ -1714,29 +1710,28 @@ def test_every_charge_dominates_its_stage_reference():
     for name, matrix in reference_corpus():
         system = SecrecySystem(matrix)
         b, k, v = matrix.b, matrix.k, matrix.v
-        anchored, lam = system.translation_invariant, system.pair_lambda
+        anchored, lam = system.developed, system.pair_lambda
         uniform_r = system.replication * v == b * k
-        s = not development_order(matrix)
         orders = range(min(k + 1, 4, v - 1) + 1)
         calls = [(deception_probability, i,
                   deception_charge(b, k, v, i, anchored, lam),
-                  deception_reference(b, k, v, i, anchored, lam, s))
+                  deception_reference(b, k, v, i, anchored, lam))
                  for i in orders if i < k]
         calls += [(voracle_offline_value, i, setup_charge(b, k, v),
-                   order_zero_reference(b, k, v, anchored, s)) for i in orders]
+                   order_zero_reference(b, k, v, anchored)) for i in orders]
         calls += [(voracle_online_value, i,
                    online_charge(b, k, v, i, anchored, lam, uniform_r),
-                   online_reference(b, k, v, i, anchored, lam, uniform_r, s))
+                   online_reference(b, k, v, i, anchored, lam, uniform_r))
                   for i in orders]
         for fn, i, cost, reference in calls:
             assert charge_of(fn, matrix, i) == cost, (name, fn.__name__, i)
-            assert reference <= cost <= 6 * reference, (name, fn.__name__, i)
+            assert reference <= cost <= 8 * reference, (name, fn.__name__, i)
             ratios.append(Fraction(cost, reference))
             if cost - setup_charge(b, k, v) <= 20_000:
                 assert charged_exactly(fn, matrix, i, cost) == fn(system, i)
         names.add(name)
     assert len(names) == 28 + len(built_systems()), len(names)
-    assert len(ratios) >= 600 and 1 < min(ratios) and max(ratios) < 6, (
+    assert len(ratios) >= 600 and 1 < min(ratios) and max(ratios) < 8, (
         len(ratios), float(min(ratios)), float(max(ratios)))
 
 

@@ -13,7 +13,6 @@ from authdesigns import (
     EncodingMatrix,
     StructuralError,
     balance,
-    complete_design,
     develop,
     edge_color,
     format_matrix_table,

@@ -3,7 +3,6 @@
 import json
 import random
 from collections import Counter
-from itertools import combinations
 from math import gcd, isqrt
 
 import pytest

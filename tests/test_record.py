@@ -49,8 +49,8 @@ def test_records_are_immutable(fano_df):
     with pytest.raises(AttributeError):
         params.extra = 1
     system = SecrecySystem(develop_matrix(fano_df))
-    assert system.translation_invariant is True      # cached_property
-    assert system.translation_invariant is True
+    assert system.developed is True      # cached_property
+    assert system.developed is True
     with pytest.raises(AttributeError):
         system.matrix = None
     assert params == DesignParameters(2, 7, 3, 1)
