@@ -5,9 +5,10 @@ every point occupies every column in exactly c = b/v rows, which makes the
 matrix a perfect-secrecy encoding matrix under equiprobable keys: color the
 incidence graph, one flat row-major point array, with the k columns so that
 each block sees every color once and each point every color c times (de
-Werra, 1971; `edge_color`), and write each point to its block's cell of its
-color.  `balance` builds its matrix through `record.unchecked`, without the
-row checks of `EncodingMatrix`, which its proof covers.
+Werra, 1971).  `edge_color` returns the coloring as its row-major cell table,
+row j's point of color α in cell j·k + α, and `balance` cuts it into rows.
+It builds its matrix through `record.unchecked`, without the row checks of
+`EncodingMatrix`, once each row, sorted, equals its block.
 """
 
 from __future__ import annotations
@@ -108,93 +109,91 @@ def split_points(design: BlockDesign) -> SplitGraph:
 
 
 def edge_color(graph: SplitGraph) -> tuple:
-    """Equitable k-edge-coloring: each row sees every color in [0, k)
-    once, each point every color exactly c times.  Returns a color per
-    edge, aligned with graph.edges.
+    """Equitable k-edge-coloring, as its cell table: b·k points, row-major,
+    cell j·k + α holding the point row j colors α.  Each row is a
+    permutation of its edges' points, and each point sits in every column
+    exactly c times.
 
     Points are colored in turn, a point's edges in index order.  The t-th
     edge (x, j) takes the first color from t mod k on, cyclically, that x
     holds fewer than c times and row j lacks.  Failing that, with α open at
-    x and β lacking in row j, row j's α entry moves to β.  Its point then
-    holds c+1 β-entries, so one of them in a row not yet entered moves to α
+    x and β lacking in row j, row j's α cell moves to β.  Its point then
+    holds c+1 β cells, so one of them in a row not yet entered moves to α
     (in a row lacking α if there is one: the walk ends there), that row's
-    α entry moves to β, and the walk goes on at its point.  Earlier points
-    hold every color c times and x holds c β-entries, so only a row
-    lacking α ends the walk, leaving α open at x and in row j.
+    α point moves to β, and the walk goes on at that point.  Earlier points
+    hold every color c times and x holds c β cells, so only a row lacking
+    α ends the walk, leaving α open at x and in row j.
 
-    Termination: each row is entered once at most, and an entered row's
-    β-entry is one the walk pushed off α.  A point's pushed entries were
-    among its at most c α-entries at the start, so a point with c+1
-    β-entries always has one in a row not yet entered.  A walk thus takes
-    at most b = c·n steps of O(c) work: O(E·b·c) worst case for E edges.
+    Termination: each row is entered once at most, and an entered row's β
+    cell holds a point the walk pushed off α.  A point's pushed cells were
+    among its at most c α cells at the start, so a point with c+1 β cells
+    always has one in a row not yet entered.  A walk thus takes at most
+    b = c·n steps of O(c) work: O(E·b·c) worst case for E edges.
     """
     edges, c = graph.edges, graph.c
     k = len(edges) // (graph.n * c)
-    free = [(1 << k) - 1] * (graph.n * c)   # bit α: row j lacks α
-    at = [[] for _ in range(graph.n * k)]   # at[x * k + α]: x's α-edges
-    row_at = [-1] * len(edges)              # row_at[j * k + α]: edge, or -1
-    colors = [-1] * len(edges)
+    # a row is named by its first cell, s = j·k
+    free = [(1 << k) - 1] * len(edges)      # free[s], bit α: row s lacks α
+    at = [[] for _ in range(graph.n * k)]   # at[x·k + α]: rows x holds α in
+    cells = [-1] * len(edges)
     from_t = [(1 << k) - (1 << t) for t in range(k)]   # colors t, ..., k-1
-    by_point = [[] for _ in range(graph.n)]
-    for eid, x in enumerate(edges):
-        by_point[x].append(eid)
+    color = {1 << alpha: alpha for alpha in range(k)}
+    by_point = [[] for _ in range(graph.n)]  # a point's rows, one per edge
+    starts = chain.from_iterable(map(repeat, range(0, len(edges), k), repeat(k)))
+    for s, x in zip(starts, edges):
+        by_point[x].append(s)
     for x, mine in enumerate(by_point):
-        room = (1 << k) - 1                 # bit α: x holds < c α-entries
-        for eid, first in zip(mine, cycle(from_t)):
-            j = eid // k
-            bit = room & free[j]
+        room = (1 << k) - 1                 # bit α: x holds < c α cells
+        own = at[x * k:x * k + k]           # own[α]: x's α rows
+        for s, first in zip(mine, cycle(from_t)):
+            bit = room & free[s]
             if bit:
                 bit = bit & first or bit
                 bit &= -bit
             else:
-                bit, b_bit = room & -room, free[j] & -free[j]
-                alpha, beta = bit.bit_length() - 1, b_bit.bit_length() - 1
-                free[j] ^= bit | b_bit       # β taken; α is retaken below
-                e, r, entered = row_at[j * k + alpha], j, {j}
-                while e != -1:
-                    # e moves to β in row r, and f of its point to α
-                    pk = edges[e] * k
-                    alphas, betas, f = at[pk + alpha], at[pk + beta], None
-                    for g in betas:
-                        if g // k not in entered:
-                            f = g if f is None else f
-                            if free[g // k] & bit:   # the walk ends there
-                                f = g
+                bit, b_bit = room & -room, free[s] & -free[s]
+                alpha, beta = color[bit], color[b_bit]
+                free[s] ^= bit | b_bit       # β taken; α is retaken below
+                y, r, entered = cells[s + alpha], s, {s}
+                while y != -1:
+                    # y moves from α to β in row r, and from β to α in row g
+                    alphas, betas, g = at[y * k + alpha], at[y * k + beta], None
+                    for h in betas:
+                        if h not in entered:
+                            g = h if g is None else g
+                            if free[h] & bit:   # the walk ends there
+                                g = h
                                 break
-                    alphas[alphas.index(e)], betas[betas.index(f)] = f, e
-                    row_at[r * k + beta], colors[e], colors[f] = e, beta, alpha
-                    r = f // k
+                    alphas[alphas.index(r)], betas[betas.index(g)] = g, r
+                    cells[r + beta], r = y, g
                     entered.add(r)
-                    e, row_at[r * k + alpha] = row_at[r * k + alpha], f
-                row_at[r * k + beta] = -1
+                    y, cells[r + alpha] = cells[r + alpha], y
+                cells[r + beta] = -1
                 free[r] ^= bit | b_bit
-            alpha = bit.bit_length() - 1
-            colors[eid], row_at[j * k + alpha] = alpha, eid
-            free[j] ^= bit
-            held = at[x * k + alpha]
-            held.append(eid)
+            alpha = color[bit]
+            cells[s + alpha] = x
+            free[s] ^= bit
+            held = own[alpha]
+            held.append(s)
             if len(held) == c:
                 room ^= bit
-    return tuple(colors)
+    return tuple(cells)
 
 
 def balance(design: BlockDesign) -> EncodingMatrix:
     """Order each block into a row so every message lands in every column
-    exactly b/v times: edge e's point goes to cell (e // k)·k + its color.
+    exactly b/v times: row j is row j of the `edge_color` cell table.
 
     The matrix skips the checks of `EncodingMatrix(v, k, rows)`: a
     `BlockDesign` has v >= 1 and in-range, duplicate-free blocks of one
-    size k >= 1 (`SplitGraph`), distinct as sets.  Colors lie in [0, k), so
-    block j's edges fill only row j's k cells; with none empty, row j is a
-    permutation of block j, and every check of the constructor would pass."""
-    graph = split_points(design)
-    k, edges = design.k, graph.edges
-    cells = [None] * len(edges)
-    starts = chain.from_iterable(map(repeat, range(0, len(edges), k), repeat(k)))
-    for start, color, x in zip(starts, edge_color(graph), edges):
-        cells[start + color] = x
-    require(None not in cells, "the coloring left a cell empty")   # a clash
-    return unchecked(EncodingMatrix, design.v, k, tuple(zip(*[iter(cells)] * k)))
+    size k >= 1 (`SplitGraph`), distinct as sets.  Each row, sorted, must
+    equal its block (one comparison, in C), so the rows are permutations of
+    the blocks even for a faulty table, and every check of the constructor
+    would pass."""
+    rows = tuple(zip(*[iter(edge_color(split_points(design)))] * design.k))
+    require(list(map(tuple, map(sorted, rows))) == list(design.blocks),
+            "the coloring put a row off its block")
+    return unchecked(EncodingMatrix, design.v, design.k, rows)
 
 
 def verify_balanced(matrix: EncodingMatrix) -> VerificationReport:

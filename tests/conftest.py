@@ -6,7 +6,7 @@ against other library output.
 """
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -183,26 +183,23 @@ def make_regular_bipartite(rng: random.Random, n: int, k: int) -> SplitGraph:
     return SplitGraph(n, tuple(x for row in rows for x in row))
 
 
-def assert_proper_coloring(graph: SplitGraph, colors, k: int) -> None:
-    """Every row (k consecutive edges) sees each of the k colors once, and
-    every point each color exactly c = rows/points times (c = 1: a proper
-    coloring of a k-regular graph)."""
-    assert len(colors) == len(graph.edges)
+def assert_proper_coloring(graph: SplitGraph, cells, k: int) -> None:
+    """`cells` is an equitable coloring's row-major table: row j's k cells
+    hold the points of its k edges as a multiset, and every column holds
+    every point exactly c = rows/points times (c = 1: each column is a
+    perfect matching of a k-regular graph)."""
+    assert len(cells) == len(graph.edges)
     rows, rest = divmod(len(graph.edges), k)
     assert rest == 0
     c, rest = divmod(rows, graph.n)
     assert rest == 0 and c == graph.c
-    seen_left = defaultdict(list)
-    for x, color in zip(graph.edges, colors):
-        assert 0 <= color < k
-        seen_left[x].append(color)
     for j in range(rows):
-        assert sorted(colors[j * k:(j + 1) * k]) == list(range(k)), \
-            f"row {j} does not see every color once"
-    assert set(seen_left) == set(range(graph.n))
-    for x, seen in seen_left.items():
-        assert Counter(seen) == dict.fromkeys(range(k), c), \
-            f"point {x} sees the colors unevenly"
+        row = slice(j * k, (j + 1) * k)
+        assert Counter(cells[row]) == Counter(graph.edges[row]), \
+            f"row {j} is not a permutation of its edges' points"
+    for color in range(k):
+        assert Counter(cells[color::k]) == dict.fromkeys(range(graph.n), c), \
+            f"column {color} holds the points unevenly"
 
 
 def mutate_entry(rng: random.Random, matrix: EncodingMatrix,

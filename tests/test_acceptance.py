@@ -166,8 +166,7 @@ def test_criterion_06_edge_coloring_properties():
             cases.append((rng.randint(2, 200), rng.randint(1, 8)))
         for n, k in cases:
             graph = make_regular_bipartite(rng, n, k)
-            colors = edge_color(graph)
-            assert_proper_coloring(graph, colors, k)
+            assert_proper_coloring(graph, edge_color(graph), k)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"{elapsed:.2f}s"
 

@@ -126,16 +126,13 @@ def test_split_refuses_uneven_replication():
 
 def test_edge_color_fano(fano_design):
     g = split_points(fano_design)
-    colors = edge_color(g)
-    assert_proper_coloring(g, colors, 3)
-    # each class is a perfect matching
-    sizes = Counter(colors)
-    assert all(sizes[c] == 7 for c in range(3))
+    # c = 1: each column is a perfect matching
+    assert_proper_coloring(g, edge_color(g), 3)
 
 
 def test_edge_color_trivial_matching():
     g = SplitGraph(2, (1, 0))       # row 0 holds point 1, row 1 point 0
-    assert edge_color(g) == (0, 0)
+    assert edge_color(g) == (1, 0)
 
 
 def test_edge_color_handles_multigraph():
@@ -148,11 +145,10 @@ def test_edge_color_handles_multigraph():
         matching = sorted((a, perm[a]) for a in range(n))   # (point, row)
         holds = sorted(range(n), key=perm.__getitem__)      # row j's point
         g = SplitGraph(n, tuple(x for x in holds for _ in range(k)))
-        colors = edge_color(g)
-        assert_proper_coloring(g, colors, k)
+        cells = edge_color(g)
+        assert_proper_coloring(g, cells, k)
         for c in range(k):
-            assert sorted((x, e // k) for e, (x, col)
-                          in enumerate(zip(g.edges, colors)) if col == c) == matching
+            assert sorted((x, j) for j, x in enumerate(cells[c::k])) == matching
 
 
 def test_edge_color_random_regular_graphs():
@@ -281,12 +277,18 @@ BALANCED_DIGESTS = {
     "complete-5-3": "fbe84df5db2679d0c424a6ec77a0a065f951385c86128d739469881bd20586c6",
     "relabelled-netto-97":
         "f3d9faba7a190f86953642b788c59615deb2c2a26bbd2afe29fb01a55423be10",
+    "relabelled-cdf-337-7-1":
+        "160b615a0b0eae955f0881d15bbf776aeb64cba03644c7e0fbf04249064cf782",
+    "relabelled-netto-61":
+        "1a3e62426ed9a21fc074f5269206dfe0d8eb0f120f74e99426eb06e27d67ef12",
 }
 
 
 def test_balanced_design_artifacts_are_golden(fano_design, complete53_design):
     designs = {"fano": fano_design, "complete-5-3": complete53_design,
-               "relabelled-netto-97": relabelled("netto-97", 97)}
+               "relabelled-netto-97": relabelled("netto-97", 97),
+               "relabelled-cdf-337-7-1": relabelled("cdf-337-7-1", 13),
+               "relabelled-netto-61": relabelled("netto-61", 7)}
     assert {name: digest(matrix_to_json(balance(design)))
             for name, design in designs.items()} == BALANCED_DIGESTS
 
@@ -336,19 +338,33 @@ def test_balance_skips_only_checks_its_rows_pass():
 
 def test_balance_refuses_a_coloring_with_a_row_clash(monkeypatch, fano_design,
                                                     complete53_design):
-    # a color twice in one row would leave a cell empty, and balance skips
-    # the constructor's row checks: it must refuse, not return a hole
+    # balance skips the constructor's row checks, so a cell table whose row
+    # is not a permutation of its block must be refused, not returned
     real = balancing.edge_color
-    for design in (fano_design, complete53_design):
-        k = design.k
-        for row in (0, design.b - 1):
-            def clashing(graph, row=row):
-                colors = list(real(graph))
-                colors[row * k + 1] = colors[row * k]
-                return tuple(colors)
-            monkeypatch.setattr(balancing, "edge_color", clashing)
-            with pytest.raises(StructuralError, match="cell empty"):
-                balance(design)
+
+    def hole(cells, k, row):
+        cells[row * k + 1] = -1
+
+    def repeat_point(cells, k, row):
+        cells[row * k + 1] = cells[row * k]
+
+    def swap_rows(cells, k, row):
+        # rows j and j+1 trade a point each, and both stay duplicate-free
+        mine, other = row * k, (row + 1) % (len(cells) // k) * k
+        i = next(i for i in range(mine, mine + k) if cells[i] not in cells[other:other + k])
+        o = next(o for o in range(other, other + k) if cells[o] not in cells[mine:mine + k])
+        cells[i], cells[o] = cells[o], cells[i]
+
+    for fault in (hole, repeat_point, swap_rows):
+        for design in (fano_design, complete53_design):
+            for row in (0, design.b - 1):
+                def faulty(graph, fault=fault, k=design.k, row=row):
+                    cells = list(real(graph))
+                    fault(cells, k, row)
+                    return tuple(cells)
+                monkeypatch.setattr(balancing, "edge_color", faulty)
+                with pytest.raises(StructuralError, match="off its block"):
+                    balance(design)
     monkeypatch.setattr(balancing, "edge_color", real)
     assert verify_balanced(balance(fano_design)).valid
 
