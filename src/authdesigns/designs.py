@@ -200,13 +200,22 @@ def pair_lambda(v: int, rows, r: int | None = None) -> int:
     b `rows` of k distinct points, else 0; r, the most rows through one
     point, is counted unless given.
 
-    Gates: r·v = b·k and a whole λ = b·C(k,2)/C(v,2) ≥ 1.  With w =
-    r.bit_length(), row R is e(R) = Σ_{y∈R} 2^(w·y), from a table of
-    2^(w·y), and S_x = Σ_{R∋x} e(R) has digit c(x,y), the rows through x
-    and y, at y ≠ x and r at x in base 2^w.  No digit exceeds r < 2^w, so
-    none carries: the pairs through x are uniform iff S_x = λ·ONES +
-    (r-λ)·2^(w·x), ONES = Σ_y 2^(w·y).  As λ·v·(v-1) = b·k·(k-1), the v
-    sums of v·w bits stay within a factor k·w of the b·k entries.
+    Gates: r·v = b·k and a whole λ = b·C(k,2)/C(v,2) ≥ 1.  As r is the
+    most, the first puts every point in r rows, and then the second gives
+    r·(k-1) = λ·(v-1).  With w = λ.bit_length(), row R is e(R) = Σ_{y∈R}
+    2^(w·y), from a table of 2^(w·y), and S_x = Σ_{R∋x} e(R) = r·2^(w·x) +
+    Σ_{y≠x} c(x,y)·2^(w·y), c(x,y) the rows through x and y.  The pairs
+    through x are uniform iff S_x = λ·ONES + (r-λ)·2^(w·x), ONES = Σ_y
+    2^(w·y).  If so, the c(x,y) ≥ 0 represent n = λ·(ONES - 2^(w·x)) in
+    base B = 2^w, and they sum to r·(k-1) = λ·(v-1), as each row holds k
+    distinct points; n's digits, λ < B at each y ≠ x, sum to λ·(v-1) too.
+    Coefficients ≥ 0 sum to the digit sum plus B-1 per carry, and carry
+    iff one is ≥ B: so none is, and every c(x,y) is the digit λ.  The
+    diagonal r may overflow its digit; it cancels as a whole integer.  So
+    the width bits(λ) needs the gate r·v = b·k, which fixes the coefficient
+    sum; a width above every c(x,y), such as bits(r), would not.  As
+    λ·v·(v-1) = b·k·(k-1), the v sums of v·bits(λ) bits stay within a
+    factor k of the b·k entries.
 
     The caller charges U = 3·b·k + min(v, b·k) + 4·v + 6 first, a step per
     entry counted, point compared, table entry and big-int operation: r,
@@ -218,7 +227,7 @@ def pair_lambda(v: int, rows, r: int | None = None) -> int:
     lam, rest = divmod(b * math.comb(k, 2), math.comb(v, 2))
     if r * v != b * k or rest or not lam:
         return 0
-    w = r.bit_length()
+    w = lam.bit_length()
     table = [1 << w * y for y in range(v)]
     sums = [0] * v
     for row in rows:

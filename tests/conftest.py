@@ -127,13 +127,40 @@ def built_systems():
     return out
 
 
+def develop_rows(v, bases):
+    """Rows of the Z_v-orbits of the base blocks, short orbits included."""
+    return tuple(sorted({tuple(sorted((x + g) % v for x in base))
+                         for base in bases for g in range(v)}))
+
+
+def swapped(rng: random.Random, blocks, swaps: int) -> tuple:
+    """`blocks` after `swaps` seeded point swaps, each of a point x of a
+    block A, not in a block B, for a point y of B, not in A: this keeps
+    every point's replication.  A swap that would repeat a block is drawn
+    again."""
+    rows = set(blocks)
+    while swaps:
+        A, B = rng.sample(sorted(rows), 2)
+        x, y = rng.choice(sorted({*A} - {*B})), rng.choice(sorted({*B} - {*A}))
+        A2, B2 = tuple(sorted({*A} - {x} | {y})), tuple(sorted({*B} - {y} | {x}))
+        if A2 not in rows and B2 not in rows:
+            rows = rows - {A, B} | {A2, B2}
+            swaps -= 1
+    return canonical_blocks(rows)
+
+
 def pair_corpus():
     """(name, v, blocks) of families to count pairs on: every catalog entry
     a system is built from, as a design (CDFs developed), and two seeded
     relabellings of it; each of these less one block, and over one point
     more than it uses; the Z_13-orbit of {0, 1, 2, 3}, with r = 4 but pairs
-    in 1 to 3 blocks; and seeded families of C(v,2)/C(k,2) distinct
-    k-sets, whose λ = 1 is whole while r varies."""
+    in 1 to 3 blocks; seeded families of C(v,2)/C(k,2) distinct k-sets,
+    whose λ = 1 is whole while r varies; at λ ≥ 2, where the digit width
+    bits(λ) exceeds one bit: the union of the Z_13-orbits of {0, 1, 2, 3}
+    and {0, 1, 2, 4}, with a whole λ = 2 and r = 8 but pairs in 0 to 5
+    blocks (w = 2), and the complete 2-(6,4,6) (w = 3); and seeded near
+    misses, point swaps that keep the replication on designs of λ = 1 to
+    4, so that each passes the gates r·v = b·k and a whole λ."""
     rng = random.Random(26)
     cases = []
     for name in buildable_names():
@@ -148,13 +175,23 @@ def pair_corpus():
             cases += [(name + tag, v, blocks),
                       (name + tag + "-less-one", v, blocks[1:]),
                       (name + tag + "-extra-point", v + 1, blocks)]
-    cases.append(("z13-orbit-0123", 13, canonical_blocks(
-        [(x + g) % 13 for x in range(4)] for g in range(13))))
+    cases.append(("z13-orbit-0123", 13, develop_rows(13, [range(4)])))
     for v, k in ((7, 3), (13, 4), (16, 6), (21, 5), (31, 6)) * 2:
         blocks = set()
         while len(blocks) < comb(v, 2) // comb(k, 2):
             blocks.add(tuple(sorted(rng.sample(range(v), k))))
         cases.append((f"random-{v}-{k}", v, canonical_blocks(blocks)))
+    cases += [("z13-orbits-0123-0124", 13,
+               develop_rows(13, [(0, 1, 2, 3), (0, 1, 2, 4)])),
+              ("complete-6-4", 6, complete_design(6, 4).blocks)]
+    near = {"fano": (7, [(0, 1, 3)]), "z13-4": (13, [(0, 1, 3, 9)]),
+            "fano-complement": (7, [(2, 4, 5, 6)]),
+            "z7-lambda-3": (7, [(0, 1, 2), (0, 2, 4), (0, 1, 4)]),
+            "z7-lambda-4": (7, [(0, 1, 2), (0, 2, 4), (0, 1, 4), (0, 1, 3)])}
+    for name, (v, bases) in near.items():
+        for n, swaps in enumerate((1, 1, 2, 3)):
+            cases.append((f"{name}-swapped-{n}", v,
+                          swapped(rng, develop_rows(v, bases), swaps)))
     return cases
 
 

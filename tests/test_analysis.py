@@ -43,8 +43,8 @@ from authdesigns import (
 from authdesigns import analysis, designs
 from authdesigns.analysis import check_order, report_to_json
 
-from conftest import (buildable_names, built_systems, mutate_entry,
-                      pair_corpus, uniform_pair_lambda)
+from conftest import (buildable_names, built_systems, develop_rows,
+                      mutate_entry, pair_corpus, uniform_pair_lambda)
 
 
 def naive_deception(matrix: EncodingMatrix, i: int) -> Fraction:
@@ -584,12 +584,6 @@ def random_developments(seed, count=10):
                      for r in sorted(row_sets, key=sorted))
         out.append(EncodingMatrix(v, k, rows))
     return out
-
-
-def develop_rows(v, bases):
-    """Rows of the Z_v-orbits of the base blocks, short orbits included."""
-    return tuple(sorted({tuple(sorted((x + g) % v for x in base))
-                         for base in bases for g in range(v)}))
 
 
 def development_rows(v, bases):
@@ -1160,13 +1154,14 @@ def test_pair_tally_fuzz_matches_the_naive_oracles():
 # ------------------------------------------------------ uniform pair check
 
 def uniform_pair_cases():
-    """(name, matrix, anchored, λ) with every pair in λ keys.  The first
-    four have r = 1, 2, 4 and 4, powers of two: one key holding every
-    message (invariant, but v ∤ b, so never developed), the triangle and
-    the 4-subsets of 5 points in development order, and AG(2,3)
-    relabelled, whose digit width r.bit_length() in the unanchored check
-    is one bit more than r - 1 needs.  In the relabelled Fano plane r = 3
-    fills its two digit bits."""
+    """(name, matrix, anchored, λ) with every pair in λ keys: one key
+    holding every message (invariant, but v ∤ b, so never developed), and
+    the triangle and the 4-subsets of 5 points in development order; then
+    three unanchored systems, whose digit sums run at width w = bits(λ):
+    AG(2,3) (r = 4) and the Fano plane (r = 3), each relabelled, at w = 1,
+    where the diagonal digit r overflows into its neighbours, and the
+    balanced complete 2-(5,3,3), whose λ = 3 fills both bits of w = 2 and
+    whose r = 6 overflows them."""
     ag = catalog.load_payload("ag-2-3")[0]
     fano = develop_matrix(DifferenceFamily(7, 1, ((0, 1, 3),)))
     return [
@@ -1178,6 +1173,8 @@ def uniform_pair_cases():
         ("ag-2-3-relabelled", relabelled(
             EncodingMatrix(ag.v, ag.k, ag.blocks), 8), False, 1),
         ("fano-relabelled", relabelled(fano, 9), False, 1),
+        ("complete-5-3-balanced", balance(
+            catalog.load_payload("complete-5-3")[0]), False, 3),
     ]
 
 
@@ -1211,7 +1208,7 @@ def test_uniform_pair_check_settles_orders_one_and_two():
                             deception_charge(b, k, v, i, anchored, lam))
         charged_exactly(voracle_online_value, matrix, 1,
                         online_charge(b, k, v, 1, anchored, lam))
-    assert replications == [1, 2, 4, 4, 3]
+    assert replications == [1, 2, 4, 4, 3, 6]
 
 
 def test_uniform_pair_check_falls_back_on_uneven_pairs():
